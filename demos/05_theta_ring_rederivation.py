@@ -7,7 +7,7 @@ each row by th4^4 = (1+t) th2^4 reproduces the univariate f recurrence.
 The two routes share no code, so agreement validates both.
 """
 
-from rankcrit import ZZ, generate, normalize_to_t, rs_derivation, vz_sequence
+from rankcrit import generate, normalize_to_t, render, rs_derivation, vz_sequence
 from rankcrit.recurrences import F_E
 from rankcrit.symbolic import TH2
 
@@ -18,9 +18,9 @@ print()
 seq = vz_sequence(12)
 for n in (0, 1, 2, 5, 9, 12):
     via_ring = normalize_to_t(seq[n], n)
-    via_recurrence = generate(F_E, n, ZZ)
+    via_recurrence = generate(F_E, n)
     status = "match" if via_ring == via_recurrence else "MISMATCH"
-    shown = str(via_ring)
+    shown = render(via_ring)
     if len(shown) > 60:
         shown = shown[:57] + "..."
     print(f"  n={n:>2}: {status}  f_n = {shown}")

@@ -3,8 +3,8 @@ and x^3 + y^3 = p, with independent numerical cross-checks.
 
 Layers:
 
-* :mod:`rankcrit.polyring` -- dense univariate polynomials over ZZ, QQ, Z/p.
-* :mod:`rankcrit.recurrences` -- the five polynomial families f, a, x, y, z.
+* :mod:`rankcrit.polyring` -- polynomials as integer coefficient tuples, and their printing.
+* :mod:`rankcrit.recurrences` -- the five polynomial families f, a, x, y, z, exact or mod p.
 * :mod:`rankcrit.criteria` -- divisibility of constant terms -> rank verdicts.
 * :mod:`rankcrit.symbolic` -- theta-constant ring re-derivation of the f family.
 * :mod:`rankcrit.lseries` -- point counts, conductors, L(1), normalized S_p.
@@ -12,7 +12,7 @@ Layers:
 * :mod:`rankcrit.cli` -- poly / criterion / oracle / verify subcommands.
 """
 
-from .polyring import QQ, ZZ, Polynomial, ResidueRing, RingMismatchError, reduce_mod
+from .polyring import render
 from .recurrences import (
     A_VZ,
     F_E,
@@ -61,7 +61,7 @@ from .symbolic import ThetaPolynomial, normalize_to_t, rs_derivation, vz_sequenc
 __version__ = "0.1.0"
 
 __all__ = [
-    "QQ", "ZZ", "Polynomial", "ResidueRing", "RingMismatchError", "reduce_mod",
+    "render",
     "A_VZ", "F_E", "FAMILIES", "X_A", "Y_A", "Z_A",
     "constant_term_mod", "generate", "generate_all", "step",
     "CriterionVerdict", "CrossCheckError", "admissible", "scan",

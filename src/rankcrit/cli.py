@@ -15,8 +15,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import criteria, lseries, maass, recurrences, symbolic
-from .polyring import QQ, ZZ, ResidueRing
+from . import criteria, lseries, maass, polyring, recurrences, symbolic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,23 +54,21 @@ _TABLE_FAMILY = {"1": "a", "2": "x", "4": "f"}
 def _cmd_poly(args) -> int:
     if args.emit_table:
         family = recurrences.FAMILIES[_TABLE_FAMILY[args.emit_table]]
-        polys = recurrences.generate_all(family, 9, ZZ)
+        polys = recurrences.generate_all(family, 9)
         print(f"n  {family.key}_n(t)")
         for n, poly in enumerate(polys):
-            print(f"{n}  {poly}")
+            print(f"{n}  {polyring.render(poly)}")
         return EXIT_OK
     if args.n is None:
         print("poly: error: --n is required unless --emit-table is given", file=sys.stderr)
         return EXIT_USAGE
     family = recurrences.FAMILIES[args.family]
     if args.mod is not None:
-        residue = recurrences.constant_term_mod(family, args.n, args.mod)
-        poly = recurrences.generate(family, args.n, ResidueRing(args.mod))
-        print(f"{poly}")
-        print(f"constant term mod {args.mod}: {residue}")
+        poly = recurrences.generate(family, args.n, args.mod)
+        print(polyring.render(poly))
+        print(f"constant term mod {args.mod}: {polyring.constant_term(poly)}")
     else:
-        ring = QQ if args.family == "z" else ZZ
-        print(recurrences.generate(family, args.n, ring))
+        print(polyring.render(recurrences.generate(family, args.n)))
     return EXIT_OK
 
 
@@ -212,31 +209,19 @@ def _emit_reports(args, rows: list[dict], ok_all: bool) -> int:
     return EXIT_OK if ok_all else EXIT_CROSSCHECK
 
 
-def _verify_symbolic(args) -> int:
-    rows = []
-    ok_all = True
+def _symbolic_rows(args):
     for n, ok in symbolic.cross_check(args.max_n):
-        rows.append({"n": n, "match": ok})
-        ok_all = ok_all and ok
-    return _emit_reports(args, rows, ok_all)
+        yield {"n": n, "match": ok}, ok
 
 
-def _verify_thm5(args) -> int:
-    rows = []
-    ok_all = True
+def _thm5_rows(args):
     for N in range(args.max_n + 1):
         r = maass.verify_theta2_identity(N, args.precision)
         ok = r.rel_error < VERIFY_REL_TOL
-        ok_all = ok_all and ok
-        rec = r.as_record()
-        rec["ok"] = ok
-        rows.append(rec)
-    return _emit_reports(args, rows, ok_all)
+        yield {**r.as_record(), "ok": ok}, ok
 
 
-def _verify_thm6(args) -> int:
-    rows = []
-    ok_all = True
+def _thm6_rows(args):
     scale = None
     for N in range(args.max_n + 1):
         for case in ("x", "y", "z"):
@@ -246,62 +231,57 @@ def _verify_thm6(args) -> int:
             else:
                 ok = r.rel_error < VERIFY_REL_TOL
                 scale = r.numeric
-            ok_all = ok_all and ok
-            rec = r.as_record()
-            rec["ok"] = ok
-            rows.append(rec)
-    return _emit_reports(args, rows, ok_all)
+            yield {**r.as_record(), "ok": ok}, ok
 
 
-def _verify_thm3(args) -> int:
-    rows = []
-    ok_all = True
+def _thm3_rows(args):
     for k in range(1, 2 * args.max_n + 2):
         a = maass.hecke_value_E(k, args.precision)
         b = maass.hecke_value_E_from_constants(k, args.precision)
         if b == 0:
             ok = a == 0
-            rows.append({"k": k, "value": 0.0, "zero_by_construction": True, "ok": ok})
+            yield {"k": k, "value": 0.0, "zero_by_construction": True, "ok": ok}, ok
         else:
             rel = float(abs(a - b) / abs(b))
             ok = rel < VERIFY_REL_TOL
-            rows.append({"k": k, "value": float(a), "rel_error": rel, "ok": ok})
-        ok_all = ok_all and ok
-    return _emit_reports(args, rows, ok_all)
+            yield {"k": k, "value": float(a), "rel_error": rel, "ok": ok}, ok
 
 
-def _verify_thm4(args) -> int:
-    rows = []
-    ok_all = True
-    ks = []
-    for N in range(args.max_n + 1):
-        ks.extend([6 * N + 1, 6 * N + 2, 6 * N + 3, 6 * N + 4, 6 * N + 5, 6 * N + 6])
-    for k in sorted(set(ks)):
+def _thm4_rows(args):
+    for k in range(1, 6 * args.max_n + 7):  # 6N+1 .. 6N+6 for N = 0 .. max_n
         forms = maass.hecke_value_A_from_theta_forms(k, args.precision)
         lattice = maass.hecke_value_A(k, args.precision)
         if forms == 0:
             ok = abs(float(lattice)) < 1e-30
-            rows.append({"k": k, "value": 0.0, "zero_by_construction": True,
-                         "lattice_abs": abs(float(lattice)), "ok": ok})
+            yield {"k": k, "value": 0.0, "zero_by_construction": True,
+                   "lattice_abs": abs(float(lattice)), "ok": ok}, ok
         else:
             rel = float(abs(forms - lattice) / abs(lattice))
             ok = rel < VERIFY_REL_TOL
-            rows.append({"k": k, "value": float(lattice), "rel_error": rel, "ok": ok})
-        ok_all = ok_all and ok
-    return _emit_reports(args, rows, ok_all)
+            yield {"k": k, "value": float(lattice), "rel_error": rel, "ok": ok}, ok
+
+
+_THM_ROWS = {"3": _thm3_rows, "4": _thm4_rows, "5": _thm5_rows, "6": _thm6_rows}
 
 
 def _cmd_verify(args) -> int:
+    if args.symbolic:
+        rows_of = _symbolic_rows
+    elif args.thm is None:
+        print("verify: error: give --thm {3|4|5|6} or --symbolic", file=sys.stderr)
+        return EXIT_USAGE
+    else:
+        rows_of = _THM_ROWS[args.thm]
+    rows = []
+    ok_all = True
     try:
-        if args.symbolic:
-            return _verify_symbolic(args)
-        if args.thm is None:
-            print("verify: error: give --thm {3|4|5|6} or --symbolic", file=sys.stderr)
-            return EXIT_USAGE
-        return {"3": _verify_thm3, "4": _verify_thm4, "5": _verify_thm5, "6": _verify_thm6}[args.thm](args)
+        for row, ok in rows_of(args):
+            rows.append(row)
+            ok_all = ok_all and ok
     except maass.PrecisionError as exc:
         print(f"verify: non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    return _emit_reports(args, rows, ok_all)
 
 
 # ---------------------------------------------------------------------------

@@ -265,8 +265,24 @@ def _minimal_model(ainvs) -> tuple[int, int, int, int, int]:
     return ai
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) exactly, for n >= 0 and k >= 1 (integer Newton iteration from above)."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _bad_primes(delta: int) -> list[int]:
-    """Prime factorization support of the discriminant (small primes, then a prime cofactor)."""
+    """Prime factorization support of the discriminant (small primes, then a prime-power cofactor).
+
+    For y^2 = x^3 + p x and x^3 + y^3 = p the cofactor left after trial
+    division is p^3 or p^4 once p exceeds the trial bound.
+    """
     d = abs(delta)
     out = []
     for q in range(2, 1000):
@@ -277,9 +293,13 @@ def _bad_primes(delta: int) -> list[int]:
             while d % q == 0:
                 d //= q
     if d > 1:
-        if not is_prime(d):
+        for k in range(1, d.bit_length()):
+            root = _iroot(d, k)
+            if root ** k == d and is_prime(root):
+                out.append(root)
+                break
+        else:
             raise ValueError("discriminant has a large composite cofactor; out of supported range")
-        out.append(d)
     return sorted(set(out))
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 from mpmath import mp, mpc, mpf
 
-from .polyring import QQ, ZZ
+from .polyring import constant_term
 from .recurrences import F_E, X_A, Y_A, Z_A, generate
 
 _GUARD = 40          # guard bits on top of the requested precision
@@ -305,7 +305,7 @@ def _report(case, N, k, order, const_label, const_value, numeric, predicted, pre
 def verify_theta2_identity(N: int, precision: int = 256) -> MSDerivativeReport:
     """|d^(N) theta2 at i|^2 against 2^{-4k+7/2} 3^{-k+1} pi^{-2k+1} Omega_E^{2k-1} f_N(0)^2, k = 2N+1."""
     k = 2 * N + 1
-    c = generate(F_E, N, ZZ).constant_term
+    c = constant_term(generate(F_E, N))
     with mp.workprec(precision + _GUARD):
         value = ms_derivative(THETA2, Fraction(1, 2), N, CM_I, precision)
         numeric = abs(value) ** 2
@@ -354,9 +354,7 @@ def verify_eta_identity(N: int, case: str, precision: int = 256) -> MSDerivative
     k = cfg["k"](N)
     order = cfg["order"](N)
     index = cfg["index"](N)
-    ring = QQ if cfg["family"] is Z_A else ZZ
-    c = generate(cfg["family"], index, ring).constant_term
-    c = Fraction(c)
+    c = Fraction(constant_term(generate(cfg["family"], index)))
     with mp.workprec(precision + _GUARD):
         value = ms_derivative(cfg["series"], cfg["weight"], order, CM_OMEGA, precision)
         numeric = abs(value) ** 2
@@ -397,7 +395,7 @@ def hecke_value_E_from_constants(k: int, precision: int = 256) -> mpf:
     if k % 2 == 0:
         return mpf(0)
     N = (k - 1) // 2
-    c = generate(F_E, N, ZZ).constant_term
+    c = constant_term(generate(F_E, N))
     with mp.workprec(precision + _GUARD):
         om = omega_E(precision)
         return (

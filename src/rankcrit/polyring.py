@@ -1,265 +1,47 @@
-"""Dense univariate polynomials over exact integers, exact rationals, or residues mod an odd prime.
+"""Dense univariate polynomials as plain coefficient tuples.
 
-Coefficients are plain ``int``/``fractions.Fraction`` values; a ring object
-attached to each polynomial supplies the arithmetic.  Mixing rings is always
-an error, never a silent coercion.
+A polynomial is a tuple of coefficients ascending by degree with no trailing
+zeros; the zero polynomial is ``()``.  Coefficients are ints (residues mod p
+are ints in ``[0, p)``); ``fractions.Fraction`` coefficients work as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-from ._primality import is_prime
 
-NEG_INF = float("-inf")  # degree of the zero polynomial
+def trim(coeffs: Iterable) -> tuple:
+    """The canonical tuple: coefficients with trailing zeros dropped."""
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-class RingMismatchError(TypeError):
-    """Operands belong to different coefficient rings."""
+def dot(pairs: Iterable[tuple[tuple, tuple]], p: int | None = None) -> tuple:
+    """Sum of the products a*b over the (a, b) pairs, each coefficient reduced mod p if p is given.
 
+    The outer loop runs over the nonzero coefficients of ``a``, so put the
+    short polynomial of each pair first.
+    """
+    pairs = [(a, b) for a, b in pairs if a and b]
+    out = [0] * max((len(a) + len(b) - 1 for a, b in pairs), default=0)
+    for a, b in pairs:
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+    if p is not None:
+        out = [c % p for c in out]
+    return trim(out)
 
-@dataclass(frozen=True)
-class IntegerRing:
-    name = "ZZ"
 
-    def coerce(self, value) -> int:
-        if isinstance(value, bool):
-            raise TypeError("bool is not an integer coefficient")
-        if isinstance(value, int):
-            return value
-        if isinstance(value, Fraction) and value.denominator == 1:
-            return int(value)
-        raise TypeError(f"cannot coerce {value!r} into ZZ")
+def constant_term(a: tuple):
+    return a[0] if a else 0
 
-    def add(self, a, b):
-        return a + b
 
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def half(self):
-        raise ValueError("1/2 does not exist in ZZ; use QQ or an odd residue ring")
-
-    def __repr__(self):
-        return "ZZ"
-
-
-@dataclass(frozen=True)
-class RationalRing:
-    name = "QQ"
-
-    def coerce(self, value) -> Fraction:
-        if isinstance(value, bool):
-            raise TypeError("bool is not a rational coefficient")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {value!r} into QQ")
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def half(self):
-        return Fraction(1, 2)
-
-    def __repr__(self):
-        return "QQ"
-
-
-@dataclass(frozen=True)
-class ResidueRing:
-    """Z/pZ for an odd prime p; values are ints in [0, p)."""
-
-    p: int
-
-    def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not an odd prime")
-
-    @property
-    def name(self):
-        return f"Z/{self.p}"
-
-    def coerce(self, value) -> int:
-        if isinstance(value, bool):
-            raise TypeError("bool is not a residue")
-        if isinstance(value, int):
-            return value % self.p
-        if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator of {value} vanishes mod {self.p}")
-            return value.numerator * pow(den, -1, self.p) % self.p
-        raise TypeError(f"cannot coerce {value!r} into Z/{self.p}")
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def half(self):
-        return (self.p + 1) // 2  # inverse of 2 mod p
-
-    def __repr__(self):
-        return f"Z/{self.p}"
-
-
-ZZ = IntegerRing()
-QQ = RationalRing()
-
-Ring = Union[IntegerRing, RationalRing, ResidueRing]
-
-
-def _strip(coeffs: list, zero) -> tuple:
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1] == zero:
-        end -= 1
-    return tuple(coeffs[:end])
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Coefficients ascending by degree, canonical (no trailing zeros)."""
-
-    ring: Ring
-    coeffs: tuple
-
-    @staticmethod
-    def from_coeffs(ring: Ring, coeffs: Iterable) -> "Polynomial":
-        vals = [ring.coerce(c) for c in coeffs]
-        return Polynomial(ring, _strip(vals, ring.zero))
-
-    @staticmethod
-    def constant(ring: Ring, value) -> "Polynomial":
-        return Polynomial.from_coeffs(ring, [value])
-
-    @staticmethod
-    def zero(ring: Ring) -> "Polynomial":
-        return Polynomial(ring, ())
-
-    @staticmethod
-    def variable(ring: Ring) -> "Polynomial":
-        return Polynomial.from_coeffs(ring, [0, 1])
-
-    @property
-    def degree(self):
-        """Degree as an int, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else self.ring.zero
-
-    def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"mixed rings {self.ring!r} and {other.ring!r}")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        ring = self.ring
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = ring.add(out[i], c)
-        return Polynomial(ring, _strip(out, ring.zero))
-
-    def __neg__(self) -> "Polynomial":
-        ring = self.ring
-        return Polynomial(ring, tuple(ring.neg(c) for c in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        ring = self.ring
-        if self.is_zero or other.is_zero:
-            return Polynomial(ring, ())
-        out = [ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == ring.zero:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = ring.add(out[i + j], ring.mul(ci, cj))
-        return Polynomial(ring, _strip(out, ring.zero))
-
-    def scale(self, scalar) -> "Polynomial":
-        ring = self.ring
-        s = ring.coerce(scalar)
-        out = [ring.mul(s, c) for c in self.coeffs]
-        return Polynomial(ring, _strip(out, ring.zero))
-
-    def derivative(self) -> "Polynomial":
-        ring = self.ring
-        out = [ring.mul(ring.coerce(k), c) for k, c in enumerate(self.coeffs) if k > 0]
-        return Polynomial(ring, _strip(out, ring.zero))
-
-    def __call__(self, x):
-        """Horner evaluation at a coefficient of the same ring."""
-        ring = self.ring
-        x = ring.coerce(x)
-        acc = ring.zero
-        for c in reversed(self.coeffs):
-            acc = ring.add(ring.mul(acc, x), c)
-        return acc
-
-    def __str__(self) -> str:
-        return render(self)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.ring!r}, {render(self)!r})"
-
-
-def reduce_mod(poly: Polynomial, p: int) -> Polynomial:
-    """Coefficientwise reduction of an integer polynomial into Z/pZ, p an odd prime."""
-    if not isinstance(poly.ring, IntegerRing):
-        raise TypeError("reduce_mod expects a polynomial over ZZ")
-    ring = ResidueRing(p)
-    return Polynomial(ring, _strip([c % p for c in poly.coeffs], 0))
+def derivative(a: tuple) -> tuple:
+    return tuple(k * a[k] for k in range(1, len(a)))
 
 
 def _term(c, k: int) -> str:
@@ -271,16 +53,16 @@ def _term(c, k: int) -> str:
     return f"{c}*{var}"
 
 
-def render(poly: Polynomial) -> str:
+def render(a: tuple) -> str:
     """Human-readable form: ``c_k*t^k + ... + c_0``, highest degree first."""
-    if poly.is_zero:
+    if not a:
         return "0"
     parts = []
-    for k in range(len(poly.coeffs) - 1, -1, -1):
-        c = poly.coeffs[k]
-        if c == poly.ring.zero:
+    for k in range(len(a) - 1, -1, -1):
+        c = a[k]
+        if not c:
             continue
-        negative = not isinstance(poly.ring, ResidueRing) and c < 0
+        negative = c < 0
         mag = -c if negative else c
         if not parts:
             parts.append(("-" if negative else "") + _term(mag, k))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import ZZ, Polynomial
+from .polyring import trim
 from .recurrences import F_E
 
 
@@ -137,7 +137,7 @@ def vz_sequence(N: int) -> list[ThetaPolynomial]:
     return seq
 
 
-def normalize_to_t(F_n: ThetaPolynomial, n: int) -> Polynomial:
+def normalize_to_t(F_n: ThetaPolynomial, n: int) -> tuple:
     """Collapse F_n = sum c_j * th2^(4(n-j)+1) * th4^(4j) to 24^n * sum c_j (1+t)^j.
 
     The substitution is th4^4 = (1+t) * th2^4 followed by division by
@@ -171,10 +171,10 @@ def normalize_to_t(F_n: ThetaPolynomial, n: int) -> Polynomial:
         if v.denominator != 1:
             raise StructureError(f"non-integer coefficient {v} after normalization")
         out.append(int(v))
-    return Polynomial.from_coeffs(ZZ, out)
+    return trim(out)
 
 
-def rederive_f(n: int) -> Polynomial:
+def rederive_f(n: int) -> tuple:
     """f_n by the theta-ring route; equals generate(F_E, n) when all is well."""
     return normalize_to_t(vz_sequence(n)[n], n)
 
@@ -187,6 +187,6 @@ def cross_check(max_n: int) -> list[tuple[int, bool]]:
     out = []
     for n in range(max_n + 1):
         lhs = normalize_to_t(seq[n], n)
-        rhs = generate(F_E, n, ZZ)
+        rhs = generate(F_E, n)
         out.append((n, lhs == rhs))
     return out

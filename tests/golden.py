@@ -68,4 +68,4 @@ EP_SCAN_TABLE = {
 
 
 def poly_to_map(poly) -> dict[int, int]:
-    return {k: c for k, c in enumerate(poly.coeffs) if c != 0}
+    return {k: c for k, c in enumerate(poly) if c != 0}

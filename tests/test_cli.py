@@ -142,6 +142,12 @@ class TestOracle:
         assert code == 0
         assert cache.exists()
 
+    def test_prime_above_trial_division_bound(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--p", "1009", "--family", "Ap", "--no-cache",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["s_rounded"] == 18
+
     def test_inadmissible_prime_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "oracle", "--p", "7", "--cache", str(tmp_path / "c"))
         assert code == 1

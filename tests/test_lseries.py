@@ -114,11 +114,12 @@ class TestConductor:
                 assert got == want
 
     def test_ep_shape(self):
-        for p in (17, 41, 457):
+        # p >= 1000 leaves the cofactor p^3 after trial division of the discriminant
+        for p in (17, 41, 457, 1009, 1033):
             assert conductor(curve_ep(p)) == 64 * p * p
 
     def test_ap_shape(self):
-        for p in (19, 37):
+        for p in (19, 37, 1009):
             assert conductor(curve_ap(p)) == 27 * p * p
 
     def test_p_exponent_exactly_two(self):
