@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import criteria, lseries, maass, polyring, recurrences, symbolic
+from . import __version__, criteria, lseries, maass, polyring, recurrences, symbolic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,10 +39,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _timestamp_line(args) -> str | None:
-    if getattr(args, "no_timestamp", False):
-        return None
-    return f"# generated {datetime.now(timezone.utc).isoformat()}"
+def _print_header(args) -> None:
+    if not args.no_timestamp:
+        print(f"# generated {datetime.now(timezone.utc).isoformat()}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +102,7 @@ def _cmd_criterion(args) -> int:
         for rec in records:
             print(json.dumps({f: rec[f] for f in _CRITERION_FIELDS}))
     else:
-        header = _timestamp_line(args)
-        if header:
-            print(header)
+        _print_header(args)
         for rec in records:
             print(
                 f"p={rec['p']:<6d} index={rec['index']:<5d} k={rec['k']:<5d} "
@@ -127,8 +125,12 @@ def _cache_path(args) -> Path:
     return Path.home() / ".cache" / "rankcrit" / "oracle.jsonl"
 
 
+_REPORT_FIELDS = [f.name for f in dataclasses.fields(lseries.LValueReport)]
+
+
 def _cache_key(family: str, p: int, tol: float) -> str:
-    blob = json.dumps({"cmd": "oracle", "family": family, "p": p, "tol": repr(tol)}, sort_keys=True)
+    blob = json.dumps({"cmd": "oracle", "family": family, "p": p, "tol": repr(tol),
+                       "version": __version__}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -147,8 +149,12 @@ def _cache_lookup(path: Path, key: str) -> dict | None:
         except json.JSONDecodeError:
             print(f"warning: skipping corrupt cache line in {path}", file=sys.stderr)
             continue
-        if isinstance(entry, dict) and entry.get("key") == key and "report" in entry:
-            return entry["report"]
+        if not isinstance(entry, dict) or entry.get("key") != key or "report" not in entry:
+            continue
+        report = entry["report"]
+        if isinstance(report, dict) and sorted(report) == sorted(_REPORT_FIELDS):
+            return report
+        print(f"warning: skipping incomplete cache record in {path}", file=sys.stderr)
     return None
 
 
@@ -182,11 +188,8 @@ def _cmd_oracle(args) -> int:
     if args.format == "json":
         print(json.dumps(record, sort_keys=True))
     else:
-        header = _timestamp_line(args)
-        if header:
-            print(header)
-        for k in ["p", "family", "conductor", "terms", "l1", "s_real", "s_rounded",
-                  "residual", "tail_bound", "tol", "converged"]:
+        _print_header(args)
+        for k in _REPORT_FIELDS:
             print(f"{k}: {record[k]}")
     return EXIT_OK
 
@@ -200,9 +203,7 @@ def _emit_reports(args, rows: list[dict], ok_all: bool) -> int:
         for row in rows:
             print(json.dumps(row, sort_keys=True))
     else:
-        header = _timestamp_line(args)
-        if header:
-            print(header)
+        _print_header(args)
         for row in rows:
             bits = " ".join(f"{k}={v}" for k, v in row.items())
             print(bits)

@@ -15,9 +15,6 @@ from typing import NamedTuple, Optional
 from ._primality import is_prime, primes_in
 from .recurrences import A_VZ, F_E, X_A, constant_term_mod
 
-EP_NOTE = "forward direction unconditional given S_p in Z; converse under BSD"
-AP_NOTE = "unconditional forward; converse under BSD; k derived as (2p+1)/3"
-
 
 class CrossCheckError(RuntimeError):
     """The a-path and x-path divisibility verdicts disagree (implementation bug)."""
@@ -38,7 +35,6 @@ class CriterionVerdict:
     residue: int             # F_index(0) mod p
     divisible: bool
     predicted_rank_bsd: int
-    note: str
 
     def as_record(self) -> dict:
         return {
@@ -74,7 +70,7 @@ def weight_for(p: int, family: str) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _verdict(p: int, family: str, path: str, index: int, residue: int, note: str) -> CriterionVerdict:
+def _verdict(p: int, family: str, path: str, index: int, residue: int) -> CriterionVerdict:
     divisible = residue == 0
     return CriterionVerdict(
         p=p,
@@ -85,7 +81,6 @@ def _verdict(p: int, family: str, path: str, index: int, residue: int, note: str
         residue=residue,
         divisible=divisible,
         predicted_rank_bsd=2 if divisible else 0,
-        note=note,
     )
 
 
@@ -94,7 +89,7 @@ def verdict_Ep(p: int) -> CriterionVerdict:
     if not ok:
         raise ValueError(f"{p} is not an admissible prime for Ep (needs p = 1, 9 mod 16)")
     residue = constant_term_mod(F_E, index, p)
-    return _verdict(p, "Ep", "f", index, residue, EP_NOTE)
+    return _verdict(p, "Ep", "f", index, residue)
 
 
 def verdict_Ap(p: int) -> tuple[CriterionVerdict, CriterionVerdict]:
@@ -104,8 +99,8 @@ def verdict_Ap(p: int) -> tuple[CriterionVerdict, CriterionVerdict]:
         raise ValueError(f"{p} is not an admissible prime for Ap (needs p = 1 mod 9)")
     res_a = constant_term_mod(A_VZ, index, p)
     res_x = constant_term_mod(X_A, index, p)
-    va = _verdict(p, "Ap", "a", index, res_a, AP_NOTE)
-    vx = _verdict(p, "Ap", "x", index, res_x, AP_NOTE)
+    va = _verdict(p, "Ap", "a", index, res_a)
+    vx = _verdict(p, "Ap", "x", index, res_x)
     if va.divisible != vx.divisible:
         raise CrossCheckError(
             f"p={p}: a-path residue {res_a} and x-path residue {res_x} disagree on divisibility"

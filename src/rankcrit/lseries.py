@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -483,19 +483,7 @@ class LValueReport:
     converged: bool
 
     def as_record(self) -> dict:
-        return {
-            "p": self.p,
-            "family": self.family,
-            "conductor": self.conductor,
-            "terms": self.terms,
-            "l1": self.l1,
-            "s_real": self.s_real,
-            "s_rounded": self.s_rounded,
-            "residual": self.residual,
-            "tail_bound": self.tail_bound,
-            "tol": self.tol,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 def sp(p: int, tol: float = 1e-8, family: str = "Ep", jobs: int = 1) -> LValueReport:

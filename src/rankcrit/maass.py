@@ -5,16 +5,22 @@ sum a(mu) e^{2 pi i mu z} evaluates, at order h, to
 
     (-1)^h h! / (4 pi y)^h * sum a(mu) L_h^{k-1}(4 pi mu y) e^{2 pi i mu z}
 
-with generalized Laguerre polynomials L.  Squared magnitudes of these values
-at z = i and z = omega = (-1+sqrt(-3))/2 must match closed forms built from
-the recurrence constants f_N(0), x_n(0), y_n(0), z_n(0) and the periods
-Omega_E, Omega_A; the verify_* functions measure exactly that.
+with generalized Laguerre polynomials L.  One table, ``_IDENTITIES``, holds
+the four CM identities: theta2 at z = i against f_N(0) and Omega_E, and eta,
+eta^3, eta(3z)^3 at z = omega = (-1+sqrt(-3))/2 against x_{3N}(0), y_{3N}(0),
+z_{3N+1}(0) and Omega_A.  Each row gives the series, weight, CM point,
+weight k and derivative order, the closed form of the squared derivative and
+the scale that turns it into a central Hecke value; the ``verify_*`` and
+``hecke_value_*`` functions read that table, except ``hecke_value_A``, which
+reaches the A-side values independently through the hexagonal-lattice theta
+series.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -34,34 +40,19 @@ class PrecisionError(ValueError):
     """Requested working precision below the supported minimum."""
 
 
-@dataclass(frozen=True)
-class ExpSeries:
-    """sum of coeff * e^{2 pi i mu z} with rational mu >= 0, increasing."""
-
-    name: str
-    weight: Fraction
-    term_gen: Callable[[], Iterator[tuple[Fraction, int]]]
-
-    def terms(self) -> Iterator[tuple[Fraction, int]]:
-        return self.term_gen()
+# A series is a zero-argument generator of (mu, coeff) for sum coeff * e^{2 pi i mu z},
+# rational mu >= 0 increasing.
+Series = Callable[[], Iterator[tuple[Fraction, int]]]
 
 
-def _theta2_terms():
+def THETA2():
     m = 0
     while True:
         yield Fraction((2 * m + 1) ** 2, 8), 2
         m += 1
 
 
-def _theta4_terms():
-    yield Fraction(0), 1
-    m = 1
-    while True:
-        yield Fraction(m * m, 2), 2 * (-1) ** m
-        m += 1
-
-
-def _eta_terms():
+def ETA():
     # pentagonal form: frequencies (6k+1)^2/24 over k in Z, coefficient (-1)^k
     yield Fraction(1, 24), 1
     m = 1
@@ -71,14 +62,14 @@ def _eta_terms():
         m += 1
 
 
-def _eta_cubed_terms():
+def ETA_CUBED():
     m = 0
     while True:
         yield Fraction((2 * m + 1) ** 2, 8), (-1) ** m * (2 * m + 1)
         m += 1
 
 
-def _eta3z_cubed_terms():
+def ETA3Z_CUBED():
     m = 0
     while True:
         yield Fraction(3 * (2 * m + 1) ** 2, 8), (-1) ** m * (2 * m + 1)
@@ -93,7 +84,7 @@ def _sigma1(n: int) -> int:
     return s
 
 
-def _e2_terms():
+def E2():
     yield Fraction(0), 1
     n = 1
     while True:
@@ -114,7 +105,7 @@ def _hex_count(f: int) -> int:
     return count
 
 
-def _theta_hex_terms():
+def THETA_HEX():
     # theta series of the hexagonal lattice: sum q^(n^2+nm+m^2), weight 1
     f = 0
     while True:
@@ -122,15 +113,6 @@ def _theta_hex_terms():
         if c:
             yield Fraction(f), c
         f += 1
-
-
-THETA2 = ExpSeries("theta2", Fraction(1, 2), _theta2_terms)
-THETA4 = ExpSeries("theta4", Fraction(1, 2), _theta4_terms)
-ETA = ExpSeries("eta", Fraction(1, 2), _eta_terms)
-ETA_CUBED = ExpSeries("eta^3", Fraction(3, 2), _eta_cubed_terms)
-ETA3Z_CUBED = ExpSeries("eta(3z)^3", Fraction(3, 2), _eta3z_cubed_terms)
-E2 = ExpSeries("E2", Fraction(2), _e2_terms)
-THETA_HEX = ExpSeries("theta_hex", Fraction(1), _theta_hex_terms)
 
 
 def _as_point(z):
@@ -193,7 +175,7 @@ def hermite(n: int, x) -> mpf:
     return cur
 
 
-def ms_derivative(series: ExpSeries, weight, h: int, z, precision: int = 256) -> mpc:
+def ms_derivative(series: Series, weight, h: int, z, precision: int = 256) -> mpc:
     """Order-h Maass-Shimura derivative of the series at z (weight as given)."""
     if precision < 64:
         raise PrecisionError("precision below 64 bits is not supported")
@@ -210,7 +192,7 @@ def ms_derivative(series: ExpSeries, weight, h: int, z, precision: int = 256) ->
         threshold = mpf(2) ** (-(precision + 10))
         total = mpc(0)
         small_streak = 0
-        for count, (mu, a) in enumerate(series.terms()):
+        for count, (mu, a) in enumerate(series()):
             m = _mpf_frac(mu)
             term = a * laguerre(h, weight - 1, fourpiy * m) * mp.exp(two_pi_i_z * m)
             total += term
@@ -250,6 +232,48 @@ def omega_A(precision: int = 256) -> mpf:
         return +v
 
 
+# One CM identity: |d^(order) series at point|^2 = (Omega/pi)^(2k-1) 2^e2 3^e3 c^2 with
+# c = family_order(0) and Omega = Omega_E at i, Omega_A at omega; the central Hecke value
+# at weight k is 2^h2 3^h3 pi^k / (k-1)! times that square.  Each linear form is a
+# (slope, intercept) pair: k and the order (also the recurrence index) in N, and the
+# exponents e2, e3, h2, h3 in k.
+_Identity = namedtuple("_Identity", "name series weight point family k order e2 e3 h2 h3")
+_Q = Fraction
+_IDENTITIES = {
+    #              name         series       weight    point     family  k       order
+    #              e2               e3               h2               h3
+    "f": _Identity("theta2",    THETA2,      _Q(1, 2), CM_I,     F_E,    (2, 1), (1, 0),
+                   (-4, _Q(7, 2)),  (-1, 1),         (3, _Q(-9, 2)),  (0, 0)),
+    "x": _Identity("eta",       ETA,         _Q(1, 2), CM_OMEGA, X_A,    (6, 1), (3, 0),
+                   (-3, 2),         (1, _Q(-1, 4)),  (2, -1),         (_Q(1, 2), _Q(-9, 4))),
+    "y": _Identity("eta^3",     ETA_CUBED,   _Q(3, 2), CM_OMEGA, Y_A,    (6, 2), (3, 0),
+                   (-3, 3),         (1, _Q(1, 4)),   (2, -3),         (_Q(1, 2), _Q(-11, 4))),
+    "z": _Identity("eta(3z)^3", ETA3Z_CUBED, _Q(3, 2), CM_OMEGA, Z_A,    (6, 4), (3, 1),
+                   (-3, 5),         (1, _Q(-9, 4)),  (2, -4),         (_Q(1, 2), _Q(-1, 4))),
+}
+
+
+def _at(form, x):
+    return form[0] * x + form[1]
+
+
+def _squared_derivative(row: _Identity, order: int, precision: int) -> mpf:
+    return abs(ms_derivative(row.series, row.weight, order, row.point, precision)) ** 2
+
+
+def _constant(row: _Identity, index: int) -> Fraction:
+    return Fraction(constant_term(generate(row.family, index)))
+
+
+def _two_three(e2, e3, k: int) -> mpf:
+    return mpf(2) ** _mpf_frac(_at(e2, k)) * mpf(3) ** _mpf_frac(_at(e3, k))
+
+
+def _closed_form(row: _Identity, k: int, c: Fraction, precision: int) -> mpf:
+    om = omega_E(precision) if row.point == CM_I else omega_A(precision)
+    return (om / mp.pi) ** (2 * k - 1) * _two_three(row.e2, row.e3, k) * _mpf_frac(c) ** 2
+
+
 @dataclass(frozen=True)
 class MSDerivativeReport:
     case: str              # which identity: theta2@i, eta@omega, eta^3@omega, eta(3z)^3@omega
@@ -263,146 +287,85 @@ class MSDerivativeReport:
     abs_error: float
     vanishing: bool        # predicted side is exactly 0
     precision: int
-    constants_used: tuple[str, ...]
 
     def as_record(self) -> dict:
-        return {
-            "case": self.case,
-            "N": self.N,
-            "k": self.k,
-            "order": self.order,
-            "constant": self.constant,
-            "numeric": self.numeric,
-            "predicted": self.predicted,
-            "rel_error": self.rel_error,
-            "abs_error": self.abs_error,
-            "vanishing": self.vanishing,
-            "precision": self.precision,
-        }
+        return asdict(self)
 
 
-def _report(case, N, k, order, const_label, const_value, numeric, predicted, precision, used):
-    if predicted == 0:
-        rel = float("inf") if numeric != 0 else 0.0
-    else:
-        rel = float(abs(numeric - predicted) / abs(predicted))
-    return MSDerivativeReport(
-        case=case,
-        N=N,
-        k=k,
-        order=order,
-        constant=f"{const_label}={const_value}",
-        numeric=float(numeric),
-        predicted=float(predicted),
-        rel_error=rel,
-        abs_error=float(abs(numeric - predicted)),
-        vanishing=predicted == 0,
-        precision=precision,
-        constants_used=used,
-    )
+def _verify(row: _Identity, N: int, precision: int) -> MSDerivativeReport:
+    k, order = _at(row.k, N), _at(row.order, N)
+    c = _constant(row, order)
+    with mp.workprec(precision + _GUARD):
+        numeric = _squared_derivative(row, order, precision)
+        predicted = _closed_form(row, k, c, precision)
+        if predicted == 0:
+            rel = float("inf") if numeric != 0 else 0.0
+        else:
+            rel = float(abs(numeric - predicted) / abs(predicted))
+        return MSDerivativeReport(
+            case=f"{row.name}@{row.point}",
+            N=N,
+            k=k,
+            order=order,
+            constant=f"{row.family.key}_{order}(0)={c}",
+            numeric=float(numeric),
+            predicted=float(predicted),
+            rel_error=rel,
+            abs_error=float(abs(numeric - predicted)),
+            vanishing=predicted == 0,
+            precision=precision,
+        )
 
 
 def verify_theta2_identity(N: int, precision: int = 256) -> MSDerivativeReport:
-    """|d^(N) theta2 at i|^2 against 2^{-4k+7/2} 3^{-k+1} pi^{-2k+1} Omega_E^{2k-1} f_N(0)^2, k = 2N+1."""
-    k = 2 * N + 1
-    c = constant_term(generate(F_E, N))
-    with mp.workprec(precision + _GUARD):
-        value = ms_derivative(THETA2, Fraction(1, 2), N, CM_I, precision)
-        numeric = abs(value) ** 2
-        om = omega_E(precision)
-        predicted = (
-            mpf(2) ** (mpf(-4 * k) + mpf(7) / 2)
-            * mpf(3) ** (1 - k)
-            * mp.pi ** (1 - 2 * k)
-            * om ** (2 * k - 1)
-            * c ** 2
-        )
-        return _report(
-            "theta2@i", N, k, N, f"f_{N}(0)", c, numeric, predicted, precision, ("Omega_E",)
-        )
-
-
-# (case key, series, weight, k for given N, derivative order, recurrence family/index,
-#  exponent of 2, exponent-of-3 offset): prediction is
-#  (Omega_A/pi)^(2k-1) * 2^(e2) * 3^(e3) * constant^2
-_ETA_CASES = {
-    "x": dict(series=ETA, weight=Fraction(1, 2), k=lambda N: 6 * N + 1,
-              order=lambda N: 3 * N, family=X_A, index=lambda N: 3 * N,
-              e2=lambda k: -3 * k + 2, e3=lambda k: mpf(k) - mpf(1) / 4,
-              label="x"),
-    "y": dict(series=ETA_CUBED, weight=Fraction(3, 2), k=lambda N: 6 * N + 2,
-              order=lambda N: 3 * N, family=Y_A, index=lambda N: 3 * N,
-              e2=lambda k: -3 * k + 3, e3=lambda k: mpf(k) + mpf(1) / 4,
-              label="y"),
-    "z": dict(series=ETA3Z_CUBED, weight=Fraction(3, 2), k=lambda N: 6 * N + 4,
-              order=lambda N: 3 * N + 1, family=Z_A, index=lambda N: 3 * N + 1,
-              e2=lambda k: -3 * k + 5, e3=lambda k: mpf(k) - mpf(9) / 4,
-              label="z"),
-}
+    """|d^(N) theta2 at i|^2 against its closed form in f_N(0) and Omega_E, k = 2N+1 (row "f")."""
+    return _verify(_IDENTITIES["f"], N, precision)
 
 
 def verify_eta_identity(N: int, case: str, precision: int = 256) -> MSDerivativeReport:
-    """A-side CM derivative identity for case 'x' (k=6N+1), 'y' (k=6N+2) or 'z' (k=6N+4).
+    """A-side CM derivative identity for case (row) 'x' (k=6N+1), 'y' (k=6N+2) or 'z' (k=6N+4).
 
     The y-case derivative order is 3N, forced by the weight bookkeeping
     2k - 1 = 2*order + weight; its closed-form constant follows from the same
     CM period values as the x- and z-cases.
     """
-    if case not in _ETA_CASES:
-        raise ValueError(f"case must be one of {sorted(_ETA_CASES)}")
-    cfg = _ETA_CASES[case]
-    k = cfg["k"](N)
-    order = cfg["order"](N)
-    index = cfg["index"](N)
-    c = Fraction(constant_term(generate(cfg["family"], index)))
+    if case not in ("x", "y", "z"):
+        raise ValueError("case must be one of ['x', 'y', 'z']")
+    return _verify(_IDENTITIES[case], N, precision)
+
+
+def _hecke_value(point: str, k: int, precision: int, from_constants: bool) -> mpf:
+    """2^h2 3^h3 pi^k / (k-1)! times the squared derivative (or its closed form)
+    of the row at this point whose k = a*N + b fits; exactly 0 when none does."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    for row in _IDENTITIES.values():
+        a, b = row.k
+        if row.point == point and k % a == b:
+            break
+    else:
+        return mpf(0)
+    order = _at(row.order, (k - b) // a)
     with mp.workprec(precision + _GUARD):
-        value = ms_derivative(cfg["series"], cfg["weight"], order, CM_OMEGA, precision)
-        numeric = abs(value) ** 2
-        om = omega_A(precision)
-        predicted = (
-            (om / mp.pi) ** (2 * k - 1)
-            * mpf(2) ** cfg["e2"](k)
-            * mpf(3) ** cfg["e3"](k)
-            * _mpf_frac(c) ** 2
-        )
-        label = f"{cfg['label']}_{index}(0)"
-        return _report(
-            f"{cfg['series'].name}@omega", N, k, order, label, c, numeric, predicted,
-            precision, ("Omega_A",),
-        )
+        if from_constants:
+            square = _closed_form(row, k, _constant(row, order), precision)
+        else:
+            square = _squared_derivative(row, order, precision)
+        return _two_three(row.h2, row.h3, k) * mp.pi ** k / mp.factorial(k - 1) * square
 
 
 def hecke_value_E(k: int, precision: int = 256) -> mpf:
     """Central Hecke value for the square-family character at weight k.
 
-    Zero by construction for even k; for k = 2N+1 it is
-    2^{3k-9/2} pi^k / (k-1)! * |d^(N) theta2 at i|^2.
+    Zero by construction for even k; for k = 2N+1 it is the Hecke scale of
+    row "f" times |d^(N) theta2 at i|^2.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k % 2 == 0:
-        return mpf(0)
-    N = (k - 1) // 2
-    with mp.workprec(precision + _GUARD):
-        value = ms_derivative(THETA2, Fraction(1, 2), N, CM_I, precision)
-        return mpf(2) ** (3 * k - mpf(9) / 2) * mp.pi ** k / mp.factorial(k - 1) * abs(value) ** 2
+    return _hecke_value(CM_I, k, precision, from_constants=False)
 
 
 def hecke_value_E_from_constants(k: int, precision: int = 256) -> mpf:
     """The same central value predicted from f_N(0) and Omega_E alone."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k % 2 == 0:
-        return mpf(0)
-    N = (k - 1) // 2
-    c = constant_term(generate(F_E, N))
-    with mp.workprec(precision + _GUARD):
-        om = omega_E(precision)
-        return (
-            om ** (2 * k - 1)
-            * c ** 2
-            / (mpf(2) ** (k + 1) * mpf(3) ** (k - 1) * mp.pi ** (k - 1) * mp.factorial(k - 1))
-        )
+    return _hecke_value(CM_I, k, precision, from_constants=True)
 
 
 def hecke_value_A(k: int, precision: int = 256) -> mpf:
@@ -430,30 +393,11 @@ def hecke_value_A(k: int, precision: int = 256) -> mpf:
 def hecke_value_A_from_theta_forms(k: int, precision: int = 256) -> mpf:
     """A-side central Hecke value from the eta-type CM derivatives.
 
-    k = 1 mod 6: 2^{2k-1} 3^{k/2-9/4} |d^(3N) eta|^2;
-    k = 2 mod 6: 2^{2k-3} 3^{k/2-11/4} |d^(3N) eta^3|^2;
-    k = 4 mod 6: 2^{2k-4} 3^{k/2-1/4} |d^(3N+1) eta(3z)^3|^2;
-    exactly 0 otherwise (all times pi^k/(k-1)!).
+    For k = 1, 2, 4 mod 6 it is the Hecke scale of row "x", "y" or "z" times
+    the squared derivative of eta, eta^3 or eta(3z)^3 at omega; exactly 0
+    otherwise.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    r = k % 6
-    if r not in (1, 2, 4):
-        return mpf(0)
-    with mp.workprec(precision + _GUARD):
-        if r == 1:
-            N = (k - 1) // 6
-            d = ms_derivative(ETA, Fraction(1, 2), 3 * N, CM_OMEGA, precision)
-            const = mpf(2) ** (2 * k - 1) * mpf(3) ** (mpf(k) / 2 - mpf(9) / 4)
-        elif r == 2:
-            N = (k - 2) // 6
-            d = ms_derivative(ETA_CUBED, Fraction(3, 2), 3 * N, CM_OMEGA, precision)
-            const = mpf(2) ** (2 * k - 3) * mpf(3) ** (mpf(k) / 2 - mpf(11) / 4)
-        else:
-            N = (k - 4) // 6
-            d = ms_derivative(ETA3Z_CUBED, Fraction(3, 2), 3 * N + 1, CM_OMEGA, precision)
-            const = mpf(2) ** (2 * k - 4) * mpf(3) ** (mpf(k) / 2 - mpf(1) / 4)
-        return const * mp.pi ** k / mp.factorial(k - 1) * abs(d) ** 2
+    return _hecke_value(CM_OMEGA, k, precision, from_constants=False)
 
 
 def lattice_theta_identity_gap(order: int, precision: int = 128, cutoff: int = 40) -> float:

@@ -39,10 +39,6 @@ class ThetaPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        degs = {i + j for (i, j), _ in self.terms}
-        return len(degs) <= 1
-
     def total_degree(self) -> int | None:
         """Common i+j of a homogeneous element (weight = degree/2), None for 0."""
         degs = {i + j for (i, j), _ in self.terms}
@@ -105,7 +101,6 @@ class ThetaPolynomial:
 
 TH2 = ThetaPolynomial.from_dict({(1, 0): 1})
 TH4 = ThetaPolynomial.from_dict({(0, 1): 1})
-ONE = ThetaPolynomial.from_dict({(0, 0): 1})
 
 # E4 = th2^8 + th2^4*th4^4 + th4^8
 E4 = ThetaPolynomial.from_dict({(8, 0): 1, (4, 4): 1, (0, 8): 1})

@@ -2,8 +2,9 @@ import csv
 import io
 import json
 
+import pytest
 
-from rankcrit.cli import main
+from rankcrit.cli import _cache_key, main
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -127,6 +128,22 @@ class TestOracle:
         assert code == 0
         assert "corrupt cache" in err
         assert json.loads(out)["s_rounded"] == 4
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_incomplete_cache_record_is_recomputed(self, capsys, tmp_path, fmt):
+        cache = tmp_path / "cache.jsonl"
+        planted = {"key": _cache_key("Ep", 17, 1e-8), "report": {"p": 17, "s_rounded": 5}}
+        cache.write_text(json.dumps(planted) + "\n")
+        code, out, err = run(capsys, "oracle", "--p", "17", "--format", fmt,
+                             "--no-timestamp", "--cache", str(cache))
+        assert code == 0
+        assert "incomplete cache record" in err
+        if fmt == "json":
+            assert json.loads(out)["s_rounded"] == 4
+        else:
+            assert "s_rounded: 4" in out.splitlines()
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 2 and json.loads(lines[1])["report"]["s_rounded"] == 4
 
     def test_no_cache_bypasses(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -114,13 +114,19 @@ class TestConductor:
                 assert got == want
 
     def test_ep_shape(self):
-        # p >= 1000 leaves the cofactor p^3 after trial division of the discriminant
-        for p in (17, 41, 457, 1009, 1033):
-            assert conductor(curve_ep(p)) == 64 * p * p
+        # every admissible p <= 10^4 (295 primes); p >= 1000 leaves the cofactor
+        # p^3 after trial division of the discriminant
+        ps = [p for p in primes_leq(10 ** 4) if p % 16 in (1, 9)]
+        assert len(ps) == 295 and {17, 41, 457, 1009, 1033} <= set(ps)
+        for p in ps:
+            assert conductor(curve_ep(p)) == 64 * p * p, p
 
     def test_ap_shape(self):
-        for p in (19, 37, 1009):
-            assert conductor(curve_ap(p)) == 27 * p * p
+        # every admissible p <= 10^4 (203 primes)
+        ps = [p for p in primes_leq(10 ** 4) if p % 9 == 1]
+        assert len(ps) == 203 and {19, 37, 1009} <= set(ps)
+        for p in ps:
+            assert conductor(curve_ap(p)) == 27 * p * p, p
 
     def test_p_exponent_exactly_two(self):
         for p in (17, 89):
