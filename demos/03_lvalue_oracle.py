@@ -3,7 +3,8 @@
 
 S_p = 2 p^{1/4} L(E_p, 1) / Omega_E should be a nonnegative integer, zero
 exactly when the criterion predicts rank 2.  Nothing here touches the
-recurrences: traces of Frobenius come from character sums, the conductor
+recurrences: traces of Frobenius come from complex multiplication (a
+Cornacchia decomposition of q and a quartic residue symbol), the conductor
 from Tate's algorithm, L(1) from the exponential sum.
 """
 
@@ -13,7 +14,7 @@ verdicts = {v.p: v.divisible for v in scan("Ep", 2, 250)}
 
 print(f"{'p':>5} {'criterion':>10} {'S_p':>14} {'rounded':>8} {'residual':>10}")
 for p, divisible in sorted(verdicts.items()):
-    rep = sp(p, tol=1e-8, jobs=4)
+    rep = sp(p, tol=1e-8)
     print(
         f"{p:>5} {str(divisible):>10} {rep.s_real:>14.9f} {rep.s_rounded:>8} "
         f"{rep.residual:>10.2e}"

@@ -134,13 +134,15 @@ def _cache_key(family: str, p: int, tol: float) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_lookup(path: Path, key: str) -> dict | None:
+def _cache_lookup(path: Path, key: str) -> tuple[dict | None, bool]:
+    """(the cached report for key or None, whether an incomplete record under key was skipped)."""
     if not path.exists():
-        return None
+        return None, False
     try:
         lines = path.read_text().splitlines()
     except OSError:
-        return None
+        return None, False
+    stale = False
     for line in lines:
         if not line.strip():
             continue
@@ -153,29 +155,46 @@ def _cache_lookup(path: Path, key: str) -> dict | None:
             continue
         report = entry["report"]
         if isinstance(report, dict) and sorted(report) == sorted(_REPORT_FIELDS):
-            return report
+            return report, stale
         print(f"warning: skipping incomplete cache record in {path}", file=sys.stderr)
-    return None
+        stale = True
+    return None, stale
 
 
-def _cache_store(path: Path, key: str, report: dict) -> None:
+def _line_key(line: str):
+    try:
+        entry = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return entry.get("key") if isinstance(entry, dict) else None
+
+
+def _cache_store(path: Path, key: str, report: dict, replace: bool = False) -> None:
+    """Append the record; with replace, first drop every older line under key (atomic rewrite)."""
+    line = json.dumps({"key": key, "report": report}, sort_keys=True) + "\n"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as fh:
-            fh.write(json.dumps({"key": key, "report": report}, sort_keys=True) + "\n")
+        if replace:
+            kept = [old + "\n" for old in path.read_text().splitlines() if _line_key(old) != key]
+            tmp = path.with_name(path.name + ".tmp")
+            tmp.write_text("".join(kept) + line)
+            os.replace(tmp, path)
+        else:
+            with path.open("a") as fh:
+                fh.write(line)
     except OSError as exc:
         print(f"warning: could not write cache {path}: {exc}", file=sys.stderr)
 
 
 def _cmd_oracle(args) -> int:
     key = _cache_key(args.family, args.p, args.tol)
-    record = None
+    record, stale = None, False
     cache = _cache_path(args)
     if not args.no_cache:
-        record = _cache_lookup(cache, key)
+        record, stale = _cache_lookup(cache, key)
     if record is None:
         try:
-            report = lseries.sp(args.p, args.tol, family=args.family, jobs=args.jobs)
+            report = lseries.sp(args.p, args.tol, family=args.family)
         except lseries.NonConvergenceError as exc:
             print(f"oracle: non-convergence: {exc}", file=sys.stderr)
             return EXIT_NONCONVERGENCE
@@ -184,7 +203,7 @@ def _cmd_oracle(args) -> int:
             return EXIT_CROSSCHECK
         record = report.as_record()
         if not args.no_cache:
-            _cache_store(cache, key, record)
+            _cache_store(cache, key, record, replace=stale)
     if args.format == "json":
         print(json.dumps(record, sort_keys=True))
     else:
@@ -310,7 +329,7 @@ def _build_parser() -> _Parser:
     p_oracle.add_argument("--p", type=int, required=True)
     p_oracle.add_argument("--family", choices=["Ep", "Ap"], default="Ep")
     p_oracle.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_oracle.add_argument("--jobs", type=int, default=DEFAULT_JOBS)
+    p_oracle.add_argument("--jobs", type=int, default=DEFAULT_JOBS, help="accepted; has no effect on oracle")
     p_oracle.add_argument("--format", choices=["json", "pretty"], default="pretty")
     p_oracle.add_argument("--no-cache", action="store_true")
     p_oracle.add_argument("--cache", help="cache file path (else $RANKCRIT_CACHE or ~/.cache/rankcrit)")
@@ -343,6 +362,9 @@ def main(argv=None) -> int:
     except (ValueError, lseries.BadReductionError) as exc:
         print(f"rankcrit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"rankcrit: internal arithmetic check failed: {exc}", file=sys.stderr)
+        return EXIT_CROSSCHECK
 
 
 if __name__ == "__main__":

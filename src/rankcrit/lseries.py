@@ -1,15 +1,17 @@
 """Numerical L-value oracle for y^2 = x^3 + A x + B.
 
-Computes a_q by quadratic-character sums, the conductor by Tate's algorithm,
-L(E, 1) by the rapidly convergent exponential sum (sign +1 curves), and the
-normalized central value S_p.  Everything here is independent of the
-recurrence machinery, so agreement between the two is a real cross-check.
+Computes a_q from complex multiplication for the j = 1728 and j = 0 models
+y^2 = x^3 + A x and y^2 = x^3 + B (a Cornacchia decomposition of q and a
+quartic or sextic residue symbol, O(log q)), and by quadratic-character sums
+otherwise; the conductor by Tate's algorithm, L(E, 1) by the rapidly
+convergent exponential sum (sign +1 curves), and the normalized central
+value S_p.  Everything here is independent of the recurrence machinery, so
+agreement between the two is a real cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -27,6 +29,10 @@ OMEGA_A = math.gamma(1.0 / 3.0) ** 3 / (2.0 * math.pi * math.sqrt(3.0))
 
 class BadReductionError(ValueError):
     """a_q requested at a prime of bad reduction (or q = 2)."""
+
+
+class FactorizationError(ArithmeticError):
+    """The discriminant could not be factored: its cofactor after trial division is not a prime power."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -299,7 +305,7 @@ def _bad_primes(delta: int) -> list[int]:
                 out.append(root)
                 break
         else:
-            raise ValueError("discriminant has a large composite cofactor; out of supported range")
+            raise FactorizationError("discriminant has a large composite cofactor; out of supported range")
     return sorted(set(out))
 
 
@@ -345,56 +351,141 @@ def _aq_enumerate(ainvs, q: int) -> int:
     return q + 1 - count
 
 
+def _root_of_unity(k: int, q: int) -> int:
+    """An element of exact order k in F_q^* (k = 3 or 4, k | q - 1)."""
+    for c in range(2, q):
+        g = pow(c, (q - 1) // k, q)
+        if pow(g, k // 2, q) != 1:  # g^k = 1, and g^(k/2) != 1 rules out every smaller order
+            return g
+    raise ArithmeticError(f"F_{q}^* has no element of order {k}")
+
+
+def _cornacchia(d: int, q: int) -> tuple[int, int]:
+    """(x, y) with x^2 + d y^2 = q, for d in {1, 3} and a prime q = 1 mod 4 (d = 1) or mod 3 (d = 3)."""
+    g = _root_of_unity(4 if d == 1 else 3, q)
+    r = g if d == 1 else (2 * g + 1) % q  # r^2 = -d mod q
+    a, b = q, r
+    while b * b > q:
+        a, b = b, a % b
+    y2, rem = divmod(q - b * b, d)
+    y = math.isqrt(y2)
+    if rem or y * y != y2:
+        raise ArithmeticError(f"Cornacchia found no solution of x^2 + {d} y^2 = {q}")
+    return b, y
+
+
+def _aq_cm_i(A: int, q: int) -> int:
+    """a_q of y^2 = x^3 + A x (j = 1728) at a prime q >= 5 not dividing A.
+
+    With q = N(pi), pi = a + b i primary (a odd, b even, a + b = 1 mod 4), and
+    u the unit congruent to (-A)^((q-1)/4) modulo pi, a_q = 2 Re(conj(u) pi).
+    """
+    if q % 4 == 3:
+        return 0
+    a, b = _cornacchia(1, q)
+    if a % 2 == 0:
+        a, b = b, a
+    if (a + b) % 4 != 1:
+        a = -a
+    i = -a * pow(b, -1, q) % q  # i = -a/b modulo pi
+    chi = pow(-A, (q - 1) // 4, q)
+    for u, re in ((1, a), (q - 1, -a), (i, b), (q - i, -b)):
+        if chi == u:
+            return 2 * re
+    raise ArithmeticError(f"(-A)^((q-1)/4) mod {q} is not a 4th root of unity")
+
+
+def _eisenstein_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(a + b w)(c + d w) in Z[w], w^2 = -1 - w."""
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def _aq_cm_omega(B: int, q: int) -> int:
+    """a_q of y^2 = x^3 + B (j = 0) at a prime q >= 5 not dividing B.
+
+    With q = N(pi), pi = a + b w primary (pi = 2 mod 3, w a cube root of
+    unity), and u the sixth root of unity congruent to (4B)^((q-1)/6) modulo
+    pi, a_q = -Tr(conj(u) pi).
+    """
+    if q % 3 == 2:
+        return 0
+    x, y = _cornacchia(3, q)
+    pi = (x + y, 2 * y)  # N(a + b w) = a^2 - a b + b^2 = x^2 + 3 y^2
+    for _ in range(6):
+        if pi[0] % 3 == 2 and pi[1] % 3 == 0:
+            break
+        pi = _eisenstein_mul(pi, (0, -1))  # times the unit -w, of order 6
+    else:
+        raise ArithmeticError(f"no primary associate of {pi} over {q}")
+    w = -pi[0] * pow(pi[1], -1, q) % q  # w = -a/b modulo pi
+    chi = pow(4 * B, (q - 1) // 6, q)
+    u = (1, 0)
+    for _ in range(6):
+        if (u[0] + u[1] * w - chi) % q == 0:
+            c, d = _eisenstein_mul((u[0] - u[1], -u[1]), pi)  # conj(u) pi
+            return -(2 * c - d)
+        u = _eisenstein_mul(u, (0, -1))
+    raise ArithmeticError(f"(4B)^((q-1)/6) mod {q} is not a 6th root of unity")
+
+
+def _trace(curve: CurveSpec, q: int) -> int:
+    """a_q at a prime q of good reduction.
+
+    From CM when the model is y^2 = x^3 + A x or y^2 = x^3 + B and q does not
+    divide 6 * disc; otherwise by counting points on the minimal model.
+    """
+    if q > 3 and curve.discriminant % q:
+        if curve.B == 0:
+            return _aq_cm_i(curve.A, q)
+        if curve.A == 0:
+            return _aq_cm_omega(curve.B, q)
+    model = _minimal_model(curve.ainvs)
+    return _aq_enumerate(model, 2) if q == 2 else _aq_char_sum(model, q)
+
+
 def ap(curve: CurveSpec, q: int) -> int:
     """Trace of Frobenius at an odd prime q not dividing 2*disc."""
     if q == 2 or not is_prime(q):
         raise BadReductionError(f"q = {q} must be an odd prime")
     if curve.discriminant % q == 0:
         raise BadReductionError(f"q = {q} divides the discriminant")
-    return _aq_char_sum(curve.ainvs, q)
+    return _trace(curve, q)
 
 
 def _sieve_spf(M: int) -> np.ndarray:
+    """Smallest prime factor of each n <= M (0 at n = 0, 1)."""
     spf = np.zeros(M + 1, dtype=np.int64)
-    for i in range(2, M + 1):
+    for i in range(2, math.isqrt(M) + 1):
         if spf[i] == 0:
-            spf[i::i][spf[i::i] == 0] = i
+            tail = spf[i * i::i]
+            tail[tail == 0] = i
+    rest = np.nonzero(spf == 0)[0][2:]
+    spf[rest] = rest
     return spf
 
 
-def an_list(curve: CurveSpec, M: int, jobs: int = 1) -> list[int]:
+def an_list(curve: CurveSpec, M: int) -> list[int]:
     """Dirichlet coefficients a_1..a_M (index 0 unused), multiplicative extension.
 
     a_q = 0 at primes dividing the conductor; Hecke recursion at good prime
-    powers; counts are taken on the minimized model so that a prime of good
-    reduction hidden by a non-minimal input model is still counted.
+    powers; point counts are taken on the minimized model so that a prime of
+    good reduction hidden by a non-minimal input model is still counted.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    model = _minimal_model(curve.ainvs)
     N = _conductor_from_ainvs(curve.ainvs)
     a = [0] * (M + 1)
     a[1] = 1
     if M == 1:
         return a
-    spf = _sieve_spf(M)
-    primes = [int(v) for v in np.nonzero(spf == np.arange(M + 1))[0] if v >= 2]
-
-    def trace(q: int) -> int:
-        if N % q == 0:
-            return 0
-        if q == 2:
-            return _aq_enumerate(model, 2)
-        return _aq_char_sum(model, q)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            traces = dict(zip(primes, pool.map(trace, primes)))
-    else:
-        traces = {q: trace(q) for q in primes}
+    sieve = _sieve_spf(M)
+    primes = np.nonzero(sieve == np.arange(M + 1))[0][1:].tolist()  # [1:] drops n = 0
+    traces = {q: 0 if N % q == 0 else _trace(curve, q) for q in primes}
+    spf = sieve.tolist()
 
     for n in range(2, M + 1):
-        q = int(spf[n])
+        q = spf[n]
         if n == q:
             a[n] = traces[q]
             continue
@@ -438,12 +529,12 @@ def _partial_sum(a: np.ndarray, n: np.ndarray, c: float, t: float) -> float:
     return float(np.sum(a / n * (np.exp(-c * t * n) + np.exp(-c * n / t))))
 
 
-def l1(curve: CurveSpec, tol: float = 1e-8, jobs: int = 1) -> float:
-    value, _, _ = l1_detail(curve, tol, jobs)
+def l1(curve: CurveSpec, tol: float = 1e-8) -> float:
+    value, _, _ = l1_detail(curve, tol)
     return value
 
 
-def l1_detail(curve: CurveSpec, tol: float = 1e-8, jobs: int = 1) -> tuple[float, int, float]:
+def l1_detail(curve: CurveSpec, tol: float = 1e-8) -> tuple[float, int, float]:
     """(L(1), term count, tail bound); assumes functional-equation sign +1.
 
     L(1) = sum_n (a_n/n) (e^{-2 pi n t / sqrt(N)} + e^{-2 pi n /(t sqrt(N))});
@@ -454,7 +545,7 @@ def l1_detail(curve: CurveSpec, tol: float = 1e-8, jobs: int = 1) -> tuple[float
         raise ValueError("tolerance below 1e-12 is not achievable in double precision")
     N = conductor(curve)
     M = _term_count(N, tol)
-    coeffs = np.array(an_list(curve, M, jobs=jobs), dtype=np.float64)[1:]
+    coeffs = np.array(an_list(curve, M), dtype=np.float64)[1:]
     n = np.arange(1, M + 1, dtype=np.float64)
     c = 2.0 * math.pi / math.sqrt(N)
     value = _partial_sum(coeffs, n, c, 1.0)
@@ -486,7 +577,7 @@ class LValueReport:
         return asdict(self)
 
 
-def sp(p: int, tol: float = 1e-8, family: str = "Ep", jobs: int = 1) -> LValueReport:
+def sp(p: int, tol: float = 1e-8, family: str = "Ep") -> LValueReport:
     """Normalized central value: S = 2 p^{1/4} L(1) / Omega_E (Ep) or 2 p^{1/3} L(1) / Omega_A (Ap)."""
     if family == "Ep":
         if p % 16 not in (1, 9) or not is_prime(p):
@@ -500,7 +591,7 @@ def sp(p: int, tol: float = 1e-8, family: str = "Ep", jobs: int = 1) -> LValueRe
         scale = 2.0 * p ** (1.0 / 3.0) / OMEGA_A
     else:
         raise ValueError(f"unknown family {family!r}")
-    value, terms, bound = l1_detail(curve, tol, jobs)
+    value, terms, bound = l1_detail(curve, tol)
     s_real = scale * value
     s_rounded = int(round(s_real))
     residual = abs(s_real - s_rounded)

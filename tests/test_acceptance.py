@@ -106,7 +106,7 @@ def ep_scan_sp():
     Criteria 4 and 5 read the same reports; whichever runs first pays for
     them inside its timed region.
     """
-    return cache(lambda p: sp(p, tol=1e-8, jobs=4))
+    return cache(lambda p: sp(p, tol=1e-8))
 
 
 def test_criterion_4_oracle_concordance(ep_scan_sp):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rankcrit import lseries
 from rankcrit.cli import _cache_key, main
 
 
@@ -143,7 +144,28 @@ class TestOracle:
         else:
             assert "s_rounded: 4" in out.splitlines()
         lines = cache.read_text().splitlines()
-        assert len(lines) == 2 and json.loads(lines[1])["report"]["s_rounded"] == 4
+        assert len(lines) == 1 and json.loads(lines[0])["report"]["s_rounded"] == 4
+
+    def test_incomplete_cache_record_warns_once(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        other = {"key": "unrelated", "report": {"p": 41}}
+        planted = {"key": _cache_key("Ep", 17, 1e-8), "report": {"p": 17, "s_rounded": 5}}
+        cache.write_text(json.dumps(other) + "\n" + json.dumps(planted) + "\n")
+        warnings = 0
+        for _ in range(3):
+            code, out, err = run(capsys, "oracle", "--p", "17", "--format", "json", "--cache", str(cache))
+            assert code == 0 and json.loads(out)["s_rounded"] == 4
+            warnings += err.count("incomplete cache record")
+        assert warnings == 1
+        lines = [json.loads(line) for line in cache.read_text().splitlines()]
+        assert [e["key"] for e in lines] == ["unrelated", planted["key"]]
+        assert lines[1]["report"]["s_rounded"] == 4
+        assert not (tmp_path / "cache.jsonl.tmp").exists()
+
+    def test_jobs_do_not_change_result(self, capsys):
+        outs = [run(capsys, "oracle", "--p", "41", "--no-cache", "--format", "json", "--jobs", jobs)
+                for jobs in ("1", "4")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
 
     def test_no_cache_bypasses(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -168,6 +190,22 @@ class TestOracle:
     def test_inadmissible_prime_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "oracle", "--p", "7", "--cache", str(tmp_path / "c"))
         assert code == 1
+
+    def test_unfactorable_discriminant_is_internal_error(self, capsys, monkeypatch):
+        # (1009 * 1013)^3 is left after trial division and is not a prime power
+        monkeypatch.setattr(lseries, "curve_ep", lambda p: lseries.CurveSpec(A=1009 * 1013, B=0))
+        code, out, err = run(capsys, "oracle", "--p", "17", "--no-cache", "--format", "json")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "composite cofactor" in err
+
+    def test_cm_consistency_failure_is_internal_error(self, capsys, monkeypatch):
+        def broken(A, q):
+            raise ArithmeticError(f"(-A)^((q-1)/4) mod {q} is not a 4th root of unity")
+
+        monkeypatch.setattr(lseries, "_aq_cm_i", broken)
+        code, out, err = run(capsys, "oracle", "--p", "17", "--no-cache", "--format", "json")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "4th root of unity" in err
 
 
 class TestVerify:

@@ -1,10 +1,11 @@
-"""Cross-module ties: the CM-derivative route and the point-counting route
+"""Cross-module ties: the CM-derivative route and the Frobenius-trace route
 compute the same central L-values.
 
 The weight-1 Hecke value attached to each CM curve equals the curve's own
 L(1).  One side comes from Laguerre-weighted theta sums at a CM point plus
-gamma-function periods; the other from finite-field point counts, Tate's
-algorithm, and the functional-equation exponential sum.  They share no code
+gamma-function periods; the other from traces of Frobenius (integer
+arithmetic in Z[i] or Z[omega], pinned to finite-field character sums in
+test_lseries), Tate's algorithm, and the functional-equation exponential sum.  They share no code
 below the Python runtime, so agreement here validates both stacks at once.
 """
 

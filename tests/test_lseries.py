@@ -1,14 +1,20 @@
 import math
+import time
 
+import numpy as np
 import pytest
 
+from rankcrit import lseries
+from rankcrit.criteria import sp_congruence_rhs, verdict_Ap, verdict_Ep
 from rankcrit.lseries import (
     OMEGA_A,
     OMEGA_E,
     BadReductionError,
     CurveSpec,
+    _aq_char_sum,
     _aq_enumerate,
     _minimal_model,
+    _sieve_spf,
     an_list,
     ap,
     conductor,
@@ -57,6 +63,69 @@ class TestAp:
             ap(curve_ep(17), 17)
         with pytest.raises(BadReductionError):
             ap(curve_ep(17), 2)
+
+
+class TestCMTraces:
+    CURVES = (
+        [curve_ep(p) for p in (17, 73, 313, 1009)]
+        + [curve_ap(p) for p in (19, 109, 379, 1009)]
+        + [CurveSpec(A=c, B=0) for c in (1, -1, 2, 12)]
+        + [CurveSpec(A=0, B=c) for c in (1, -1, 2, 12)]
+    )
+
+    def test_matches_char_sum(self):
+        checked = 0
+        for curve in self.CURVES:
+            for q in primes_leq(3000):
+                if q == 2 or curve.discriminant % q == 0:
+                    continue
+                assert ap(curve, q) == _aq_char_sum(curve.ainvs, q), (curve, q)
+                checked += 1
+        assert checked > 6500
+
+    def test_inert_primes_vanish(self):
+        for q in primes_leq(3000):
+            if q > 3 and q % 4 == 3:
+                assert lseries._aq_cm_i(1009, q) == 0, q
+            if q > 3 and q % 3 == 2:
+                assert lseries._aq_cm_omega(-432 * 1009 ** 2, q) == 0, q
+
+    def test_general_curve_uses_char_sum(self, monkeypatch):
+        calls = []
+        real = lseries._aq_char_sum
+        monkeypatch.setattr(lseries, "_aq_char_sum", lambda ai, q: calls.append(q) or real(ai, q))
+        curve = CurveSpec(A=-1, B=1)
+        for q in (5, 7, 13, 101):
+            assert ap(curve, q) == _aq_enumerate(curve.ainvs, q)
+        assert calls == [5, 7, 13, 101]
+        calls.clear()
+        ap(curve_ep(17), 13)
+        ap(curve_ep(17), 3)  # q | 6: the CM formulas are not used
+        assert calls == [3]
+
+    def test_an_list_dispatch(self, monkeypatch):
+        want = an_list(curve_ep(41), 500)
+        calls = []
+        real = lseries._aq_char_sum
+        monkeypatch.setattr(lseries, "_aq_char_sum", lambda ai, q: calls.append(q) or real(ai, q))
+        monkeypatch.setattr(lseries, "_aq_enumerate", lambda ai, q: pytest.fail(f"count at {q}"))
+        # 2 and 41 are bad for E_41 and 3 divides 6: every other trace comes from CM
+        assert an_list(curve_ep(41), 500) == want
+        assert calls == [3]
+
+
+class TestSieve:
+    @staticmethod
+    def reference(M):
+        spf = np.zeros(M + 1, dtype=np.int64)
+        for i in range(2, M + 1):
+            if spf[i] == 0:
+                spf[i::i][spf[i::i] == 0] = i
+        return spf
+
+    def test_matches_full_sieve(self):
+        for M in (1, 2, 3, 4, 8, 9, 10, 24, 25, 97, 1000, 4096, 10007):
+            assert _sieve_spf(M).tolist() == self.reference(M).tolist(), M
 
 
 class TestAnList:
@@ -214,10 +283,31 @@ class TestSp:
         with pytest.raises(ValueError):
             sp(17, 1e-8, family="Ap")
 
-    def test_jobs_do_not_change_result(self):
-        a = sp(41, 1e-8, jobs=1)
-        b = sp(41, 1e-8, jobs=4)
-        assert a == b
+    def test_speed(self):
+        t0 = time.perf_counter()
+        assert sp(857, 1e-8).converged
+        assert time.perf_counter() - t0 < 1.0
+
+
+class TestConcordance:
+    def test_every_admissible_p_up_to_1000(self):
+        # S_p is zero exactly where the criterion says divisible, and for E_p
+        # S_p = +-sp_congruence_rhs(p) mod p
+        t0 = time.time()
+        ep = [p for p in primes_leq(1000) if p % 16 in (1, 9)]
+        ap_primes = [p for p in primes_leq(1000) if p % 9 == 1]
+        assert (len(ep), len(ap_primes)) == (37, 27)
+        for p in ep:
+            rep = sp(p, 1e-8)
+            assert rep.converged, p
+            assert (rep.s_rounded == 0) == verdict_Ep(p).divisible, p
+            rhs = sp_congruence_rhs(p)
+            assert rep.s_rounded % p in (rhs, -rhs % p), (p, rep.s_rounded, rhs)
+        for p in ap_primes:
+            rep = sp(p, 1e-8, family="Ap")
+            assert rep.converged, p
+            assert (rep.s_rounded == 0) == verdict_Ap(p)[0].divisible, p
+        assert time.time() - t0 < 60.0, "concordance exceeded its 60 s budget"
 
 
 class TestPeriods:
