@@ -4,6 +4,9 @@ from __future__ import annotations
 
 # Witnesses proving primality for all n < 3.3 * 10^24 (covers 64-bit inputs).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witnesses that suffice below _SMALL_BOUND, the least strong pseudoprime to all three.
+_SMALL_BASES = (2, 7, 61)
+_SMALL_BOUND = 4759123141
 
 
 def is_prime(n: int) -> bool:
@@ -19,7 +22,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _SMALL_BASES if n < _SMALL_BOUND else _MR_BASES:
+        if a % n == 0:  # n = 61
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -32,7 +37,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi."""
+def primes_in(lo: int, hi: int, modulus: int = 1, residues: tuple[int, ...] = (0,)) -> list[int]:
+    """All primes p with lo <= p <= hi and p % modulus in residues."""
     lo = max(lo, 2)
-    return [n for n in range(lo, hi + 1) if is_prime(n)]
+    return [n for n in range(lo, hi + 1) if n % modulus in residues and is_prime(n)]

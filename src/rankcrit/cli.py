@@ -362,6 +362,9 @@ def main(argv=None) -> int:
     except (ValueError, lseries.BadReductionError) as exc:
         print(f"rankcrit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:  # a modulus past the int64 kernel's bound
+        print(f"rankcrit: error: {exc}", file=sys.stderr)
+        return EXIT_CROSSCHECK
     except ArithmeticError as exc:
         print(f"rankcrit: internal arithmetic check failed: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK

@@ -49,17 +49,22 @@ class CriterionVerdict:
         }
 
 
+# The congruence class of each family's admissible primes: p % modulus in residues.
+_CLASSES = {"Ep": (16, (1, 9)), "Ap": (9, (1,))}
+
+
+def _congruence_class(family: str) -> tuple[int, tuple[int, ...]]:
+    if family not in _CLASSES:
+        raise ValueError(f"unknown family {family!r}")
+    return _CLASSES[family]
+
+
 def admissible(p: int, family: str) -> Admissibility:
     """Whether p is prime and in the family's congruence class; index if so."""
-    if family == "Ep":
-        if is_prime(p) and p % 16 in (1, 9):
-            return Admissibility(True, 3 * (p - 1) // 8)
+    modulus, residues = _congruence_class(family)
+    if p % modulus not in residues or not is_prime(p):
         return Admissibility(False, None)
-    if family == "Ap":
-        if is_prime(p) and p % 9 == 1:
-            return Admissibility(True, (p - 1) // 3)
-        return Admissibility(False, None)
-    raise ValueError(f"unknown family {family!r}")
+    return Admissibility(True, 3 * (p - 1) // 8 if family == "Ep" else (p - 1) // 3)
 
 
 def weight_for(p: int, family: str) -> int:
@@ -119,8 +124,7 @@ def scan(family: str, lo: int, hi: int, jobs: int = 1) -> list[CriterionVerdict]
     """Verdicts for every admissible prime in [lo, hi], ordered by p (then path)."""
     if lo < 2 or hi < lo:
         raise ValueError("range bounds must satisfy 2 <= lo <= hi")
-    ps = [p for p in primes_in(lo, hi) if admissible(p, family).ok]
-    tasks = [(family, p) for p in ps]
+    tasks = [(family, p) for p in primes_in(lo, hi, *_congruence_class(family))]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_verdicts_for, tasks))

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._primality import is_prime
+from ._primality import is_prime, primes_in
 
 _BIG = 10 ** 9  # stand-in valuation of 0
 
@@ -264,9 +264,17 @@ def conductor_exponent(ainvs, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def _minimal_model(ainvs) -> tuple[int, int, int, int, int]:
-    """Globally integral model minimized at 2 and 3 (enough for the curves in scope)."""
-    ai = tuple(ainvs)
-    ai = _tate_small(ai, 2)[1]
+    """Globally minimal integral model of y^2 = x^3 + A x + B, ainvs = (0, 0, 0, A, B).
+
+    At a prime q >= 5 the model is minimal unless q^4 | c4 = -48 A and
+    q^6 | c6 = -864 B, and then (A / q^4, B / q^6) is a model one step down;
+    2 and 3 go through Tate's algorithm.
+    """
+    _, _, _, A, B = ainvs
+    for q in primes_in(5, _iroot(math.gcd(A, B), 4)):  # q^4 | A and q^6 | B force q^4 | gcd(A, B)
+        while A % q ** 4 == 0 and B % q ** 6 == 0:
+            A, B = A // q ** 4, B // q ** 6
+    ai = _tate_small((0, 0, 0, A, B), 2)[1]
     ai = _tate_small(ai, 3)[1]
     return ai
 

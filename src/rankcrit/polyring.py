@@ -3,6 +3,8 @@
 A polynomial is a tuple of coefficients ascending by degree with no trailing
 zeros; the zero polynomial is ``()``.  Coefficients are ints (residues mod p
 are ints in ``[0, p)``); ``fractions.Fraction`` coefficients work as well.
+These functions are the exact path; mod-p generation has its own int64
+kernel in :mod:`rankcrit.recurrences`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ def trim(coeffs: Iterable) -> tuple:
     return tuple(out)
 
 
-def dot(pairs: Iterable[tuple[tuple, tuple]], p: int | None = None) -> tuple:
-    """Sum of the products a*b over the (a, b) pairs, each coefficient reduced mod p if p is given.
+def dot(pairs: Iterable[tuple[tuple, tuple]]) -> tuple:
+    """Sum of the products a*b over the (a, b) pairs, in exact arithmetic.
 
     The outer loop runs over the nonzero coefficients of ``a``, so put the
     short polynomial of each pair first.
@@ -31,8 +33,6 @@ def dot(pairs: Iterable[tuple[tuple, tuple]], p: int | None = None) -> tuple:
             if ai:
                 for j, bj in enumerate(b, i):
                     out[j] += ai * bj
-    if p is not None:
-        out = [c % p for c in out]
     return trim(out)
 
 

@@ -4,21 +4,25 @@ Each family is a two-term recurrence
 
     F_{n+1} = D(t) * F_n' + (linear-in-n polynomial) * F_n + (scalar) * M(t) * F_{n-1}
 
-with integer coefficients.  Polynomials are coefficient tuples (see
-:mod:`rankcrit.polyring`); one step serves exact generation over Z and, when
-a prime p is given, generation mod p, which avoids the huge exact
-coefficients.  The constant terms F_N(0) mod p drive the rank criteria.
+with integer coefficients.  Exact generation over Z steps coefficient tuples
+(see :mod:`rankcrit.polyring`).  Generation mod p, which avoids the huge
+exact coefficients, steps int64 numpy arrays of residues instead, for primes
+p below ``_P_MAX``.  The constant terms F_N(0) mod p drive the rank criteria;
+``constant_term_mod`` steps only the coefficients that can reach F_N(0).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
+import numpy as np
+
 from ._primality import is_prime
-from .polyring import constant_term, derivative, dot, trim
+from .polyring import derivative, dot, trim
 
 
 @dataclass(frozen=True)
@@ -77,29 +81,120 @@ Z_A = RecurrenceFamily("z", "Z_A", ((1,), (2,)), _coeffs_z, scale=2)
 FAMILIES = {fam.key: fam for fam in (F_E, A_VZ, X_A, Y_A, Z_A)}
 
 
+# The mod-p step sums, for each output coefficient, at most len(D) + len(P) + len(M)
+# <= _MAX_TERMS products of two residues, each at most (p-1)^2, before its one
+# `% p`; _MAX_TERMS * (p-1)^2 < 2^63 holds exactly when p < _P_MAX (about 1.01e9).
+_MAX_TERMS = 9
+_P_MAX = math.isqrt((2**63 - 1) // _MAX_TERMS) + 2
+
+_BLOCK = 1024        # steps per batch of multipliers, so memory follows the polynomials, not N
+_UNCUT = 2**62       # a width that cuts nothing
+
+
+def _check_fits(p: int) -> None:
+    if p >= _P_MAX:
+        raise OverflowError(f"modulus {p} is not below {_P_MAX}: int64 residues would overflow")
+
+
+def _multipliers(family: RecurrenceFamily, p: int, ns: np.ndarray) -> list[tuple[int, list, list]]:
+    """D, P_n and s_n * M mod p at the step indices ns, each as (offset, kernels, live).
+
+    ``kernels[i]`` is the multiplier at step ``ns[i]`` from t^offset up
+    (columns that vanish at every step are cut off): a plain int when one
+    column is left, else an int64 array stored reversed for ``np.correlate``.
+    ``live[i]`` says whether it is nonzero.  Every coefficient is a polynomial
+    of degree <= 2 in n, so it is interpolated from n = 0, 1, 2.
+    """
+    samples = []
+    for n in (0, 1, 2):
+        d_poly, cur_poly, prev_scalar, prev_poly = family.step_coeffs(n)
+        samples.append((d_poly, cur_poly, tuple(prev_scalar * c for c in prev_poly)))
+    n = (ns % p)[:, None]
+    out = []
+    for v0, v1, v2 in zip(*samples):
+        c2 = [(a - 2 * b + c) // 2 for a, b, c in zip(v0, v1, v2)]
+        c1 = [b - a - q for a, b, q in zip(v0, v1, c2)]
+        rows = (np.array(v0) % p + np.array(c1) % p * n % p + np.array(c2) % p * (n * n % p) % p) % p
+        cols = np.flatnonzero(rows.any(axis=0))
+        lo, hi = (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 1)
+        if hi - lo == 1:
+            kernels = rows[:, lo].tolist()
+        else:
+            kernels = list(np.ascontiguousarray(rows[:, lo:hi][:, ::-1]))
+        out.append((lo, kernels, rows.any(axis=1).tolist()))
+    return out
+
+
+def _step_mod(mults, i: int, prev: np.ndarray, cur: np.ndarray, weights: np.ndarray, p: int,
+              width: int) -> np.ndarray:
+    """Stored F_{n+1} mod p, its coefficients below ``width`` only, from F_{n-1} and
+    F_n (int64 residues) and the multipliers ``mults`` of step n at index i."""
+    deriv = cur[1:width + 1]
+    deriv = deriv * weights[:len(deriv)] % p
+    parts = []
+    for (off, kernels, live), x in zip(mults, (deriv, cur, prev)):
+        if live[i] and len(x) and off < width:
+            x, k = x[:width - off], kernels[i]
+            # np.correlate with the kernel reversed is np.convolve without its wrapper's cost
+            parts.append((off, k * x if type(k) is int else np.correlate(x, k, "full")))
+    size = min(width, max((off + len(c) for off, c in parts), default=0))
+    out = np.zeros(size, np.int64)
+    for off, c in parts:
+        out[off:off + len(c)] += c[:size - off]
+    out %= p
+    return out
+
+
 def step(family: RecurrenceFamily, n: int, prev: tuple, cur: tuple, p: int | None = None) -> tuple:
     """F_{n+1} from (F_{n-1}, F_n), reduced mod p if p is given; requires n >= 1."""
     if n < 1:
         raise ValueError("step index n must be >= 1")
+    if p is not None:
+        _check_fits(p)
+        mults = _multipliers(family, p, np.array([n]))
+        prev, cur = (np.array([c % p for c in poly], np.int64) for poly in (prev, cur))
+        return trim(_step_mod(mults, 0, prev, cur, np.arange(1, len(cur) + 1) % p, p, _UNCUT).tolist())
     d_poly, cur_poly, prev_scalar, prev_poly = family.step_coeffs(n)
     scaled_prev_poly = tuple(prev_scalar * c for c in prev_poly)
-    return dot(((d_poly, derivative(cur)), (cur_poly, cur), (scaled_prev_poly, prev)), p)
+    return dot(((d_poly, derivative(cur)), (cur_poly, cur), (scaled_prev_poly, prev)))
 
 
-def _stored(family: RecurrenceFamily, p: int | None) -> Iterator[tuple]:
-    """The stored polynomials scale * F_0, scale * F_1, ..., reduced mod p if p is given."""
+def _stored_exact(family: RecurrenceFamily) -> Iterator[tuple]:
+    """The stored polynomials scale * F_0, scale * F_1, ... over Z."""
     prev, cur = family.seeds
-    if p is not None:
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"modulus {p} is not an odd prime")
-        prev, cur = trim(c % p for c in prev), trim(c % p for c in cur)
     yield prev
     yield cur
     n = 1
     while True:
-        prev, cur = cur, step(family, n, prev, cur, p)
+        prev, cur = cur, step(family, n, prev, cur)
         n += 1
         yield cur
+
+
+def _stored_mod(family: RecurrenceFamily, p: int, N: int | None = None) -> Iterator[np.ndarray]:
+    """The stored polynomials scale * F_n mod p as int64 arrays.
+
+    Given N, it stops at F_N and step n keeps only coefficients 0..N-n-1 of
+    F_{n+1}, the ones that can still reach F_N(0): coefficient j of F_{n+1}
+    needs coefficients <= j + 1 of F_n and <= j of F_{n-1}.
+    """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"modulus {p} is not an odd prime")
+    _check_fits(p)
+    prev, cur = (np.array(seed, np.int64) % p for seed in family.seeds)
+    weights = np.arange(1, 2) % p  # weights[k] = (k + 1) mod p, grown with F_n: F_n'[k] = weights[k] * F_n[k + 1]
+    yield prev
+    yield cur
+    n = 1
+    while N is None or n < N:
+        stop = n + _BLOCK if N is None else min(n + _BLOCK, N)
+        mults = _multipliers(family, p, np.arange(n, stop))
+        for i in range(stop - n):
+            if len(cur) > len(weights):
+                weights = np.arange(1, 2 * len(cur) + 1) % p
+            prev, cur = cur, _step_mod(mults, i, prev, cur, weights, p, _UNCUT if N is None else N - n - i)
+            yield cur
+        n = stop
 
 
 def _unscaled(family: RecurrenceFamily, poly: tuple, p: int | None) -> tuple:
@@ -112,25 +207,27 @@ def _unscaled(family: RecurrenceFamily, poly: tuple, p: int | None) -> tuple:
     return tuple(c * inverse % p for c in poly)
 
 
-def _nth(family: RecurrenceFamily, N: int, p: int | None) -> tuple:
-    if N < 0:
-        raise ValueError("index N must be >= 0")
-    return _unscaled(family, next(islice(_stored(family, p), N, None)), p)
-
-
 def iter_family(family: RecurrenceFamily, p: int | None = None) -> Iterator[tuple]:
     """Yield F_0, F_1, F_2, ... keeping only a two-element window; mod p if p is given.
 
     Coefficients are ints, except for the z family over Q, whose coefficients
     are Fractions.  A modulus that is not an odd prime raises ValueError on
-    the first ``next``.
+    the first ``next``, one at or above ``_P_MAX`` OverflowError.
     """
-    return (_unscaled(family, poly, p) for poly in _stored(family, p))
+    if p is None:
+        return (_unscaled(family, poly, None) for poly in _stored_exact(family))
+    return (_unscaled(family, trim(poly.tolist()), p) for poly in _stored_mod(family, p))
 
 
 def generate(family: RecurrenceFamily, N: int, p: int | None = None) -> tuple:
     """F_N over Z (over Q for z), or mod p if p is given (seeds for N in {0, 1})."""
-    return _nth(family, N, p)
+    if N < 0:
+        raise ValueError("index N must be >= 0")
+    if p is None:
+        stored = next(islice(_stored_exact(family), N, None))
+    else:
+        stored = trim(next(islice(_stored_mod(family, p), N, None)).tolist())
+    return _unscaled(family, stored, p)
 
 
 def generate_all(family: RecurrenceFamily, N: int, p: int | None = None) -> list[tuple]:
@@ -141,5 +238,9 @@ def generate_all(family: RecurrenceFamily, N: int, p: int | None = None) -> list
 
 
 def constant_term_mod(family: RecurrenceFamily, N: int, p: int) -> int:
-    """F_N(0) mod p for an odd prime p, computed entirely in mod-p arithmetic."""
-    return constant_term(_nth(family, N, p))
+    """F_N(0) mod p for an odd prime p below ``_P_MAX``, stepping only the
+    coefficients that can reach it; OverflowError for p >= ``_P_MAX``."""
+    if N < 0:
+        raise ValueError("index N must be >= 0")
+    last = next(islice(_stored_mod(family, p, N), N, None))
+    return int(last[0]) * pow(family.scale, -1, p) % p if len(last) else 0

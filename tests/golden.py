@@ -66,6 +66,13 @@ EP_SCAN_TABLE = {
     401: False, 409: False, 433: False, 449: False, 457: False,
 }
 
+# sha256 of json.dumps([[p, path, index, residue], ...]) over scan(family, 2, 3000),
+# recorded with the Python-int tuple kernel that preceded the int64 one.
+SCAN_3000_SHA256 = {
+    "Ep": "063f7cc231bee4f2e22db55ca2fc982cc8400606762621cd64694b45708de403",
+    "Ap": "0e929e4d2f34ced345f3a62c06dc71be0c468fa95b63accff12d73ff0225d066",
+}
+
 
 def poly_to_map(poly) -> dict[int, int]:
     return {k: c for k, c in enumerate(poly) if c != 0}

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from rankcrit import lseries
+from rankcrit._primality import is_prime
 from rankcrit.cli import _cache_key, main
 
 
@@ -53,6 +54,15 @@ class TestPoly:
 
 
 class TestCriterion:
+    def test_prime_past_kernel_bound_exits_2(self, capsys):
+        from rankcrit.recurrences import _P_MAX
+
+        p = next(q for q in range(_P_MAX, 2 * _P_MAX) if is_prime(q))
+        assert p % 9 == 1  # admissible for Ap, so the kernel is reached
+        code, out, err = run(capsys, "criterion", "--family", "Ap", "--range", f"{p}..{p}", "--format", "json")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("rankcrit: error: modulus") and "overflow" in err
+
     def test_csv_table(self, capsys):
         code, out, _ = run(capsys, "criterion", "--family", "Ep", "--range", "2..460", "--format", "csv")
         assert code == 0

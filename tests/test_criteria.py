@@ -1,5 +1,11 @@
+import hashlib
+import json
+import time
+
 import pytest
 
+from rankcrit import _primality
+from rankcrit._primality import is_prime
 from rankcrit.criteria import (
     CrossCheckError,
     admissible,
@@ -9,7 +15,7 @@ from rankcrit.criteria import (
     verdict_Ep,
 )
 from ._util import primes_leq
-from .golden import EP_SCAN_TABLE
+from .golden import EP_SCAN_TABLE, SCAN_3000_SHA256
 
 
 class TestAdmissible:
@@ -107,6 +113,24 @@ class TestScan:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             scan("Ep", 1, 10)
+
+    @pytest.mark.parametrize("family", ["Ep", "Ap"])
+    def test_golden_digest_to_3000(self, family):
+        # Ap also checks a-path/x-path agreement at every admissible p <= 3000
+        # (verdict_Ap raises CrossCheckError otherwise).  Each family takes
+        # about 1.5 s on a 2-vCPU VM.
+        t0 = time.perf_counter()
+        rows = [[v.p, v.path, v.index, v.residue] for v in scan(family, 2, 3000)]
+        elapsed = time.perf_counter() - t0
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SCAN_3000_SHA256[family]
+        assert elapsed < 15.0, f"scan({family!r}, 2, 3000) took {elapsed:.1f} s, budget 15 s"
+
+    @pytest.mark.parametrize("family, modulus, residues", [("Ep", 16, (1, 9)), ("Ap", 9, (1,))])
+    def test_tests_primality_only_in_the_family_class(self, monkeypatch, family, modulus, residues):
+        tested = []
+        monkeypatch.setattr(_primality, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        scan(family, 2, 500)
+        assert tested == [n for n in range(2, 501) if n % modulus in residues]
 
 
 class TestCongruenceRhs:

@@ -208,6 +208,11 @@ class TestConductor:
 
         assert _invariants(model)[-1] % 2 != 0
 
+    def test_minimal_at_primes_above_3(self):
+        # A = 3 * 35^4 and B = 7 * 35^6: the model scales down to (3, 7) at 5 and at 7
+        assert _minimal_model((0, 0, 0, 3 * 35 ** 4, 7 * 35 ** 6)) == _minimal_model((0, 0, 0, 3, 7))
+        assert _minimal_model((0, 0, 0, 625, 0)) == _minimal_model((0, 0, 0, 1, 0))
+
     def test_exponent_invariant_under_coordinate_changes(self):
         # f_q cannot depend on the chosen integral model; random unimodular
         # changes of variables exercise every classification branch.
@@ -240,6 +245,13 @@ class TestL1:
         # y^2 = x^3 + x: L(1) = Omega_E / 4
         got = l1(CurveSpec(A=1, B=0), 1e-9)
         assert abs(got - OMEGA_E / 4) < 1e-8
+
+    def test_model_non_minimal_at_5(self):
+        # y^2 = x^3 + 625 x is y^2 = x^3 + x scaled by u = 5; a_5 = 2 needs the minimal model
+        got = an_list(CurveSpec(625, 0), 30)
+        assert got == an_list(CurveSpec(1, 0), 30)
+        assert got[5] == 2
+        assert l1(CurveSpec(625, 0), 1e-9) == pytest.approx(OMEGA_E / 4, abs=1e-8)
 
     def test_tail_bound_enforced(self):
         _, terms, bound = l1_detail(curve_ep(17), 1e-8)

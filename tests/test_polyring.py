@@ -3,23 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from rankcrit.polyring import constant_term, derivative, dot, render
+from rankcrit.polyring import constant_term, derivative, dot, render, trim
 from rankcrit.recurrences import A_VZ, F_E, Z_A, constant_term_mod, generate
 
 ONE = (1,)
 
 
 def add(a, b, p=None):
-    return dot(((ONE, a), (ONE, b)), p)
+    return reduce(dot(((ONE, a), (ONE, b))), p)
 
 
 def mul(a, b, p=None):
-    return dot(((a, b),), p)
+    return reduce(dot(((a, b),)), p)
 
 
 def reduce(a, p=None):
     """a mod p, or a itself when p is None."""
-    return dot(((ONE, a),), p)
+    return trim(a if p is None else (c % p for c in a))
 
 
 def rand_poly(rng, p=None, max_deg=8, bound=10 ** 6):
@@ -153,7 +153,7 @@ class TestRingAxioms:
             p = rng.choice([None, None, 5, 97])
             a, b = rand_poly(rng, p), rand_poly(rng, p)
             lhs = derivative(mul(a, b, p))
-            rhs = dot(((derivative(a), b), (a, derivative(b))), p)
+            rhs = reduce(dot(((derivative(a), b), (a, derivative(b)))), p)
             assert reduce(lhs, p) == rhs
 
     def test_reduction_homomorphism(self):

@@ -1,9 +1,16 @@
+import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankcrit._primality import is_prime
 from rankcrit.polyring import constant_term, trim
 from rankcrit.recurrences import (
+    _MAX_TERMS,
+    _P_MAX,
     A_VZ,
     F_E,
     FAMILIES,
@@ -160,3 +167,81 @@ class TestCriterionEquivalence:
             div_a = constant_term_mod(A_VZ, n, p) == 0
             div_x = constant_term_mod(X_A, n, p) == 0
             assert div_a == div_x, p
+
+
+@cache
+def _exact_constant_terms(key: str) -> list:
+    """F_0(0) .. F_120(0) from exact generation over Z (over Q for z)."""
+    return [constant_term(poly) for poly in generate_all(FAMILIES[key], 120)]
+
+
+def _residue(c, p: int) -> int:
+    c = Fraction(c)
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+_ODD_PRIMES = [q for q in primes_leq(4999) if q > 2]
+_P_BELOW = next(q for q in range(_P_MAX - 1, 0, -1) if is_prime(q))
+_P_ABOVE = next(q for q in range(_P_MAX, 2 * _P_MAX) if is_prime(q))
+
+
+class TestWindowedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 120), st.sampled_from(_ODD_PRIMES))
+    def test_matches_exact_generation(self, key, N, p):
+        assert constant_term_mod(FAMILIES[key], N, p) == _residue(_exact_constant_terms(key)[N], p)
+
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_seeds(self, key):
+        for N in (0, 1):
+            for p in (3, 5, 4999):
+                assert constant_term_mod(FAMILIES[key], N, p) == _residue(_exact_constant_terms(key)[N], p)
+
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_index_at_or_past_p(self, key):
+        for p in (3, 5, 7, 11, 13):
+            for N in (p, p + 1, 2 * p + 3, 120):
+                assert constant_term_mod(FAMILIES[key], N, p) == _residue(_exact_constant_terms(key)[N], p)
+
+    def test_zero_seed(self):
+        # x_1 = y_1 = () is the zero polynomial; x_3 = 2 and y_3 = 6 grow from it
+        for family, want in ((X_A, 2), (Y_A, 6)):
+            for p in (3, 5, 97):
+                assert constant_term_mod(family, 1, p) == 0
+                assert constant_term_mod(family, 3, p) == want % p
+                assert constant_term_mod(family, 3, p) == _residue(_exact_constant_terms(family.key)[3], p)
+
+    def test_overflow_bound(self):
+        assert _MAX_TERMS * (_P_MAX - 2) ** 2 < 2 ** 63 <= _MAX_TERMS * (_P_MAX - 1) ** 2
+        for family in FAMILIES.values():
+            d_poly, cur_poly, _, prev_poly = family.step_coeffs(1)
+            assert len(d_poly) + len(cur_poly) + len(prev_poly) <= _MAX_TERMS
+
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_largest_prime_below_bound(self, key):
+        assert constant_term_mod(FAMILIES[key], 5, _P_BELOW) == _residue(_exact_constant_terms(key)[5], _P_BELOW)
+        want = tuple(_residue(c, _P_BELOW) for c in generate(FAMILIES[key], 5))
+        assert generate(FAMILIES[key], 5, _P_BELOW) == trim(want)
+
+    def test_first_prime_at_bound_is_refused_at_once(self):
+        t0 = time.perf_counter()
+        for family in FAMILIES.values():
+            with pytest.raises(OverflowError):
+                constant_term_mod(family, (_P_ABOVE - 1) // 3, _P_ABOVE)
+            with pytest.raises(OverflowError):
+                generate(family, 5, _P_ABOVE)
+            with pytest.raises(OverflowError):
+                step(family, 1, (1,), (3, 2), _P_ABOVE)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_step_coeffs_are_quadratic_in_n(self):
+        # the kernel interpolates each multiplier from n = 0, 1, 2
+        for family in FAMILIES.values():
+            samples = [family.step_coeffs(n) for n in range(60)]
+            for n in range(3, 60):
+                for j in range(4):
+                    a, b, c, d = (samples[m][j] for m in (n - 3, n - 2, n - 1, n))
+                    if isinstance(a, int):
+                        assert d - 3 * c + 3 * b - a == 0
+                    else:
+                        assert all(w - 3 * z + 3 * y - x == 0 for x, y, z, w in zip(a, b, c, d))
