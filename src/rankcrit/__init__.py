@@ -7,7 +7,7 @@ Layers:
 * :mod:`rankcrit.recurrences` -- the five polynomial families f, a, x, y, z, exact or mod p.
 * :mod:`rankcrit.criteria` -- divisibility of constant terms -> rank verdicts.
 * :mod:`rankcrit.symbolic` -- theta-constant ring re-derivation of the f family.
-* :mod:`rankcrit.lseries` -- traces of Frobenius (CM, or point counts), conductors, L(1), normalized S_p.
+* :mod:`rankcrit.lseries` -- traces of Frobenius from CM, conductors, L(1), normalized S_p.
 * :mod:`rankcrit.maass` -- extended-precision CM derivatives of theta series.
 * :mod:`rankcrit.cli` -- poly / criterion / oracle / verify subcommands.
 """

@@ -292,6 +292,9 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     else:
         rows_of = _THM_ROWS[args.thm]
+    if args.max_n < 0:
+        print(f"verify: error: --max-n must be >= 0, got {args.max_n}", file=sys.stderr)
+        return EXIT_USAGE
     rows = []
     ok_all = True
     try:

@@ -1,12 +1,11 @@
-"""Numerical L-value oracle for y^2 = x^3 + A x + B.
+"""Numerical L-value oracle for y^2 = x^3 + A x and y^2 = x^3 + B.
 
-Computes a_q from complex multiplication for the j = 1728 and j = 0 models
-y^2 = x^3 + A x and y^2 = x^3 + B (a Cornacchia decomposition of q and a
-quartic or sextic residue symbol, O(log q)), and by quadratic-character sums
-otherwise; the conductor by Tate's algorithm, L(E, 1) by the rapidly
-convergent exponential sum (sign +1 curves), and the normalized central
-value S_p.  Everything here is independent of the recurrence machinery, so
-agreement between the two is a real cross-check.
+Computes a_q from complex multiplication (a Cornacchia decomposition of q and
+a quartic or sextic residue symbol, O(log q)); the conductor by Tate's
+algorithm, L(E, 1) by the rapidly convergent exponential sum (sign +1
+curves), and the normalized central value S_p.  Everything here is
+independent of the recurrence machinery, so agreement between the two is a
+real cross-check.
 """
 
 from __future__ import annotations
@@ -45,7 +44,12 @@ class FunctionalEquationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """y^2 = x^3 + A x + B with integer coefficients."""
+    """y^2 = x^3 + A x (j = 1728) or y^2 = x^3 + B (j = 0), in minimal CM shape.
+
+    A is stored modulo 4th powers and B modulo 6th powers (y^2 = x^3 + u^4 A x
+    is y^2 = x^3 + A x scaled by u), so a prime q >= 5 divides the
+    discriminant exactly when the reduction at q is bad.
+    """
 
     A: int
     B: int
@@ -59,8 +63,14 @@ class CurveSpec:
         return -16 * (4 * self.A ** 3 + 27 * self.B ** 2)
 
     def __post_init__(self):
-        if self.discriminant == 0:
-            raise ValueError("singular cubic: discriminant is zero")
+        if (self.A == 0) == (self.B == 0):
+            raise ValueError(f"need exactly one of A, B nonzero, got A = {self.A}, B = {self.B}")
+        name, k = ("A", 4) if self.B == 0 else ("B", 6)
+        c = getattr(self, name)
+        for q in primes_in(2, _iroot(abs(c), k)):
+            while c % q ** k == 0:
+                c //= q ** k
+        object.__setattr__(self, name, c)
 
 
 def curve_ep(p: int) -> CurveSpec:
@@ -181,31 +191,31 @@ def _normalize_step6(ai, q: int):
     raise ArithmeticError("normalization before the cubic test failed")
 
 
-def _tate_small(ai, q: int):
-    """Conductor exponent at q in {2, 3}, plus the locally minimized model."""
+def _tate_small(ai, q: int) -> int:
+    """Conductor exponent at q in {2, 3}."""
     while True:
         _, _, b6, b8, c4, _, delta = _invariants(ai)
         n = _val(delta, q)
         if n == 0:
-            return 0, ai
+            return 0
         if _val(c4, q) == 0:
-            return 1, ai  # multiplicative, type I_n
+            return 1  # multiplicative, type I_n
         x0, y0 = _singular_point(ai, q)
         ai = _transform(ai, x0, 0, y0)
         a1, a2, a3, a4, a6 = ai
         _, _, b6, b8, c4, _, delta = _invariants(ai)
         if _val(a6, q) < 2:
-            return n, ai  # type II
+            return n  # type II
         if _val(b8, q) < 3:
-            return n - 1, ai  # type III
+            return n - 1  # type III
         if _val(b6, q) < 3:
-            return n - 2, ai  # type IV
+            return n - 2  # type IV
         ai = _normalize_step6(ai, q)
         a1, a2, a3, a4, a6 = ai
         cubic = [_exact_div(a6, q ** 3), _exact_div(a4, q ** 2), _exact_div(a2, q), 1]
         dbl = _double_root(cubic, q)
         if dbl is None:
-            return n - 4, ai  # type I_0*
+            return n - 4  # type I_0*
         if not _is_triple_root(cubic, q, dbl):
             # type I_m*: walk the chain of quadratics
             ai = _transform(ai, q * dbl, 0, 0)
@@ -217,13 +227,13 @@ def _tate_small(ai, q: int):
                     quad = [-_exact_div(a6, q ** (2 * j + 2)), _exact_div(a3, q ** (j + 1)), 1]
                     root = _double_root(quad, q)
                     if root is None:
-                        return n - 4 - m, ai
+                        return n - 4 - m
                     ai = _transform(ai, 0, 0, q ** (j + 1) * root)
                 else:
                     quad = [_exact_div(a6, q ** (2 * j + 3)), _exact_div(a4, q ** (j + 2)), _exact_div(a2, q)]
                     root = _double_root(quad, q)
                     if root is None:
-                        return n - 4 - m, ai
+                        return n - 4 - m
                     ai = _transform(ai, q ** (j + 1) * root, 0, 0)
                 m += 1
             raise ArithmeticError("unbounded chain of double roots; valuation bookkeeping broken")
@@ -233,13 +243,13 @@ def _tate_small(ai, q: int):
             quad = [-_exact_div(a6, q ** 4), _exact_div(a3, q ** 2), 1]
             root = _double_root(quad, q)
             if root is None:
-                return n - 6, ai  # type IV*
+                return n - 6  # type IV*
             ai = _transform(ai, 0, 0, q * q * root)
             a1, a2, a3, a4, a6 = ai
             if _val(a4, q) < 4:
-                return n - 7, ai  # type III*
+                return n - 7  # type III*
             if _val(a6, q) < 6:
-                return n - 8, ai  # type II*
+                return n - 8  # type II*
             ai = _rescale(ai, q)  # non-minimal: restart one level down
 
 
@@ -258,25 +268,8 @@ def _tate_large(ai, q: int) -> int:
 def conductor_exponent(ainvs, q: int) -> int:
     """Local conductor exponent f_q of the curve with the given a-invariants."""
     if q in (2, 3):
-        return _tate_small(tuple(ainvs), q)[0]
+        return _tate_small(tuple(ainvs), q)
     return _tate_large(tuple(ainvs), q)
-
-
-@lru_cache(maxsize=None)
-def _minimal_model(ainvs) -> tuple[int, int, int, int, int]:
-    """Globally minimal integral model of y^2 = x^3 + A x + B, ainvs = (0, 0, 0, A, B).
-
-    At a prime q >= 5 the model is minimal unless q^4 | c4 = -48 A and
-    q^6 | c6 = -864 B, and then (A / q^4, B / q^6) is a model one step down;
-    2 and 3 go through Tate's algorithm.
-    """
-    _, _, _, A, B = ainvs
-    for q in primes_in(5, _iroot(math.gcd(A, B), 4)):  # q^4 | A and q^6 | B force q^4 | gcd(A, B)
-        while A % q ** 4 == 0 and B % q ** 6 == 0:
-            A, B = A // q ** 4, B // q ** 6
-    ai = _tate_small((0, 0, 0, A, B), 2)[1]
-    ai = _tate_small(ai, 3)[1]
-    return ai
 
 
 def _iroot(n: int, k: int) -> int:
@@ -331,33 +324,8 @@ def conductor(curve: CurveSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Point counts and Dirichlet coefficients
+# CM traces of Frobenius and Dirichlet coefficients
 # ---------------------------------------------------------------------------
-
-def _aq_char_sum(ainvs, q: int) -> int:
-    """a_q = -sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6) for odd q of good reduction."""
-    b2, b4, b6 = _invariants(ainvs)[0:3]
-    x = np.arange(q, dtype=np.int64)
-    g = (4 * x + b2 % q) % q
-    g = (g * x + (2 * b4) % q) % q
-    g = (g * x + b6 % q) % q
-    is_sq = np.zeros(q, dtype=bool)
-    is_sq[(x * x) % q] = True
-    chi = np.where(g == 0, 0, np.where(is_sq[g], 1, -1))
-    return -int(chi.sum())
-
-
-def _aq_enumerate(ainvs, q: int) -> int:
-    """Brute-force count over F_q (used for q = 2 and as a tiny-prime oracle)."""
-    a1, a2, a3, a4, a6 = ainvs
-    count = 1  # point at infinity
-    for x in range(q):
-        rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % q
-        for y in range(q):
-            if (y * y + a1 * x * y + a3 * y - rhs) % q == 0:
-                count += 1
-    return q + 1 - count
-
 
 def _root_of_unity(k: int, q: int) -> int:
     """An element of exact order k in F_q^* (k = 3 or 4, k | q - 1)."""
@@ -383,7 +351,7 @@ def _cornacchia(d: int, q: int) -> tuple[int, int]:
 
 
 def _aq_cm_i(A: int, q: int) -> int:
-    """a_q of y^2 = x^3 + A x (j = 1728) at a prime q >= 5 not dividing A.
+    """a_q of y^2 = x^3 + A x (j = 1728) at a prime q of good reduction (0 at q = 3, which is inert).
 
     With q = N(pi), pi = a + b i primary (a odd, b even, a + b = 1 mod 4), and
     u the unit congruent to (-A)^((q-1)/4) modulo pi, a_q = 2 Re(conj(u) pi).
@@ -410,7 +378,7 @@ def _eisenstein_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 
 
 def _aq_cm_omega(B: int, q: int) -> int:
-    """a_q of y^2 = x^3 + B (j = 0) at a prime q >= 5 not dividing B.
+    """a_q of y^2 = x^3 + B (j = 0) at a prime q of good reduction (0 at q = 2, which is inert).
 
     With q = N(pi), pi = a + b w primary (pi = 2 mod 3, w a cube root of
     unity), and u the sixth root of unity congruent to (4B)^((q-1)/6) modulo
@@ -438,18 +406,8 @@ def _aq_cm_omega(B: int, q: int) -> int:
 
 
 def _trace(curve: CurveSpec, q: int) -> int:
-    """a_q at a prime q of good reduction.
-
-    From CM when the model is y^2 = x^3 + A x or y^2 = x^3 + B and q does not
-    divide 6 * disc; otherwise by counting points on the minimal model.
-    """
-    if q > 3 and curve.discriminant % q:
-        if curve.B == 0:
-            return _aq_cm_i(curve.A, q)
-        if curve.A == 0:
-            return _aq_cm_omega(curve.B, q)
-    model = _minimal_model(curve.ainvs)
-    return _aq_enumerate(model, 2) if q == 2 else _aq_char_sum(model, q)
+    """a_q at a prime q of good reduction, from CM."""
+    return _aq_cm_i(curve.A, q) if curve.B == 0 else _aq_cm_omega(curve.B, q)
 
 
 def ap(curve: CurveSpec, q: int) -> int:
@@ -476,9 +434,8 @@ def _sieve_spf(M: int) -> np.ndarray:
 def an_list(curve: CurveSpec, M: int) -> list[int]:
     """Dirichlet coefficients a_1..a_M (index 0 unused), multiplicative extension.
 
-    a_q = 0 at primes dividing the conductor; Hecke recursion at good prime
-    powers; point counts are taken on the minimized model so that a prime of
-    good reduction hidden by a non-minimal input model is still counted.
+    a_q = 0 at primes dividing the conductor, the CM trace at every other
+    prime; Hecke recursion at good prime powers.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -549,6 +506,8 @@ def l1_detail(curve: CurveSpec, tol: float = 1e-8) -> tuple[float, int, float]:
     independence of the split parameter t is asserted, which catches a wrong
     conductor or sign instead of silently returning garbage.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance {tol} is not a finite number")
     if tol < 1e-12:
         raise ValueError("tolerance below 1e-12 is not achievable in double precision")
     N = conductor(curve)

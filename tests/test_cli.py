@@ -201,6 +201,12 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--p", "7", "--cache", str(tmp_path / "c"))
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_usage_error(self, capsys, tol):
+        code, out, err = run(capsys, "oracle", "--p", "17", "--tol", tol, "--no-cache")
+        assert code == 1 and out == ""
+        assert f"tolerance {tol} is not a finite number" in err
+
     def test_unfactorable_discriminant_is_internal_error(self, capsys, monkeypatch):
         # (1009 * 1013)^3 is left after trial division and is not a prime power
         monkeypatch.setattr(lseries, "curve_ep", lambda p: lseries.CurveSpec(A=1009 * 1013, B=0))
@@ -261,3 +267,9 @@ class TestVerify:
     def test_requires_mode(self, capsys):
         code, _, _ = run(capsys, "verify")
         assert code == 1
+
+    @pytest.mark.parametrize("mode", [["--symbolic"], ["--thm", "3"], ["--thm", "4"], ["--thm", "5"], ["--thm", "6"]])
+    def test_negative_max_n_usage_error(self, capsys, mode):
+        code, out, err = run(capsys, "verify", *mode, "--max-n", "-1", "--format", "json")
+        assert code == 1 and out == ""
+        assert "--max-n must be >= 0" in err

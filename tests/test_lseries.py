@@ -11,9 +11,7 @@ from rankcrit.lseries import (
     OMEGA_E,
     BadReductionError,
     CurveSpec,
-    _aq_char_sum,
-    _aq_enumerate,
-    _minimal_model,
+    _invariants,
     _sieve_spf,
     an_list,
     ap,
@@ -26,6 +24,31 @@ from rankcrit.lseries import (
     sp,
 )
 from ._util import primes_leq
+
+
+def _aq_char_sum(ainvs, q: int) -> int:
+    """Reference a_q = -sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6), odd q of good reduction, O(q)."""
+    b2, b4, b6 = _invariants(ainvs)[0:3]
+    x = np.arange(q, dtype=np.int64)
+    g = (4 * x + b2 % q) % q
+    g = (g * x + (2 * b4) % q) % q
+    g = (g * x + b6 % q) % q
+    is_sq = np.zeros(q, dtype=bool)
+    is_sq[(x * x) % q] = True
+    chi = np.where(g == 0, 0, np.where(is_sq[g], 1, -1))
+    return -int(chi.sum())
+
+
+def _aq_enumerate(ainvs, q: int) -> int:
+    """Reference a_q = q + 1 - #E(F_q) by brute force over F_q, for tiny q (also q = 2)."""
+    a1, a2, a3, a4, a6 = ainvs
+    count = 1  # point at infinity
+    for x in range(q):
+        rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % q
+        for y in range(q):
+            if (y * y + a1 * x * y + a3 * y - rhs) % q == 0:
+                count += 1
+    return q + 1 - count
 
 
 class TestAp:
@@ -90,28 +113,16 @@ class TestCMTraces:
             if q > 3 and q % 3 == 2:
                 assert lseries._aq_cm_omega(-432 * 1009 ** 2, q) == 0, q
 
-    def test_general_curve_uses_char_sum(self, monkeypatch):
-        calls = []
-        real = lseries._aq_char_sum
-        monkeypatch.setattr(lseries, "_aq_char_sum", lambda ai, q: calls.append(q) or real(ai, q))
-        curve = CurveSpec(A=-1, B=1)
-        for q in (5, 7, 13, 101):
-            assert ap(curve, q) == _aq_enumerate(curve.ainvs, q)
-        assert calls == [5, 7, 13, 101]
-        calls.clear()
-        ap(curve_ep(17), 13)
-        ap(curve_ep(17), 3)  # q | 6: the CM formulas are not used
-        assert calls == [3]
-
     def test_an_list_dispatch(self, monkeypatch):
-        want = an_list(curve_ep(41), 500)
-        calls = []
-        real = lseries._aq_char_sum
-        monkeypatch.setattr(lseries, "_aq_char_sum", lambda ai, q: calls.append(q) or real(ai, q))
-        monkeypatch.setattr(lseries, "_aq_enumerate", lambda ai, q: pytest.fail(f"count at {q}"))
-        # 2 and 41 are bad for E_41 and 3 divides 6: every other trace comes from CM
-        assert an_list(curve_ep(41), 500) == want
-        assert calls == [3]
+        # every good prime, 3 for E_41 and 2 for A_19 included, goes through
+        # the CM formula; the point counters of this module are only a reference
+        for curve, cm in ((curve_ep(41), "_aq_cm_i"), (curve_ap(19), "_aq_cm_omega")):
+            calls = []
+            real = getattr(lseries, cm)
+            monkeypatch.setattr(lseries, cm, lambda c, q, real=real: calls.append(q) or real(c, q))
+            an_list(curve, 500)
+            N = conductor(curve)
+            assert calls == [q for q in primes_leq(500) if N % q], curve
 
 
 class TestSieve:
@@ -152,9 +163,13 @@ class TestAnList:
             assert a[m * n] == a[m] * a[n]
 
     def test_ap_curve_good_at_2(self):
-        # 2 does not divide the conductor 27 p^2, so a_2 is a real trace
+        # 2 does not divide the conductor 27 p^2, so a_2 is a real trace: 0 by
+        # CM (2 is inert in Z[w]), and 0 by counting points on a model of
+        # A_19 with good reduction at 2
+        model = (0, 9, 9, 27, -2430)
+        assert _invariants(model)[-1] % 2 != 0
+        assert an_list(curve_ap(19), 2)[2] == 0 == _aq_enumerate(model, 2)
         a = an_list(curve_ap(19), 10)
-        assert abs(a[2]) <= 2  # Hasse at q = 2
         assert a[3] == 0 and a[19 // 19 * 9] == 0  # bad primes 3, 19
 
 
@@ -202,16 +217,19 @@ class TestConductor:
             N = conductor(curve_ep(p))
             assert N % p ** 2 == 0 and N % p ** 3 != 0
 
-    def test_ap_minimal_model_good_at_2(self):
-        model = _minimal_model(curve_ap(19).ainvs)
-        from rankcrit.lseries import _invariants
-
-        assert _invariants(model)[-1] % 2 != 0
-
     def test_minimal_at_primes_above_3(self):
-        # A = 3 * 35^4 and B = 7 * 35^6: the model scales down to (3, 7) at 5 and at 7
-        assert _minimal_model((0, 0, 0, 3 * 35 ** 4, 7 * 35 ** 6)) == _minimal_model((0, 0, 0, 3, 7))
-        assert _minimal_model((0, 0, 0, 625, 0)) == _minimal_model((0, 0, 0, 1, 0))
+        # A is stored modulo 4th powers and B modulo 6th powers
+        assert CurveSpec(625, 0) == CurveSpec(1, 0)
+        assert CurveSpec(3 * 35 ** 4, 0).A == 3
+        assert CurveSpec(0, -432 * 2 ** 6) == CurveSpec(0, -432)
+        assert curve_ep(17).A == 17 and curve_ap(19).B == -432 * 19 ** 2
+        # 5 is good for y^2 = x^3 + 625 x, which is y^2 = x^3 + x scaled by u = 5
+        assert ap(CurveSpec(625, 0), 5) == 2
+
+    def test_curve_shape_refused(self):
+        for A, B in ((-1, 1), (0, 0)):
+            with pytest.raises(ValueError):
+                CurveSpec(A, B)
 
     def test_exponent_invariant_under_coordinate_changes(self):
         # f_q cannot depend on the chosen integral model; random unimodular
@@ -247,7 +265,7 @@ class TestL1:
         assert abs(got - OMEGA_E / 4) < 1e-8
 
     def test_model_non_minimal_at_5(self):
-        # y^2 = x^3 + 625 x is y^2 = x^3 + x scaled by u = 5; a_5 = 2 needs the minimal model
+        # y^2 = x^3 + 625 x is y^2 = x^3 + x scaled by u = 5, and is stored as the latter
         got = an_list(CurveSpec(625, 0), 30)
         assert got == an_list(CurveSpec(1, 0), 30)
         assert got[5] == 2
