@@ -167,7 +167,6 @@ class TestAnList:
         # CM (2 is inert in Z[w]), and 0 by counting points on a model of
         # A_19 with good reduction at 2
         model = (0, 9, 9, 27, -2430)
-        assert _invariants(model)[-1] % 2 != 0
         assert an_list(curve_ap(19), 2)[2] == 0 == _aq_enumerate(model, 2)
         a = an_list(curve_ap(19), 10)
         assert a[3] == 0 and a[19 // 19 * 9] == 0  # bad primes 3, 19
@@ -216,6 +215,17 @@ class TestConductor:
         for p in (17, 89):
             N = conductor(curve_ep(p))
             assert N % p ** 2 == 0 and N % p ** 3 != 0
+
+    def test_ap_minimal_model_good_at_2(self):
+        # y^2 = x^3 - 432*19^2 has even discriminant, but it is the model
+        # (0, 9, 9, 27, -2430) scaled by u = 2, whose discriminant is odd
+        model = (0, 9, 9, 27, -2430)
+        c4, c6, delta = _invariants(model)[4:]
+        C4, C6, DELTA = _invariants(curve_ap(19).ainvs)[4:]
+        assert (C4, C6, DELTA) == (c4 * 2 ** 4, c6 * 2 ** 6, delta * 2 ** 12)
+        assert DELTA % 2 == 0 and delta % 2 != 0
+        assert conductor_exponent(curve_ap(19).ainvs, 2) == 0 == conductor_exponent(model, 2)
+        assert conductor(curve_ap(19)) % 2 != 0
 
     def test_minimal_at_primes_above_3(self):
         # A is stored modulo 4th powers and B modulo 6th powers
