@@ -295,6 +295,10 @@ def _cmd_verify(args) -> int:
     if args.max_n < 0:
         print(f"verify: error: --max-n must be >= 0, got {args.max_n}", file=sys.stderr)
         return EXIT_USAGE
+    if args.precision < maass.MIN_PRECISION:
+        print(f"verify: error: --precision must be >= {maass.MIN_PRECISION}, got {args.precision}",
+              file=sys.stderr)
+        return EXIT_USAGE
     rows = []
     ok_all = True
     try:

@@ -1,9 +1,11 @@
 """Numerical L-value oracle for y^2 = x^3 + A x and y^2 = x^3 + B.
 
 Computes a_q from complex multiplication (a Cornacchia decomposition of q and
-a quartic or sextic residue symbol, O(log q)); the conductor by Tate's
-algorithm, L(E, 1) by the rapidly convergent exponential sum (sign +1
-curves), and the normalized central value S_p.  Everything here is
+a quartic or sextic residue symbol, O(log q)); the conductor by a closed rule
+for the stored CM shape (a 2-adic and a 3-adic valuation and one residue each,
+and q^2 at every prime q >= 5 dividing A or B; Tate's algorithm is its
+reference in the tests), L(E, 1) by the rapidly convergent exponential sum
+(sign +1 curves), and the normalized central value S_p.  Everything here is
 independent of the recurrence machinery, so agreement between the two is a
 real cross-check.
 """
@@ -12,13 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from ._primality import is_prime, primes_in
-
-_BIG = 10 ** 9  # stand-in valuation of 0
 
 # Real periods of y^2 = x^3 + x and of x^3 + y^3 = 1 (its y^2 = x^3 - 432 model
 # has real period OMEGA_A / 2).
@@ -31,7 +30,7 @@ class BadReductionError(ValueError):
 
 
 class FactorizationError(ArithmeticError):
-    """The discriminant could not be factored: its cofactor after trial division is not a prime power."""
+    """A or B could not be factored: its cofactor after trial division is not a prime power."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -53,10 +52,6 @@ class CurveSpec:
 
     A: int
     B: int
-
-    @property
-    def ainvs(self) -> tuple[int, int, int, int, int]:
-        return (0, 0, 0, self.A, self.B)
 
     @property
     def discriminant(self) -> int:
@@ -87,191 +82,6 @@ def curve_ap(p: int) -> CurveSpec:
     return CurveSpec(A=0, B=-432 * p * p)
 
 
-# ---------------------------------------------------------------------------
-# Tate's algorithm
-# ---------------------------------------------------------------------------
-
-def _val(n: int, q: int) -> int:
-    if n == 0:
-        return _BIG
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
-
-
-def _invariants(ai):
-    a1, a2, a3, a4, a6 = ai
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
-    delta = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    return b2, b4, b6, b8, c4, c6, delta
-
-
-def _transform(ai, r: int, s: int, t: int):
-    """x -> x + r, y -> y + s*x + t (unimodular change of Weierstrass coordinates)."""
-    a1, a2, a3, a4, a6 = ai
-    return (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1,
-    )
-
-
-def _rescale(ai, q: int):
-    """Divide a_i by q^i (step-11 restart); all divisions must be exact."""
-    a1, a2, a3, a4, a6 = ai
-    for a, e in ((a1, 1), (a2, 2), (a3, 3), (a4, 4), (a6, 6)):
-        if a % q ** e:
-            raise ArithmeticError("rescale reached with non-divisible coefficients")
-    return (a1 // q, a2 // q ** 2, a3 // q ** 3, a4 // q ** 4, a6 // q ** 6)
-
-
-def _exact_div(a: int, d: int) -> int:
-    if a % d:
-        raise ArithmeticError(f"expected {d} | {a}; a valuation invariant was violated")
-    return a // d
-
-
-def _singular_point(ai, q: int) -> tuple[int, int]:
-    """The unique singular point of the reduction mod q (q in {2, 3}), brute force."""
-    a1, a2, a3, a4, a6 = ai
-    for x in range(q):
-        for y in range(q):
-            f = y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)
-            fx = a1 * y - (3 * x * x + 2 * a2 * x + a4)
-            fy = 2 * y + a1 * x + a3
-            if f % q == 0 and fx % q == 0 and fy % q == 0:
-                return x, y
-    raise ArithmeticError("no singular point found for a curve with bad reduction")
-
-
-def _double_root(coeffs, q: int):
-    """Double root in F_q of a quadratic/cubic given by ascending coeffs, or None."""
-    der = [k * c for k, c in enumerate(coeffs)][1:]
-    for r in range(q):
-        pr = sum(c * r ** k for k, c in enumerate(coeffs)) % q
-        dr = sum(c * r ** k for k, c in enumerate(der)) % q
-        if pr == 0 and dr == 0:
-            return r
-    return None
-
-
-def _is_triple_root(coeffs, q: int, r: int) -> bool:
-    """Whether the monic cubic equals (T - r)^3 mod q."""
-    c0, c1, c2, c3 = coeffs
-    return (
-        (c2 + 3 * r) % q == 0
-        and (c1 - 3 * r * r) % q == 0
-        and (c0 + r ** 3) % q == 0
-    )
-
-
-def _normalize_step6(ai, q: int):
-    """Find y -> y + s*x + t giving q|a1,a2, q^2|a3,a4, q^3|a6 (small search)."""
-    for s in range(q):
-        for t in range(q * q):
-            cand = _transform(ai, 0, s, t)
-            a1, a2, a3, a4, a6 = cand
-            if (
-                a1 % q == 0
-                and a2 % q == 0
-                and a3 % (q * q) == 0
-                and a4 % (q * q) == 0
-                and a6 % q ** 3 == 0
-            ):
-                return cand
-    raise ArithmeticError("normalization before the cubic test failed")
-
-
-def _tate_small(ai, q: int) -> int:
-    """Conductor exponent at q in {2, 3}."""
-    while True:
-        _, _, b6, b8, c4, _, delta = _invariants(ai)
-        n = _val(delta, q)
-        if n == 0:
-            return 0
-        if _val(c4, q) == 0:
-            return 1  # multiplicative, type I_n
-        x0, y0 = _singular_point(ai, q)
-        ai = _transform(ai, x0, 0, y0)
-        a1, a2, a3, a4, a6 = ai
-        _, _, b6, b8, c4, _, delta = _invariants(ai)
-        if _val(a6, q) < 2:
-            return n  # type II
-        if _val(b8, q) < 3:
-            return n - 1  # type III
-        if _val(b6, q) < 3:
-            return n - 2  # type IV
-        ai = _normalize_step6(ai, q)
-        a1, a2, a3, a4, a6 = ai
-        cubic = [_exact_div(a6, q ** 3), _exact_div(a4, q ** 2), _exact_div(a2, q), 1]
-        dbl = _double_root(cubic, q)
-        if dbl is None:
-            return n - 4  # type I_0*
-        if not _is_triple_root(cubic, q, dbl):
-            # type I_m*: walk the chain of quadratics
-            ai = _transform(ai, q * dbl, 0, 0)
-            m = 1
-            while m <= n:
-                a1, a2, a3, a4, a6 = ai
-                j = (m + 1) // 2
-                if m % 2 == 1:
-                    quad = [-_exact_div(a6, q ** (2 * j + 2)), _exact_div(a3, q ** (j + 1)), 1]
-                    root = _double_root(quad, q)
-                    if root is None:
-                        return n - 4 - m
-                    ai = _transform(ai, 0, 0, q ** (j + 1) * root)
-                else:
-                    quad = [_exact_div(a6, q ** (2 * j + 3)), _exact_div(a4, q ** (j + 2)), _exact_div(a2, q)]
-                    root = _double_root(quad, q)
-                    if root is None:
-                        return n - 4 - m
-                    ai = _transform(ai, q ** (j + 1) * root, 0, 0)
-                m += 1
-            raise ArithmeticError("unbounded chain of double roots; valuation bookkeeping broken")
-        else:
-            ai = _transform(ai, q * dbl, 0, 0)
-            a1, a2, a3, a4, a6 = ai
-            quad = [-_exact_div(a6, q ** 4), _exact_div(a3, q ** 2), 1]
-            root = _double_root(quad, q)
-            if root is None:
-                return n - 6  # type IV*
-            ai = _transform(ai, 0, 0, q * q * root)
-            a1, a2, a3, a4, a6 = ai
-            if _val(a4, q) < 4:
-                return n - 7  # type III*
-            if _val(a6, q) < 6:
-                return n - 8  # type II*
-            ai = _rescale(ai, q)  # non-minimal: restart one level down
-
-
-def _tate_large(ai, q: int) -> int:
-    """Conductor exponent at q >= 5 from the (c4, c6) pair alone."""
-    _, _, _, _, c4, c6, delta = _invariants(ai)
-    while _val(delta, q) >= 12 and _val(c4, q) >= 4 and _val(c6, q) >= 6:
-        c4 //= q ** 4
-        c6 //= q ** 6
-        delta //= q ** 12
-    if _val(delta, q) == 0:
-        return 0
-    return 1 if _val(c4, q) == 0 else 2
-
-
-def conductor_exponent(ainvs, q: int) -> int:
-    """Local conductor exponent f_q of the curve with the given a-invariants."""
-    if q in (2, 3):
-        return _tate_small(tuple(ainvs), q)
-    return _tate_large(tuple(ainvs), q)
-
-
 def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) exactly, for n >= 0 and k >= 1 (integer Newton iteration from above)."""
     if n < 2:
@@ -284,13 +94,13 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _bad_primes(delta: int) -> list[int]:
-    """Prime factorization support of the discriminant (small primes, then a prime-power cofactor).
+def _bad_primes(c: int) -> list[int]:
+    """The primes dividing the curve coefficient c = A or B (small primes, then a prime-power cofactor).
 
     For y^2 = x^3 + p x and x^3 + y^3 = p the cofactor left after trial
-    division is p^3 or p^4 once p exceeds the trial bound.
+    division is p or p^2 once p exceeds the trial bound.
     """
-    d = abs(delta)
+    d = abs(c)
     out = []
     for q in range(2, 1000):
         if q * q > d:
@@ -306,21 +116,46 @@ def _bad_primes(delta: int) -> list[int]:
                 out.append(root)
                 break
         else:
-            raise FactorizationError("discriminant has a large composite cofactor; out of supported range")
+            raise FactorizationError(f"curve coefficient {c} has a large composite cofactor; "
+                                     "out of supported range")
     return sorted(set(out))
 
 
-@lru_cache(maxsize=None)
-def _conductor_from_ainvs(ainvs) -> int:
-    delta = _invariants(ainvs)[-1]
-    N = 1
-    for q in _bad_primes(delta):
-        N *= q ** conductor_exponent(ainvs, q)
-    return N
+def _split(c: int, q: int) -> tuple[int, int]:
+    """(e, u) with c = q^e u and q not dividing u (c != 0)."""
+    e = 0
+    while c % q == 0:
+        c //= q
+        e += 1
+    return e, c
 
 
 def conductor(curve: CurveSpec) -> int:
-    return _conductor_from_ainvs(curve.ainvs)
+    """Conductor 2^e2 3^e3 prod q^2 of the stored CM shape, over the primes q >= 5 dividing A or B.
+
+    With c = q^e u at q = 2 or 3 (q not dividing u):
+    y^2 = x^3 + A x has e2 = 8 for odd e, else 6 if (-1)^(e/2) u = 1 mod 4,
+    else 5; and e3 = 2 if 3 | A, else 0.
+    y^2 = x^3 + B has e2 = 6 for odd e, else 4 if u = 3 mod 4, else 0 if
+    e = 4, else 2; and e3 = 5 if 3 does not divide e, else 2 if u = +-1 mod 9,
+    else 3.
+    """
+    if curve.B == 0:
+        c = curve.A
+        e, u = _split(c, 2)
+        e2 = 8 if e % 2 else 6 if (-1) ** (e // 2) * u % 4 == 1 else 5
+        e3 = 2 if c % 3 == 0 else 0
+    else:
+        c = curve.B
+        e, u = _split(c, 2)
+        e2 = 6 if e % 2 else 4 if u % 4 == 3 else 0 if e == 4 else 2
+        e, u = _split(c, 3)
+        e3 = 5 if e % 3 else 2 if u % 9 in (1, 8) else 3
+    N = 2 ** e2 * 3 ** e3
+    for q in _bad_primes(c):
+        if q >= 5:
+            N *= q * q
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +274,7 @@ def an_list(curve: CurveSpec, M: int) -> list[int]:
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    N = _conductor_from_ainvs(curve.ainvs)
+    N = conductor(curve)
     a = [0] * (M + 1)
     a[1] = 1
     if M == 1:
@@ -558,6 +393,9 @@ def sp(p: int, tol: float = 1e-8, family: str = "Ep") -> LValueReport:
         scale = 2.0 * p ** (1.0 / 3.0) / OMEGA_A
     else:
         raise ValueError(f"unknown family {family!r}")
+    if math.isfinite(tol) and 10.0 * tol >= 0.5:  # l1_detail refuses a non-finite tol
+        raise ValueError(f"tolerance {tol} is too large: converged means a residual below 10 * tol, "
+                         "and every real S_p is within 1/2 of an integer")
     value, terms, bound = l1_detail(curve, tol)
     s_real = scale * value
     s_rounded = int(round(s_real))

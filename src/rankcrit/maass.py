@@ -31,6 +31,7 @@ from .recurrences import F_E, X_A, Y_A, Z_A, generate
 
 _GUARD = 40          # guard bits on top of the requested precision
 _GAMMA_GUARD = 140   # extra bits when evaluating gamma-function periods
+MIN_PRECISION = 64   # smallest supported working precision, in bits
 
 CM_I = "i"
 CM_OMEGA = "omega"
@@ -177,8 +178,8 @@ def hermite(n: int, x) -> mpf:
 
 def ms_derivative(series: Series, weight, h: int, z, precision: int = 256) -> mpc:
     """Order-h Maass-Shimura derivative of the series at z (weight as given)."""
-    if precision < 64:
-        raise PrecisionError("precision below 64 bits is not supported")
+    if precision < MIN_PRECISION:
+        raise PrecisionError(f"precision below {MIN_PRECISION} bits is not supported")
     if h < 0:
         raise ValueError("derivative order must be >= 0")
     weight = Fraction(weight)

@@ -169,11 +169,6 @@ def normalize_to_t(F_n: ThetaPolynomial, n: int) -> tuple:
     return trim(out)
 
 
-def rederive_f(n: int) -> tuple:
-    """f_n by the theta-ring route; equals generate(F_E, n) when all is well."""
-    return normalize_to_t(vz_sequence(n)[n], n)
-
-
 def cross_check(max_n: int) -> list[tuple[int, bool]]:
     """Per-n agreement of the theta-ring route against the univariate recurrence."""
     from .recurrences import generate

@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from rankcrit import lseries
+from rankcrit import lseries, maass
 from rankcrit._primality import is_prime
 from rankcrit.cli import _cache_key, main
 
@@ -207,8 +208,13 @@ class TestOracle:
         assert code == 1 and out == ""
         assert f"tolerance {tol} is not a finite number" in err
 
+    def test_large_tol_usage_error(self, capsys):
+        code, out, err = run(capsys, "oracle", "--p", "73", "--tol", "5", "--no-cache", "--format", "json")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "tolerance 5.0 is too large" in err
+
     def test_unfactorable_discriminant_is_internal_error(self, capsys, monkeypatch):
-        # (1009 * 1013)^3 is left after trial division and is not a prime power
+        # A = 1009 * 1013 is left after trial division and is not a prime power
         monkeypatch.setattr(lseries, "curve_ep", lambda p: lseries.CurveSpec(A=1009 * 1013, B=0))
         code, out, err = run(capsys, "oracle", "--p", "17", "--no-cache", "--format", "json")
         assert code == 2 and out == ""
@@ -273,3 +279,19 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *mode, "--max-n", "-1", "--format", "json")
         assert code == 1 and out == ""
         assert "--max-n must be >= 0" in err
+
+    @pytest.mark.parametrize("mode", [["--symbolic"], ["--thm", "3"], ["--thm", "4"], ["--thm", "5"], ["--thm", "6"]])
+    def test_low_precision_usage_error(self, capsys, mode):
+        code, out, err = run(capsys, "verify", *mode, "--precision", "10", "--format", "json")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--precision must be >= 64, got 10" in err
+
+    def test_series_past_term_limit_is_nonconvergence(self, capsys, monkeypatch):
+        def endless():
+            while True:
+                yield Fraction(0), 1
+
+        monkeypatch.setitem(maass._IDENTITIES, "f", maass._IDENTITIES["f"]._replace(series=endless))
+        code, out, err = run(capsys, "verify", "--thm", "5", "--max-n", "0", "--format", "json")
+        assert code == 3 and out == ""
+        assert "did not reach the truncation threshold" in err

@@ -5,7 +5,8 @@ The weight-1 Hecke value attached to each CM curve equals the curve's own
 L(1).  One side comes from Laguerre-weighted theta sums at a CM point plus
 gamma-function periods; the other from traces of Frobenius (integer
 arithmetic in Z[i] or Z[omega], pinned to finite-field character sums in
-test_lseries), Tate's algorithm, and the functional-equation exponential sum.  They share no code
+test_lseries), the CM-shape conductor rule (pinned to Tate's algorithm in
+test_lseries), and the functional-equation exponential sum.  They share no code
 below the Python runtime, so agreement here validates both stacks at once.
 """
 

@@ -11,12 +11,10 @@ from rankcrit.lseries import (
     OMEGA_E,
     BadReductionError,
     CurveSpec,
-    _invariants,
     _sieve_spf,
     an_list,
     ap,
     conductor,
-    conductor_exponent,
     curve_ap,
     curve_ep,
     l1,
@@ -24,6 +22,215 @@ from rankcrit.lseries import (
     sp,
 )
 from ._util import primes_leq
+
+
+_BIG = 10 ** 9  # stand-in valuation of 0
+
+
+# ---------------------------------------------------------------------------
+# Tate's algorithm, the reference for conductor()
+# ---------------------------------------------------------------------------
+
+def _val(n: int, q: int) -> int:
+    if n == 0:
+        return _BIG
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v
+
+
+def _invariants(ai):
+    a1, a2, a3, a4, a6 = ai
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
+    delta = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, delta
+
+
+def _transform(ai, r: int, s: int, t: int):
+    """x -> x + r, y -> y + s*x + t (unimodular change of Weierstrass coordinates)."""
+    a1, a2, a3, a4, a6 = ai
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1,
+    )
+
+
+def _rescale(ai, q: int):
+    """Divide a_i by q^i (step-11 restart); all divisions must be exact."""
+    a1, a2, a3, a4, a6 = ai
+    for a, e in ((a1, 1), (a2, 2), (a3, 3), (a4, 4), (a6, 6)):
+        if a % q ** e:
+            raise ArithmeticError("rescale reached with non-divisible coefficients")
+    return (a1 // q, a2 // q ** 2, a3 // q ** 3, a4 // q ** 4, a6 // q ** 6)
+
+
+def _exact_div(a: int, d: int) -> int:
+    if a % d:
+        raise ArithmeticError(f"expected {d} | {a}; a valuation invariant was violated")
+    return a // d
+
+
+def _singular_point(ai, q: int) -> tuple[int, int]:
+    """The unique singular point of the reduction mod q (q in {2, 3}), brute force."""
+    a1, a2, a3, a4, a6 = ai
+    for x in range(q):
+        for y in range(q):
+            f = y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)
+            fx = a1 * y - (3 * x * x + 2 * a2 * x + a4)
+            fy = 2 * y + a1 * x + a3
+            if f % q == 0 and fx % q == 0 and fy % q == 0:
+                return x, y
+    raise ArithmeticError("no singular point found for a curve with bad reduction")
+
+
+def _double_root(coeffs, q: int):
+    """Double root in F_q of a quadratic/cubic given by ascending coeffs, or None."""
+    der = [k * c for k, c in enumerate(coeffs)][1:]
+    for r in range(q):
+        pr = sum(c * r ** k for k, c in enumerate(coeffs)) % q
+        dr = sum(c * r ** k for k, c in enumerate(der)) % q
+        if pr == 0 and dr == 0:
+            return r
+    return None
+
+
+def _is_triple_root(coeffs, q: int, r: int) -> bool:
+    """Whether the monic cubic equals (T - r)^3 mod q."""
+    c0, c1, c2, c3 = coeffs
+    return (
+        (c2 + 3 * r) % q == 0
+        and (c1 - 3 * r * r) % q == 0
+        and (c0 + r ** 3) % q == 0
+    )
+
+
+def _normalize_step6(ai, q: int):
+    """Find y -> y + s*x + t giving q|a1,a2, q^2|a3,a4, q^3|a6 (small search)."""
+    for s in range(q):
+        for t in range(q * q):
+            cand = _transform(ai, 0, s, t)
+            a1, a2, a3, a4, a6 = cand
+            if (
+                a1 % q == 0
+                and a2 % q == 0
+                and a3 % (q * q) == 0
+                and a4 % (q * q) == 0
+                and a6 % q ** 3 == 0
+            ):
+                return cand
+    raise ArithmeticError("normalization before the cubic test failed")
+
+
+def _tate_small(ai, q: int) -> int:
+    """Conductor exponent at q in {2, 3}."""
+    while True:
+        _, _, b6, b8, c4, _, delta = _invariants(ai)
+        n = _val(delta, q)
+        if n == 0:
+            return 0
+        if _val(c4, q) == 0:
+            return 1  # multiplicative, type I_n
+        x0, y0 = _singular_point(ai, q)
+        ai = _transform(ai, x0, 0, y0)
+        a1, a2, a3, a4, a6 = ai
+        _, _, b6, b8, c4, _, delta = _invariants(ai)
+        if _val(a6, q) < 2:
+            return n  # type II
+        if _val(b8, q) < 3:
+            return n - 1  # type III
+        if _val(b6, q) < 3:
+            return n - 2  # type IV
+        ai = _normalize_step6(ai, q)
+        a1, a2, a3, a4, a6 = ai
+        cubic = [_exact_div(a6, q ** 3), _exact_div(a4, q ** 2), _exact_div(a2, q), 1]
+        dbl = _double_root(cubic, q)
+        if dbl is None:
+            return n - 4  # type I_0*
+        if not _is_triple_root(cubic, q, dbl):
+            # type I_m*: walk the chain of quadratics
+            ai = _transform(ai, q * dbl, 0, 0)
+            m = 1
+            while m <= n:
+                a1, a2, a3, a4, a6 = ai
+                j = (m + 1) // 2
+                if m % 2 == 1:
+                    quad = [-_exact_div(a6, q ** (2 * j + 2)), _exact_div(a3, q ** (j + 1)), 1]
+                    root = _double_root(quad, q)
+                    if root is None:
+                        return n - 4 - m
+                    ai = _transform(ai, 0, 0, q ** (j + 1) * root)
+                else:
+                    quad = [_exact_div(a6, q ** (2 * j + 3)), _exact_div(a4, q ** (j + 2)), _exact_div(a2, q)]
+                    root = _double_root(quad, q)
+                    if root is None:
+                        return n - 4 - m
+                    ai = _transform(ai, q ** (j + 1) * root, 0, 0)
+                m += 1
+            raise ArithmeticError("unbounded chain of double roots; valuation bookkeeping broken")
+        else:
+            ai = _transform(ai, q * dbl, 0, 0)
+            a1, a2, a3, a4, a6 = ai
+            quad = [-_exact_div(a6, q ** 4), _exact_div(a3, q ** 2), 1]
+            root = _double_root(quad, q)
+            if root is None:
+                return n - 6  # type IV*
+            ai = _transform(ai, 0, 0, q * q * root)
+            a1, a2, a3, a4, a6 = ai
+            if _val(a4, q) < 4:
+                return n - 7  # type III*
+            if _val(a6, q) < 6:
+                return n - 8  # type II*
+            ai = _rescale(ai, q)  # non-minimal: restart one level down
+
+
+def _tate_large(ai, q: int) -> int:
+    """Conductor exponent at q >= 5 from the (c4, c6) pair alone."""
+    _, _, _, _, c4, c6, delta = _invariants(ai)
+    while _val(delta, q) >= 12 and _val(c4, q) >= 4 and _val(c6, q) >= 6:
+        c4 //= q ** 4
+        c6 //= q ** 6
+        delta //= q ** 12
+    if _val(delta, q) == 0:
+        return 0
+    return 1 if _val(c4, q) == 0 else 2
+
+
+def conductor_exponent(ainvs, q: int) -> int:
+    """Local conductor exponent f_q of the curve with the given a-invariants."""
+    if q in (2, 3):
+        return _tate_small(tuple(ainvs), q)
+    return _tate_large(tuple(ainvs), q)
+
+
+def _ainvs(curve: CurveSpec) -> tuple[int, int, int, int, int]:
+    return (0, 0, 0, curve.A, curve.B)
+
+
+def _tate_conductor(curve: CurveSpec) -> int:
+    """Product of the Tate exponents at 2, 3 and every prime dividing A or B (by trial division)."""
+    c = abs(curve.A or curve.B)
+    qs, q = {2, 3}, 2
+    while q * q <= c:
+        while c % q == 0:
+            qs.add(q)
+            c //= q
+        q += 1
+    if c > 1:
+        qs.add(c)
+    N = 1
+    for q in qs:
+        N *= q ** conductor_exponent(_ainvs(curve), q)
+    return N
 
 
 def _aq_char_sum(ainvs, q: int) -> int:
@@ -64,7 +271,7 @@ class TestAp:
             for q in primes_leq(60):
                 if q == 2 or curve.discriminant % q == 0:
                     continue
-                assert ap(curve, q) == _aq_enumerate(curve.ainvs, q), (curve, q)
+                assert ap(curve, q) == _aq_enumerate(_ainvs(curve), q), (curve, q)
 
     def test_hasse_bound(self):
         curve = curve_ep(97)
@@ -102,7 +309,7 @@ class TestCMTraces:
             for q in primes_leq(3000):
                 if q == 2 or curve.discriminant % q == 0:
                     continue
-                assert ap(curve, q) == _aq_char_sum(curve.ainvs, q), (curve, q)
+                assert ap(curve, q) == _aq_char_sum(_ainvs(curve), q), (curve, q)
                 checked += 1
         assert checked > 6500
 
@@ -196,6 +403,18 @@ class TestConductor:
             if got is not None:
                 assert got == want
 
+    def test_cm_rule_matches_tate(self):
+        # every CM shape with 0 < |c| <= 3000: all residues of u mod 4 and 9
+        # and every valuation e the stored shape allows at 2 and 3
+        checked = 0
+        for c in range(-3000, 3001):
+            if c == 0:
+                continue
+            for curve in (CurveSpec(c, 0), CurveSpec(0, c)):
+                assert conductor(curve) == _tate_conductor(curve), curve
+                checked += 1
+        assert checked == 12000
+
     def test_ep_shape(self):
         # every admissible p <= 10^4 (295 primes); p >= 1000 leaves the cofactor
         # p^3 after trial division of the discriminant
@@ -221,10 +440,10 @@ class TestConductor:
         # (0, 9, 9, 27, -2430) scaled by u = 2, whose discriminant is odd
         model = (0, 9, 9, 27, -2430)
         c4, c6, delta = _invariants(model)[4:]
-        C4, C6, DELTA = _invariants(curve_ap(19).ainvs)[4:]
+        C4, C6, DELTA = _invariants(_ainvs(curve_ap(19)))[4:]
         assert (C4, C6, DELTA) == (c4 * 2 ** 4, c6 * 2 ** 6, delta * 2 ** 12)
         assert DELTA % 2 == 0 and delta % 2 != 0
-        assert conductor_exponent(curve_ap(19).ainvs, 2) == 0 == conductor_exponent(model, 2)
+        assert conductor_exponent(_ainvs(curve_ap(19)), 2) == 0 == conductor_exponent(model, 2)
         assert conductor(curve_ap(19)) % 2 != 0
 
     def test_minimal_at_primes_above_3(self):
@@ -245,8 +464,6 @@ class TestConductor:
         # f_q cannot depend on the chosen integral model; random unimodular
         # changes of variables exercise every classification branch.
         import random
-
-        from rankcrit.lseries import _invariants, _transform
 
         rng = random.Random(3)
         checked = 0
@@ -322,6 +539,13 @@ class TestSp:
             sp(7, 1e-8)
         with pytest.raises(ValueError):
             sp(17, 1e-8, family="Ap")
+
+    @pytest.mark.parametrize("tol", [5.0, 0.05])
+    def test_rejects_tol_that_makes_converged_vacuous(self, tol):
+        # residual <= 1/2 always, so residual < 10 * tol would hold for any real S_p
+        with pytest.raises(ValueError, match="too large"):
+            sp(73, tol)
+        assert sp(73, 0.049).converged
 
     def test_speed(self):
         t0 = time.perf_counter()

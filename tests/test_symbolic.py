@@ -12,7 +12,6 @@ from rankcrit.symbolic import (
     ThetaPolynomial,
     cross_check,
     normalize_to_t,
-    rederive_f,
     rs_derivation,
     vz_sequence,
 )
@@ -101,7 +100,7 @@ class TestEndToEnd:
         assert all(ok for _, ok in cross_check(12))
 
     def test_rederive_single(self):
-        assert rederive_f(7) == generate(F_E, 7)
+        assert normalize_to_t(vz_sequence(7)[7], 7) == generate(F_E, 7)
 
     def test_e4_is_homogeneous_weight_4(self):
         assert E4.total_degree() == 8
