@@ -191,6 +191,7 @@ def _cmd_oracle(args) -> int:
     record, stale = None, False
     cache = _cache_path(args)
     if not args.no_cache:
+        lseries.sp_curve(args.p, args.tol, args.family)  # refuse what sp refuses before the cache answers
         record, stale = _cache_lookup(cache, key)
     if record is None:
         try:

@@ -334,6 +334,13 @@ def l1(curve: CurveSpec, tol: float = 1e-8) -> float:
     return value
 
 
+def _check_tol(tol: float) -> None:
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance {tol} is not a finite number")
+    if tol < 1e-12:
+        raise ValueError("tolerance below 1e-12 is not achievable in double precision")
+
+
 def l1_detail(curve: CurveSpec, tol: float = 1e-8) -> tuple[float, int, float]:
     """(L(1), term count, tail bound); assumes functional-equation sign +1.
 
@@ -341,10 +348,7 @@ def l1_detail(curve: CurveSpec, tol: float = 1e-8) -> tuple[float, int, float]:
     independence of the split parameter t is asserted, which catches a wrong
     conductor or sign instead of silently returning garbage.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"tolerance {tol} is not a finite number")
-    if tol < 1e-12:
-        raise ValueError("tolerance below 1e-12 is not achievable in double precision")
+    _check_tol(tol)
     N = conductor(curve)
     M = _term_count(N, tol)
     coeffs = np.array(an_list(curve, M), dtype=np.float64)[1:]
@@ -379,8 +383,9 @@ class LValueReport:
         return asdict(self)
 
 
-def sp(p: int, tol: float = 1e-8, family: str = "Ep") -> LValueReport:
-    """Normalized central value: S = 2 p^{1/4} L(1) / Omega_E (Ep) or 2 p^{1/3} L(1) / Omega_A (Ap)."""
+def sp_curve(p: int, tol: float = 1e-8, family: str = "Ep") -> tuple[CurveSpec, float]:
+    """(curve, scale) behind sp(p, tol, family); ValueError, before any L-value work,
+    for an inadmissible p, an unknown family or a tolerance sp cannot honour."""
     if family == "Ep":
         if p % 16 not in (1, 9) or not is_prime(p):
             raise ValueError(f"p = {p} is not admissible for Ep (need a prime = 1, 9 mod 16)")
@@ -393,9 +398,16 @@ def sp(p: int, tol: float = 1e-8, family: str = "Ep") -> LValueReport:
         scale = 2.0 * p ** (1.0 / 3.0) / OMEGA_A
     else:
         raise ValueError(f"unknown family {family!r}")
-    if math.isfinite(tol) and 10.0 * tol >= 0.5:  # l1_detail refuses a non-finite tol
+    _check_tol(tol)
+    if 10.0 * tol >= 0.5:
         raise ValueError(f"tolerance {tol} is too large: converged means a residual below 10 * tol, "
                          "and every real S_p is within 1/2 of an integer")
+    return curve, scale
+
+
+def sp(p: int, tol: float = 1e-8, family: str = "Ep") -> LValueReport:
+    """Normalized central value: S = 2 p^{1/4} L(1) / Omega_E (Ep) or 2 p^{1/3} L(1) / Omega_A (Ap)."""
+    curve, scale = sp_curve(p, tol, family)
     value, terms, bound = l1_detail(curve, tol)
     s_real = scale * value
     s_rounded = int(round(s_real))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,17 @@ class TestOracle:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "tolerance 5.0 is too large" in err
 
+    @pytest.mark.parametrize("p, tol, message", [(73, 5.0, "tolerance 5.0 is too large"),
+                                                  (71, 1e-8, "p = 71 is not admissible")])
+    def test_refused_query_is_not_served_from_cache(self, capsys, tmp_path, p, tol, message):
+        cache = tmp_path / "cache.jsonl"
+        planted = {"key": _cache_key("Ep", p, tol), "report": lseries.sp(73, 1e-8).as_record()}
+        cache.write_text(json.dumps(planted) + "\n")
+        code, out, err = run(capsys, "oracle", "--p", str(p), "--tol", repr(tol), "--format", "json",
+                             "--cache", str(cache))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and message in err
+
     def test_unfactorable_discriminant_is_internal_error(self, capsys, monkeypatch):
         # A = 1009 * 1013 is left after trial division and is not a prime power
         monkeypatch.setattr(lseries, "curve_ep", lambda p: lseries.CurveSpec(A=1009 * 1013, B=0))
@@ -269,6 +281,16 @@ class TestVerify:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert all(r["ok"] for r in rows)
         assert {r["k"] for r in rows if r.get("zero_by_construction")} == {3, 5, 6}
+
+    def test_speed(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--thm", "5", "--max-n", "32",
+                           "--precision", "1024", "--format", "json")
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(rows) == 33 and all(r["ok"] for r in rows)
+        assert elapsed < 1.5, f"verify --thm 5 at 1024 bits took {elapsed:.2f} s"
 
     def test_requires_mode(self, capsys):
         code, _, _ = run(capsys, "verify")

@@ -1,15 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from rankcrit import maass
 from rankcrit.maass import (
     CM_I,
     CM_OMEGA,
     ETA,
     THETA2,
     PrecisionError,
+    _hex_count,
+    _laguerre_guard,
+    _mpf_frac,
     e2star,
     hecke_value_A,
     hecke_value_A_from_theta_forms,
@@ -27,6 +32,25 @@ from rankcrit.maass import (
 )
 
 
+def _laguerre_mpf(h: int, alpha, x) -> mpf:
+    """L_h^alpha(x) by the three-term recurrence in mpf arithmetic, stable for x > 0;
+    the reference for the fixed-point ``laguerre``."""
+    a = _mpf_frac(alpha)
+    x = mpf(x)
+    if h == 0:
+        return mpf(1)
+    prev, cur = mpf(1), 1 + a - x
+    for m in range(1, h):
+        prev, cur = cur, ((2 * m + 1 + a - x) * cur - (m + a) * prev) / (m + 1)
+    return cur
+
+
+# every weight - 1 the series use: theta2, eta (-1/2), theta_hex (0), eta^3 (1/2), E2 (1)
+_ALPHAS = (Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
+# 2000 is past the largest 4 pi y mu the thm 5 series reaches at 1024 bits before truncation
+_XS = ("0.01", "0.7", "9.5", "120", "2000")
+
+
 class TestLaguerre:
     def test_h0_is_one(self):
         with mp.workprec(100):
@@ -37,16 +61,49 @@ class TestLaguerre:
             x = mpf("1.25")
             assert abs(laguerre(1, Fraction(-1, 2), x) - (mpf(1) / 2 - x)) < mpf(2) ** -90
 
+    @pytest.mark.parametrize("prec", [64, 256, 1064])
+    def test_grid_vs_defining_sum_and_mpf_recurrence(self, prec):
+        with mp.workprec(prec):
+            for h in (0, 1, 7, 31, 48, 64):
+                for alpha in _ALPHAS:
+                    for x in map(mpf, _XS):
+                        a = laguerre(h, alpha, x)
+                        b = laguerre_sum(h, alpha, x)
+                        assert abs(a - b) <= mpf(2) ** -(prec - 8) * max(1, abs(b)), (h, alpha, x)
+                        with mp.workprec(prec + 32):  # mpf steps lose up to ~10 bits at small x
+                            ref = _laguerre_mpf(h, alpha, x)
+                        assert abs(a - ref) <= mpf(2) ** -(prec - 8) * max(1, abs(ref)), (h, alpha, x)
+
     def test_recurrence_vs_defining_sum(self):
         rng = random.Random(42)
         with mp.workprec(200):
             for _ in range(60):
-                h = rng.randint(0, 30)
-                alpha = rng.choice([Fraction(-1, 2), Fraction(0), Fraction(1, 2)])
-                x = mpf(rng.uniform(1e-2, 50.0))
+                h = rng.randint(0, 64)
+                alpha = rng.choice(_ALPHAS)
+                x = mpf(rng.uniform(1e-2, 2000.0))
                 a = laguerre(h, alpha, x)
                 b = laguerre_sum(h, alpha, x)
-                assert abs(a - b) <= mpf(2) ** -192 * max(1, abs(b))
+                assert abs(a - b) <= mpf(2) ** -192 * max(1, abs(b)), (h, alpha, x)
+
+    def test_guard(self):
+        assert [_laguerre_guard(h) for h in (0, 1, 2, 63, 64)] == [8, 10, 12, 20, 22]
+
+    def test_guard_is_needed(self, monkeypatch):
+        # the floors of 64 steps at small x add up past 2^8 units without the guard
+        with mp.workprec(64):
+            x = mpf("0.01")
+            b = laguerre_sum(64, 0, x)
+            assert abs(laguerre(64, 0, x) - b) <= mpf(2) ** -56 * max(1, abs(b))
+            monkeypatch.setattr(maass, "_laguerre_guard", lambda h: 0)
+            assert abs(laguerre(64, 0, x) - b) > mpf(2) ** -56 * max(1, abs(b))
+
+    def test_result_at_working_precision(self):
+        with mp.workprec(80):
+            assert laguerre(40, Fraction(1, 2), mpf("3.3")).man.bit_length() <= 80
+
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            laguerre(-1, Fraction(-1, 2), mpf(1))
 
 
 class TestHermite:
@@ -60,6 +117,10 @@ class TestHermite:
         with mp.workprec(80):
             assert hermite(4, mpf(1)) == -20  # 16 - 48 + 12
 
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            hermite(-1, mpf(1))
+
     def test_laguerre_hermite_identity(self):
         # H_{2n}(x) = (-4)^n n! L_n^{-1/2}(x^2) on a grid
         with mp.workprec(120):
@@ -72,6 +133,24 @@ class TestHermite:
                     lhs = hermite(2 * n, x)
                     rhs = mpf(-4) ** n * fact * laguerre(n, Fraction(-1, 2), x * x)
                     assert abs(lhs - rhs) <= mpf(2) ** -100 * max(1, abs(rhs)), (n, j)
+
+
+def _hex_counts_box(f_max: int) -> list[int]:
+    """#{(n, m) : n^2 + nm + m^2 = f} for f < f_max, counted over the whole box
+    |n|, |m| <= sqrt(4 f_max / 3) + 2 (n^2 + nm + m^2 >= 3n^2/4, and likewise for m)."""
+    counts = [0] * f_max
+    bound = math.isqrt(4 * f_max // 3) + 2
+    for n in range(-bound, bound + 1):
+        for m in range(-bound, bound + 1):
+            f = n * n + n * m + m * m
+            if f < f_max:
+                counts[f] += 1
+    return counts
+
+
+class TestHexCount:
+    def test_matches_box_count(self):
+        assert [_hex_count(f) for f in range(3000)] == _hex_counts_box(3000)
 
 
 class TestMsDerivative:
