@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyring import trim
-from .recurrences import F_E
+from .recurrences import F_E, generate_all
 
 
 class StructureError(ValueError):
@@ -136,47 +136,33 @@ def normalize_to_t(F_n: ThetaPolynomial, n: int) -> tuple:
     """Collapse F_n = sum c_j * th2^(4(n-j)+1) * th4^(4j) to 24^n * sum c_j (1+t)^j.
 
     The substitution is th4^4 = (1+t) * th2^4 followed by division by
-    th2^(4n+1); the result must have integer coefficients.
+    th2^(4n+1); the result must have integer coefficients.  The shift by
+    (1+t) is unimodular, so the 24^n c_j are checked for integrality before
+    it and the shift runs on ints.
     """
-    cs = [Fraction(0)] * (n + 1)
+    scale = 24 ** n
+    cs = [0] * (n + 1)
     for (i, j), c in F_n.terms:
         if j % 4 != 0:
             raise StructureError(f"exponent pair {(i, j)} has th4-exponent not divisible by 4")
         jj = j // 4
         if not (0 <= jj <= n) or i != 4 * (n - jj) + 1:
             raise StructureError(f"exponent pair {(i, j)} outside the expected lattice for n={n}")
-        cs[jj] += c
-
-    # 24^n * sum_j c_j (1+t)^j via repeated multiplication by (1+t)
-    acc = [Fraction(0)] * (n + 1)
-    for j in range(n, -1, -1):
-        # acc <- acc * (1+t) + c_j
-        nxt = [Fraction(0)] * (n + 1)
-        for k, v in enumerate(acc):
-            if v:
-                nxt[k] += v
-                if k + 1 <= n:
-                    nxt[k + 1] += v
-        nxt[0] += cs[j]
-        acc = nxt
-    scale = Fraction(24) ** n
-    out = []
-    for v in acc:
-        v = v * scale
+        v = c * scale
         if v.denominator != 1:
             raise StructureError(f"non-integer coefficient {v} after normalization")
-        out.append(int(v))
-    return trim(out)
+        cs[jj] = v.numerator
+
+    # Horner in (1+t): acc <- acc * (1+t) + 24^n c_j for j = n, ..., 0
+    acc = [0] * (n + 1)
+    for c in reversed(cs):
+        for k in range(n, 0, -1):
+            acc[k] += acc[k - 1]
+        acc[0] += c
+    return trim(acc)
 
 
 def cross_check(max_n: int) -> list[tuple[int, bool]]:
     """Per-n agreement of the theta-ring route against the univariate recurrence."""
-    from .recurrences import generate
-
-    seq = vz_sequence(max_n)
-    out = []
-    for n in range(max_n + 1):
-        lhs = normalize_to_t(seq[n], n)
-        rhs = generate(F_E, n)
-        out.append((n, lhs == rhs))
-    return out
+    rhs = generate_all(F_E, max_n)
+    return [(n, normalize_to_t(F, n) == rhs[n]) for n, F in enumerate(vz_sequence(max_n))]

@@ -292,6 +292,15 @@ class TestVerify:
         assert len(rows) == 33 and all(r["ok"] for r in rows)
         assert elapsed < 1.5, f"verify --thm 5 at 1024 bits took {elapsed:.2f} s"
 
+    def test_symbolic_speed(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--symbolic", "--max-n", "40", "--format", "json")
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert [r["n"] for r in rows] == list(range(41)) and all(r["match"] for r in rows)
+        assert elapsed < 1.5, f"verify --symbolic --max-n 40 took {elapsed:.2f} s"
+
     def test_requires_mode(self, capsys):
         code, _, _ = run(capsys, "verify")
         assert code == 1

@@ -1,17 +1,24 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from rankcrit import maass
 from rankcrit.maass import (
+    _GUARD,
     CM_I,
     CM_OMEGA,
+    E2,
     ETA,
+    ETA3Z_CUBED,
+    ETA_CUBED,
     THETA2,
+    THETA_HEX,
     PrecisionError,
+    _as_point,
     _hex_count,
     _laguerre_guard,
     _mpf_frac,
@@ -153,7 +160,63 @@ class TestHexCount:
         assert [_hex_count(f) for f in range(3000)] == _hex_counts_box(3000)
 
 
+def _ms_derivative_mpf(series, weight, h: int, z, precision: int) -> mpc:
+    """The series sum of ``ms_derivative`` in mpf arithmetic, one mp.exp per term;
+    the reference for the integer walk."""
+    weight = Fraction(weight)
+    with mp.workprec(precision + _GUARD):
+        zz = _as_point(z)
+        fourpiy = 4 * mp.pi * zz.imag
+        two_pi_i_z = 2 * mp.pi * mpc(0, 1) * zz
+        threshold = mpf(2) ** (-(precision + 10))
+        total = mpc(0)
+        small_streak = 0
+        for count, (mu, a) in enumerate(series()):
+            m = _mpf_frac(mu)
+            term = a * laguerre(h, weight - 1, fourpiy * m) * mp.exp(two_pi_i_z * m)
+            total += term
+            if abs(term) < threshold:
+                small_streak += 1
+                if small_streak >= 3 and count >= h + 3:
+                    break
+            else:
+                small_streak = 0
+        return mpf(-1) ** h * mp.factorial(h) / fourpiy ** h * total
+
+
+_SERIES = {
+    "theta2": (THETA2, Fraction(1, 2)),
+    "eta": (ETA, Fraction(1, 2)),
+    "eta^3": (ETA_CUBED, Fraction(3, 2)),
+    "eta(3z)^3": (ETA3Z_CUBED, Fraction(3, 2)),
+    "E2": (E2, 2),
+    "theta_hex": (THETA_HEX, 1),
+}
+
+
+class TestSeries:
+    @pytest.mark.parametrize("name", sorted(_SERIES))
+    def test_fraction_int_pairs_increasing(self, name):
+        # the exponential walk of ms_derivative needs increasing mu
+        terms = list(itertools.islice(_SERIES[name][0](), 300))
+        assert all(type(mu) is Fraction and type(a) is int for mu, a in terms)
+        assert all(mu0 < mu1 for (mu0, _), (mu1, _) in zip(terms, terms[1:]))
+
+
 class TestMsDerivative:
+    @pytest.mark.parametrize("prec", [64, 256, 1064])
+    def test_matches_mpf_sum(self, prec):
+        orders = (0, 1, 7, 32, 64) if prec <= 256 else (0, 1, 7, 32)
+        for name, (series, weight) in _SERIES.items():
+            for z in (CM_I, CM_OMEGA, 0.3 + 1.1j):
+                for h in orders:
+                    got = ms_derivative(series, weight, h, z, prec)
+                    ref = _ms_derivative_mpf(series, weight, h, z, prec)
+                    with mp.workprec(prec + _GUARD):
+                        y = _as_point(z).imag
+                        bound = mpf(2) ** -prec * max(abs(ref), mp.factorial(h) / (4 * mp.pi * y) ** h)
+                        assert abs(got - ref) <= bound, (name, z, h)
+
     def test_order_zero_is_plain_evaluation(self):
         # theta2(i) = 2 sum e^{-pi (m+1/2)^2}
         with mp.workprec(300):

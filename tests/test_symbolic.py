@@ -94,6 +94,11 @@ class TestNormalize:
         with pytest.raises(StructureError):
             normalize_to_t(bad, 1)
 
+    def test_non_integer_refused(self):
+        bad = ThetaPolynomial.from_dict({(5, 0): Fraction(1, 48)})
+        with pytest.raises(StructureError, match="non-integer coefficient 1/2 after normalization"):
+            normalize_to_t(bad, 1)
+
 
 class TestEndToEnd:
     def test_matches_recurrence_to_12(self):
