@@ -27,10 +27,6 @@ DEFAULT_PRECISION = 256
 DEFAULT_TOL = 1e-8
 DEFAULT_JOBS = os.cpu_count() or 1
 
-# thresholds used by `verify` to call a report ok; acceptance tests pin
-# their own (tighter or equal) tolerances independently.
-VERIFY_REL_TOL = 1e-15
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -230,6 +226,15 @@ def _emit_reports(args, rows: list[dict], ok_all: bool) -> int:
     return EXIT_OK if ok_all else EXIT_CROSSCHECK
 
 
+def _within_precision(err: float, precision: int) -> bool:
+    """`verify`'s one ok rule: an error of at most 2^-precision.
+
+    The acceptance tests pin fixed tolerances of their own, independently.
+    `<=` because past about 1074 bits the bound and an exact error both read 0.0.
+    """
+    return err <= 2.0 ** -precision
+
+
 def _symbolic_rows(args):
     for n, ok in symbolic.cross_check(args.max_n):
         yield {"n": n, "match": ok}, ok
@@ -238,7 +243,7 @@ def _symbolic_rows(args):
 def _thm5_rows(args):
     for N in range(args.max_n + 1):
         r = maass.verify_theta2_identity(N, args.precision)
-        ok = r.rel_error < VERIFY_REL_TOL
+        ok = _within_precision(r.rel_error, args.precision)
         yield {**r.as_record(), "ok": ok}, ok
 
 
@@ -248,9 +253,9 @@ def _thm6_rows(args):
         for case in ("x", "y", "z"):
             r = maass.verify_eta_identity(N, case, args.precision)
             if r.vanishing:
-                ok = r.numeric < (scale or 1.0) * 1e-18
+                ok = _within_precision(r.numeric / (scale or 1.0), args.precision)
             else:
-                ok = r.rel_error < VERIFY_REL_TOL
+                ok = _within_precision(r.rel_error, args.precision)
                 scale = r.numeric
             yield {**r.as_record(), "ok": ok}, ok
 
@@ -264,7 +269,7 @@ def _thm3_rows(args):
             yield {"k": k, "value": 0.0, "zero_by_construction": True, "ok": ok}, ok
         else:
             rel = float(abs(a - b) / abs(b))
-            ok = rel < VERIFY_REL_TOL
+            ok = _within_precision(rel, args.precision)
             yield {"k": k, "value": float(a), "rel_error": rel, "ok": ok}, ok
 
 
@@ -273,12 +278,12 @@ def _thm4_rows(args):
         forms = maass.hecke_value_A_from_theta_forms(k, args.precision)
         lattice = maass.hecke_value_A(k, args.precision)
         if forms == 0:
-            ok = abs(float(lattice)) < 1e-30
+            ok = _within_precision(abs(float(lattice)), args.precision)
             yield {"k": k, "value": 0.0, "zero_by_construction": True,
                    "lattice_abs": abs(float(lattice)), "ok": ok}, ok
         else:
             rel = float(abs(forms - lattice) / abs(lattice))
-            ok = rel < VERIFY_REL_TOL
+            ok = _within_precision(rel, args.precision)
             yield {"k": k, "value": float(lattice), "rel_error": rel, "ok": ok}, ok
 
 

@@ -21,19 +21,13 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class ThetaPolynomial:
-    """Map (i, j) -> coefficient for sum c_ij * th2^i * th4^j, zero entries dropped."""
+    """Map (i, j) -> exact rational c_ij for sum c_ij * th2^i * th4^j, zero entries dropped."""
 
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]
+    terms: tuple[tuple[tuple[int, int], Fraction | int], ...]
 
     @staticmethod
     def from_dict(d: dict[tuple[int, int], Fraction | int]) -> "ThetaPolynomial":
-        items = tuple(
-            sorted(((ij, Fraction(c)) for ij, c in d.items() if c != 0))
-        )
-        return ThetaPolynomial(items)
-
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.terms)
+        return ThetaPolynomial(tuple(sorted((ij, c) for ij, c in d.items() if c != 0)))
 
     @property
     def is_zero(self) -> bool:
@@ -49,38 +43,18 @@ class ThetaPolynomial:
         return degs.pop()
 
     def __add__(self, other: "ThetaPolynomial") -> "ThetaPolynomial":
-        out = self.as_dict()
+        out = dict(self.terms)
         for ij, c in other.terms:
-            out[ij] = out.get(ij, Fraction(0)) + c
+            out[ij] = out.get(ij, 0) + c
         return ThetaPolynomial.from_dict(out)
 
-    def __neg__(self) -> "ThetaPolynomial":
-        return ThetaPolynomial(tuple((ij, -c) for ij, c in self.terms))
-
-    def __sub__(self, other: "ThetaPolynomial") -> "ThetaPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "ThetaPolynomial") -> "ThetaPolynomial":
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], Fraction | int] = {}
         for (i1, j1), c1 in self.terms:
             for (i2, j2), c2 in other.terms:
                 key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return ThetaPolynomial.from_dict(out)
-
-    def scale(self, c) -> "ThetaPolynomial":
-        c = Fraction(c)
-        return ThetaPolynomial.from_dict({ij: c * v for ij, v in self.terms})
-
-    def partial_th2(self) -> "ThetaPolynomial":
-        return ThetaPolynomial.from_dict(
-            {(i - 1, j): c * i for (i, j), c in self.terms if i > 0}
-        )
-
-    def partial_th4(self) -> "ThetaPolynomial":
-        return ThetaPolynomial.from_dict(
-            {(i, j - 1): c * j for (i, j), c in self.terms if j > 0}
-        )
 
     def __str__(self) -> str:
         if not self.terms:
@@ -105,13 +79,19 @@ TH4 = ThetaPolynomial.from_dict({(0, 1): 1})
 # E4 = th2^8 + th2^4*th4^4 + th4^8
 E4 = ThetaPolynomial.from_dict({(8, 0): 1, (4, 4): 1, (0, 8): 1})
 
-_D2 = ThetaPolynomial.from_dict({(1, 4): Fraction(1, 12), (5, 0): Fraction(1, 24)})
-_D4 = ThetaPolynomial.from_dict({(4, 1): Fraction(-1, 12), (0, 5): Fraction(-1, 24)})
-
 
 def rs_derivation(a: ThetaPolynomial) -> ThetaPolynomial:
-    """Weight-raising derivation: D2 * d/dth2 + D4 * d/dth4 (raises i+j by 4)."""
-    return _D2 * a.partial_th2() + _D4 * a.partial_th4()
+    """Weight-raising derivation D2 * d/dth2 + D4 * d/dth4 (raises i+j by 4).
+
+    With D2 = th2*th4^4/12 + th2^5/24 and D4 = -(th2^4*th4/12 + th4^5/24) it
+    sends one monomial to two:
+    th2^i th4^j -> ((2i - j) th2^i th4^(j+4) + (i - 2j) th2^(i+4) th4^j) / 24.
+    """
+    out: dict[tuple[int, int], Fraction | int] = {}
+    for (i, j), c in a.terms:
+        for key, w in (((i, j + 4), 2 * i - j), ((i + 4, j), i - 2 * j)):
+            out[key] = out.get(key, 0) + c * Fraction(w, 24)
+    return ThetaPolynomial.from_dict(out)
 
 
 def vz_sequence(N: int) -> list[ThetaPolynomial]:
@@ -126,9 +106,9 @@ def vz_sequence(N: int) -> list[ThetaPolynomial]:
         return seq
     seq.append(rs_derivation(TH2))
     for n in range(1, N):
-        scalar = Fraction(n * (2 * n - 1), 288)
-        nxt = rs_derivation(seq[n]) - (E4 * seq[n - 1]).scale(scalar)
-        seq.append(nxt)
+        s = Fraction(-n * (2 * n - 1), 288)
+        scaled_e4 = ThetaPolynomial.from_dict({ij: s * c for ij, c in E4.terms})
+        seq.append(rs_derivation(seq[n]) + scaled_e4 * seq[n - 1])
     return seq
 
 

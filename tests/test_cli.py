@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import time
@@ -281,6 +282,28 @@ class TestVerify:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert all(r["ok"] for r in rows)
         assert {r["k"] for r in rows if r.get("zero_by_construction")} == {3, 5, 6}
+
+    def test_thm4_at_min_precision(self, capsys):
+        # the vanishing classes read |lattice| near 3e-30 at 64 bits, inside 2^-64
+        code, out, _ = run(capsys, "verify", "--thm", "4", "--max-n", "3",
+                           "--precision", "64", "--format", "json")
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(rows) == 24 and all(r["ok"] for r in rows)
+
+    def test_ok_rule_follows_precision(self, capsys, monkeypatch):
+        # 1e-20 is about 2^-66: ok at 64 bits, far too loose at 256
+        real = maass.verify_theta2_identity
+        monkeypatch.setattr(maass, "verify_theta2_identity",
+                            lambda N, precision: dataclasses.replace(real(N, precision), rel_error=1e-20))
+        code, out, _ = run(capsys, "verify", "--thm", "5", "--max-n", "0",
+                           "--precision", "256", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["ok"] is False
+        code, out, _ = run(capsys, "verify", "--thm", "5", "--max-n", "0",
+                           "--precision", "64", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["ok"] is True
 
     def test_speed(self, capsys):
         t0 = time.perf_counter()
