@@ -3,10 +3,10 @@
 
 S_p = 2 p^{1/4} L(E_p, 1) / Omega_E should be a nonnegative integer, zero
 exactly when the criterion predicts rank 2.  Nothing here touches the
-recurrences: traces of Frobenius come from complex multiplication (a
-Cornacchia decomposition of q and a quartic residue symbol), the conductor
-from the closed rule for y^2 = x^3 + A x (Tate's algorithm is its reference
-in the tests), L(1) from the exponential sum.
+recurrences: the Dirichlet coefficients a_n come from complex multiplication
+(the quartic Hecke character of Z[i] summed over the lattice points of each
+norm), the conductor from the closed rule for y^2 = x^3 + A x (Tate's
+algorithm is its reference in the tests), L(1) from the exponential sum.
 """
 
 from rankcrit import scan, sp

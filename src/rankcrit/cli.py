@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -319,6 +320,7 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process: main() may run many times in one process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rankcrit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,13 +1,14 @@
 """Numerical L-value oracle for y^2 = x^3 + A x and y^2 = x^3 + B.
 
-Computes a_q from complex multiplication (a Cornacchia decomposition of q and
-a quartic or sextic residue symbol, O(log q)); the conductor by a closed rule
-for the stored CM shape (a 2-adic and a 3-adic valuation and one residue each,
-and q^2 at every prime q >= 5 dividing A or B; Tate's algorithm is its
-reference in the tests), L(E, 1) by the rapidly convergent exponential sum
-(sign +1 curves), and the normalized central value S_p.  Everything here is
-independent of the recurrence machinery, so agreement between the two is a
-real cross-check.
+a_1..a_M sum the CM Hecke character psi over the lattice points of Z[i] or Z[w]
+of each norm, in one numpy pass; ap(curve, q) takes psi at one primary alpha of
+norm q (a Cornacchia step).  Both need A = c or B = -432 c^2, c = 1 or a prime
+= 1 mod 4 (resp. mod 3).  The conductor is a closed rule for the stored CM shape
+(2- and 3-adic valuations and residues, and q^2 at each prime q >= 5 dividing A
+or B); L(E, 1) is the rapidly convergent exponential sum (sign +1 curves), and
+S_p its normalized central value.  The tests check these against Tate's
+algorithm and the Hecke recursion over per-prime traces.  Nothing here uses the
+recurrences, so agreement between the two is a real cross-check.
 """
 
 from __future__ import annotations
@@ -159,8 +160,20 @@ def conductor(curve: CurveSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# CM traces of Frobenius and Dirichlet coefficients
+# The Hecke character psi of the CM curve: a_q and a_1..a_M
 # ---------------------------------------------------------------------------
+
+# Limits of the an_list kernel, each checked before any array is allocated.
+_INT64_MAX = 2 ** 63 - 1  # a row residue b r mod c, |b| <= sqrt(4M/3) and r < c, needs |b r| <= _INT64_MAX
+_C_MAX = math.isqrt(_INT64_MAX) + 1  # the table squares residues x <= c - 1: (c - 1)^2 <= _INT64_MAX
+# A norm n has at most 2 points in each of at most 2 sqrt(4n/3) + 1 <= 4 sqrt(n) rows, each of trace
+# at most 2 sqrt(n): every bincount bin stays within 16 n <= 16 M, exact in float64 up to 2^53.
+_M_MAX = 2 ** 49
+
+# Tr psi(alpha) = TA[m] a + TB[m] b, where psi(a + b i) = (-i)^m (a + b i) and psi(a + b w) = -w^m (a + b w)
+_TRACES = {4: (np.array([2, 0, -2, 0]), np.array([0, 2, 0, -2])),
+           3: (np.array([-2, 1, 1]), np.array([1, 1, -2]))}
+
 
 def _root_of_unity(k: int, q: int) -> int:
     """An element of exact order k in F_q^* (k = 3 or 4, k | q - 1)."""
@@ -185,120 +198,101 @@ def _cornacchia(d: int, q: int) -> tuple[int, int]:
     return b, y
 
 
-def _aq_cm_i(A: int, q: int) -> int:
-    """a_q of y^2 = x^3 + A x (j = 1728) at a prime q of good reduction (0 at q = 3, which is inert).
-
-    With q = N(pi), pi = a + b i primary (a odd, b even, a + b = 1 mod 4), and
-    u the unit congruent to (-A)^((q-1)/4) modulo pi, a_q = 2 Re(conj(u) pi).
-    """
-    if q % 4 == 3:
-        return 0
-    a, b = _cornacchia(1, q)
-    if a % 2 == 0:
-        a, b = b, a
-    if (a + b) % 4 != 1:
-        a = -a
-    i = -a * pow(b, -1, q) % q  # i = -a/b modulo pi
-    chi = pow(-A, (q - 1) // 4, q)
-    for u, re in ((1, a), (q - 1, -a), (i, b), (q - i, -b)):
-        if chi == u:
-            return 2 * re
-    raise ArithmeticError(f"(-A)^((q-1)/4) mod {q} is not a 4th root of unity")
+def _cm_shape(curve: CurveSpec) -> tuple[int, int]:
+    """(k, c) for y^2 = x^3 + c x (k = 4) or y^2 = x^3 - 432 c^2 (k = 3), c = 1 or a prime = 1 mod k.
+    psi comes from quartic or cubic reciprocity against the one prime c; other A or B would need the
+    supplementary laws at 2, 3 and the inert primes, which are not derived here: ValueError."""
+    k, c = (4, curve.A) if curve.B == 0 else (3, math.isqrt(max(-curve.B, 0) // 432))
+    if (k == 3 and curve.B != -432 * c * c) or not (c == 1 or (c > 1 and c % k == 1 and is_prime(c))):
+        raise ValueError(f"a_n is implemented for y^2 = x^3 + c x and y^2 = x^3 - 432 c^2 with c = 1 "
+                         f"or a prime = 1 mod 4 (resp. mod 3), not for {curve}")
+    return k, c
 
 
-def _eisenstein_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """(a + b w)(c + d w) in Z[w], w^2 = -1 - w."""
-    (a, b), (c, d) = x, y
-    return a * c - b * d, a * d + b * c - b * d
+def _images(k: int, c: int) -> tuple[int, int]:
+    """(r, r'): i (k = 4) or w (k = 3) modulo the two primes above c; (0, 0) at c = 1."""
+    r = _root_of_unity(k, c) if c > 1 else 0
+    return r, (-r if k == 4 else -1 - r) % c
 
 
-def _aq_cm_omega(B: int, q: int) -> int:
-    """a_q of y^2 = x^3 + B (j = 0) at a prime q of good reduction (0 at q = 2, which is inert).
-
-    With q = N(pi), pi = a + b w primary (pi = 2 mod 3, w a cube root of
-    unity), and u the sixth root of unity congruent to (4B)^((q-1)/6) modulo
-    pi, a_q = -Tr(conj(u) pi).
-    """
-    if q % 3 == 2:
-        return 0
-    x, y = _cornacchia(3, q)
-    pi = (x + y, 2 * y)  # N(a + b w) = a^2 - a b + b^2 = x^2 + 3 y^2
-    for _ in range(6):
-        if pi[0] % 3 == 2 and pi[1] % 3 == 0:
-            break
-        pi = _eisenstein_mul(pi, (0, -1))  # times the unit -w, of order 6
-    else:
-        raise ArithmeticError(f"no primary associate of {pi} over {q}")
-    w = -pi[0] * pow(pi[1], -1, q) % q  # w = -a/b modulo pi
-    chi = pow(4 * B, (q - 1) // 6, q)
-    u = (1, 0)
-    for _ in range(6):
-        if (u[0] + u[1] * w - chi) % q == 0:
-            c, d = _eisenstein_mul((u[0] - u[1], -u[1]), pi)  # conj(u) pi
-            return -(2 * c - d)
-        u = _eisenstein_mul(u, (0, -1))
-    raise ArithmeticError(f"(4B)^((q-1)/6) mod {q} is not a 6th root of unity")
+def _chi(x, k: int, c: int, r: int):
+    """j with x^((c-1)/k) = r^j mod c, or k where c | x, for residues x mod c (an int or an int64 array):
+    the quartic or cubic residue symbol as a power of i or w.  At c = 1, v stays 1 and chi is trivial."""
+    v, e = x * 0 + 1, (c - 1) // k
+    while e:  # square and multiply; x < c <= _C_MAX keeps every product in int64
+        v, x, e = (v * x % c if e & 1 else v), x * x % c, e >> 1
+    return sum(j * (v == pow(r, j, c)) for j in range(1, k)) + k * (v == 0)
 
 
-def _trace(curve: CurveSpec, q: int) -> int:
-    """a_q at a prime q of good reduction, from CM."""
-    return _aq_cm_i(curve.A, q) if curve.B == 0 else _aq_cm_omega(curve.B, q)
+def _psi_trace(k: int, a, b, n, k1, k2):
+    """Tr psi(alpha) for primary alpha = a + b i (k = 4) or a + b w (k = 3) of norm n, ints or arrays,
+    from k1, k2 = _chi at a + b r and a + b r': psi(alpha) = alpha / (-c/alpha)_4 = alpha / i^(k1 - k2 +
+    (n-1)/2), or -alpha / (c/alpha)_3 = -alpha / w^(k1 + 2 k2); 0 where k1 or k2 is k (c divides)."""
+    m = (k1 - k2 + ((n - 1) >> 1)) & 3 if k == 4 else (2 * k1 + k2) % 3
+    ta, tb = _TRACES[k]
+    return (ta[m] * a + tb[m] * b) * (k1 < k) * (k2 < k)
 
 
 def ap(curve: CurveSpec, q: int) -> int:
-    """Trace of Frobenius at an odd prime q not dividing 2*disc."""
+    """Trace of Frobenius at an odd prime q not dividing 2*disc: Tr psi(pi), pi primary of norm q
+    (0 at q inert in Z[i] or Z[w]); ValueError outside the shapes of _cm_shape."""
+    k, c = _cm_shape(curve)
     if q == 2 or not is_prime(q):
         raise BadReductionError(f"q = {q} must be an odd prime")
     if curve.discriminant % q == 0:
         raise BadReductionError(f"q = {q} divides the discriminant")
-    return _trace(curve, q)
-
-
-def _sieve_spf(M: int) -> np.ndarray:
-    """Smallest prime factor of each n <= M (0 at n = 0, 1)."""
-    spf = np.zeros(M + 1, dtype=np.int64)
-    for i in range(2, math.isqrt(M) + 1):
-        if spf[i] == 0:
-            tail = spf[i * i::i]
-            tail[tail == 0] = i
-    rest = np.nonzero(spf == 0)[0][2:]
-    spf[rest] = rest
-    return spf
+    if q % k != 1:
+        return 0
+    x, y = _cornacchia(1 if k == 4 else 3, q)
+    if k == 4:  # a + b i with a odd, b even, a + b = 1 mod 4
+        a, b = (x, y) if x % 2 else (y, x)
+        a = a if (a + b) % 4 == 1 else -a
+    else:  # N(x + y + 2y w) = q is prime to 3, so one of its six associates is = 2 mod 3
+        a, b = x + y, 2 * y
+        while a % 3 != 2 or b % 3:
+            a, b = b, b - a  # times the unit -w
+    r, r2 = _images(k, c)
+    return int(_psi_trace(k, a, b, q, _chi((a + b * r) % c, k, c, r), _chi((a + b * r2) % c, k, c, r)))
 
 
 def an_list(curve: CurveSpec, M: int) -> list[int]:
-    """Dirichlet coefficients a_1..a_M (index 0 unused), multiplicative extension.
+    """a_0..a_M (a_0 = 0): a_n = sum Tr psi(alpha) / 2 over the primary alpha of norm n.
 
-    a_q = 0 at primes dividing the conductor, the CM trace at every other
-    prime; Hecke recursion at good prime powers.
+    Primary: a + b i with a odd, b even and a + b = 1 mod 4, or a + b w = 2 mod 3.  One numpy
+    pass: _chi on every residue mod c, all primary points of norm <= M row by row in b, and
+    np.bincount over their norms.  OverflowError past a named limit; ArithmeticError if the
+    table or a sum is not a character's.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    N = conductor(curve)
-    a = [0] * (M + 1)
-    a[1] = 1
-    if M == 1:
-        return a
-    sieve = _sieve_spf(M)
-    primes = np.nonzero(sieve == np.arange(M + 1))[0][1:].tolist()  # [1:] drops n = 0
-    traces = {q: 0 if N % q == 0 else _trace(curve, q) for q in primes}
-    spf = sieve.tolist()
-
-    for n in range(2, M + 1):
-        q = spf[n]
-        if n == q:
-            a[n] = traces[q]
-            continue
-        m, qe = n, 1
-        while m % q == 0:
-            m //= q
-            qe *= q
-        if m > 1:
-            a[n] = a[qe] * a[m]
-        else:
-            qq = 0 if N % q == 0 else q
-            a[n] = a[q] * a[n // q] - qq * a[n // (q * q)]
-    return a
+    k, c = _cm_shape(curve)
+    bmax = math.isqrt(M if k == 4 else 4 * M // 3)
+    if c > _C_MAX:
+        raise OverflowError(f"c = {c} is above {_C_MAX}: the int64 character table would overflow")
+    if bmax * (c - 1) > _INT64_MAX:
+        raise OverflowError(f"M = {M} at c = {c}: the int64 row residues b r would overflow")
+    if M > _M_MAX:
+        raise OverflowError(f"M = {M} is above {_M_MAX}: the float64 sums would not be exact")
+    r, r2 = _images(k, c)
+    table = _chi(np.arange(c, dtype=np.int64), k, c, r).astype(np.int8)
+    if np.bincount(table[1:], minlength=k + 1).tolist() != [(c - 1) // k] * k + [0]:
+        raise ArithmeticError(f"x^((c-1)/{k}) mod {c} misses a root of unity of order {k}")
+    t = 2 if k == 4 else 3  # rows b = 0 mod t; in a row, a = first mod k
+    b = np.arange(-(bmax // t) * t, bmax + 1, t)
+    x = M - b * b if k == 4 else 4 * M - 3 * b * b  # a^2 <= x, or (2a - b)^2 <= x
+    s = np.sqrt(x).astype(np.int64)  # isqrt(x) for x <= 4 _M_MAX < 2^52: see test_limits
+    lo, hi, first = (-s, s, (1 - b) % 4) if k == 4 else ((b - s + 1) // 2, (b + s) // 2, 2)
+    a0 = lo + (first - lo) % k
+    count = np.maximum((hi - a0) // k + 1, 0)
+    a = k * np.arange(count.sum()) + np.repeat(a0 - k * (np.cumsum(count) - count), count)
+    k1 = table[(a + np.repeat(b * r % c, count)) % c]
+    k2 = table[(a + np.repeat(b * r2 % c, count)) % c]
+    b = np.repeat(b, count)
+    n = a * a + b * b - a * b if k == 3 else a * a + b * b
+    sums = np.bincount(n, weights=_psi_trace(k, a, b, n, k1, k2), minlength=M + 1).astype(np.int64)
+    if (sums & 1).any():
+        raise ArithmeticError(f"odd trace sum at n = {int(np.argmax(sums & 1))}: psi is not a character")
+    return (sums >> 1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +319,12 @@ def _term_count(N: int, tol: float) -> int:
     return M
 
 
-def _partial_sum(a: np.ndarray, n: np.ndarray, c: float, t: float) -> float:
-    return float(np.sum(a / n * (np.exp(-c * t * n) + np.exp(-c * n / t))))
+def _partial_sum(a: np.ndarray, n: np.ndarray, at: np.ndarray, M: int, c: float, t: float) -> float:
+    """The sum of M terms, nonzero only at the indices `at`: np.sum's pairwise order, and so its
+    rounding, is that of the full array, with exp evaluated only where a_n != 0."""
+    terms = np.zeros(M)
+    terms[at] = a / n * (np.exp(-c * t * n) + np.exp(-c * n / t))
+    return float(np.sum(terms))
 
 
 def l1(curve: CurveSpec, tol: float = 1e-8) -> float:
@@ -351,11 +349,10 @@ def l1_detail(curve: CurveSpec, tol: float = 1e-8) -> tuple[float, int, float]:
     _check_tol(tol)
     N = conductor(curve)
     M = _term_count(N, tol)
-    coeffs = np.array(an_list(curve, M), dtype=np.float64)[1:]
-    n = np.arange(1, M + 1, dtype=np.float64)
+    coeffs = np.fromiter(an_list(curve, M), dtype=np.float64, count=M + 1)[1:]
+    at = np.flatnonzero(coeffs)
     c = 2.0 * math.pi / math.sqrt(N)
-    value = _partial_sum(coeffs, n, c, 1.0)
-    check = _partial_sum(coeffs, n, c, 1.15)
+    value, check = (_partial_sum(coeffs[at], at + 1.0, at, M, c, t) for t in (1.0, 1.15))
     if abs(value - check) > 50.0 * tol:
         raise FunctionalEquationError(
             f"L(1) moved from {value} to {check} under split variation; "

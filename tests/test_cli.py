@@ -234,13 +234,12 @@ class TestOracle:
         assert err.count("\n") == 1 and "composite cofactor" in err
 
     def test_cm_consistency_failure_is_internal_error(self, capsys, monkeypatch):
-        def broken(A, q):
-            raise ArithmeticError(f"(-A)^((q-1)/4) mod {q} is not a 4th root of unity")
-
-        monkeypatch.setattr(lseries, "_aq_cm_i", broken)
+        # a character table that misses roots of unity fails an_list's own check
+        real = lseries._chi
+        monkeypatch.setattr(lseries, "_chi", lambda x, k, c, r: real(x, k, c, r) * 0)
         code, out, err = run(capsys, "oracle", "--p", "17", "--no-cache", "--format", "json")
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "4th root of unity" in err
+        assert err.count("\n") == 1 and "misses a root of unity of order 4" in err
 
 
 class TestVerify:

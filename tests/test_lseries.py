@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from rankcrit import lseries
+from rankcrit._primality import is_prime
 from rankcrit.criteria import sp_congruence_rhs, verdict_Ap, verdict_Ep
 from rankcrit.lseries import (
     OMEGA_A,
     OMEGA_E,
     BadReductionError,
     CurveSpec,
-    _sieve_spf,
     an_list,
     ap,
     conductor,
@@ -21,6 +21,7 @@ from rankcrit.lseries import (
     l1_detail,
     sp,
 )
+
 from ._util import primes_leq
 
 
@@ -258,6 +259,118 @@ def _aq_enumerate(ainvs, q: int) -> int:
     return q + 1 - count
 
 
+# ---------------------------------------------------------------------------
+# Per-prime CM traces and the Hecke recursion, the reference for ap() and an_list()
+# ---------------------------------------------------------------------------
+
+def _aq_cm_i(A: int, q: int) -> int:
+    """a_q of y^2 = x^3 + A x (j = 1728) at a prime q of good reduction (0 at q = 3, which is inert).
+
+    With q = N(pi), pi = a + b i primary (a odd, b even, a + b = 1 mod 4), and
+    u the unit congruent to (-A)^((q-1)/4) modulo pi, a_q = 2 Re(conj(u) pi).
+    """
+    if q % 4 == 3:
+        return 0
+    a, b = lseries._cornacchia(1, q)
+    if a % 2 == 0:
+        a, b = b, a
+    if (a + b) % 4 != 1:
+        a = -a
+    i = -a * pow(b, -1, q) % q  # i = -a/b modulo pi
+    chi = pow(-A, (q - 1) // 4, q)
+    for u, re in ((1, a), (q - 1, -a), (i, b), (q - i, -b)):
+        if chi == u:
+            return 2 * re
+    raise ArithmeticError(f"(-A)^((q-1)/4) mod {q} is not a 4th root of unity")
+
+
+def _eisenstein_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(a + b w)(c + d w) in Z[w], w^2 = -1 - w."""
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def _aq_cm_omega(B: int, q: int) -> int:
+    """a_q of y^2 = x^3 + B (j = 0) at a prime q of good reduction (0 at q = 2, which is inert).
+
+    With q = N(pi), pi = a + b w primary (pi = 2 mod 3, w a cube root of
+    unity), and u the sixth root of unity congruent to (4B)^((q-1)/6) modulo
+    pi, a_q = -Tr(conj(u) pi).
+    """
+    if q % 3 == 2:
+        return 0
+    x, y = lseries._cornacchia(3, q)
+    pi = (x + y, 2 * y)  # N(a + b w) = a^2 - a b + b^2 = x^2 + 3 y^2
+    for _ in range(6):
+        if pi[0] % 3 == 2 and pi[1] % 3 == 0:
+            break
+        pi = _eisenstein_mul(pi, (0, -1))  # times the unit -w, of order 6
+    else:
+        raise ArithmeticError(f"no primary associate of {pi} over {q}")
+    w = -pi[0] * pow(pi[1], -1, q) % q  # w = -a/b modulo pi
+    chi = pow(4 * B, (q - 1) // 6, q)
+    u = (1, 0)
+    for _ in range(6):
+        if (u[0] + u[1] * w - chi) % q == 0:
+            c, d = _eisenstein_mul((u[0] - u[1], -u[1]), pi)  # conj(u) pi
+            return -(2 * c - d)
+        u = _eisenstein_mul(u, (0, -1))
+    raise ArithmeticError(f"(4B)^((q-1)/6) mod {q} is not a 6th root of unity")
+
+
+def _reference_trace(curve: CurveSpec, q: int) -> int:
+    """a_q at a prime q of good reduction, for any A or B."""
+    return _aq_cm_i(curve.A, q) if curve.B == 0 else _aq_cm_omega(curve.B, q)
+
+
+def _sieve_spf(M: int) -> np.ndarray:
+    """Smallest prime factor of each n <= M (0 at n = 0, 1)."""
+    spf = np.zeros(M + 1, dtype=np.int64)
+    for i in range(2, math.isqrt(M) + 1):
+        if spf[i] == 0:
+            tail = spf[i * i::i]
+            tail[tail == 0] = i
+    rest = np.nonzero(spf == 0)[0][2:]
+    spf[rest] = rest
+    return spf
+
+
+def _an_reference(curve: CurveSpec, M: int) -> list[int]:
+    """a_0..a_M by multiplicativity: a_q = 0 at primes dividing the conductor, the CM trace at
+    every other prime, and the Hecke recursion at good prime powers."""
+    N = conductor(curve)
+    a = [0] * (M + 1)
+    a[1] = 1
+    if M == 1:
+        return a
+    sieve = _sieve_spf(M)
+    primes = np.nonzero(sieve == np.arange(M + 1))[0][1:].tolist()  # [1:] drops n = 0
+    traces = {q: 0 if N % q == 0 else _reference_trace(curve, q) for q in primes}
+    spf = sieve.tolist()
+    for n in range(2, M + 1):
+        q = spf[n]
+        if n == q:
+            a[n] = traces[q]
+            continue
+        m, qe = n, 1
+        while m % q == 0:
+            m //= q
+            qe *= q
+        if m > 1:
+            a[n] = a[qe] * a[m]
+        else:
+            qq = 0 if N % q == 0 else q
+            a[n] = a[q] * a[n // q] - qq * a[n // (q * q)]
+    return a
+
+
+def _domain(limit: int) -> list[CurveSpec]:
+    """Every curve an_list covers with c <= limit: y^2 = x^3 + c x and y^2 = x^3 - 432 c^2."""
+    quartic = [CurveSpec(c, 0) for c in range(1, limit + 1) if c == 1 or (c % 4 == 1 and is_prime(c))]
+    cubic = [CurveSpec(0, -432 * c * c) for c in range(1, limit + 1) if c == 1 or (c % 3 == 1 and is_prime(c))]
+    return quartic + cubic
+
+
 class TestAp:
     def test_cm_vanishing_small(self):
         assert ap(curve_ep(17), 3) == 0
@@ -303,33 +416,113 @@ class TestCMTraces:
         + [CurveSpec(A=0, B=c) for c in (1, -1, 2, 12)]
     )
 
+    GENERAL = CURVES[9:]  # A = -1, 2, 12 and B = +-1, 2, 12: outside what ap and an_list cover
+
     def test_matches_char_sum(self):
+        # the reference formulas hold for every A and B; ap covers the first nine curves
         checked = 0
         for curve in self.CURVES:
             for q in primes_leq(3000):
                 if q == 2 or curve.discriminant % q == 0:
                     continue
-                assert ap(curve, q) == _aq_char_sum(_ainvs(curve), q), (curve, q)
+                want = _aq_char_sum(_ainvs(curve), q)
+                assert _reference_trace(curve, q) == want, (curve, q)
+                if curve not in self.GENERAL:
+                    assert ap(curve, q) == want, (curve, q)
                 checked += 1
         assert checked > 6500
 
     def test_inert_primes_vanish(self):
         for q in primes_leq(3000):
             if q > 3 and q % 4 == 3:
-                assert lseries._aq_cm_i(1009, q) == 0, q
+                assert _aq_cm_i(1009, q) == 0 == ap(curve_ep(1009), q), q
             if q > 3 and q % 3 == 2:
-                assert lseries._aq_cm_omega(-432 * 1009 ** 2, q) == 0, q
+                assert _aq_cm_omega(-432 * 1009 ** 2, q) == 0 == ap(curve_ap(1009), q), q
 
-    def test_an_list_dispatch(self, monkeypatch):
-        # every good prime, 3 for E_41 and 2 for A_19 included, goes through
-        # the CM formula; the point counters of this module are only a reference
-        for curve, cm in ((curve_ep(41), "_aq_cm_i"), (curve_ap(19), "_aq_cm_omega")):
-            calls = []
-            real = getattr(lseries, cm)
-            monkeypatch.setattr(lseries, cm, lambda c, q, real=real: calls.append(q) or real(c, q))
-            an_list(curve, 500)
-            N = conductor(curve)
-            assert calls == [q for q in primes_leq(500) if N % q], curve
+    def test_other_shapes_refused(self):
+        others = [CurveSpec(A, 0) for A in (-1, 2, 12, 3, 7, -17, 45, 1009 * 1013)]
+        others += [CurveSpec(0, B) for B in (1, -1, 2, 12, 432, -432 * 4, -432 * 25, -432 * 15 ** 2)]
+        others += [curve_ep(7), curve_ap(5), curve_ap(11)]
+        assert set(self.GENERAL) <= set(others)
+        for curve in others:
+            with pytest.raises(ValueError, match="is implemented for"):
+                ap(curve, 13)
+            with pytest.raises(ValueError, match="is implemented for"):
+                an_list(curve, 10)
+
+    def test_an_list_matches_recursion(self):
+        # every c <= 1000 of both shapes (the admissible Ep and Ap p among them), A = 1 and
+        # B = -432, to 3000 terms; and M from 1 up, where isqrt(M) and isqrt(4M/3) take
+        # both parities, so the first and last rows of the lattice are both kinds
+        curves = _domain(1000)
+        assert len(curves) == 81 + 81 and {CurveSpec(1, 0), CurveSpec(0, -432)} <= set(curves)
+        for curve in curves:
+            assert an_list(curve, 3000) == _an_reference(curve, 3000), curve
+        small = list(range(1, 80)) + [99, 100, 3001]
+        assert {math.isqrt(M) % 2 for M in small} == {0, 1} == {math.isqrt(4 * M // 3) % 2 for M in small}
+        for curve in (curve_ep(17), curve_ep(73), curve_ap(19), curve_ap(37), CurveSpec(1, 0)):
+            want = _an_reference(curve, 3001)
+            for M in small:
+                assert an_list(curve, M) == want[:M + 1], (curve, M)
+
+    def test_an_list_full_term_count(self):
+        # the term count sp uses: the seven benchmark oracle curves and p = 10009
+        for family, p in (("Ep", 73), ("Ep", 233), ("Ep", 313), ("Ap", 19), ("Ap", 109), ("Ap", 271),
+                          ("Ap", 379), ("Ep", 10009), ("Ap", 10009)):
+            curve, _ = lseries.sp_curve(p, 1e-8, family)
+            M = lseries._term_count(conductor(curve), 1e-8)
+            assert an_list(curve, M) == _an_reference(curve, M), (family, p, M)
+
+
+class TestAnListChecks:
+    @staticmethod
+    def prime_above(lo: int, k: int) -> int:
+        return next(c for c in range(lo, 2 * lo) if c % k == 1 and is_prime(c))
+
+    def test_limits(self):
+        assert (lseries._C_MAX - 1) ** 2 <= lseries._INT64_MAX < lseries._C_MAX ** 2
+        assert 16 * lseries._M_MAX <= 2 ** 53
+        # the rows take floor(float64 sqrt(x)) for x <= 4M < 2^52, that is for a root below 2^26:
+        # sqrt(k^2 - 1) < k - 1/(2k) is more than half an ulp of k below k, so it never rounds up
+        assert 4 * lseries._M_MAX < 2 ** 52
+        k = np.arange(2 ** 26 - 4096, 2 ** 26, dtype=np.int64)
+        x = np.concatenate([k * k - 1, k * k, k * k + 1, np.arange(10 ** 5)])
+        assert np.sqrt(x).astype(np.int64).tolist() == [math.isqrt(v) for v in x.tolist()]
+
+    def test_guards_fire_before_any_array(self, monkeypatch):
+        class Passed(Exception):
+            pass
+
+        def passed(*args):
+            raise Passed
+
+        # _images is the first step after the guards, before the table or any row exists
+        monkeypatch.setattr(lseries, "_images", passed)
+        for curve in (CurveSpec(self.prime_above(lseries._C_MAX, 4), 0),
+                      CurveSpec(0, -432 * self.prime_above(lseries._C_MAX, 3) ** 2)):
+            with pytest.raises(OverflowError, match="character table"):
+                an_list(curve, 1)
+        with pytest.raises(Passed):
+            below = next(c for c in range(lseries._C_MAX, 0, -1) if c % 4 == 1 and is_prime(c))
+            an_list(CurveSpec(below, 0), 1)
+        with pytest.raises(OverflowError, match="row residues"):
+            an_list(curve_ep(17), 10 ** 38)
+        with pytest.raises(OverflowError, match="float64 sums"):
+            an_list(curve_ep(17), lseries._M_MAX + 1)
+        with pytest.raises(Passed):
+            an_list(curve_ep(17), lseries._M_MAX)
+
+    def test_table_check(self, monkeypatch):
+        real = lseries._chi
+        monkeypatch.setattr(lseries, "_chi", lambda x, k, c, r: real(x, k, c, r) * 0)
+        for curve, k in ((curve_ep(17), 4), (curve_ap(19), 3)):
+            with pytest.raises(ArithmeticError, match=f"root of unity of order {k}"):
+                an_list(curve, 100)
+
+    def test_trace_parity_check(self, monkeypatch):
+        monkeypatch.setitem(lseries._TRACES, 3, (np.array([-2, 1, 1]), np.array([1, 1, -1])))
+        with pytest.raises(ArithmeticError, match="odd trace sum"):
+            an_list(curve_ap(19), 100)
 
 
 class TestSieve:
