@@ -17,6 +17,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+from mpmath import mpf
+
 from . import __version__, criteria, lseries, maass, polyring, recurrences, symbolic
 
 EXIT_OK = 0
@@ -227,13 +229,14 @@ def _emit_reports(args, rows: list[dict], ok_all: bool) -> int:
     return EXIT_OK if ok_all else EXIT_CROSSCHECK
 
 
-def _within_precision(err: float, precision: int) -> bool:
+def _within_precision(err, precision: int) -> bool:
     """`verify`'s one ok rule: an error of at most 2^-precision.
 
+    err is an mpf at working precision (or a float): a float reads 0.0 below
+    about 2^-1074, which would check a 2048-bit row to only about 1074 bits.
     The acceptance tests pin fixed tolerances of their own, independently.
-    `<=` because past about 1074 bits the bound and an exact error both read 0.0.
     """
-    return err <= 2.0 ** -precision
+    return err <= mpf(2) ** -precision
 
 
 def _symbolic_rows(args):
@@ -242,17 +245,16 @@ def _symbolic_rows(args):
 
 
 def _thm5_rows(args):
-    for N in range(args.max_n + 1):
-        r = maass.verify_theta2_identity(N, args.precision)
+    for r in maass.verify_theta2_identity(range(args.max_n + 1), args.precision):
         ok = _within_precision(r.rel_error, args.precision)
         yield {**r.as_record(), "ok": ok}, ok
 
 
 def _thm6_rows(args):
+    by_case = [maass.verify_eta_identity(range(args.max_n + 1), case, args.precision) for case in "xyz"]
     scale = None
-    for N in range(args.max_n + 1):
-        for case in ("x", "y", "z"):
-            r = maass.verify_eta_identity(N, case, args.precision)
+    for reports in zip(*by_case):  # N by N, cases x, y, z
+        for r in reports:
             if r.vanishing:
                 ok = _within_precision(r.numeric / (scale or 1.0), args.precision)
             else:
@@ -262,30 +264,32 @@ def _thm6_rows(args):
 
 
 def _thm3_rows(args):
-    for k in range(1, 2 * args.max_n + 2):
-        a = maass.hecke_value_E(k, args.precision)
-        b = maass.hecke_value_E_from_constants(k, args.precision)
+    ks = range(1, 2 * args.max_n + 2)
+    values = maass.hecke_value_E(ks, args.precision)
+    predicted = maass.hecke_value_E_from_constants(ks, args.precision)
+    for k, a, b in zip(ks, values, predicted):
         if b == 0:
             ok = a == 0
             yield {"k": k, "value": 0.0, "zero_by_construction": True, "ok": ok}, ok
         else:
-            rel = float(abs(a - b) / abs(b))
+            rel = abs(a - b) / abs(b)
             ok = _within_precision(rel, args.precision)
-            yield {"k": k, "value": float(a), "rel_error": rel, "ok": ok}, ok
+            yield {"k": k, "value": float(a), "rel_error": float(rel), "ok": ok}, ok
 
 
 def _thm4_rows(args):
-    for k in range(1, 6 * args.max_n + 7):  # 6N+1 .. 6N+6 for N = 0 .. max_n
-        forms = maass.hecke_value_A_from_theta_forms(k, args.precision)
-        lattice = maass.hecke_value_A(k, args.precision)
+    ks = range(1, 6 * args.max_n + 7)  # 6N+1 .. 6N+6 for N = 0 .. max_n
+    theta_forms = maass.hecke_value_A_from_theta_forms(ks, args.precision)
+    lattices = maass.hecke_value_A(ks, args.precision)
+    for k, forms, lattice in zip(ks, theta_forms, lattices):
         if forms == 0:
-            ok = _within_precision(abs(float(lattice)), args.precision)
+            ok = _within_precision(abs(lattice), args.precision)
             yield {"k": k, "value": 0.0, "zero_by_construction": True,
                    "lattice_abs": abs(float(lattice)), "ok": ok}, ok
         else:
-            rel = float(abs(forms - lattice) / abs(lattice))
+            rel = abs(forms - lattice) / abs(lattice)
             ok = _within_precision(rel, args.precision)
-            yield {"k": k, "value": float(lattice), "rel_error": rel, "ok": ok}, ok
+            yield {"k": k, "value": float(lattice), "rel_error": float(rel), "ok": ok}, ok
 
 
 _THM_ROWS = {"3": _thm3_rows, "4": _thm4_rows, "5": _thm5_rows, "6": _thm6_rows}

@@ -24,6 +24,14 @@ terms go onto one fixed-point accumulator at 2^-w.  The tests hold it to
 mp.exp per term, for the six series at i, omega and 0.3 + 1.1i, h in
 {0, 1, 7, 32} at 64, 256 and 1064 bits and h = 64 at 64 and 256 bits.
 
+Both take one order h or a sequence of distinct orders.  For a sequence,
+one pass over the series serves every order: each term takes one walk step
+and one ``laguerre`` call, whose recurrence runs once to the largest order,
+with that order's guard bits, and is read at each requested order on the
+way.  Each order keeps its own accumulator and stop rule, so it sums the
+terms its one-order call sums; the tests hold the values equal (==) to the
+one-order calls for theta2, eta, eta(3z)^3 and Theta_hex up to h = 64.
+
 One table, ``_IDENTITIES``, holds the four CM identities: theta2 at z = i
 against f_N(0) and Omega_E, and eta, eta^3, eta(3z)^3 at
 z = omega = (-1+sqrt(-3))/2 against x_{3N}(0), y_{3N}(0), z_{3N+1}(0) and
@@ -32,22 +40,28 @@ derivative order, the closed form of the squared derivative and the scale
 that turns it into a central Hecke value; the ``verify_*`` and
 ``hecke_value_*`` functions read that table, except ``hecke_value_A``, which
 reaches the A-side values independently through the hexagonal-lattice theta
-series.
+series.  They take one index or a sequence of them, and for a sequence make
+one pass per (series, point, precision) for all its orders, read the
+constants F_n(0) from one walk of the recurrence, and share the periods,
+which are computed once per precision.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
 
 from .polyring import constant_term
-from .recurrences import F_E, X_A, Y_A, Z_A, generate
+from .recurrences import F_E, X_A, Y_A, Z_A, iter_family
+from .recurrences import generate  # noqa: F401  (unused here; perfbench/spans.py wraps maass.generate)
 
 _GUARD = 40          # guard bits on top of the requested precision
 _GAMMA_GUARD = 140   # extra bits when evaluating gamma-function periods
@@ -165,25 +179,41 @@ def _laguerre_guard(h: int) -> int:
     return 2 * h.bit_length() + 8
 
 
-def laguerre(h: int, alpha, x) -> mpf:
+def _orders(h, what: str) -> tuple[int, ...]:
+    """h as a tuple of orders: one int, or a sequence of distinct ints >= 0."""
+    orders = (h,) if isinstance(h, int) else tuple(h)
+    low = min(orders, default=0)
+    if low < 0:
+        raise ValueError(f"{what} must be >= 0, got {low}")
+    if len(set(orders)) < len(orders):
+        raise ValueError(f"repeated {what} in {orders}")
+    return orders
+
+
+def laguerre(h, alpha, x):
     """L_h^alpha(x) for x > 0 and rational alpha = r/s, at the working precision.
 
     The three-term recurrence runs on Python ints in fixed point: with
     w = mp.prec + _laguerre_guard(h) and X = x * 2^w,
     s(m+1) L_{m+1} = (s(2m+1) + r) L_m - s (X L_m >> w) - (sm + r) L_{m-1},
-    each L_m held as L_m * 2^w; the result is rounded to an mpf once.
+    each L_m held as L_m * 2^w; the result is rounded to an mpf once.  For a
+    sequence of orders h the recurrence runs once, to the largest order with
+    that order's guard bits, and returns a tuple of L_h, one per order.
     """
-    if h < 0:
-        raise ValueError(f"Laguerre order must be >= 0, got {h}")
+    orders = _orders(h, "Laguerre order")
     a = Fraction(alpha)
     r, s = a.numerator, a.denominator
-    w = mp.prec + _laguerre_guard(h)
+    top = max(orders, default=0)
+    w = mp.prec + _laguerre_guard(top)
     sx = s * to_fixed(mpf(x)._mpf_, w)
     prev, cur = 0, 1 << w
-    for m in range(h):
+    fixed = [cur]
+    for m in range(top):
         step = ((2 * m + 1) * s + r) * cur - ((sx * cur) >> w) - (m * s + r) * prev
         prev, cur = cur, step // ((m + 1) * s)
-    return mpf((cur, -w))
+        fixed.append(cur)
+    values = tuple(mpf((fixed[n], -w)) for n in orders)
+    return values[0] if isinstance(h, int) else values
 
 
 def laguerre_sum(h: int, alpha, x) -> mpf:
@@ -291,7 +321,7 @@ class _ExpWalk:
         return self.value
 
 
-def ms_derivative(series: Series, weight, h: int, z, precision: int = 256) -> mpc:
+def ms_derivative(series: Series, weight, h, z, precision: int = 256):
     """Order-h Maass-Shimura derivative of the series at z (weight as given).
 
     The sum runs on Python ints.  For each denominator D of the frequencies
@@ -305,11 +335,16 @@ def ms_derivative(series: Series, weight, h: int, z, precision: int = 256) -> mp
     2^-precision * max(|ref|, h!/(4 pi y)^h) of the mpf sum for the six
     series at i, omega and 0.3 + 1.1i, h in {0, 1, 7, 32} at 64, 256 and
     1064 bits, and h = 64 at 64 and 256 bits.
+
+    For a sequence of distinct orders h the series is walked once and a
+    tuple comes back, one derivative per order: each term takes one walk
+    step and one ``laguerre`` call for all the orders, and each order keeps
+    its own accumulator and stop rule, so it sums the terms it would sum
+    alone.  The pass ends when every order has stopped.
     """
     if precision < MIN_PRECISION:
         raise PrecisionError(f"precision below {MIN_PRECISION} bits is not supported")
-    if h < 0:
-        raise ValueError("derivative order must be >= 0")
+    orders = _orders(h, "derivative order")
     weight = Fraction(weight)
     with mp.workprec(precision + _GUARD):
         zz = _as_point(z)
@@ -320,33 +355,42 @@ def ms_derivative(series: Series, weight, h: int, z, precision: int = 256) -> mp
         w = mp.prec + _WALK_GUARD
         small = 1 << 2 * (w - precision - 10)  # |term|^2 < 2^-2(precision+10), in units of 2^-2w
         walks: dict[int, _ExpWalk] = {}
-        acc_re = acc_im = 0
-        small_streak = 0
+        acc_re, acc_im = [0] * len(orders), [0] * len(orders)
+        small_streak = [0] * len(orders)
+        active = list(range(len(orders)))  # positions of the orders still summing
         for count, (mu, a) in enumerate(series()):
             walk = walks.get(mu.denominator)
             if walk is None:
                 walk = walks[mu.denominator] = _ExpWalk(zz, mu.denominator, w)
             er, ei, ee = walk.step(mu.numerator)
-            sign, man, exp, _ = laguerre(h, weight - 1, fourpiy * _mpf_frac(mu))._mpf_
-            c = -a * man if sign else a * man
-            shift = exp + ee + w
-            if shift >= 0:
-                tr, ti = (c * er) << shift, (c * ei) << shift
-            else:
-                tr, ti = (c * er) >> -shift, (c * ei) >> -shift
-            acc_re += tr
-            acc_im += ti
-            if tr * tr + ti * ti < small:
-                small_streak += 1
-                if small_streak >= 3 and count >= h + 3:
-                    break
-            else:
-                small_streak = 0
+            values = laguerre(orders, weight - 1, fourpiy * _mpf_frac(mu))
+            stopped = []
+            for i in active:
+                sign, man, exp, _ = values[i]._mpf_
+                c = -a * man if sign else a * man
+                shift = exp + ee + w
+                if shift >= 0:
+                    tr, ti = (c * er) << shift, (c * ei) << shift
+                else:
+                    tr, ti = (c * er) >> -shift, (c * ei) >> -shift
+                acc_re[i] += tr
+                acc_im[i] += ti
+                if tr * tr + ti * ti < small:
+                    small_streak[i] += 1
+                    if small_streak[i] >= 3 and count >= orders[i] + 3:
+                        stopped.append(i)
+                else:
+                    small_streak[i] = 0
+            active = [i for i in active if i not in stopped]
+            if not active:
+                break
             if count > 10000:
                 raise PrecisionError("series did not reach the truncation threshold")
-        total = mpc(mpf((acc_re, -w)), mpf((acc_im, -w)))
-        pref = mpf(-1) ** h * mp.factorial(h) / fourpiy ** h
-        return pref * total
+        derivatives = tuple(
+            mpf(-1) ** n * mp.factorial(n) / fourpiy ** n * mpc(mpf((re, -w)), mpf((im, -w)))
+            for n, re, im in zip(orders, acc_re, acc_im)
+        )
+        return derivatives[0] if isinstance(h, int) else derivatives
 
 
 def e2star(z, precision: int = 256) -> mpc:
@@ -357,6 +401,7 @@ def e2star(z, precision: int = 256) -> mpc:
         return value - 3 / (mp.pi * zz.imag)
 
 
+@functools.cache  # a pure function of precision: every verify row at one precision shares it
 def omega_E(precision: int = 256) -> mpf:
     """gamma(1/4)^2 / (2 sqrt(pi))."""
     with mp.workprec(precision + _GAMMA_GUARD):
@@ -365,6 +410,7 @@ def omega_E(precision: int = 256) -> mpf:
         return +v
 
 
+@functools.cache
 def omega_A(precision: int = 256) -> mpf:
     """gamma(1/3)^3 / (2 pi sqrt(3))."""
     with mp.workprec(precision + _GAMMA_GUARD):
@@ -398,12 +444,17 @@ def _at(form, x):
     return form[0] * x + form[1]
 
 
-def _squared_derivative(row: _Identity, order: int, precision: int) -> mpf:
-    return abs(ms_derivative(row.series, row.weight, order, row.point, precision)) ** 2
+def _squared_derivatives(row: _Identity, orders: list[int], precision: int) -> list[mpf]:
+    """|d^(order) series at point|^2 for each order, from one pass over the series."""
+    derivatives = ms_derivative(row.series, row.weight, tuple(orders), row.point, precision)
+    return [abs(d) ** 2 for d in derivatives]
 
 
-def _constant(row: _Identity, index: int) -> Fraction:
-    return Fraction(constant_term(generate(row.family, index)))
+def _constants(row: _Identity, orders: list[int]) -> list[Fraction]:
+    """F_n(0) of the row's family at each order n, from one walk of the recurrence."""
+    walk = islice(iter_family(row.family), max(orders, default=-1) + 1)
+    table = [Fraction(constant_term(poly)) for poly in walk]
+    return [table[n] for n in orders]
 
 
 def _two_three(e2, e3, k: int) -> mpf:
@@ -422,121 +473,147 @@ class MSDerivativeReport:
     k: int
     order: int             # derivative order h
     constant: str          # the recurrence constant entering the prediction
-    numeric: float         # |derivative|^2 at the CM point
-    predicted: float       # closed form from the recurrence constant and periods
-    rel_error: float       # |numeric - predicted| / predicted, inf when predicted == 0
-    abs_error: float
+    numeric: mpf           # |derivative|^2 at the CM point
+    predicted: mpf         # closed form from the recurrence constant and periods
+    rel_error: mpf         # |numeric - predicted| / predicted, inf when predicted == 0
+    abs_error: mpf
     vanishing: bool        # predicted side is exactly 0
     precision: int
 
     def as_record(self) -> dict:
-        return asdict(self)
+        """The fields as JSON values; the mpf ones, kept at working precision, as floats."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: float(v) if isinstance(v, mpf) else v for name, v in record.items()}
 
 
-def _verify(row: _Identity, N: int, precision: int) -> MSDerivativeReport:
-    k, order = _at(row.k, N), _at(row.order, N)
-    c = _constant(row, order)
+def _verify(row: _Identity, N, precision: int):
+    """The report for index N, or the list of reports for a sequence of distinct N."""
+    Ns = [N] if isinstance(N, int) else list(N)
+    ks = [_at(row.k, n) for n in Ns]
+    orders = [_at(row.order, n) for n in Ns]
+    constants = _constants(row, orders)
+    reports = []
     with mp.workprec(precision + _GUARD):
-        numeric = _squared_derivative(row, order, precision)
-        predicted = _closed_form(row, k, c, precision)
-        if predicted == 0:
-            rel = float("inf") if numeric != 0 else 0.0
-        else:
-            rel = float(abs(numeric - predicted) / abs(predicted))
-        return MSDerivativeReport(
-            case=f"{row.name}@{row.point}",
-            N=N,
-            k=k,
-            order=order,
-            constant=f"{row.family.key}_{order}(0)={c}",
-            numeric=float(numeric),
-            predicted=float(predicted),
-            rel_error=rel,
-            abs_error=float(abs(numeric - predicted)),
-            vanishing=predicted == 0,
-            precision=precision,
-        )
+        squares = _squared_derivatives(row, orders, precision)
+        for n, k, order, c, numeric in zip(Ns, ks, orders, constants, squares):
+            predicted = _closed_form(row, k, c, precision)
+            if predicted == 0:
+                rel = mp.inf if numeric != 0 else mpf(0)
+            else:
+                rel = abs(numeric - predicted) / abs(predicted)
+            reports.append(MSDerivativeReport(
+                case=f"{row.name}@{row.point}",
+                N=n,
+                k=k,
+                order=order,
+                constant=f"{row.family.key}_{order}(0)={c}",
+                numeric=numeric,
+                predicted=predicted,
+                rel_error=rel,
+                abs_error=abs(numeric - predicted),
+                vanishing=predicted == 0,
+                precision=precision,
+            ))
+    return reports[0] if isinstance(N, int) else reports
 
 
-def verify_theta2_identity(N: int, precision: int = 256) -> MSDerivativeReport:
-    """|d^(N) theta2 at i|^2 against its closed form in f_N(0) and Omega_E, k = 2N+1 (row "f")."""
+def verify_theta2_identity(N, precision: int = 256):
+    """|d^(N) theta2 at i|^2 against its closed form in f_N(0) and Omega_E, k = 2N+1 (row "f").
+
+    N is one index (one report back) or a sequence of distinct indices (a
+    list of reports, all from one pass over the series).
+    """
     return _verify(_IDENTITIES["f"], N, precision)
 
 
-def verify_eta_identity(N: int, case: str, precision: int = 256) -> MSDerivativeReport:
+def verify_eta_identity(N, case: str, precision: int = 256):
     """A-side CM derivative identity for case (row) 'x' (k=6N+1), 'y' (k=6N+2) or 'z' (k=6N+4).
 
     The y-case derivative order is 3N, forced by the weight bookkeeping
     2k - 1 = 2*order + weight; its closed-form constant follows from the same
-    CM period values as the x- and z-cases.
+    CM period values as the x- and z-cases.  N is one index or a sequence of
+    distinct indices, as in ``verify_theta2_identity``.
     """
     if case not in ("x", "y", "z"):
         raise ValueError("case must be one of ['x', 'y', 'z']")
     return _verify(_IDENTITIES[case], N, precision)
 
 
-def _hecke_value(point: str, k: int, precision: int, from_constants: bool) -> mpf:
+def _hecke_value(point: str, k, precision: int, from_constants: bool):
     """2^h2 3^h3 pi^k / (k-1)! times the squared derivative (or its closed form)
-    of the row at this point whose k = a*N + b fits; exactly 0 when none does."""
-    if k < 1:
+    of the row at this point whose k = a*N + b fits; exactly 0 when none does.
+
+    k is one weight or a sequence of distinct weights (then a list comes
+    back); each row's derivatives come from one pass over its series.
+    """
+    ks = [k] if isinstance(k, int) else list(k)
+    if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
-    for row in _IDENTITIES.values():
+    values = dict.fromkeys(ks, mpf(0))
+    for row in (row for row in _IDENTITIES.values() if row.point == point):
         a, b = row.k
-        if row.point == point and k % a == b:
-            break
-    else:
-        return mpf(0)
-    order = _at(row.order, (k - b) // a)
-    with mp.workprec(precision + _GUARD):
-        if from_constants:
-            square = _closed_form(row, k, _constant(row, order), precision)
-        else:
-            square = _squared_derivative(row, order, precision)
-        return _two_three(row.h2, row.h3, k) * mp.pi ** k / mp.factorial(k - 1) * square
+        mine = [kk for kk in ks if kk % a == b]
+        if not mine:
+            continue
+        orders = [_at(row.order, (kk - b) // a) for kk in mine]
+        with mp.workprec(precision + _GUARD):
+            if from_constants:
+                constants = _constants(row, orders)
+                squares = [_closed_form(row, kk, c, precision) for kk, c in zip(mine, constants)]
+            else:
+                squares = _squared_derivatives(row, orders, precision)
+            for kk, square in zip(mine, squares):
+                values[kk] = _two_three(row.h2, row.h3, kk) * mp.pi ** kk / mp.factorial(kk - 1) * square
+    return values[k] if isinstance(k, int) else [values[kk] for kk in ks]
 
 
-def hecke_value_E(k: int, precision: int = 256) -> mpf:
+def hecke_value_E(k, precision: int = 256):
     """Central Hecke value for the square-family character at weight k.
 
     Zero by construction for even k; for k = 2N+1 it is the Hecke scale of
-    row "f" times |d^(N) theta2 at i|^2.
+    row "f" times |d^(N) theta2 at i|^2.  A sequence of weights gives a list.
     """
     return _hecke_value(CM_I, k, precision, from_constants=False)
 
 
-def hecke_value_E_from_constants(k: int, precision: int = 256) -> mpf:
+def hecke_value_E_from_constants(k, precision: int = 256):
     """The same central value predicted from f_N(0) and Omega_E alone."""
     return _hecke_value(CM_I, k, precision, from_constants=True)
 
 
-def hecke_value_A(k: int, precision: int = 256) -> mpf:
+def hecke_value_A(k, precision: int = 256):
     """A-side central Hecke value at weight k via the hexagonal lattice theta series.
 
     Uses 2^{k-1} 3^{k/2-2} pi^k / (k-1)! * |d^(k-1) Theta_hex at omega| with the
     sign (-1)^{k-1}; independent of the eta-series route, so the two can be
-    compared.  Values for k = 0, 3, 5 mod 6 come out numerically zero.
+    compared.  Values for k = 0, 3, 5 mod 6 come out numerically zero.  A
+    sequence of distinct weights gives a list, from one pass over Theta_hex.
     """
-    if k < 1:
+    ks = [k] if isinstance(k, int) else list(k)
+    if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
     with mp.workprec(precision + _GUARD):
-        d = ms_derivative(THETA_HEX, 1, k - 1, CM_OMEGA, precision)
-        val = (
-            mpf(-1) ** (k - 1)
-            * mpf(2) ** (k - 1)
-            * mpf(3) ** (mpf(k) / 2 - 2)
-            * mp.pi ** k
-            / mp.factorial(k - 1)
-            * d
-        )
-        return val.real  # imaginary part vanishes to working precision
+        derivatives = ms_derivative(THETA_HEX, 1, tuple(kk - 1 for kk in ks), CM_OMEGA, precision)
+        values = [
+            (
+                mpf(-1) ** (kk - 1)
+                * mpf(2) ** (kk - 1)
+                * mpf(3) ** (mpf(kk) / 2 - 2)
+                * mp.pi ** kk
+                / mp.factorial(kk - 1)
+                * d
+            ).real  # imaginary part vanishes to working precision
+            for kk, d in zip(ks, derivatives)
+        ]
+    return values[0] if isinstance(k, int) else values
 
 
-def hecke_value_A_from_theta_forms(k: int, precision: int = 256) -> mpf:
+def hecke_value_A_from_theta_forms(k, precision: int = 256):
     """A-side central Hecke value from the eta-type CM derivatives.
 
     For k = 1, 2, 4 mod 6 it is the Hecke scale of row "x", "y" or "z" times
     the squared derivative of eta, eta^3 or eta(3z)^3 at omega; exactly 0
-    otherwise.
+    otherwise.  A sequence of weights gives a list, one pass per row.
     """
     return _hecke_value(CM_OMEGA, k, precision, from_constants=False)
 

@@ -6,10 +6,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
 from rankcrit import lseries, maass
 from rankcrit._primality import is_prime
-from rankcrit.cli import _cache_key, main
+from rankcrit.cli import _cache_key, _within_precision, main
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -291,10 +292,12 @@ class TestVerify:
         assert len(rows) == 24 and all(r["ok"] for r in rows)
 
     def test_ok_rule_follows_precision(self, capsys, monkeypatch):
-        # 1e-20 is about 2^-66: ok at 64 bits, far too loose at 256
+        # 1e-20 is about 2^-66: ok at 64 bits, far too loose at 256; the CLI asks
+        # for all indices at once, so every report of the batch gets the error
         real = maass.verify_theta2_identity
         monkeypatch.setattr(maass, "verify_theta2_identity",
-                            lambda N, precision: dataclasses.replace(real(N, precision), rel_error=1e-20))
+                            lambda Ns, precision: [dataclasses.replace(r, rel_error=1e-20)
+                                                   for r in real(Ns, precision)])
         code, out, _ = run(capsys, "verify", "--thm", "5", "--max-n", "0",
                            "--precision", "256", "--format", "json")
         assert code == 2
@@ -303,6 +306,29 @@ class TestVerify:
                            "--precision", "64", "--format", "json")
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_ok_rule_reads_errors_past_the_float_range(self):
+        # 2^-1500 reads 0.0 as a float; at 2048 bits it is far too large
+        assert not _within_precision(mpf(2) ** -1500, 2048)
+        assert _within_precision(mpf(2) ** -2100, 2048)
+        assert _within_precision(mpf(2) ** -2048, 2048)
+        assert not _within_precision(mpf(2) ** -2047, 2048)
+
+    @pytest.mark.parametrize("thm, max_n", [("3", 4), ("4", 2), ("5", 4), ("6", 3)])
+    def test_batched_rows_equal_one_index_at_a_time(self, capsys, monkeypatch, thm, max_n):
+        argv = ("verify", "--thm", thm, "--max-n", str(max_n), "--format", "json")
+        code, batched, _ = run(capsys, *argv)
+        assert code == 0
+
+        def one_at_a_time(fn):
+            return lambda indices, *args: [fn(i, *args) for i in indices]
+
+        for name in ("verify_theta2_identity", "verify_eta_identity", "hecke_value_E",
+                     "hecke_value_E_from_constants", "hecke_value_A", "hecke_value_A_from_theta_forms"):
+            monkeypatch.setattr(maass, name, one_at_a_time(getattr(maass, name)))
+        code, single, _ = run(capsys, *argv)
+        assert code == 0
+        assert batched == single and batched.count("\n") > max_n
 
     def test_speed(self, capsys):
         t0 = time.perf_counter()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -70,16 +71,20 @@ class TestLaguerre:
 
     @pytest.mark.parametrize("prec", [64, 256, 1064])
     def test_grid_vs_defining_sum_and_mpf_recurrence(self, prec):
+        orders = (0, 1, 7, 31, 48, 64)
         with mp.workprec(prec):
-            for h in (0, 1, 7, 31, 48, 64):
+            # one recurrence for all the orders, with the guard bits of the largest
+            one_call = {(alpha, x): laguerre(orders, alpha, mpf(x)) for alpha in _ALPHAS for x in _XS}
+            for i, h in enumerate(orders):
                 for alpha in _ALPHAS:
-                    for x in map(mpf, _XS):
-                        a = laguerre(h, alpha, x)
+                    for x_text in _XS:
+                        x = mpf(x_text)
                         b = laguerre_sum(h, alpha, x)
-                        assert abs(a - b) <= mpf(2) ** -(prec - 8) * max(1, abs(b)), (h, alpha, x)
                         with mp.workprec(prec + 32):  # mpf steps lose up to ~10 bits at small x
                             ref = _laguerre_mpf(h, alpha, x)
-                        assert abs(a - ref) <= mpf(2) ** -(prec - 8) * max(1, abs(ref)), (h, alpha, x)
+                        for a in (laguerre(h, alpha, x), one_call[alpha, x_text][i]):
+                            assert abs(a - b) <= mpf(2) ** -(prec - 8) * max(1, abs(b)), (h, alpha, x)
+                            assert abs(a - ref) <= mpf(2) ** -(prec - 8) * max(1, abs(ref)), (h, alpha, x)
 
     def test_recurrence_vs_defining_sum(self):
         rng = random.Random(42)
@@ -111,6 +116,33 @@ class TestLaguerre:
     def test_negative_order_refused(self):
         with pytest.raises(ValueError, match="order must be >= 0, got -1"):
             laguerre(-1, Fraction(-1, 2), mpf(1))
+
+    @pytest.mark.parametrize("alpha", [Fraction(-1, 2), Fraction(1)])
+    @pytest.mark.parametrize("x", ["0.01", "2000"])
+    def test_every_order_to_64_in_one_call(self, alpha, x):
+        # the guard bits of order 64 serve every lower order read on the way
+        with mp.workprec(256):
+            x = mpf(x)
+            values = laguerre(tuple(range(65)), alpha, x)
+            assert len(values) == 65
+            for h, a in enumerate(values):
+                b = laguerre_sum(h, alpha, x)
+                assert abs(a - b) <= mpf(2) ** -(256 - 8) * max(1, abs(b)), (h, alpha, x)
+
+    def test_orders_come_back_as_requested(self):
+        with mp.workprec(128):
+            x = mpf("3.3")
+            l0, l4, l9 = laguerre((0, 4, 9), Fraction(1, 2), x)
+            assert l0 == 1
+            assert laguerre((9, 0, 4), Fraction(1, 2), x) == (l9, l0, l4)
+            assert laguerre((), 0, x) == ()
+
+    @pytest.mark.parametrize("orders", [(0, -1), (-3,), (2, 5, 2), (0, 0)])
+    def test_negative_or_repeated_orders_refused(self, orders):
+        with pytest.raises(ValueError, match="must be >= 0|repeated"):
+            laguerre(orders, Fraction(-1, 2), mpf(1))
+        with pytest.raises(ValueError, match="must be >= 0|repeated"):
+            ms_derivative(THETA2, Fraction(1, 2), orders, CM_I, 64)
 
 
 class TestHermite:
@@ -160,6 +192,7 @@ class TestHexCount:
         assert [_hex_count(f) for f in range(3000)] == _hex_counts_box(3000)
 
 
+@functools.cache  # shared by the one-order and the one-pass tests
 def _ms_derivative_mpf(series, weight, h: int, z, precision: int) -> mpc:
     """The series sum of ``ms_derivative`` in mpf arithmetic, one mp.exp per term;
     the reference for the integer walk."""
@@ -216,6 +249,41 @@ class TestMsDerivative:
                         y = _as_point(z).imag
                         bound = mpf(2) ** -prec * max(abs(ref), mp.factorial(h) / (4 * mp.pi * y) ** h)
                         assert abs(got - ref) <= bound, (name, z, h)
+
+    @pytest.mark.parametrize("prec", [64, 256, 1064])
+    def test_one_pass_matches_mpf_sum(self, prec):
+        orders = (0, 1, 7, 32)
+        for name, (series, weight) in _SERIES.items():
+            for z in (CM_I, CM_OMEGA, 0.3 + 1.1j):
+                got = ms_derivative(series, weight, orders, z, prec)
+                assert len(got) == len(orders)
+                for h, value in zip(orders, got):
+                    ref = _ms_derivative_mpf(series, weight, h, z, prec)
+                    with mp.workprec(prec + _GUARD):
+                        y = _as_point(z).imag
+                        bound = mpf(2) ** -prec * max(abs(ref), mp.factorial(h) / (4 * mp.pi * y) ** h)
+                        assert abs(value - ref) <= bound, (name, z, h)
+
+    @pytest.mark.parametrize("name, point, prec, top", [
+        ("theta2", CM_I, 1024, 32),
+        ("eta", CM_OMEGA, 512, 25),
+        ("eta(3z)^3", CM_OMEGA, 512, 25),
+        ("theta_hex", CM_OMEGA, 256, 23),
+        ("theta2", CM_I, 64, 64),
+    ])
+    def test_one_pass_equals_one_order_calls(self, name, point, prec, top):
+        # each order sums exactly the terms it sums alone: the values are equal, not just close
+        series, weight = _SERIES[name]
+        got = ms_derivative(series, weight, tuple(range(top + 1)), point, prec)
+        assert list(got) == [ms_derivative(series, weight, h, point, prec) for h in range(top + 1)]
+
+    def test_stop_rule_is_per_order(self):
+        # order 32 runs the series far past where order 0 stops; order 0 must not see those terms
+        for series, weight in _SERIES.values():
+            alone = ms_derivative(series, weight, (0,), CM_I, 256)
+            together = ms_derivative(series, weight, (0, 32), CM_I, 256)
+            assert together[0] == alone[0] == ms_derivative(series, weight, 0, CM_I, 256)
+            assert ms_derivative(series, weight, (32, 0), CM_I, 256) == together[::-1]
 
     def test_order_zero_is_plain_evaluation(self):
         # theta2(i) = 2 sum e^{-pi (m+1/2)^2}
@@ -363,6 +431,52 @@ class TestHeckeValues:
         for k in (1, 3, 7, 8):
             assert hecke_value_E(k, 128) >= 0
             assert hecke_value_A_from_theta_forms(k, 128) >= 0
+
+
+class TestBatches:
+    """A sequence of indices gives the values of the one-index calls, from one pass per series."""
+
+    NS = range(5)
+
+    def test_verify_identities(self):
+        assert verify_theta2_identity(self.NS, 256) == [verify_theta2_identity(N, 256) for N in self.NS]
+        for case in ("x", "y", "z"):
+            assert verify_eta_identity(self.NS, case, 256) == [
+                verify_eta_identity(N, case, 256) for N in self.NS]
+
+    @pytest.mark.parametrize("fn", [hecke_value_E, hecke_value_E_from_constants,
+                                    hecke_value_A, hecke_value_A_from_theta_forms])
+    def test_hecke_values(self, fn):
+        ks = range(1, 19)
+        assert fn(ks, 192) == [fn(k, 192) for k in ks]
+
+    def test_one_pass_per_series(self, monkeypatch):
+        calls = []
+        real = maass.ms_derivative
+
+        def counted(series, weight, h, z, precision):
+            calls.append(series)
+            return real(series, weight, h, z, precision)
+
+        monkeypatch.setattr(maass, "ms_derivative", counted)
+        verify_theta2_identity(range(9), 128)
+        assert calls == [THETA2]
+        calls.clear()
+        hecke_value_A_from_theta_forms(range(1, 25), 128)
+        hecke_value_A(range(1, 25), 128)
+        assert calls == [ETA, ETA_CUBED, ETA3Z_CUBED, THETA_HEX]
+
+    def test_periods_computed_once_per_precision(self):
+        assert omega_E(320) is omega_E(320) and omega_A(320) is omega_A(320)
+        with mp.workprec(400):
+            assert abs(omega_E(320) - mp.gamma(mpf(1) / 4) ** 2 / (2 * mp.sqrt(mp.pi))) < mpf(2) ** -350
+
+    def test_report_record_is_floats(self):
+        r = verify_theta2_identity(3, 256)
+        rec = r.as_record()
+        assert type(rec["numeric"]) is float and rec["numeric"] == float(r.numeric)
+        assert type(rec["rel_error"]) is float and rec["rel_error"] == float(r.rel_error)
+        assert isinstance(r.rel_error, mpf)
 
 
 class TestLatticeThetaIdentity:
