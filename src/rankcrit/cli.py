@@ -52,6 +52,9 @@ _TABLE_FAMILY = {"1": "a", "2": "x", "4": "f"}
 
 def _cmd_poly(args) -> int:
     if args.emit_table:
+        if args.n is not None or args.mod is not None:
+            print("poly: error: --emit-table takes neither --n nor --mod", file=sys.stderr)
+            return EXIT_USAGE
         family = recurrences.FAMILIES[_TABLE_FAMILY[args.emit_table]]
         polys = recurrences.generate_all(family, 9)
         print(f"n  {family.key}_n(t)")
@@ -87,6 +90,9 @@ _CRITERION_FIELDS = ["p", "family", "index", "k", "residue", "divisible", "predi
 
 
 def _cmd_criterion(args) -> int:
+    if args.jobs < 1:
+        print(f"criterion: error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     lo, hi = _parse_range(args.range)
     verdicts = criteria.scan(args.family, lo, hi, jobs=args.jobs)
     records = [v.as_record() for v in verdicts]
@@ -356,8 +362,9 @@ def _build_parser() -> _Parser:
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="numeric and symbolic identity checks")
-    p_verify.add_argument("--thm", choices=["3", "4", "5", "6"])
-    p_verify.add_argument("--symbolic", action="store_true")
+    mode = p_verify.add_mutually_exclusive_group()
+    mode.add_argument("--thm", choices=["3", "4", "5", "6"])
+    mode.add_argument("--symbolic", action="store_true")
     p_verify.add_argument("--max-n", type=int, default=6)
     p_verify.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p_verify.add_argument("--format", choices=["json", "pretty"], default="pretty")

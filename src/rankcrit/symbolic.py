@@ -4,6 +4,12 @@ The derivation sends th2 to th2*th4^4/12 + th2^5/24 and th4 to
 -(th2^4*th4/12 + th4^5/24).  Iterating it through a two-term recurrence and
 normalizing by th2-powers re-derives the univariate f-family from an
 independent route, which the tests compare against ``recurrences.generate``.
+
+The recurrence is walked at scale 24^n, on ``G_n = 24^n F_n``: there the
+derivation is the integer-weight monomial rule ``_rule`` (24 times
+``rs_derivation``) and every coefficient is an int, so no Fraction is built
+until ``vz_sequence`` returns its rows.  ``ThetaPolynomial`` keeps ``+``,
+``*`` and exact rational coefficients for everything else.
 """
 
 from __future__ import annotations
@@ -80,6 +86,17 @@ TH4 = ThetaPolynomial.from_dict({(0, 1): 1})
 E4 = ThetaPolynomial.from_dict({(8, 0): 1, (4, 4): 1, (0, 8): 1})
 
 
+def _rule(terms) -> dict[tuple[int, int], Fraction | int]:
+    """24 times the derivation, monomial by monomial:
+    th2^i th4^j -> (2i - j) th2^i th4^(j+4) + (i - 2j) th2^(i+4) th4^j.
+    """
+    out: dict[tuple[int, int], Fraction | int] = {}
+    for (i, j), c in terms:
+        for key, w in (((i, j + 4), 2 * i - j), ((i + 4, j), i - 2 * j)):
+            out[key] = out.get(key, 0) + w * c
+    return out
+
+
 def rs_derivation(a: ThetaPolynomial) -> ThetaPolynomial:
     """Weight-raising derivation D2 * d/dth2 + D4 * d/dth4 (raises i+j by 4).
 
@@ -87,29 +104,30 @@ def rs_derivation(a: ThetaPolynomial) -> ThetaPolynomial:
     sends one monomial to two:
     th2^i th4^j -> ((2i - j) th2^i th4^(j+4) + (i - 2j) th2^(i+4) th4^j) / 24.
     """
-    out: dict[tuple[int, int], Fraction | int] = {}
-    for (i, j), c in a.terms:
-        for key, w in (((i, j + 4), 2 * i - j), ((i + 4, j), i - 2 * j)):
-            out[key] = out.get(key, 0) + c * Fraction(w, 24)
-    return ThetaPolynomial.from_dict(out)
+    return ThetaPolynomial.from_dict({ij: Fraction(c, 24) for ij, c in _rule(a.terms).items()})
 
 
 def vz_sequence(N: int) -> list[ThetaPolynomial]:
     """F_0 ... F_N with F_0 = th2, F_{n+1} = rs(F_n) - n(2n-1)/288 * E4 * F_{n-1}.
 
-    F_n is homogeneous of theta-degree 4n+1 (weight 1/2 + 2n).
+    F_n is homogeneous of theta-degree 4n+1 (weight 1/2 + 2n).  The walk runs
+    on the integer rows G_n = 24^n F_n:
+    G_0 = th2, G_{n+1} = _rule(G_n) - 2n(2n-1) * E4 * G_{n-1}.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    seq = [TH2]
-    if N == 0:
-        return seq
-    seq.append(rs_derivation(TH2))
-    for n in range(1, N):
-        s = Fraction(-n * (2 * n - 1), 288)
-        scaled_e4 = ThetaPolynomial.from_dict({ij: s * c for ij, c in E4.terms})
-        seq.append(rs_derivation(seq[n]) + scaled_e4 * seq[n - 1])
-    return seq
+    rows = [dict(TH2.terms)]
+    for n in range(N):
+        nxt = _rule(rows[n].items())
+        if n:
+            s = 2 * n * (2 * n - 1)
+            for (i, j), c in rows[n - 1].items():
+                for (a, b), e in E4.terms:
+                    key = (i + a, j + b)
+                    nxt[key] = nxt.get(key, 0) - s * e * c
+        rows.append(nxt)
+    return [TH2] + [ThetaPolynomial.from_dict({ij: Fraction(c, 24 ** n) for ij, c in rows[n].items()})
+                    for n in range(1, N + 1)]
 
 
 def normalize_to_t(F_n: ThetaPolynomial, n: int) -> tuple:

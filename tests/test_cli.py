@@ -43,6 +43,12 @@ class TestPoly:
         assert lines[1].startswith("0  1")
         assert lines[3].startswith("2  -6*t^2 - 18*t - 9")
 
+    @pytest.mark.parametrize("extra", [["--n", "3"], ["--mod", "7"], ["--n", "3", "--mod", "7"]])
+    def test_emit_table_with_n_or_mod_is_usage_error(self, capsys, extra):
+        code, out, err = run(capsys, "poly", "--emit-table", "4", *extra)
+        assert code == 1 and out == ""
+        assert err == "poly: error: --emit-table takes neither --n nor --mod\n"
+
     def test_z_family_rational_seed(self, capsys):
         code, out, _ = run(capsys, "poly", "--family", "z", "--n", "0")
         assert code == 0
@@ -116,6 +122,12 @@ class TestCriterion:
     def test_bad_range_usage(self, capsys):
         code, _, _ = run(capsys, "criterion", "--family", "Ep", "--range", "17")
         assert code == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_usage_error(self, capsys, jobs):
+        code, out, err = run(capsys, "criterion", "--family", "Ep", "--range", "2..50", "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err == f"criterion: error: --jobs must be >= 1, got {jobs}\n"
 
 
 class TestOracle:
@@ -352,6 +364,12 @@ class TestVerify:
     def test_requires_mode(self, capsys):
         code, _, _ = run(capsys, "verify")
         assert code == 1
+
+    @pytest.mark.parametrize("thm", ["3", "4", "5", "6"])
+    def test_thm_with_symbolic_is_usage_error(self, capsys, thm):
+        code, out, err = run(capsys, "verify", "--thm", thm, "--symbolic", "--max-n", "1")
+        assert code == 1 and out == ""
+        assert "not allowed with argument" in err
 
     @pytest.mark.parametrize("mode", [["--symbolic"], ["--thm", "3"], ["--thm", "4"], ["--thm", "5"], ["--thm", "6"]])
     def test_negative_max_n_usage_error(self, capsys, mode):

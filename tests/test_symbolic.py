@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,23 @@ from rankcrit.symbolic import (
     rs_derivation,
     vz_sequence,
 )
+
+
+def fraction_walk(N):
+    """F_0 ... F_N on exact rationals: F_{n+1} = rs(F_n) - n(2n-1)/288 * E4 * F_{n-1}.
+
+    The reference for ``vz_sequence``, which walks the same recurrence on the
+    integer rows 24^n F_n.
+    """
+    seq = [TH2]
+    if N == 0:
+        return seq
+    seq.append(rs_derivation(TH2))
+    for n in range(1, N):
+        s = Fraction(-n * (2 * n - 1), 288)
+        scaled_e4 = ThetaPolynomial.from_dict({ij: s * c for ij, c in E4.terms})
+        seq.append(rs_derivation(seq[n]) + scaled_e4 * seq[n - 1])
+    return seq
 
 
 def rand_homogeneous(rng, degree, nterms=3):
@@ -70,6 +88,17 @@ class TestSequence:
         for n, F in enumerate(seq):
             assert F.total_degree() == 4 * n + 1
 
+    def test_equals_fraction_walk(self):
+        got, want = vz_sequence(40), fraction_walk(40)
+        assert len(got) == len(want) == 41
+        for n, (F, R) in enumerate(zip(got, want)):
+            assert F == R, n
+            assert str(F) == str(R), n
+
+    def test_negative_n_refused(self):
+        with pytest.raises(ValueError):
+            vz_sequence(-1)
+
     def test_f2_monomial_lattice(self):
         F2 = vz_sequence(2)[2]
         for (i, j), _ in F2.terms:
@@ -103,6 +132,13 @@ class TestNormalize:
 class TestEndToEnd:
     def test_matches_recurrence_to_12(self):
         assert all(ok for _, ok in cross_check(12))
+
+    def test_matches_recurrence_to_100(self):
+        t0 = time.perf_counter()
+        rows = cross_check(100)
+        elapsed = time.perf_counter() - t0
+        assert rows == [(n, True) for n in range(101)]
+        assert elapsed < 1.0, f"cross_check(100) took {elapsed:.2f} s"
 
     def test_rederive_single(self):
         assert normalize_to_t(vz_sequence(7)[7], 7) == generate(F_E, 7)
