@@ -55,7 +55,12 @@ def _cmd_poly(args) -> int:
         if args.n is not None or args.mod is not None:
             print("poly: error: --emit-table takes neither --n nor --mod", file=sys.stderr)
             return EXIT_USAGE
-        family = recurrences.FAMILIES[_TABLE_FAMILY[args.emit_table]]
+        key = _TABLE_FAMILY[args.emit_table]
+        if args.family is not None:
+            print(f"poly: error: --emit-table {args.emit_table} prints the {key} table and takes no --family",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        family = recurrences.FAMILIES[key]
         polys = recurrences.generate_all(family, 9)
         print(f"n  {family.key}_n(t)")
         for n, poly in enumerate(polys):
@@ -64,7 +69,7 @@ def _cmd_poly(args) -> int:
     if args.n is None:
         print("poly: error: --n is required unless --emit-table is given", file=sys.stderr)
         return EXIT_USAGE
-    family = recurrences.FAMILIES[args.family]
+    family = recurrences.FAMILIES[args.family or "f"]
     if args.mod is not None:
         poly = recurrences.generate(family, args.n, args.mod)
         print(polyring.render(poly))
@@ -336,7 +341,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_poly = sub.add_parser("poly", help="print a recurrence polynomial or a golden table")
-    p_poly.add_argument("--family", choices=sorted(recurrences.FAMILIES), default="f")
+    p_poly.add_argument("--family", choices=sorted(recurrences.FAMILIES), help="default: f")
     p_poly.add_argument("--n", type=int)
     p_poly.add_argument("--mod", type=int)
     p_poly.add_argument("--emit-table", choices=["1", "2", "4"])

@@ -3,12 +3,12 @@
 A polynomial is a tuple of coefficients ascending by degree with no trailing
 zeros; the zero polynomial is ``()``.  Coefficients are ints (residues mod p
 are ints in ``[0, p)``); ``fractions.Fraction`` coefficients work as well.
-These functions are the exact path; mod-p generation has its own int64
-kernel in :mod:`rankcrit.recurrences`.
+The recurrence steps themselves live in :mod:`rankcrit.recurrences`.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable
 
 
@@ -20,28 +20,8 @@ def trim(coeffs: Iterable) -> tuple:
     return tuple(out)
 
 
-def dot(pairs: Iterable[tuple[tuple, tuple]]) -> tuple:
-    """Sum of the products a*b over the (a, b) pairs, in exact arithmetic.
-
-    The outer loop runs over the nonzero coefficients of ``a``, so put the
-    short polynomial of each pair first.
-    """
-    pairs = [(a, b) for a, b in pairs if a and b]
-    out = [0] * max((len(a) + len(b) - 1 for a, b in pairs), default=0)
-    for a, b in pairs:
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
-    return trim(out)
-
-
 def constant_term(a: tuple):
     return a[0] if a else 0
-
-
-def derivative(a: tuple) -> tuple:
-    return tuple(k * a[k] for k in range(1, len(a)))
 
 
 def _term(c, k: int) -> str:
@@ -54,7 +34,23 @@ def _term(c, k: int) -> str:
 
 
 def render(a: tuple) -> str:
-    """Human-readable form: ``c_k*t^k + ... + c_0``, highest degree first."""
+    """Human-readable form: ``c_k*t^k + ... + c_0``, highest degree first.
+
+    Coefficients of any size print in full: CPython's limit on the digits of
+    an int-to-str conversion is lifted for the call and then restored.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _render(a)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _render(a)
+    finally:
+        set_limit(limit)
+
+
+def _render(a: tuple) -> str:
     if not a:
         return "0"
     parts = []

@@ -5,10 +5,20 @@ Each family is a two-term recurrence
     F_{n+1} = D(t) * F_n' + (linear-in-n polynomial) * F_n + (scalar) * M(t) * F_{n-1}
 
 with integer coefficients.  Exact generation over Z steps coefficient tuples
-(see :mod:`rankcrit.polyring`).  Generation mod p, which avoids the huge
-exact coefficients, steps int64 numpy arrays of residues instead, for primes
-p below ``_P_MAX``.  The constant terms F_N(0) mod p drive the rank criteria;
-``constant_term_mod`` steps only the coefficients that can reach F_N(0).
+of plain ints (see :mod:`rankcrit.polyring`) by the tap rule
+
+    F_{n+1}[j] = sum_d (P_n[d] + D[d+1] * (j - d)) * F_n[j - d]
+                 + s_n * sum_e M[e] * F_{n-1}[j - e],
+
+which folds the derivative into the taps on F_n (d runs from -1, with
+P_n[-1] = 0), so F_n' is never built.  Every tap with a nonzero multiplier
+is one C-level ``map(mul, ...)`` of an arithmetic progression in j (a
+constant for the taps on F_{n-1}) against the shifted coefficients, and
+the taps are summed lazily by ``map(add, ...)``.  Generation mod p, which
+avoids the huge exact coefficients, steps int64 numpy arrays of residues
+instead, for primes p below ``_P_MAX``.  The constant terms F_N(0) mod p
+drive the rank criteria; ``constant_term_mod`` steps only the coefficients
+that can reach F_N(0).
 """
 
 from __future__ import annotations
@@ -16,13 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
+from operator import add, mul
 from typing import Callable, Iterator
 
 import numpy as np
 
 from ._primality import is_prime
-from .polyring import derivative, dot, trim
+from .polyring import trim
 
 
 @dataclass(frozen=True)
@@ -155,8 +166,33 @@ def step(family: RecurrenceFamily, n: int, prev: tuple, cur: tuple, p: int | Non
         prev, cur = (np.array([c % p for c in poly], np.int64) for poly in (prev, cur))
         return trim(_step_mod(mults, 0, prev, cur, np.arange(1, len(cur) + 1) % p, p, _UNCUT).tolist())
     d_poly, cur_poly, prev_scalar, prev_poly = family.step_coeffs(n)
-    scaled_prev_poly = tuple(prev_scalar * c for c in prev_poly)
-    return dot(((d_poly, derivative(cur)), (cur_poly, cur), (scaled_prev_poly, prev)))
+    # taps (d, a, b), ascending in d: F_{n+1}[j] += (a + b*j) * source[j - d]
+    cur_taps = []
+    if cur:
+        for d in range(-1, max(len(cur_poly), len(d_poly) - 1)):
+            b = d_poly[d + 1] if d + 1 < len(d_poly) else 0
+            a = (cur_poly[d] if 0 <= d < len(cur_poly) else 0) - b * d
+            if a or b:
+                cur_taps.append((d, a, b))
+    prev_taps = [(e, prev_scalar * m, 0) for e, m in enumerate(prev_poly) if m] if prev and prev_scalar else []
+    size = max(len(cur) + cur_taps[-1][0] if cur_taps else 0, len(prev) + prev_taps[-1][0] if prev_taps else 0)
+    terms = _tap_products(cur, cur_taps, size) + _tap_products(prev, prev_taps, size)
+    if not terms:
+        return ()
+    total = terms[0]
+    for term in terms[1:]:
+        total = map(add, total, term)
+    return trim(total)
+
+
+def _tap_products(source: tuple, taps: list, size: int) -> list:
+    """Per tap (d, a, b), the lazy sequence (a + b*j) * source[j - d] for 0 <= j < size."""
+    if not taps:
+        return []
+    lo = max(taps[-1][0], 0)
+    padded = (0,) * lo + tuple(source) + (0,) * (size - taps[0][0] - len(source))
+    return [map(mul, range(a, a + b * size, b) if b else repeat(a, size), padded[lo - d:])
+            for d, a, b in taps]
 
 
 def _stored_exact(family: RecurrenceFamily) -> Iterator[tuple]:

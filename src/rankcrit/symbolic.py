@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .polyring import trim
 from .recurrences import F_E, generate_all
@@ -151,12 +152,11 @@ def normalize_to_t(F_n: ThetaPolynomial, n: int) -> tuple:
             raise StructureError(f"non-integer coefficient {v} after normalization")
         cs[jj] = v.numerator
 
-    # Horner in (1+t): acc <- acc * (1+t) + 24^n c_j for j = n, ..., 0
+    # Horner in (1+t): acc <- acc * (1+t) + 24^n c_j for j = n, ..., 0, one C-level
+    # pass per row (the degree stays <= n, so the t^(n+1) term is always 0)
     acc = [0] * (n + 1)
     for c in reversed(cs):
-        for k in range(n, 0, -1):
-            acc[k] += acc[k - 1]
-        acc[0] += c
+        acc = [acc[0] + c, *map(add, acc[1:], acc)]
     return trim(acc)
 
 

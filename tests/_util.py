@@ -1,5 +1,34 @@
 from rankcrit._primality import is_prime
+from rankcrit.polyring import trim
 
 
 def primes_leq(hi: int) -> list[int]:
     return [n for n in range(2, hi + 1) if is_prime(n)]
+
+
+def dot(pairs) -> tuple:
+    """Sum of the products a*b over the (a, b) pairs, in exact arithmetic.
+
+    The outer loop runs over the nonzero coefficients of ``a``, so put the
+    short polynomial of each pair first.
+    """
+    pairs = [(a, b) for a, b in pairs if a and b]
+    out = [0] * max((len(a) + len(b) - 1 for a, b in pairs), default=0)
+    for a, b in pairs:
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+    return trim(out)
+
+
+def derivative(a: tuple) -> tuple:
+    return tuple(k * a[k] for k in range(1, len(a)))
+
+
+def dot_step(family, n: int, prev: tuple, cur: tuple) -> tuple:
+    """Stored F_{n+1} over Z from (F_{n-1}, F_n), multiplied out as written:
+    D * F_n' + P_n * F_n + s_n * M * F_{n-1}.  The reference for the tap step."""
+    d_poly, cur_poly, prev_scalar, prev_poly = family.step_coeffs(n)
+    scaled_prev_poly = tuple(prev_scalar * c for c in prev_poly)
+    return dot(((d_poly, derivative(cur)), (cur_poly, cur), (scaled_prev_poly, prev)))

@@ -29,10 +29,10 @@ from rankcrit.maass import (
     verify_eta_identity,
     verify_theta2_identity,
 )
-from rankcrit.polyring import constant_term, derivative, dot, trim
+from rankcrit.polyring import constant_term, trim
 from rankcrit.recurrences import A_VZ, F_E, X_A, generate_all
 from rankcrit.symbolic import cross_check
-from ._util import primes_leq
+from ._util import derivative, dot, primes_leq
 from .golden import (
     A_TABLE,
     EP_SCAN_TABLE,

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import time
@@ -48,6 +49,32 @@ class TestPoly:
         code, out, err = run(capsys, "poly", "--emit-table", "4", *extra)
         assert code == 1 and out == ""
         assert err == "poly: error: --emit-table takes neither --n nor --mod\n"
+
+    @pytest.mark.parametrize("table, family", [("1", "a"), ("2", "x"), ("4", "f"), ("4", "a")])
+    def test_emit_table_with_family_is_usage_error(self, capsys, table, family):
+        # the table fixes its family: --family is refused, even when it names that family
+        code, out, err = run(capsys, "poly", "--emit-table", table, "--family", family)
+        want = {"1": "a", "2": "x", "4": "f"}[table]
+        assert code == 1 and out == ""
+        assert err == f"poly: error: --emit-table {table} prints the {want} table and takes no --family\n"
+
+    def test_family_defaults_to_f(self, capsys):
+        code, out, _ = run(capsys, "poly", "--n", "2")
+        assert code == 0
+        assert out.strip() == "-6*t^2 - 18*t - 9"
+
+    # The sha256 of the exact benchmark outputs, as pinned in perfbench/reference.json.
+    @pytest.mark.parametrize("family, n, digest", [
+        ("f", 400, "a35adcf17e5af0600d036c06d25a28332aff706d6f26f796b9a5fc82b4dd8f61"),
+        ("a", 400, "e982bb323562f30113856f3bbb8244d9c425c2816824177f91dad6a6ba3382d7"),
+        ("x", 400, "d43614ddcf43d969aa5514da8e92efdae02bb3d326b6146a2cd808c4ba6bfe9e"),
+        ("y", 400, "9a1d008d0c6f08db521fc69368ecb6709b2aec61e3d1e072b4d8ba919bdecb6e"),
+        ("z", 200, "f294f4d8685734abb6c16dce30162b8e6da986960c189442601b7199a932bee3"),
+    ])
+    def test_exact_output_digest(self, capsys, family, n, digest):
+        code, out, err = run(capsys, "poly", "--family", family, "--n", str(n))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_z_family_rational_seed(self, capsys):
         code, out, _ = run(capsys, "poly", "--family", "z", "--n", "0")

@@ -1,10 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from rankcrit.polyring import constant_term, derivative, dot, render, trim
+from rankcrit.polyring import constant_term, render, trim
 from rankcrit.recurrences import A_VZ, F_E, Z_A, constant_term_mod, generate
+from ._util import derivative, dot
 
 ONE = (1,)
 
@@ -131,6 +133,15 @@ class TestRender:
 
     def test_fraction(self):
         assert render((Fraction(1, 2),)) == "1/2"
+
+    def test_coefficients_past_the_str_digit_limit(self):
+        # CPython refuses int -> str past 4300 digits by default; render prints them in full
+        big = 10 ** 5000
+        limit = sys.get_int_max_str_digits()
+        assert render((big,)) == "1" + "0" * 5000
+        assert render((-3, -big)) == "-1" + "0" * 5000 + "*t - 3"
+        assert render((Fraction(big, 7),)) == "1" + "0" * 5000 + "/7"
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestRingAxioms:

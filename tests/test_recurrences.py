@@ -11,6 +11,7 @@ from rankcrit.polyring import constant_term, trim
 from rankcrit.recurrences import (
     _MAX_TERMS,
     _P_MAX,
+    _stored_exact,
     A_VZ,
     F_E,
     FAMILIES,
@@ -23,7 +24,7 @@ from rankcrit.recurrences import (
     iter_family,
     step,
 )
-from ._util import primes_leq
+from ._util import dot_step, primes_leq
 from .golden import A_TABLE, F_TABLE_FULL, F_TABLE_VISIBLE, X_TABLE, poly_to_map
 
 
@@ -59,6 +60,32 @@ class TestStep:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             step(F_E, 0, (1,), (3, 2))
+
+
+_COEFFS = st.lists(st.one_of(st.just(0), st.integers(-10 ** 40, 10 ** 40)), max_size=12).map(tuple)
+
+
+class TestTapStep:
+    """The exact tap step against the step multiplied out as written (``dot_step``)."""
+
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_equals_dot_step_along_the_family(self, key):
+        family = FAMILIES[key]
+        walk = _stored_exact(family)
+        prev, cur = next(walk), next(walk)
+        assert (prev, cur) == family.seeds  # x_1 = y_1 = () is the empty seed
+        for n in range(1, 80):
+            want = dot_step(family, n, prev, cur)
+            assert step(family, n, prev, cur) == want, f"{key}_{n + 1}"
+            prev, cur = cur, next(walk)
+            assert cur == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 60), _COEFFS, _COEFFS)
+    def test_equals_dot_step_on_any_coefficients(self, key, n, prev, cur):
+        got = step(FAMILIES[key], n, prev, cur)
+        assert got == dot_step(FAMILIES[key], n, prev, cur)
+        assert type(got) is tuple and (not got or got[-1] != 0)
 
 
 class TestGoldenTables:
