@@ -14,11 +14,33 @@ which folds the derivative into the taps on F_n (d runs from -1, with
 P_n[-1] = 0), so F_n' is never built.  Every tap with a nonzero multiplier
 is one C-level ``map(mul, ...)`` of an arithmetic progression in j (a
 constant for the taps on F_{n-1}) against the shifted coefficients, and
-the taps are summed lazily by ``map(add, ...)``.  Generation mod p, which
-avoids the huge exact coefficients, steps int64 numpy arrays of residues
-instead, for primes p below ``_P_MAX``.  The constant terms F_N(0) mod p
-drive the rank criteria; ``constant_term_mod`` steps only the coefficients
-that can reach F_N(0).
+the taps are summed lazily by ``map(add, ...)``.
+
+The exact walk stores each F_n only on its lattice.  The a, x and y
+families have coefficients only at exponents j = 2n (mod 3), so they keep
+every third coefficient, c_n[i] = F_n[r_n + 3i] with r_n = 2n mod 3.  With
+stride k and drift r_n = drift*n mod k, a tap (d, a, b) from F_m becomes
+the compressed tap (delta, a + b*r_{n+1}, b*k) with
+delta = (d + r_m - r_{n+1}) / k, which the same kernel applies to the c_m;
+a nonzero tap with a non-integer delta is refused (ValueError), never
+dropped.  Each row is expanded once, as it is yielded.
+
+A single exact f_N is walked in v = 2t + 3.  There D = -12(t+1)(t+2) is
+-3(v^2 - 1), d/dt = 2 d/dv and M = t^2 + 3t + 3 is (v^2 + 3)/4, so
+H_n(v) = 2^n f_n((v - 3)/2) satisfies
+
+    H_{n+1} = -12(v^2 - 1) H_n' + 2(4n+1) v H_n - 2n(2n-1)(v^2 + 3) H_{n-1},
+
+with H_0 = 1, H_1 = 2v.  H_n has the parity of n (stride 2, drift 1) and
+its step has 4 taps instead of 6.  ``_from_v`` converts row N once:
+f_N(t) = H_N(2t + 3) / 2^N, by a Taylor shift of H(3x) on additions only.
+``iter_family`` and ``generate_all`` yield every row, so they walk f in t,
+where no row needs converting.
+
+Generation mod p, which avoids the huge exact coefficients, steps int64
+numpy arrays of residues instead, for primes p below ``_P_MAX``.  The
+constant terms F_N(0) mod p drive the rank criteria; ``constant_term_mod``
+steps only the coefficients that can reach F_N(0).
 """
 
 from __future__ import annotations
@@ -26,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice, repeat
 from operator import add, mul
 from typing import Callable, Iterator
@@ -39,13 +62,20 @@ from .polyring import trim
 @dataclass(frozen=True)
 class RecurrenceFamily:
     key: str                 # one-letter CLI name: f, a, x, y, z
-    tag: str                 # F_E, A_VZ, X_A, Y_A, Z_A
+    tag: str                 # F_E, A_VZ, X_A, Y_A, Z_A (H_E: F_E in v = 2t + 3)
     seeds: tuple[tuple, tuple]   # (F_0, F_1) as stored
     # step_coeffs(n) -> (D, P_cur, scalar_prev, M) with
     # F_{n+1} = D*F_n' + P_cur*F_n + scalar_prev * M * F_{n-1}
     step_coeffs: Callable[[int], tuple[tuple, tuple, int, tuple]]
     # The family is stored as scale * F_n so that every stored coefficient is an integer.
     scale: int = 1
+    # F_n has coefficients only at exponents j = drift * n (mod stride); the exact walk
+    # stores only those.
+    stride: int = 1
+    drift: int = 0
+    # The same family in v = 2t + 3, walked (and converted by _from_v) for a single
+    # exact F_N.
+    in_v: RecurrenceFamily | None = None
 
     def __repr__(self):
         return f"RecurrenceFamily({self.tag})"
@@ -55,6 +85,13 @@ class RecurrenceFamily:
 
 def _coeffs_f(n):
     return (-24, -36, -12), (3 * (4 * n + 1), 2 * (4 * n + 1)), -2 * n * (2 * n - 1), (3, 3, 1)
+
+
+# --- F_E in v = 2t + 3:  H_n(v) = 2^n f_n((v - 3)/2) has the parity of n and satisfies
+# H_{n+1} = -12(v^2-1) H_n' + 2(4n+1) v H_n - 2n(2n-1)(v^2+3) H_{n-1}, H_0 = 1, H_1 = 2v
+
+def _coeffs_f_v(n):
+    return (12, 0, -12), (0, 2 * (4 * n + 1)), -2 * n * (2 * n - 1), (3, 0, 1)
 
 
 # --- family A_VZ:  a_{n+1} = -(1-8t^3) a_n' - (16n+3) t^2 a_n - 4n(2n-1) t a_{n-1}
@@ -83,10 +120,11 @@ def _coeffs_z(n):
     return (-1, 10, -9), (2 - 2 * n, 6 * n), -2 * n * (2 * n + 1), (0, 1)
 
 
-F_E = RecurrenceFamily("f", "F_E", ((1,), (3, 2)), _coeffs_f)
-A_VZ = RecurrenceFamily("a", "A_VZ", ((1,), (0, 0, -3)), _coeffs_a)
-X_A = RecurrenceFamily("x", "X_A", ((1,), ()), _coeffs_x)
-Y_A = RecurrenceFamily("y", "Y_A", ((1,), ()), _coeffs_y)
+H_E = RecurrenceFamily("f", "H_E", ((1,), (0, 2)), _coeffs_f_v, stride=2, drift=1)
+F_E = RecurrenceFamily("f", "F_E", ((1,), (3, 2)), _coeffs_f, in_v=H_E)
+A_VZ = RecurrenceFamily("a", "A_VZ", ((1,), (0, 0, -3)), _coeffs_a, stride=3, drift=2)
+X_A = RecurrenceFamily("x", "X_A", ((1,), ()), _coeffs_x, stride=3, drift=2)
+Y_A = RecurrenceFamily("y", "Y_A", ((1,), ()), _coeffs_y, stride=3, drift=2)
 Z_A = RecurrenceFamily("z", "Z_A", ((1,), (2,)), _coeffs_z, scale=2)
 
 FAMILIES = {fam.key: fam for fam in (F_E, A_VZ, X_A, Y_A, Z_A)}
@@ -157,7 +195,9 @@ def _step_mod(mults, i: int, prev: np.ndarray, cur: np.ndarray, weights: np.ndar
 
 
 def step(family: RecurrenceFamily, n: int, prev: tuple, cur: tuple, p: int | None = None) -> tuple:
-    """F_{n+1} from (F_{n-1}, F_n), reduced mod p if p is given; requires n >= 1."""
+    """F_{n+1} from (F_{n-1}, F_n), reduced mod p if p is given; requires n >= 1.
+
+    The polynomials are dense: over Z this is the tap kernel at stride 1."""
     if n < 1:
         raise ValueError("step index n must be >= 1")
     if p is not None:
@@ -165,16 +205,72 @@ def step(family: RecurrenceFamily, n: int, prev: tuple, cur: tuple, p: int | Non
         mults = _multipliers(family, p, np.array([n]))
         prev, cur = (np.array([c % p for c in poly], np.int64) for poly in (prev, cur))
         return trim(_step_mod(mults, 0, prev, cur, np.arange(1, len(cur) + 1) % p, p, _UNCUT).tolist())
+    return _tap_step(prev, cur, *_taps_at(_tap_plan(family, 1, 0), n))
+
+
+def _quadratic(v0: int, v1: int, v2: int) -> tuple[int, int, int]:
+    """(c0, c1, c2) with c0 + c1*n + c2*n(n-1)/2 = v_n at n = 0, 1, 2."""
+    return v0, v1 - v0, v0 - 2 * v1 + v2
+
+
+def _dense_taps(family: RecurrenceFamily, n: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """The taps of step n on dense polynomials, {(lag, d): (a, b)} for
+    F_{n+1}[j] += (a + b*j) * F_{n-lag}[j - d]."""
     d_poly, cur_poly, prev_scalar, prev_poly = family.step_coeffs(n)
-    # taps (d, a, b), ascending in d: F_{n+1}[j] += (a + b*j) * source[j - d]
-    cur_taps = []
-    if cur:
-        for d in range(-1, max(len(cur_poly), len(d_poly) - 1)):
-            b = d_poly[d + 1] if d + 1 < len(d_poly) else 0
-            a = (cur_poly[d] if 0 <= d < len(cur_poly) else 0) - b * d
+    taps = {(1, e): (prev_scalar * m, 0) for e, m in enumerate(prev_poly)}
+    for d in range(-1, max(len(cur_poly), len(d_poly) - 1)):
+        b = d_poly[d + 1] if d + 1 < len(d_poly) else 0
+        taps[0, d] = ((cur_poly[d] if 0 <= d < len(cur_poly) else 0) - b * d, b)
+    return taps
+
+
+@cache
+def _tap_plan(family: RecurrenceFamily, stride: int, drift: int) -> tuple[tuple[tuple, tuple], ...]:
+    """Per class of n mod stride, the taps (delta, a, b) on F_n and on F_{n-1}
+    of the step on the lattice j = drift*n (mod stride), with a and b as
+    ``_quadratic`` triples in n.
+
+    F_m is stored as c_m[i] = F_m[r_m + stride*i] with r_m = drift*m mod
+    stride.  A dense tap (d, a, b) from F_m to F_{n+1} becomes the tap
+    (delta, a + b*r_{n+1}, b*stride) with delta = (d + r_m - r_{n+1}) / stride.
+    A nonzero tap for which that is not an integer would leave the lattice:
+    ValueError.  Every coefficient is a polynomial of degree <= 2 in n, so
+    the taps are interpolated from n = 0, 1, 2.
+    """
+    samples = [_dense_taps(family, n) for n in (0, 1, 2)]
+    plan = [([], []) for _ in range(stride)]
+    for lag, d in sorted(set().union(*samples)):
+        values = [sample.get((lag, d), (0, 0)) for sample in samples]
+        a, b = (_quadratic(*(v[i] for v in values)) for i in (0, 1))
+        if not any(a + b):
+            continue
+        for c, taps in enumerate(plan):
+            r_next = drift * (c + 1) % stride
+            delta, off = divmod(d + drift * (c - lag) % stride - r_next, stride)
+            if off:
+                raise ValueError(f"{family!r}: the tap on F_(n-{lag}) at shift {d} leaves the lattice "
+                                 f"{drift}*n mod {stride} for n = {c} mod {stride}")
+            taps[lag].append((delta, tuple(x + y * r_next for x, y in zip(a, b)), tuple(y * stride for y in b)))
+    return tuple((tuple(cur), tuple(prev)) for cur, prev in plan)  # cached, so immutable
+
+
+def _taps_at(plan: tuple, n: int) -> tuple[list, list]:
+    """The nonzero taps (delta, a, b) on F_n and on F_{n-1} at step n."""
+    m = n * (n - 1) // 2
+    out = ([], [])
+    for taps, kept in zip(plan[n % len(plan)], out):
+        for d, (a0, a1, a2), (b0, b1, b2) in taps:
+            a, b = a0 + a1 * n + a2 * m, b0 + b1 * n + b2 * m
             if a or b:
-                cur_taps.append((d, a, b))
-    prev_taps = [(e, prev_scalar * m, 0) for e, m in enumerate(prev_poly) if m] if prev and prev_scalar else []
+                kept.append((d, a, b))
+    return out
+
+
+def _tap_step(prev: tuple, cur: tuple, cur_taps: list, prev_taps: list) -> tuple:
+    """The stored F_{n+1}[i] = sum over taps (delta, a, b) of (a + b*i) * source[i - delta],
+    the sources F_n and F_{n-1}, each with its taps ascending in delta."""
+    cur_taps = cur_taps if cur else []
+    prev_taps = prev_taps if prev else []
     size = max(len(cur) + cur_taps[-1][0] if cur_taps else 0, len(prev) + prev_taps[-1][0] if prev_taps else 0)
     terms = _tap_products(cur, cur_taps, size) + _tap_products(prev, prev_taps, size)
     if not terms:
@@ -195,16 +291,62 @@ def _tap_products(source: tuple, taps: list, size: int) -> list:
             for d, a, b in taps]
 
 
+def _on_lattice(family: RecurrenceFamily, n: int) -> tuple:
+    """Seed n of the family on its lattice: the coefficients at t^(r + stride*i), r = drift*n."""
+    k, r = family.stride, family.drift * n % family.stride
+    seed = family.seeds[n]
+    if any(c for j, c in enumerate(seed) if j % k != r):
+        raise ValueError(f"{family!r}: seed {n} leaves the lattice {family.drift}*n mod {k}")
+    return seed[r::k]
+
+
 def _stored_exact(family: RecurrenceFamily) -> Iterator[tuple]:
-    """The stored polynomials scale * F_0, scale * F_1, ... over Z."""
-    prev, cur = family.seeds
-    yield prev
-    yield cur
+    """The stored polynomials scale * F_0, scale * F_1, ... over Z.
+
+    The walk keeps only the coefficients on the family's lattice and
+    expands each row it yields."""
+    k, drift = family.stride, family.drift
+    plan = _tap_plan(family, k, drift)
+    prev, cur = _on_lattice(family, 0), _on_lattice(family, 1)
+    yield family.seeds[0]
+    yield family.seeds[1]
     n = 1
     while True:
-        prev, cur = cur, step(family, n, prev, cur)
+        prev, cur = cur, _tap_step(prev, cur, *_taps_at(plan, n))
         n += 1
-        yield cur
+        if k == 1 or not cur:
+            yield cur
+        else:
+            r = drift * n % k
+            out = [0] * (r + k * (len(cur) - 1) + 1)
+            out[r::k] = cur
+            yield tuple(out)
+
+
+def _from_v(h: tuple, N: int) -> tuple:
+    """f_N(t) = H_N(2t + 3) / 2^N from the coefficients of H_N(v).
+
+    G(x) = H(3x) is shifted to G(x + 1) = sum c_j x^j by Horner rows of
+    additions only (von zur Gathen and Gerhard, "Fast algorithms for Taylor
+    shifts", ISSAC 1997).  H(2t + 3) = G(2t/3 + 1), so coefficient j of f_N
+    is c_j * 2^j / (3^j * 2^N) = c_j / (3^j * 2^(N-j)); ArithmeticError if a
+    division leaves a remainder.
+    """
+    g, power = [], 1
+    for c in h:
+        g.append(c * power)
+        power *= 3
+    row = ()
+    for c in reversed(g):  # row <- row * (x + 1) + c
+        row = tuple(map(add, (*row, 0), (c, *row)))
+    out, power = [], 1
+    for j, c in enumerate(row):
+        q, rem = divmod(c, power << (N - j))
+        if rem:
+            raise ArithmeticError(f"coefficient {j} of H_{N}(2t + 3) is not divisible by 3^{j} * 2^{N - j}")
+        out.append(q)
+        power *= 3
+    return trim(out)
 
 
 def _stored_mod(family: RecurrenceFamily, p: int, N: int | None = None) -> Iterator[np.ndarray]:
@@ -260,7 +402,10 @@ def generate(family: RecurrenceFamily, N: int, p: int | None = None) -> tuple:
     if N < 0:
         raise ValueError("index N must be >= 0")
     if p is None:
-        stored = next(islice(_stored_exact(family), N, None))
+        if family.in_v:
+            stored = _from_v(next(islice(_stored_exact(family.in_v), N, None)), N)
+        else:
+            stored = next(islice(_stored_exact(family), N, None))
     else:
         stored = trim(next(islice(_stored_mod(family, p), N, None)).tolist())
     return _unscaled(family, stored, p)

@@ -11,10 +11,16 @@ from rankcrit.polyring import constant_term, trim
 from rankcrit.recurrences import (
     _MAX_TERMS,
     _P_MAX,
+    _from_v,
     _stored_exact,
+    _tap_plan,
+    _tap_step,
+    _taps_at,
     A_VZ,
     F_E,
     FAMILIES,
+    H_E,
+    RecurrenceFamily,
     X_A,
     Y_A,
     Z_A,
@@ -86,6 +92,80 @@ class TestTapStep:
         got = step(FAMILIES[key], n, prev, cur)
         assert got == dot_step(FAMILIES[key], n, prev, cur)
         assert type(got) is tuple and (not got or got[-1] != 0)
+
+
+def _spread(c: tuple, n: int, family) -> tuple:
+    """The dense polynomial whose coefficients at t^(r + stride*i), r = drift*n, are c."""
+    k, r = family.stride, family.drift * n % family.stride
+    out = [0] * (r + k * (len(c) - 1) + 1) if c else []
+    out[r::k] = c
+    return tuple(out)
+
+
+_LATTICE_FAMILIES = [A_VZ, X_A, Y_A, H_E]
+
+
+class TestLatticeWalk:
+    """The walk on each family's lattice: a/x/y on exponents 2n mod 3, f in v = 2t + 3."""
+
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_generate_is_the_last_row_of_generate_all(self, key):
+        # for f this is the walk in v (generate) against the walk in t (generate_all)
+        rows = generate_all(FAMILIES[key], 150)
+        for N, row in enumerate(rows):
+            assert generate(FAMILIES[key], N) == row, f"{key}_{N}"
+
+    @pytest.mark.parametrize("family", _LATTICE_FAMILIES, ids=repr)
+    def test_rows_lie_on_the_lattice(self, family):
+        # the dense step (stride 1) keeps every row on the lattice, and the strided walk agrees
+        assert (family.stride, family.drift) == ((2, 1) if family is H_E else (3, 2))
+        walk = _stored_exact(family)
+        prev, cur = family.seeds
+        for n in range(1, 201):
+            off = [j for j, c in enumerate(cur) if c and (j - family.drift * n) % family.stride]
+            assert not off, f"{family!r} row {n} has coefficients at t^{off}"
+            assert next(walk) == prev
+            prev, cur = cur, step(family, n, prev, cur)
+
+    def test_v_rows_are_the_f_rows(self):
+        walk = _stored_exact(H_E)
+        for n, f in enumerate(generate_all(F_E, 40)):
+            assert _from_v(next(walk), n) == f
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_LATTICE_FAMILIES), st.integers(1, 60), _COEFFS, _COEFFS)
+    def test_strided_kernel_equals_dot_step(self, family, n, prev, cur):
+        taps = _taps_at(_tap_plan(family, family.stride, family.drift), n)
+        got = _tap_step(prev, cur, *taps)
+        assert not got or got[-1] != 0
+        dense_prev, dense_cur = _spread(prev, n - 1, family), _spread(cur, n, family)
+        assert _spread(got, n + 1, family) == dot_step(family, n, dense_prev, dense_cur)
+
+    @pytest.mark.parametrize("family", [X_A, Y_A], ids=repr)
+    def test_strided_kernel_from_the_empty_seed(self, family):
+        # x_1 = y_1 = (): only the taps on F_0 act
+        taps = _taps_at(_tap_plan(family, 3, 2), 1)
+        got = _spread(_tap_step((1,), (), *taps), 2, family)
+        assert got == dot_step(family, 1, (1,), ()) == generate(family, 2)
+
+    def test_from_v_refuses_a_non_divisible_row(self):
+        assert _from_v((0, 2), 1) == (3, 2)  # H_1 = 2v is f_1 = 2t + 3
+        with pytest.raises(ArithmeticError):
+            _from_v((1,), 1)  # 1 / 2 is not an integer coefficient
+
+    def test_off_lattice_tap_is_refused(self):
+        # P_n = -8n t moves t^j of F_n to t^(j+1), off the lattice 2n mod 3 that D and M keep
+        toy = RecurrenceFamily("q", "TOY", ((1,), ()), lambda n: ((-2, 0, 0, 16), (0, -8 * n), -n, (0, 1)),
+                               stride=3, drift=2)
+        with pytest.raises(ValueError, match="leaves the lattice"):
+            next(iter_family(toy))
+        with pytest.raises(ValueError, match="leaves the lattice"):
+            generate(toy, 5)
+
+    def test_off_lattice_seed_is_refused(self):
+        toy = RecurrenceFamily("q", "TOY", ((1,), (1,)), X_A.step_coeffs, stride=3, drift=2)
+        with pytest.raises(ValueError, match="seed 1 leaves the lattice"):
+            generate(toy, 5)
 
 
 class TestGoldenTables:
@@ -262,8 +342,8 @@ class TestWindowedKernel:
         assert time.perf_counter() - t0 < 1.0
 
     def test_step_coeffs_are_quadratic_in_n(self):
-        # the kernel interpolates each multiplier from n = 0, 1, 2
-        for family in FAMILIES.values():
+        # both kernels interpolate each multiplier from n = 0, 1, 2
+        for family in [*FAMILIES.values(), H_E]:
             samples = [family.step_coeffs(n) for n in range(60)]
             for n in range(3, 60):
                 for j in range(4):
