@@ -21,6 +21,7 @@ from .recurrences import (
     Y_A,
     Z_A,
     constant_term_mod,
+    constant_terms_mod,
     generate,
     generate_all,
     step,
@@ -63,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "render",
     "A_VZ", "F_E", "FAMILIES", "X_A", "Y_A", "Z_A",
-    "constant_term_mod", "generate", "generate_all", "step",
+    "constant_term_mod", "constant_terms_mod", "generate", "generate_all", "step",
     "CriterionVerdict", "CrossCheckError", "admissible", "scan",
     "sp_congruence_rhs", "verdict_Ap", "verdict_Ep",
     "CurveSpec", "LValueReport", "an_list", "ap", "conductor",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ._primality import is_prime, primes_in
-from .recurrences import A_VZ, F_E, X_A, constant_term_mod
+from .recurrences import A_VZ, F_E, X_A, constant_term_mod, constant_terms_mod
 
 
 class CrossCheckError(RuntimeError):
@@ -64,7 +64,11 @@ def admissible(p: int, family: str) -> Admissibility:
     modulus, residues = _congruence_class(family)
     if p % modulus not in residues or not is_prime(p):
         return Admissibility(False, None)
-    return Admissibility(True, 3 * (p - 1) // 8 if family == "Ep" else (p - 1) // 3)
+    return Admissibility(True, _index(p, family))
+
+
+def _index(p: int, family: str) -> int:
+    return 3 * (p - 1) // 8 if family == "Ep" else (p - 1) // 3
 
 
 def weight_for(p: int, family: str) -> int:
@@ -106,34 +110,58 @@ def verdict_Ap(p: int) -> tuple[CriterionVerdict, CriterionVerdict]:
     res_x = constant_term_mod(X_A, index, p)
     va = _verdict(p, "Ap", "a", index, res_a)
     vx = _verdict(p, "Ap", "x", index, res_x)
-    if va.divisible != vx.divisible:
-        raise CrossCheckError(
-            f"p={p}: a-path residue {res_a} and x-path residue {res_x} disagree on divisibility"
-        )
+    _cross_check(p, va, vx)
     return va, vx
 
 
-def _verdicts_for(args: tuple[str, int]) -> list[CriterionVerdict]:
-    family, p = args
-    if family == "Ep":
-        return [verdict_Ep(p)]
-    return list(verdict_Ap(p))
+def _cross_check(p: int, va: CriterionVerdict, vx: CriterionVerdict) -> None:
+    if va.divisible != vx.divisible:
+        raise CrossCheckError(
+            f"p={p}: a-path residue {va.residue} and x-path residue {vx.residue} disagree on divisibility"
+        )
+
+
+# The recurrence families behind each curve family's verdicts, in record order.
+_PATHS = {"Ep": (F_E,), "Ap": (A_VZ, X_A)}
+
+
+def _residues(args: tuple[str, list[int]]) -> list[list[int]]:
+    """Per path of the family, F_index(0) mod p for every admissible p given, in one
+    lockstep batch."""
+    family, primes = args
+    targets = [(_index(p, family), p) for p in primes]
+    return [constant_terms_mod(path, targets) for path in _PATHS[family]]
 
 
 def scan(family: str, lo: int, hi: int, jobs: int = 1) -> list[CriterionVerdict]:
-    """Verdicts for every admissible prime in [lo, hi], ordered by p (then path)."""
+    """Verdicts for every admissible prime in [lo, hi], ordered by p (then path).
+
+    A lone prime goes through ``verdict_Ep``/``verdict_Ap``.  More are stepped
+    in lockstep batches, ``jobs`` of them in parallel, and the Ap paths are
+    cross-checked in order of p afterwards."""
     if lo < 2 or hi < lo:
         raise ValueError("range bounds must satisfy 2 <= lo <= hi")
-    tasks = [(family, p) for p in primes_in(lo, hi, *_congruence_class(family))]
-    if jobs > 1 and len(tasks) > 1:
+    primes = primes_in(lo, hi, *_congruence_class(family))
+    if len(primes) == 1:
+        return [verdict_Ep(primes[0])] if family == "Ep" else list(verdict_Ap(primes[0]))
+    jobs = min(jobs, len(primes))
+    batches = [(family, primes[i::jobs]) for i in range(jobs)]
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_verdicts_for, tasks))
+            results = list(pool.map(_residues, batches))
     else:
-        chunks = [_verdicts_for(t) for t in tasks]
+        results = [_residues(batch) for batch in batches]
+    residues = {}
+    for (_, batch), paths in zip(batches, results):
+        for p, *per_path in zip(batch, *paths):
+            residues[p] = per_path
     out: list[CriterionVerdict] = []
-    for chunk in chunks:
-        out.extend(chunk)
-    out.sort(key=lambda v: (v.p, v.path))
+    for p in primes:
+        index = _index(p, family)
+        verdicts = [_verdict(p, family, path.key, index, r) for path, r in zip(_PATHS[family], residues[p])]
+        if family == "Ap":
+            _cross_check(p, *verdicts)
+        out.extend(verdicts)
     return out
 
 

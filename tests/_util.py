@@ -32,3 +32,23 @@ def dot_step(family, n: int, prev: tuple, cur: tuple) -> tuple:
     d_poly, cur_poly, prev_scalar, prev_poly = family.step_coeffs(n)
     scaled_prev_poly = tuple(prev_scalar * c for c in prev_poly)
     return dot(((d_poly, derivative(cur)), (cur_poly, cur), (scaled_prev_poly, prev)))
+
+
+ONE = (1,)
+
+
+def add(a, b, p=None):
+    return reduce(dot(((ONE, a), (ONE, b))), p)
+
+
+def mul(a, b, p=None):
+    return reduce(dot(((a, b),)), p)
+
+
+def reduce(a, p=None):
+    """a mod p, or a itself when p is None."""
+    return trim(a if p is None else (c % p for c in a))
+
+
+def rand_poly(rng, p=None, max_deg=8, bound=10 ** 6):
+    return reduce([rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg + 1))], p)

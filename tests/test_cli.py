@@ -3,12 +3,17 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mpf
 
+import rankcrit
 from rankcrit import lseries, maass
 from rankcrit._primality import is_prime
 from rankcrit.cli import _cache_key, _within_precision, main
@@ -133,6 +138,12 @@ class TestCriterion:
                             "--format", "csv", "--jobs", "1")
         code, out4, _ = run(capsys, "criterion", "--family", "Ep", "--range", "2..150",
                             "--format", "csv", "--jobs", "4")
+        assert out1 == out4
+
+    def test_jobs_determinism_ap(self, capsys):
+        args = ["criterion", "--family", "Ap", "--range", "2..300", "--format", "json"]
+        _, out1, _ = run(capsys, *args, "--jobs", "1")
+        _, out4, _ = run(capsys, *args, "--jobs", "4")
         assert out1 == out4
 
     def test_pretty_no_timestamp_deterministic(self, capsys):
@@ -419,3 +430,15 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--thm", "5", "--max-n", "0", "--format", "json")
         assert code == 3 and out == ""
         assert "did not reach the truncation threshold" in err
+
+
+class TestModuleEntry:
+    def test_python_m_rankcrit_is_main(self, capsys):
+        src = str(Path(rankcrit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        for argv in (["criterion", "--family", "Ap", "--range", "2..100", "--format", "json"],
+                     ["poly", "--family", "x", "--n", "6", "--mod", "19"],
+                     ["criterion", "--family", "Ep", "--range", "2..100", "--jobs", "0"]):
+            proc = subprocess.run([sys.executable, "-m", "rankcrit", *argv], capture_output=True, text=True,
+                                  env=env, timeout=120)
+            assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from rankcrit import _primality
+from rankcrit import _primality, criteria
 from rankcrit._primality import is_prime
 from rankcrit.criteria import (
     CrossCheckError,
@@ -110,6 +110,30 @@ class TestScan:
         parallel = scan("Ep", 2, 120, jobs=4)
         assert serial == parallel
 
+    def test_parallel_matches_serial_ap(self):
+        assert scan("Ap", 2, 400, jobs=4) == scan("Ap", 2, 400, jobs=1)
+
+    def test_lone_prime_goes_through_the_verdict(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(criteria, "constant_term_mod", lambda *args: calls.append(args) or 0)
+        assert [v.p for v in scan("Ep", 230, 240)] == [233]
+        assert [v.path for v in scan("Ap", 190, 200)] == ["a", "x"]
+        assert [(f.key, N, p) for f, N, p in calls] == [("f", 87, 233), ("a", 66, 199), ("x", 66, 199)]
+
+    def test_scan_cross_check_stops_at_first_disagreement(self, monkeypatch):
+        real = criteria.constant_terms_mod
+
+        def flipped(family, targets):
+            # the x path turns non-divisible at p = 37 and p = 73 (both divisible in truth)
+            residues = real(family, targets)
+            if family.key == "x":
+                residues = [1 if p in (37, 73) else r for r, (_, p) in zip(residues, targets)]
+            return residues
+
+        monkeypatch.setattr(criteria, "constant_terms_mod", flipped)
+        with pytest.raises(CrossCheckError, match=r"^p=37: a-path residue 0 and x-path residue 1 disagree on divisibility$"):
+            scan("Ap", 2, 200)
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             scan("Ep", 1, 10)
@@ -117,8 +141,8 @@ class TestScan:
     @pytest.mark.parametrize("family", ["Ep", "Ap"])
     def test_golden_digest_to_3000(self, family):
         # Ap also checks a-path/x-path agreement at every admissible p <= 3000
-        # (verdict_Ap raises CrossCheckError otherwise).  Each family takes
-        # about 1.5 s on a 2-vCPU VM.
+        # (scan raises CrossCheckError otherwise).  Each family takes about
+        # 0.4 s on a 2-vCPU VM, one lockstep batch per recurrence path.
         t0 = time.perf_counter()
         rows = [[v.p, v.path, v.index, v.residue] for v in scan(family, 2, 3000)]
         elapsed = time.perf_counter() - t0

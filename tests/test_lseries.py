@@ -701,6 +701,51 @@ class TestL1:
             l1(curve_ep(17), 1e-13)
 
 
+def _divisor_counts(limit: int) -> np.ndarray:
+    d = np.zeros(limit + 1, np.int64)
+    for k in range(1, limit + 1):
+        d[k::k] += 1
+    return d
+
+
+class TestTailBound:
+    def test_divisor_bound_above_60(self):
+        # the premise of _tail_bound past _D_EXACT: d(n) <= n^0.6 for every n > 60
+        d = _divisor_counts(10 ** 5)
+        n = np.arange(len(d))
+        assert (d[61:] <= n[61:] ** 0.6).all()
+        assert [k for k in range(1, 61) if d[k] > k ** 0.6] == [2, 3, 4, 6, 8, 10, 12, 18, 24, 30, 36, 60]
+        # up to 10^7: n = prod q_i^e_i has the divisor count of m = 2^e_1 3^e_2 ... with the
+        # exponents sorted down, and m <= n, so d(n) <= max(m, 10^5)^0.6 covers n > 10^5
+        primes = primes_leq(60)
+
+        def least(i, m, top, count):
+            yield m, count
+            e, m = 1, m * primes[i]
+            while e <= top and m <= 10 ** 7:
+                yield from least(i + 1, m, e, count * (e + 1))
+                e, m = e + 1, m * primes[i]
+
+        assert all(count <= max(m, 10 ** 5) ** 0.6 for m, count in least(0, 1, 64, 1))
+
+    @pytest.mark.parametrize("curve", [CurveSpec(1, 0), CurveSpec(0, -432)])
+    def test_bound_covers_the_true_tail(self, curve):
+        # y^2 = x^3 + x and y^2 = x^3 - 432 sum only 55 and 38 terms at tol 1e-8
+        d = _divisor_counts(4000)
+        c = 2.0 * math.pi / math.sqrt(conductor(curve)) / 1.2
+        for M in [*range(0, 61), lseries._term_count(conductor(curve), 1e-8)]:
+            n = np.arange(M + 1, M + 3000)
+            # at small M the bound sums the same terms in another order: allow its rounding
+            assert lseries._tail_bound(M, c) >= 2.0 * np.sum(d[n] / np.sqrt(n) * np.exp(-c * n)) * (1 - 1e-12), M
+
+    def test_unchanged_from_60_on(self):
+        # every Ep/Ap oracle record sums hundreds of terms, so its tail bound is the n^0.1 form
+        for M, c in ((60, 0.5), (61, 0.01), (593, 0.003), (10 ** 4, 1e-4)):
+            head = sum(2.0 * (M + i) ** 0.1 * math.exp(-c * (M + i)) for i in range(1, 65))
+            rest = 2.0 * (M + 65) ** 0.1 * math.exp(-c * (M + 65)) / (1.0 - math.exp(-c + 0.1 / (M + 65)))
+            assert lseries._tail_bound(M, c) == head + rest
+
+
 class TestSp:
     def test_17(self):
         rep = sp(17, 1e-8)

@@ -4,40 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from rankcrit.polyring import constant_term, render, trim
+from rankcrit.polyring import constant_term, render
 from rankcrit.recurrences import A_VZ, F_E, Z_A, constant_term_mod, generate
-from ._util import derivative, dot
-
-ONE = (1,)
-
-
-def add(a, b, p=None):
-    return reduce(dot(((ONE, a), (ONE, b))), p)
-
-
-def mul(a, b, p=None):
-    return reduce(dot(((a, b),)), p)
-
-
-def reduce(a, p=None):
-    """a mod p, or a itself when p is None."""
-    return trim(a if p is None else (c % p for c in a))
-
-
-def rand_poly(rng, p=None, max_deg=8, bound=10 ** 6):
-    return reduce([rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg + 1))], p)
-
-
-class TestAdd:
-    def test_identity(self):
-        assert add((3, 2), ()) == (3, 2)
-
-    def test_inverse(self):
-        assert add((3, 2), (-3, -2)) == ()
-
-    def test_table_row(self):
-        # (-6t^2 - 18t - 9) + 6t^2 = -18t - 9
-        assert add((-9, -18, -6), (0, 0, 6)) == (-9, -18)
+from ._util import ONE, add, derivative, dot, mul, rand_poly, reduce
 
 
 class TestMul:

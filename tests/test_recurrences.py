@@ -1,20 +1,27 @@
 import time
 from fractions import Fraction
 from functools import cache
+from itertools import count
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankcrit._primality import is_prime
 from rankcrit.polyring import constant_term, trim
 from rankcrit.recurrences import (
+    _BATCH_N,
+    _INT64_MAX,
     _MAX_TERMS,
     _P_MAX,
+    _batches,
+    _fits,
     _from_v,
     _stored_exact,
     _tap_plan,
     _tap_step,
+    _tap_sum,
     _taps_at,
     A_VZ,
     F_E,
@@ -25,6 +32,7 @@ from rankcrit.recurrences import (
     Y_A,
     Z_A,
     constant_term_mod,
+    constant_terms_mod,
     generate,
     generate_all,
     iter_family,
@@ -352,3 +360,66 @@ class TestWindowedKernel:
                         assert d - 3 * c + 3 * b - a == 0
                     else:
                         assert all(w - 3 * z + 3 * y - x == 0 for x, y, z, w in zip(a, b, c, d))
+
+
+def _coeffs_f_scaled(n):
+    d_poly, cur_poly, prev_scalar, prev_poly = F_E.step_coeffs(n)
+    return tuple(10 ** 9 * c for c in d_poly), tuple(10 ** 9 * c for c in cur_poly), 10 ** 9 * prev_scalar, prev_poly
+
+
+# f with its taps times 10^9: exact taps leave int64 near p = 10^6 already at N = 20
+F_BIG = RecurrenceFamily("f", "F_BIG", F_E.seeds, _coeffs_f_scaled)
+
+
+class TestLockstepBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from("fax"),
+           st.lists(st.tuples(st.integers(0, 2) | st.integers(0, 120), st.sampled_from(_ODD_PRIMES[:40])),
+                    min_size=1, max_size=12))
+    @example("f", [(2, 7), (0, 7), (1, 3), (120, 7), (2, 3)])
+    def test_equals_one_window_per_target(self, key, targets):
+        # N in {0, 1, 2}, repeated p and unsorted targets are all in the strategy
+        family = FAMILIES[key]
+        assert constant_terms_mod(family, targets) == [constant_term_mod(family, N, p) for N, p in targets]
+
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_scan_shaped_batch_against_exact_terms(self, key):
+        family, terms = FAMILIES[key], _exact_constant_terms(key)
+        targets = [(N, p) for p in _ODD_PRIMES[:60] for N in (p // 3, 120 - p % 97)]
+        assert constant_terms_mod(family, targets) == [_residue(terms[N], p) for N, p in targets]
+
+    def test_tap_sums_grow_with_n(self):
+        # _fits bounds every step by the last one
+        for family in FAMILIES.values():
+            sums = [_tap_sum(family, n) for n in range(1, 300)]
+            assert sums == sorted(sums)
+
+    def test_refused_before_any_step(self):
+        with pytest.raises(ValueError):
+            constant_terms_mod(F_E, [(5, 17), (-1, 17)])
+        with pytest.raises(ValueError):
+            constant_terms_mod(F_E, [(5, 17), (5, 21)])
+        t0 = time.perf_counter()
+        with pytest.raises(OverflowError):
+            constant_terms_mod(F_E, [(5, 17), ((_P_ABOVE - 1) // 3, _P_ABOVE)])
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_batch_size_is_bounded(self):
+        half = _BATCH_N // 2
+        assert _batches(F_E, [(half, 1013), (half, 1009), (1, 3)]) == [[1, 0]]
+        assert _batches(F_E, [(half, 1013), (half + 1, 1009)]) == [[1], [0]]
+
+    def test_int64_bound_edge(self):
+        N = 20
+        assert _INT64_MAX == np.iinfo(np.int64).max
+        top = next(q for q in range(_INT64_MAX // _tap_sum(F_BIG, N - 1) + 1, 0, -1) if is_prime(q))
+        above = next(q for q in count(top + 1) if is_prime(q))
+        assert _fits(F_BIG, N, top) and not _fits(F_BIG, N, above)
+        assert _batches(F_BIG, [(N, 101), (N, top)]) == [[0, 1]]
+        assert _batches(F_BIG, [(N, 101), (N, above)]) == [[0], [1]]
+        far = next(q for q in count(10 ** 8) if is_prime(q))
+        terms = [constant_term(poly) for poly in generate_all(F_BIG, N)]
+        for targets in ([(N, 101), (N, top)], [(N, 101), (N, above)], [(N, top), (N - 1, above), (N, 101)],
+                        [(N, 101), (N, far), (N - 3, 103)]):
+            # a batch past the bound splits, and a target past it alone reduces its taps mod p
+            assert constant_terms_mod(F_BIG, targets) == [terms[n] % p for n, p in targets]
