@@ -393,7 +393,7 @@ def main(argv=None) -> int:
     except (ValueError, lseries.BadReductionError) as exc:
         print(f"rankcrit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as exc:  # a modulus past the int64 kernel's bound
+    except OverflowError as exc:  # past a named limit: the int64 kernels or the resident L-sum terms
         print(f"rankcrit: error: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
     except ArithmeticError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ._primality import is_prime, primes_in
-from .recurrences import A_VZ, F_E, X_A, constant_term_mod, constant_terms_mod
+from .recurrences import A_VZ, F_E, X_A, constant_term_mod, constant_terms_mod, paired_constant_terms_mod
 
 
 class CrossCheckError(RuntimeError):
@@ -127,10 +127,12 @@ _PATHS = {"Ep": (F_E,), "Ap": (A_VZ, X_A)}
 
 def _residues(args: tuple[str, list[int]]) -> list[list[int]]:
     """Per path of the family, F_index(0) mod p for every admissible p given, in one
-    lockstep batch."""
+    lockstep batch: the a- and x-paths of Ap share theirs."""
     family, primes = args
     targets = [(_index(p, family), p) for p in primes]
-    return [constant_terms_mod(path, targets) for path in _PATHS[family]]
+    if family == "Ap":
+        return list(paired_constant_terms_mod(targets))
+    return [constant_terms_mod(F_E, targets)]
 
 
 def scan(family: str, lo: int, hi: int, jobs: int = 1) -> list[CriterionVerdict]:

@@ -169,6 +169,12 @@ _C_MAX = math.isqrt(_INT64_MAX) + 1  # the table squares residues x <= c - 1: (c
 # A norm n has at most 2 points in each of at most 2 sqrt(4n/3) + 1 <= 4 sqrt(n) rows, each of trace
 # at most 2 sqrt(n): every bincount bin stays within 16 n <= 16 M, exact in float64 up to 2^53.
 _M_MAX = 2 ** 49
+# Every term stays resident: the lattice points, their norms and traces, the sums and the list
+# returned take at most 40 bytes a term together (tracemalloc peak: 37.3 B a term at M = 4.7e5
+# and at M = 3.8e6, Ep 10009 and 40009).  _M_RESIDENT caps that near 400 MB (Ep p up to about
+# 1.1e5, since M is about 95 p); past it the sums would have to stream, which is not done.
+_BYTES_PER_TERM = 40
+_M_RESIDENT = 400 * 10 ** 6 // _BYTES_PER_TERM
 
 # Tr psi(alpha) = TA[m] a + TB[m] b, where psi(a + b i) = (-i)^m (a + b i) and psi(a + b w) = -w^m (a + b w)
 _TRACES = {4: (np.array([2, 0, -2, 0]), np.array([0, 2, 0, -2])),
@@ -273,6 +279,9 @@ def an_list(curve: CurveSpec, M: int) -> list[int]:
         raise OverflowError(f"M = {M} at c = {c}: the int64 row residues b r would overflow")
     if M > _M_MAX:
         raise OverflowError(f"M = {M} is above {_M_MAX}: the float64 sums would not be exact")
+    if M > _M_RESIDENT:
+        raise OverflowError(f"M = {M} is above {_M_RESIDENT}: its terms would not stay resident "
+                            f"(about {_BYTES_PER_TERM * M >> 20} MB)")
     r, r2 = _images(k, c)
     table = _chi(np.arange(c, dtype=np.int64), k, c, r).astype(np.int8)
     if np.bincount(table[1:], minlength=k + 1).tolist() != [(c - 1) // k] * k + [0]:

@@ -38,15 +38,21 @@ f_N(t) = H_N(2t + 3) / 2^N, by a Taylor shift of H(3x) on additions only.
 where no row needs converting.
 
 Generation mod p, which avoids the huge exact coefficients, steps int64
-numpy arrays of residues instead, for primes p below ``_P_MAX``.  The
-constant terms F_N(0) mod p drive the rank criteria.  ``constant_terms_mod``
-steps only the coefficients that can reach F_N(0), and it steps a batch of
-targets (N, p) of one family in lockstep: their windows sit end to end in
-one int64 vector with a modulus per element, so each numpy pass of a step
-serves every prime, and a scan makes N_max steps instead of sum N_p.  One
-step costs 20-25 us of numpy call overhead whatever its width, so a
-criterion scan of Ep 2..500 went from 25.6 to 5.8 ms and Ep 2..3000 from
-1.39 to 0.38 s (2-vCPU VM).  ``constant_term_mod`` is a batch of one.
+numpy arrays of residues instead, for primes p below ``_P_MAX``, through one
+kernel (``_step_mod``) whose passes can step two chains.  The constant terms F_N(0) mod p
+drive the rank criteria, and only the coefficients that can reach F_N(0) are
+stepped.  ``constant_terms_mod`` steps a batch of targets (N, p) of one family
+in lockstep: their windows sit end to end in one int64 vector with a modulus
+per element, so each numpy pass of a step serves every prime, and a scan
+makes N_max steps instead of sum N_p.  ``paired_constant_terms_mod`` puts the
+a- and x-windows of an Ap batch in one vector (a_n = 2^n alpha_n, and alpha_n
+steps by x's taps), N_max steps for both paths.  A target alone
+(``constant_term_mod``) goes from both ends, F up from its seeds and the
+transposed chain down from F_N(0) = <e_0, F_N>, and meets in the middle:
+about N/2 passes instead of N (``_both_ends``).  A pass costs 15-25 us of
+numpy call overhead at p near 1000, so on a 2-vCPU VM a verdict at Ep 1201
+or Ap 1063 ran about 1.35x faster than one window stepped N times, and the
+Ap 2..500 scan about 1.8x faster than two scans one path at a time.
 """
 
 from __future__ import annotations
@@ -137,22 +143,31 @@ Z_A = RecurrenceFamily("z", "Z_A", ((1,), (2,)), _coeffs_z, scale=2)
 FAMILIES = {fam.key: fam for fam in (F_E, A_VZ, X_A, Y_A, Z_A)}
 
 
-# The mod-p step sums, for each output coefficient, at most len(D) + len(P) + len(M)
-# <= _MAX_TERMS products of two residues, each at most (p-1)^2, before its one
-# `% p`; _MAX_TERMS * (p-1)^2 < 2^63 holds exactly when p < _P_MAX (about 1.01e9).
+# The mod-p step sums, for each output coefficient, at most _MAX_TERMS products of two
+# residues, each at most (p-1)^2, before its one `% p`; _MAX_TERMS * (p-1)^2 < 2^63 holds
+# exactly when p < _P_MAX (about 1.01e9).  The products are the nonzero taps of one region
+# reduced mod p: at most 8 for f, 4 for a, x and y and 6 for z, and on the transposed
+# chain of ``_both_ends`` at most 9, 5 and 7.
 _MAX_TERMS = 9
 _P_MAX = math.isqrt((2**63 - 1) // _MAX_TERMS) + 2
 
 # A lockstep batch of several primes shares its taps, so they stay exact integers: an
-# output coefficient sums at most one product |tap| * (p-1) per tap, which fits in int64
-# while _tap_sum(N_max - 1) * (max p - 1) <= _INT64_MAX (``_fits``; for f to about
-# p = 1.3e6).
+# output coefficient sums at most one product |tap| * (p-1) per tap, and on an alpha
+# window one more product of two residues (``_ALPHA_TILT``), which fits in int64 while
+# (_tap_sum(N_max - 1) [+ max p - 1]) * (max p - 1) <= _INT64_MAX (``_fits``; for f to
+# about p = 1.3e6).
 _INT64_MAX = 2**63 - 1
 
 _BLOCK = 1024        # steps per batch of multipliers, so memory follows the polynomials, not N
 _HORIZON = 32        # a lockstep layout holds F_n .. F_max(3n/2, 32): laying out costs about 5 short steps
-_BATCH_N = 1 << 20   # sum of N over a lockstep batch, which bounds its vectors (a few MB each)
+_BATCH_N = 1 << 20   # sum of N over the windows of a lockstep batch, which bounds its vectors (a few MB each)
 _UNCUT = 2**62       # a width that cuts nothing
+
+# a_n = 2^n alpha_n, and alpha_n follows x's recurrence with D/4 and one extra term
+# -(3/2) t^2 alpha_n: divide a's step by 2^(n+1), with D_a = D_x / 2, P_a = 2 P_x - 3 t^2 and
+# s_a M = 4 s_x M.  So an a-window and an x-window share every tap of a lockstep batch.
+_ALPHA_D = Fraction(1, 4)            # the factor on alpha_n'
+_ALPHA_TILT = (2, Fraction(-3, 2))   # the extra term, as (exponent, coefficient)
 
 
 def _check_fits(p: int) -> None:
@@ -172,68 +187,123 @@ def _tap_sum(family: RecurrenceFamily, n: int) -> int:
     return sum(map(abs, d_poly)) + sum(map(abs, cur_poly)) + abs(prev_scalar) * sum(map(abs, prev_poly))
 
 
-def _fits(family: RecurrenceFamily, N: int, p: int) -> bool:
-    """Whether exact taps step F_N mod primes up to p without leaving int64.
+def _fits(family: RecurrenceFamily, N: int, p: int, alpha: bool = False, derivative: bool = False) -> bool:
+    """Whether exact taps step F_N mod primes up to p without leaving int64; ``alpha``
+    adds the term of an alpha window, a residue times a residue, and ``derivative``
+    leaves F_n' unreduced, so that each tap on it multiplies a product of two residues.
 
     Every tap of these families grows in size with n, so step N - 1 bounds
     them all."""
-    return N < 2 or _tap_sum(family, N - 1) * (p - 1) <= _INT64_MAX
+    d_sum = sum(map(abs, family.step_coeffs(0)[0])) if derivative else 0
+    return N < 2 or (_tap_sum(family, N - 1) + d_sum * (p - 2) + (p - 1 if alpha else 0)) * (p - 1) <= _INT64_MAX
 
 
-def _multipliers(family: RecurrenceFamily, ns: np.ndarray, p: int | None = None) -> list[tuple[int, list, list]]:
-    """D, P_n and s_n * M at the step indices ns, each as (offset, kernels, live);
-    reduced mod p if p is given, else exact.
+def _polys(family: RecurrenceFamily, n: int, transposed: bool = False) -> list[tuple[int, tuple]]:
+    """The multipliers of step n as (lowest exponent, coefficients): D on F_n', P_n on
+    F_n and s_n M on F_{n-1}.  Transposed, those of u_n = A_n^T u_{n+1} + B_{n+1}^T u_{n+2}
+    on the reversed chain of ``_both_ends``: D, P_n^T from t^-1 up and s_{n+1} M."""
+    d_poly, cur_poly, prev_scalar, prev_poly = family.step_coeffs(n)
+    if transposed:
+        prev_scalar = family.step_coeffs(n + 1)[2]
+        d = (*d_poly, 0)
+        cur_poly = (d[0], *((cur_poly[i] if i < len(cur_poly) else 0) - i * d[i + 1]
+                            for i in range(max(len(cur_poly), len(d_poly) - 1))))
+    return [(0, d_poly), (-1 if transposed else 0, cur_poly), (0, tuple(prev_scalar * c for c in prev_poly))]
 
-    ``kernels[i]`` is the multiplier at step ``ns[i]`` from t^offset up
-    (columns that vanish at every step are cut off): a plain int when one
-    column is left, else an int64 array stored reversed for ``np.correlate``.
-    ``live[i]`` says whether it is nonzero.  Every coefficient is a polynomial
-    of degree <= 2 in n, so it is interpolated from n = 0, 1, 2.
+
+def _multipliers(family: RecurrenceFamily, ns: np.ndarray, p: int | None = None,
+                 transposed: bool = False) -> list[tuple[int, list]]:
+    """The tap on F_n' as (offset, kernel), the same at every step, and the taps on F_n
+    and F_{n-1} at the step indices ns as (offset, kernels), from
+    ``_polys(family, n, transposed)``; reduced mod p if p is given, else exact.
+
+    ``kernels[i]`` is the multiplier at step ``ns[i]`` from t^offset up (columns that
+    vanish at every step are cut off): a plain int when one column is left, else an int64
+    array stored reversed for ``np.correlate``.  Every coefficient is a ``_quadratic`` in
+    n, interpolated from n = 0, 1, 2.  One D serves every region of a pass, so a D that
+    depends on n is a ValueError.
     """
-    samples = []
-    for n in (0, 1, 2):
-        d_poly, cur_poly, prev_scalar, prev_poly = family.step_coeffs(n)
-        samples.append((d_poly, cur_poly, tuple(prev_scalar * c for c in prev_poly)))
+    samples = [_polys(family, n, transposed) for n in (0, 1, 2)]
+    if len({sample[0] for sample in samples}) > 1:
+        raise ValueError(f"{family!r}: the multiplier of F_n' depends on n")
+    d_base, d_poly = samples[0][0]
+    d_off, (d_kernel,) = _cut(d_base, np.array([d_poly], np.int64) % p if p else np.array([d_poly], np.int64))
+    out = [(d_off, d_kernel)]
+    # the columns of P_n and s_n M as _quadratic triples, side by side
+    polys = [[v for _, v in triple] for triple in list(zip(*samples))[1:]]
+    widths = [max(map(len, triple)) for triple in polys]
+    c0, c1, c2 = np.array([_quadratic(*(v[j] if j < len(v) else 0 for v in triple))
+                           for triple, width in zip(polys, widths) for j in range(width)], np.int64).T
     n = (ns if p is None else ns % p)[:, None]
-    out = []
-    for v0, v1, v2 in zip(*samples):
-        c2 = [(a - 2 * b + c) // 2 for a, b, c in zip(v0, v1, v2)]
-        c1 = [b - a - q for a, b, q in zip(v0, v1, c2)]
-        if p is None:
-            rows = np.array(v0) + np.array(c1) * n + np.array(c2) * (n * n)
-        else:
-            rows = (np.array(v0) % p + np.array(c1) % p * n % p + np.array(c2) % p * (n * n % p) % p) % p
-        cols = np.flatnonzero(rows.any(axis=0))
-        lo, hi = (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 1)
-        if hi - lo == 1:
-            kernels = rows[:, lo].tolist()
-        else:
-            kernels = list(np.ascontiguousarray(rows[:, lo:hi][:, ::-1]))
-        out.append((lo, kernels, rows.any(axis=1).tolist()))
+    pair = n * (n - 1) // 2
+    if p is None:
+        rows = c0 + c1 * n + c2 * pair
+    else:
+        rows = (c0 % p + c1 % p * n % p + c2 % p * (pair % p) % p) % p
+    for (base, _), width, first in zip(samples[0][1:], widths, (0, widths[0])):
+        out.append(_cut(base, rows[:, first:first + width]))
     return out
 
 
-def _step_mod(mults, i: int, prev: np.ndarray, cur: np.ndarray, weights: np.ndarray, mod: np.ndarray,
-              width: int) -> np.ndarray:
-    """Stored F_{n+1}, its coefficients below ``width`` only, from F_{n-1} and F_n
-    (int64 residues) and the multipliers ``mults`` of step n at index i.
+def _cut(base: int, rows: np.ndarray) -> tuple[int, list]:
+    """(offset, kernels) of the multipliers ``rows`` (one row a step, from t^base up),
+    with the columns that vanish in every row cut off."""
+    cols = np.flatnonzero(rows.any(axis=0))
+    lo, hi = (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 1)
+    if hi - lo == 1:
+        return base + lo, rows[:, lo].tolist()
+    return base + lo, list(np.ascontiguousarray(rows[:, lo:hi][:, ::-1]))
 
-    Element j is reduced mod ``mod[j]`` and F_n'[j] is ``weights[j] * F_n[j + 1]``,
-    so one call steps every window of a lockstep batch."""
-    deriv = cur[1:width + 1]
-    deriv = deriv * weights[:len(deriv)] % mod[:len(deriv)]
-    parts = []
-    for (off, kernels, live), x in zip(mults, (deriv, cur, prev)):
-        if live[i] and len(x) and off < width:
-            x, k = x[:width - off], kernels[i]
-            # np.correlate with the kernel reversed is np.convolve without its wrapper's cost
-            parts.append((off, k * x if type(k) is int else np.correlate(x, k, "full")))
-    size = min(width, max((off + len(c) for off, c in parts), default=0))
-    out = np.zeros(size, np.int64)
-    for off, c in parts:
-        out[off:off + len(c)] += c[:size - off]
+
+def _step_mod(d_tap: tuple, taps: list, cur: np.ndarray, weights: np.ndarray, mod: np.ndarray, hi: int,
+              shift: int = 0, tilt: tuple | None = None, reduce_derivative: bool = True) -> np.ndarray:
+    """Stored F_{n+1} below position ``hi`` of a vector of windows, from F_n (``cur``)
+    and the taps, all int64 residues.
+
+    Element j of the result is reduced mod ``mod[j]``.  The vector moves ``shift``
+    places to the right a step (0 or 1), so F_n'[j - 1] is ``weights[j] * cur[j - shift]``,
+    ``weights[j]`` being the index of element j in its window, and ``d_tap`` = (offset,
+    kernel) acts on it.  Each of ``taps``, (source, position, kernel), is a slice of F_n or
+    F_{n-1} whose product lands at that position, so the regions of one vector can step
+    with taps of their own.  ``tilt`` = (offset, c) adds c[j] to the one-column kernel of
+    the tap on F_n that lands at that offset, element by element.  F_n' is reduced before
+    its tap unless ``reduce_derivative`` is False (exact taps that ``_fits`` with
+    ``derivative``).
+    """
+    deriv = cur[1 - shift:hi + 1 - shift]
+    end = len(deriv) + 1
+    deriv = deriv * weights[1:end]
+    if reduce_derivative:
+        deriv %= mod[1:end]
+    products, size = [], 0
+    for x, pos, kernel in ((deriv, *d_tap), *taps):
+        if len(x):
+            if type(kernel) is not int:
+                # np.correlate with the kernel reversed is np.convolve without its wrapper's cost
+                c = np.correlate(x, kernel, "full")
+            elif tilt is not None and pos == tilt[0]:
+                c = (tilt[1][pos:pos + len(x)] + kernel) * x
+            else:
+                c = kernel * x
+            products.append((pos, c))
+            size = max(size, pos + len(c))
+    size = min(size, hi)
+    if products and products[0][0] == 0 and len(products[0][1]) >= size:
+        out = products.pop(0)[1][:size]  # the first product covers the step
+    else:
+        out = np.zeros(size, np.int64)
+    for pos, c in products:
+        if pos < size:
+            out[pos:pos + len(c)] += c[:size - pos]
     out %= mod[:size]
     return out
+
+
+def _taps(mults: list, i: int, prev: np.ndarray, cur: np.ndarray, hi: int) -> list:
+    """The taps of step i of ``_multipliers`` on F_n and F_{n-1}, for a vector that does
+    not move (``_step_mod``)."""
+    (_, (cur_off, cur_kernels), (prev_off, prev_kernels)) = mults
+    return [(cur[:hi - cur_off], cur_off, cur_kernels[i]), (prev[:hi - prev_off], prev_off, prev_kernels[i])]
 
 
 def step(family: RecurrenceFamily, n: int, prev: tuple, cur: tuple, p: int | None = None) -> tuple:
@@ -247,7 +317,8 @@ def step(family: RecurrenceFamily, n: int, prev: tuple, cur: tuple, p: int | Non
         mults = _multipliers(family, np.array([n]), p)
         prev, cur = (np.array([c % p for c in poly], np.int64) for poly in (prev, cur))
         mod = np.full(len(prev) + len(cur) + _MAX_TERMS, p)
-        return trim(_step_mod(mults, 0, prev, cur, np.arange(1, len(cur) + 1) % p, mod, _UNCUT).tolist())
+        weights = np.arange(len(cur) + 1) % p
+        return trim(_step_mod(mults[0], _taps(mults, 0, prev, cur, _UNCUT), cur, weights, mod, _UNCUT).tolist())
     return _tap_step(prev, cur, *_taps_at(_tap_plan(family, 1, 0), n))
 
 
@@ -396,7 +467,7 @@ def _stored_mod(family: RecurrenceFamily, p: int) -> Iterator[np.ndarray]:
     """The stored polynomials scale * F_n mod p as int64 arrays."""
     _check_modulus(p)
     prev, cur = (np.array(seed, np.int64) % p for seed in family.seeds)
-    weights = np.arange(1, 2) % p  # weights[k] = (k + 1) mod p, grown with F_n: F_n'[k] = weights[k] * F_n[k + 1]
+    weights = np.arange(2) % p  # weights[k] = k mod p, grown with F_n: F_n'[k - 1] = weights[k] * F_n[k]
     mod = np.full(len(weights) + _MAX_TERMS, p)  # longer than the next F_n
     yield prev
     yield cur
@@ -404,15 +475,15 @@ def _stored_mod(family: RecurrenceFamily, p: int) -> Iterator[np.ndarray]:
     while True:
         mults = _multipliers(family, np.arange(n, n + _BLOCK), p)
         for i in range(_BLOCK):
-            if len(cur) > len(weights):
-                weights = np.arange(1, 2 * len(cur) + 1) % p
+            if len(cur) >= len(weights):
+                weights = np.arange(2 * len(cur) + 1) % p
                 mod = np.full(len(weights) + _MAX_TERMS, p)
-            prev, cur = cur, _step_mod(mults, i, prev, cur, weights, mod, _UNCUT)
+            prev, cur = cur, _step_mod(mults[0], _taps(mults, i, prev, cur, _UNCUT), cur, weights, mod, _UNCUT)
             yield cur
         n += _BLOCK
 
 
-# --- F_N(0) mod p for many targets (N, p) of one family at once.
+# --- F_N(0) mod p for many targets (N, p) at once.
 #
 # Coefficient j of F_{n+1} needs coefficients <= j + 1 of F_n and <= j of F_{n-1}, so
 # F_N(0) needs only the window of F_m below N - m + 1.  A lockstep batch lays the
@@ -424,18 +495,22 @@ def _stored_mod(family: RecurrenceFamily, p: int) -> Iterator[np.ndarray]:
 # read by it, and the gap keeps them from its neighbour.  The last window follows its
 # width, as a lone one does.  A finished window leaves the vector on the left.  A
 # layout made at F_n holds the windows up to F_max(3n/2, _HORIZON) and is rebuilt
-# there, which drops the room that shrinking windows no longer need.
+# there, which drops the room that shrinking windows no longer need.  A target that
+# steps alone goes from both ends instead (``_both_ends``).
 
 
 def _length_bounds(family: RecurrenceFamily, N: int) -> np.ndarray:
-    """L[m] >= len(F_m) for m = 0..N, non-decreasing: F_{n+1} is no longer than
-    D * F_n', P_n * F_n and M * F_{n-1}."""
+    """L[m] >= len(F_m) for m = 0..N, non-decreasing.
+
+    F_{n+1} is no longer than D * F_n', P_n * F_n and M * F_{n-1}, so its length
+    grows by at most g a step and 2g over two, with g = max(len(D) - 2, len(P) - 1,
+    ceil((len(M) - 1) / 2)); L[m] = max(len(F_0) + g m, len(F_1) + g (m - 1)) bounds it."""
     d_poly, cur_poly, _, prev_poly = family.step_coeffs(1)
-    grow, reach = max(len(d_poly) - 2, len(cur_poly) - 1), len(prev_poly) - 1
-    out = [len(seed) for seed in family.seeds]
-    while len(out) <= N:
-        out.append(max(out[-1] + grow, out[-2] + reach))
-    return np.maximum.accumulate(out[:N + 1])
+    g = max(len(d_poly) - 2, len(cur_poly) - 1, len(prev_poly) // 2, 0)
+    m = np.arange(N + 1)
+    out = np.maximum(len(family.seeds[0]) + g * m, len(family.seeds[1]) + g * (m - 1))
+    out[0] = len(family.seeds[0])
+    return out
 
 
 def _slots(lengths: np.ndarray, Ns, n, end):
@@ -450,25 +525,28 @@ def _slots(lengths: np.ndarray, Ns, n, end):
     return np.maximum(grow, np.where(top <= end, Ns + 1 - top, 0))
 
 
-def _layout(ps: np.ndarray, slots: np.ndarray, gap: int):
+def _layout(ps: np.ndarray, slots: np.ndarray, gap: int, factors: np.ndarray, tilts: np.ndarray | None):
     """Windows of the given widths end to end, each followed by ``gap`` zeros:
-    (starts, moduli, weights, segment of each element, index in it, in a window).
+    (starts, moduli, weights, tilt, segment of each element, index in it, in a window).
 
-    Element j is reduced mod ``moduli[j]``, 1 in a gap, and F'[j] is
-    ``weights[j] * F[j + 1]``: the index of element j + 1 in its window mod p."""
+    Element j is reduced mod ``moduli[j]``, 1 in a gap, and ``weights[j]`` is its index
+    in its window times the window's factor, mod p.  ``tilt[j]`` is the coefficient of
+    its window's extra term (None without ``tilts``)."""
     sizes = slots + gap
     starts = np.cumsum(sizes) - sizes
     seg = np.repeat(np.arange(len(sizes)), sizes)
     k = np.arange(len(seg)) - starts[seg]
     inside = k < slots[seg]
     p = ps[seg]
-    return starts, np.where(inside, p, 1), np.where(inside, k % p, 0)[1:], seg, k, inside
+    weights = np.where(inside, k % p * factors[seg] % p, 0)
+    tilt = None if tilts is None else np.where(inside, tilts[seg], 0)
+    return starts, np.where(inside, p, 1), weights, tilt, seg, k, inside
 
 
 def _moved(poly: np.ndarray, old_starts: np.ndarray, old_widths: np.ndarray, layout, size: int) -> np.ndarray:
     """The windows of ``poly``, laid out at ``old_starts`` with ``old_widths``, in a
     new layout cut at ``size``."""
-    _, _, _, seg, k, inside = layout
+    *_, seg, k, inside = layout
     seg, k = seg[:size], k[:size]
     src = old_starts[seg] + k
     take = inside[:size] & (k < old_widths[seg]) & (src < len(poly))
@@ -477,38 +555,66 @@ def _moved(poly: np.ndarray, old_starts: np.ndarray, old_widths: np.ndarray, lay
     return out
 
 
-def _lockstep(family: RecurrenceFamily, targets: list[tuple[int, int]]) -> list[int]:
-    """Stored F_N(0) mod p for targets (N, p) sorted by N, every N >= 2, stepped
-    together; the taps are exact, or reduced mod p for a target that steps alone."""
-    keys = [N for N, _ in targets]
-    Ns, ps = np.array(keys), np.array([p for _, p in targets])
+def _residue(c: Fraction, p: int) -> int:
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+def _alpha(p: int) -> tuple[list[tuple], int, int]:
+    """The seeds alpha_0, alpha_1 mod p of an alpha window, the factor on its derivative
+    weights and the coefficient of its extra term."""
+    half = pow(2, -1, p)
+    seeds = [tuple(c * pow(half, n, p) % p for c in seed) for n, seed in enumerate(A_VZ.seeds)]
+    return seeds, _residue(_ALPHA_D, p), _residue(_ALPHA_TILT[1], p)
+
+
+def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) -> list[int]:
+    """Stored F_N(0) mod p for windows (N, p, alpha) sorted by N, every N >= 2, stepped
+    together with exact taps.  An alpha window (``family`` is X_A) steps
+    alpha_n = a_n / 2^n by x's taps and gives a_N(0) = 2^N alpha_N(0)."""
+    keys = [N for N, _, _ in windows]
+    Ns, ps = np.array(keys), np.array([p for _, p, _ in windows])
     N_last = keys[-1]
-    lone = targets[0][1] if len(targets) == 1 else None
+    alphas = {p: _alpha(p) for _, p, alpha in windows if alpha}
+    seeds = [alphas[p][0] if alpha else [tuple(c % p for c in seed) for seed in family.seeds]
+             for _, p, alpha in windows]
+    factors = np.array([alphas[p][1] if alpha else 1 for _, p, alpha in windows])
+    tilts = np.array([alphas[p][2] if alpha else 0 for _, p, alpha in windows]) if alphas else None
     d_poly, cur_poly, _, prev_poly = family.step_coeffs(1)
     gap = max(len(d_poly) - 2, len(cur_poly) - 1, len(prev_poly) - 1)
-    lengths = None if lone else _length_bounds(family, N_last)
+    lengths = _length_bounds(family, N_last)
+    # F_n' skips its `% p` while a D tap times (p-1)^2 fits too (every scan batch up to p = 1.3e6)
+    reduce_derivative = not _fits(family, N_last, int(ps.max()), bool(alphas), derivative=True)
+    if alphas:
+        lengths = np.maximum(lengths, _length_bounds(A_VZ, N_last))
 
     def relayout(n: int, first: int, polys: list) -> tuple:
-        """Lay out the windows of targets first.. for F_n .. F_end and move each (poly,
-        starts, widths) of ``polys`` into it: (starts, slots, moduli, weights, moved,
-        end, or 0 when no inner window is left)."""
+        """Lay out the windows first.. for F_n .. F_end and move each (poly, starts,
+        widths) of ``polys`` into it: (starts, slots, moduli, weights, tilt for
+        ``_step_mod``, moved, end, or 0 when no inner window is left)."""
         inner, end = Ns[first:-1], min(max(n + n // 2, _HORIZON), N_last)
         slots = np.append(_slots(lengths, inner, n, end) if len(inner) else [], N_last - n + 1).astype(np.int64)
-        starts, moduli, weights, *_ = layout = _layout(ps[first:], slots, gap)
+        layout = _layout(ps[first:], slots, gap, factors[first:], None if tilts is None else tilts[first:])
+        starts, moduli, weights, tilt, *_ = layout
+        tilt = None if tilt is None else (_ALPHA_TILT[0], tilt)
         moved = [_moved(poly, old, widths, layout, starts[-1] + min(max(len(poly) - old[-1], 0), slots[-1]))
                  for poly, old, widths in polys]
-        return starts, slots, moduli, weights, moved, end if len(inner) else 0
+        return starts, slots, moduli, weights, tilt, moved, end if len(inner) else 0
 
-    seeds = [((np.array(seed, np.int64) % ps[:, None]).ravel(), np.arange(len(ps)) * len(seed),
-              np.full(len(ps), len(seed))) for seed in family.seeds]
-    starts, slots, moduli, weights, (prev, cur), due = relayout(1, 0, seeds)
+    rows = []
+    for j in (0, 1):
+        widths = np.array([len(seed[j]) for seed in seeds])
+        flat = np.array([c for seed in seeds for c in seed[j]], np.int64)
+        rows.append((flat, np.cumsum(widths) - widths, widths))
+    starts, slots, moduli, weights, tilt, (prev, cur), due = relayout(1, 0, rows)
     last = int(starts[-1])
     out, first, n = [], 0, 1
     while n < N_last:
         block = np.arange(n, min(n + _BLOCK, N_last))
-        mults = _multipliers(family, block, lone)
+        mults = _multipliers(family, block)
         for i in range(len(block)):
-            prev, cur = cur, _step_mod(mults, i, prev, cur, weights, moduli, last + N_last - n)
+            hi = last + N_last - n
+            prev, cur = cur, _step_mod(mults[0], _taps(mults, i, prev, cur, hi), cur, weights, moduli, hi,
+                                       tilt=tilt, reduce_derivative=reduce_derivative)
             n += 1
             if n == keys[first]:
                 done = bisect_right(keys, n, first) - first
@@ -518,12 +624,84 @@ def _lockstep(family: RecurrenceFamily, targets: list[tuple[int, int]]) -> list[
                 first, cut = first + done, int(starts[done])
                 starts, slots = starts[done:] - cut, slots[done:]
                 prev, cur, moduli, weights = prev[cut:], cur[cut:], moduli[cut:], weights[cut:]
+                tilt = None if tilt is None else (tilt[0], tilt[1][cut:])
                 last = int(starts[-1])
             if n == due:
-                starts, slots, moduli, weights, (prev, cur), due = relayout(
+                starts, slots, moduli, weights, tilt, (prev, cur), due = relayout(
                     n, first, [(prev, starts, slots), (cur, starts, slots)])
                 last = int(starts[-1])
-    return out
+    return [r * pow(2, N, p) % p if alpha else r for r, (N, p, alpha) in zip(out, windows)]
+
+
+def _dot_mod(pairs, p: int) -> int:
+    """The sum over (a, b) of ``pairs`` of sum_i a[i] * b[i], mod p, for int64 residues
+    below p < ``_P_MAX``: each product (< 2^60) is reduced before the sum, so the sum stays
+    exact for any length below 2^33."""
+    total = 0
+    for a, b in pairs:
+        size = min(len(a), len(b))
+        total += int((a[:size] * b[:size] % p).sum())
+    return total % p
+
+
+def _both_ends(family: RecurrenceFamily, N: int, p: int) -> int:
+    """Stored F_N(0) mod p for one target N >= 2, stepped from both ends at once.
+
+    Write F_{n+1} = A_n F_n + B_n F_{n-1} with A_n = D d/dt + P_n and B_n = s_n M.  Then
+    F_N(0) = <u_n, F_n> + <B_n^T u_{n+1}, F_{n-1}> at every n, where u_N = e_0,
+    u_{N+1} = 0 and u_n = A_n^T u_{n+1} + B_{n+1}^T u_{n+2}, with
+
+        (A_n^T u)[i] = i * sum_k D[k] u[i+k-1] + sum_k P_n[k] u[i+k].
+
+    One vector holds u reversed, a gap and the window of F.  Stored so, u shifts as F
+    does, and since i u[i+k-1] = (i+k-1) u[i+k-1] - (k-1) u[i+k-1], the D tap of u is that
+    of F on the same weighted elements (the weight of an element is its index in its
+    chain), with -(k-1) D[k] folded into P_n^T (``_polys``).  Each pass of ``_step_mod``
+    steps F up by one and u down by one, each region with its own taps reduced mod p,
+    until they meet at m = N/2, one pass more for even N: about N/2 passes instead of
+    N.  u_n lives on 0..N-n and the window of F_n is min(L_n, N-n+1), so both regions
+    grow from one element, and one dot product (``_dot_mod``) finishes.
+
+    The vector moves one place right a pass, so that u, growing to the left, starts at
+    position 0: u_n[i] sits at N - n - i and F_n[j] at gap + 1 + (n - a) + j in the pass
+    that steps F_n.  The moduli and weights of every pass are views of one array.
+    """
+    a = 2 - N % 2                 # F starts from F_(a-1), F_a, so that N - a is even
+    passes = (N - a) // 2
+    m = a + passes                # where the chains meet; u_m has passes + 1 elements
+    widths = np.minimum(_length_bounds(family, m), N + 1 - np.arange(m + 1)).tolist()
+    d_poly, cur_poly, _, prev_poly = family.step_coeffs(1)
+    gap = max(len(d_poly), len(cur_poly) + 1, len(prev_poly))
+    head = gap + 1                # F_n[0] of the pass that steps F_n is at head + (n - a)
+    span = max(widths[a - 1:])
+    # the moduli and weights of the vector that F_a and u_N start in are views from `passes` on
+    mod = np.ones(passes + head + span + gap, np.int64)
+    mod[:passes + 1] = mod[passes + head:passes + head + span] = p
+    weights = np.zeros(len(mod), np.int64)
+    weights[:passes + 1] = np.arange(passes, -1, -1) % p
+    weights[passes + head:passes + head + span] = np.arange(span) % p
+    prev, cur = np.zeros(head + span + gap, np.int64), np.zeros(head + span + gap, np.int64)
+    cur[0] = 1                    # u_N = e_0
+    for poly, start, row, width in zip((prev, cur), (head - 1, head), islice(_stored_exact(family), a - 1, a + 1),
+                                       widths[a - 1:]):
+        row = [c % p for c in row[:width]]
+        poly[start:start + len(row)] = row
+    for first in range(0, passes, _BLOCK):
+        ks = np.arange(first, min(first + _BLOCK, passes))
+        d_tap, (f_off, f_cur), (f_off2, f_prev) = _multipliers(family, a + ks, p)
+        _, (u_off, u_cur), (u_off2, u_prev) = _multipliers(family, N - 1 - ks, p, transposed=True)
+        for i, k in enumerate(ks.tolist()):
+            n = a + k             # F_(n+1) from F_n, F_(n-1); u_(N-k-1) from u_(N-k), u_(N-k+1)
+            f, w = head + k, widths[n]
+            taps = [(cur[:k + 1], u_off + 1, u_cur[i]), (prev[:k], u_off2 + 2, u_prev[i]),
+                    (cur[f:f + w], f + f_off + 1, f_cur[i]), (prev[f - 1:f - 1 + w], f + f_off2 + 1, f_prev[i])]
+            prev, cur = cur, _step_mod(d_tap, taps, cur, weights[passes - k - 1:], mod[passes - k - 1:],
+                                       f + 1 + widths[n + 1], shift=1)
+    _, _, prev_scalar, prev_poly = family.step_coeffs(m)
+    s_m = np.array([prev_scalar * c % p for c in prev_poly], np.int64)
+    f = head + passes
+    return _dot_mod([(cur[:passes + 1][::-1], cur[f:f + widths[m]]),
+                     (prev[:passes][::-1], np.convolve(prev[f - 1:f - 1 + widths[m - 1]], s_m) % p)], p)
 
 
 def _unscaled(family: RecurrenceFamily, poly: tuple, p: int | None) -> tuple:
@@ -569,24 +747,41 @@ def generate_all(family: RecurrenceFamily, N: int, p: int | None = None) -> list
     return list(islice(iter_family(family, p), N + 1))
 
 
-def _batches(family: RecurrenceFamily, targets: list[tuple[int, int]]) -> list[list[int]]:
+def _batches(family: RecurrenceFamily, targets: list[tuple[int, int]], alpha: bool = False) -> list[list[int]]:
     """The indices of the targets with N >= 2 in lockstep batches, each sorted by N.
 
-    Taken in order of p, a batch grows while its exact taps fit int64
-    (``_fits``) and its sum of N stays within ``_BATCH_N``; a target that
-    fits with no other steps alone."""
+    Taken in order of p, a batch grows while its exact taps fit int64 (``_fits``, with
+    the alpha term if ``alpha``) and the sum of N over its windows, two a target if
+    ``alpha``, stays within ``_BATCH_N``; a target that fits with no other steps alone."""
     batches, top, total = [], 0, 0
+    per_target = 2 if alpha else 1
     for i in sorted(range(len(targets)), key=lambda i: targets[i][1]):
         N, p = targets[i]
         if N < 2:
             continue
-        if batches and total + N <= _BATCH_N and _fits(family, max(top, N), p):
+        if batches and total + per_target * N <= _BATCH_N and _fits(family, max(top, N), p, alpha):
             batches[-1].append(i)
-            top, total = max(top, N), total + N
+            top, total = max(top, N), total + per_target * N
         else:
             batches.append([i])
-            top, total = N, N
+            top, total = N, per_target * N
     return [sorted(batch, key=lambda i: targets[i][0]) for batch in batches]
+
+
+def _checked(targets) -> list[tuple[int, int]]:
+    """The targets as a list; ValueError for N < 0 or a modulus that is not an odd
+    prime, OverflowError for p >= ``_P_MAX``."""
+    targets = [(N, p) for N, p in targets]
+    for N, p in targets:
+        if N < 0:
+            raise ValueError("index N must be >= 0")
+        _check_modulus(p)
+    return targets
+
+
+def _seed_terms(family: RecurrenceFamily, targets: list[tuple[int, int]]) -> list[int]:
+    """Stored F_N(0) mod p for the targets with N < 2, 0 for the others."""
+    return [family.seeds[N][0] % p if N < 2 and family.seeds[N] else 0 for N, p in targets]
 
 
 def constant_terms_mod(family: RecurrenceFamily, targets) -> list[int]:
@@ -594,22 +789,43 @@ def constant_terms_mod(family: RecurrenceFamily, targets) -> list[int]:
 
     The targets are stepped in lockstep batches: one window kernel steps a
     whole batch, so a scan makes N_max steps instead of one per prime and
-    step.  ValueError for N < 0 or a modulus that is not an odd prime,
-    OverflowError for p >= ``_P_MAX``, both before any array exists.
+    step, and a target that steps alone goes from both ends in about N/2 steps.
+    ValueError for N < 0 or a modulus that is not an odd prime, OverflowError
+    for p >= ``_P_MAX``, both before any array exists.
     """
-    targets = [(N, p) for N, p in targets]
-    for N, p in targets:
-        if N < 0:
-            raise ValueError("index N must be >= 0")
-        _check_modulus(p)
-    out = [family.seeds[N][0] % p if N < 2 and family.seeds[N] else 0 for N, p in targets]
+    targets = _checked(targets)
+    out = _seed_terms(family, targets)
     for batch in _batches(family, targets):
-        for i, residue in zip(batch, _lockstep(family, [targets[i] for i in batch])):
+        if len(batch) == 1:
+            out[batch[0]] = _both_ends(family, *targets[batch[0]])
+            continue
+        for i, residue in zip(batch, _lockstep(family, [(*targets[i], False) for i in batch])):
             out[i] = residue
     return [r * pow(family.scale, -1, p) % p for r, (_, p) in zip(out, targets)]
 
 
+def paired_constant_terms_mod(targets) -> tuple[list[int], list[int]]:
+    """(a_N(0) mod p, x_N(0) mod p) for every target (N, p), in the order given.
+
+    A batch steps the a- and the x-window of each target in one lockstep vector,
+    a as alpha_n = a_n / 2^n on x's taps (``_ALPHA_D``, ``_ALPHA_TILT``), so a scan
+    makes N_max steps for both paths; a target that steps alone goes from both
+    ends once per path.  Errors as for ``constant_terms_mod``.
+    """
+    targets = _checked(targets)
+    a_out, x_out = _seed_terms(A_VZ, targets), _seed_terms(X_A, targets)
+    for batch in _batches(X_A, targets, alpha=True):
+        if len(batch) == 1:
+            i = batch[0]
+            a_out[i], x_out[i] = _both_ends(A_VZ, *targets[i]), _both_ends(X_A, *targets[i])
+            continue
+        residues = _lockstep(X_A, [(*targets[i], alpha) for i in batch for alpha in (True, False)])
+        for j, i in enumerate(batch):
+            a_out[i], x_out[i] = residues[2 * j:2 * j + 2]
+    return a_out, x_out
+
+
 def constant_term_mod(family: RecurrenceFamily, N: int, p: int) -> int:
     """F_N(0) mod p for an odd prime p below ``_P_MAX``, stepping only the
-    coefficients that can reach it; OverflowError for p >= ``_P_MAX``."""
+    coefficients that can reach it, from both ends; OverflowError for p >= ``_P_MAX``."""
     return constant_terms_mod(family, [(N, p)])[0]

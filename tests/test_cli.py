@@ -251,6 +251,14 @@ class TestOracle:
         assert code == 0
         assert json.loads(out)["s_rounded"] == 18
 
+    def test_terms_past_resident_bound_exit_2(self, capsys):
+        # Ep 105401 is the first admissible prime whose L-sum needs more than _M_RESIDENT terms
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "--p", "105401", "--family", "Ep", "--no-cache")
+        assert code == 2 and out == ""
+        assert "would not stay resident" in err
+        assert time.perf_counter() - t0 < 1.0
+
     def test_inadmissible_prime_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "oracle", "--p", "7", "--cache", str(tmp_path / "c"))
         assert code == 1

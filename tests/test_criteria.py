@@ -121,16 +121,14 @@ class TestScan:
         assert [(f.key, N, p) for f, N, p in calls] == [("f", 87, 233), ("a", 66, 199), ("x", 66, 199)]
 
     def test_scan_cross_check_stops_at_first_disagreement(self, monkeypatch):
-        real = criteria.constant_terms_mod
+        real = criteria.paired_constant_terms_mod
 
-        def flipped(family, targets):
+        def flipped(targets):
             # the x path turns non-divisible at p = 37 and p = 73 (both divisible in truth)
-            residues = real(family, targets)
-            if family.key == "x":
-                residues = [1 if p in (37, 73) else r for r, (_, p) in zip(residues, targets)]
-            return residues
+            a_residues, x_residues = real(targets)
+            return a_residues, [1 if p in (37, 73) else r for r, (_, p) in zip(x_residues, targets)]
 
-        monkeypatch.setattr(criteria, "constant_terms_mod", flipped)
+        monkeypatch.setattr(criteria, "paired_constant_terms_mod", flipped)
         with pytest.raises(CrossCheckError, match=r"^p=37: a-path residue 0 and x-path residue 1 disagree on divisibility$"):
             scan("Ap", 2, 200)
 

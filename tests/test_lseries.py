@@ -509,8 +509,25 @@ class TestAnListChecks:
             an_list(curve_ep(17), 10 ** 38)
         with pytest.raises(OverflowError, match="float64 sums"):
             an_list(curve_ep(17), lseries._M_MAX + 1)
-        with pytest.raises(Passed):
+        with pytest.raises(OverflowError, match="resident"):
             an_list(curve_ep(17), lseries._M_MAX)
+        with pytest.raises(OverflowError, match="resident"):
+            an_list(curve_ep(17), lseries._M_RESIDENT + 1)
+        with pytest.raises(Passed):
+            an_list(curve_ep(17), lseries._M_RESIDENT)
+
+    def test_resident_bound(self):
+        # the measured peak per term times the bound stays near 400 MB, and the first Ep and Ap
+        # primes whose term count passes it are refused before any array exists
+        assert lseries._BYTES_PER_TERM * lseries._M_RESIDENT <= 400 * 10 ** 6
+        for family, last, first in (("Ep", 105361, 105401), ("Ap", 162109, 162289)):
+            counts = [lseries._term_count(conductor(lseries.sp_curve(p, 1e-8, family)[0]), 1e-8)
+                      for p in (last, first)]
+            assert counts[0] <= lseries._M_RESIDENT < counts[1]
+            t0 = time.perf_counter()
+            with pytest.raises(OverflowError, match="would not stay resident"):
+                lseries.sp(first, family=family)
+            assert time.perf_counter() - t0 < 1.0
 
     def test_table_check(self, monkeypatch):
         real = lseries._chi

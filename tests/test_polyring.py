@@ -6,45 +6,7 @@ import pytest
 
 from rankcrit.polyring import constant_term, render
 from rankcrit.recurrences import A_VZ, F_E, Z_A, constant_term_mod, generate
-from ._util import ONE, add, derivative, dot, mul, rand_poly, reduce
-
-
-class TestMul:
-    def test_monic_quadratic(self):
-        assert mul((1, 1), (2, 1)) == (2, 3, 1)
-
-    def test_identity(self):
-        assert mul((3, 2), ONE) == (3, 2)
-
-    def test_square(self):
-        assert mul((3, 2), (3, 2)) == (9, 12, 4)
-
-    def test_degree_adds(self):
-        rng = random.Random(1)
-        for _ in range(50):
-            a, b = rand_poly(rng), rand_poly(rng)
-            if not a or not b:
-                assert mul(a, b) == ()
-            else:
-                assert len(mul(a, b)) - 1 == (len(a) - 1) + (len(b) - 1)
-
-
-class TestDerivative:
-    def test_linear(self):
-        assert derivative((3, 2)) == (2,)
-
-    def test_quadratic(self):
-        assert derivative((0, 0, -3)) == (0, -6)
-
-    def test_constant(self):
-        assert derivative(ONE) == ()
-
-    def test_degree_drop(self):
-        rng = random.Random(2)
-        for _ in range(50):
-            a = rand_poly(rng)
-            if len(a) >= 2:
-                assert len(derivative(a)) == len(a) - 1
+from ._util import add, derivative, dot, mul, rand_poly, reduce
 
 
 class TestEval:

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from functools import cache
@@ -11,12 +12,17 @@ from hypothesis import strategies as st
 from rankcrit._primality import is_prime
 from rankcrit.polyring import constant_term, trim
 from rankcrit.recurrences import (
+    _ALPHA_D,
+    _ALPHA_TILT,
     _BATCH_N,
     _INT64_MAX,
     _MAX_TERMS,
     _P_MAX,
     _batches,
+    _dot_mod,
     _fits,
+    _multipliers,
+    _polys,
     _from_v,
     _stored_exact,
     _tap_plan,
@@ -36,6 +42,7 @@ from rankcrit.recurrences import (
     generate,
     generate_all,
     iter_family,
+    paired_constant_terms_mod,
     step,
 )
 from ._util import dot_step, primes_leq
@@ -423,3 +430,150 @@ class TestLockstepBatch:
                         [(N, 101), (N, far), (N - 3, 103)]):
             # a batch past the bound splits, and a target past it alone reduces its taps mod p
             assert constant_terms_mod(F_BIG, targets) == [terms[n] % p for n, p in targets]
+
+
+def _full_walk_constant_term(family: RecurrenceFamily, N: int, p: int) -> int:
+    """F_N(0) mod p from the whole polynomial generate(family, N, p), which steps every
+    coefficient of F_n forward and shares no window code with constant_term_mod."""
+    poly = generate(family, N, p)
+    return poly[0] if poly else 0
+
+
+class TestUnreducedDerivative:
+    def test_edge(self):
+        # a batch leaves F_n' unreduced only while every product of its D taps fits as well
+        N = 20
+        d_sum = sum(map(abs, F_BIG.step_coeffs(0)[0]))
+        taps = _tap_sum(F_BIG, N - 1)
+        edge = next(q for q in range(math.isqrt(_INT64_MAX // d_sum) + 2, 0, -1)
+                    if (taps + d_sum * (q - 2)) * (q - 1) <= _INT64_MAX)
+        below = next(q for q in range(edge, 0, -1) if is_prime(q))
+        above = next(q for q in count(edge + 1) if is_prime(q))
+        assert _fits(F_BIG, N, below, derivative=True) and not _fits(F_BIG, N, above, derivative=True)
+        assert _fits(F_BIG, N, above)  # still one batch, which reduces F_n' before its taps
+        terms = [constant_term(poly) for poly in generate_all(F_BIG, N)]
+        for q in (below, above):
+            assert constant_terms_mod(F_BIG, [(N, 101), (N - 2, q)]) == [terms[N] % 101, terms[N - 2] % q]
+
+    def test_scans_take_the_unreduced_path(self):
+        # an Ep or paired Ap batch up to p = 1.3e6 fits with F_n' unreduced as well
+        for family, N, p in ((F_E, 3 * (1299721 - 1) // 8, 1299721), (X_A, (1299709 - 1) // 3, 1299709)):
+            alpha = family is X_A
+            assert _fits(family, N, p, alpha) and _fits(family, N, p, alpha, derivative=True)
+
+
+class TestBothEnds:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 5) | st.integers(6, 160),
+           st.sampled_from(_ODD_PRIMES[:200]))
+    @example("a", 5, 19)    # 19 | 16n + 3 at n = 5: a's P_n tap vanishes mod 19
+    @example("a", 40, 19)
+    @example("f", 4, 3)     # 3 | D(0) = -24: f's first D column vanishes mod 3
+    @example("z", 7, 3)     # 3 | D[2] = -9
+    @example("x", 2, 5)
+    @example("y", 3, 5)
+    def test_equals_the_full_polynomial_walk(self, key, N, p):
+        family = FAMILIES[key]
+        assert constant_term_mod(family, N, p) == _full_walk_constant_term(family, N, p)
+
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_both_parities_near_the_bound(self, key):
+        for N in (40, 41):
+            assert constant_term_mod(FAMILIES[key], N, _P_BELOW) == _full_walk_constant_term(FAMILIES[key], N, _P_BELOW)
+
+    def test_transposed_taps_stay_within_the_bound(self):
+        # one output of a pass sums D on F', P_n (or P_n^T) on F_n and s M on F_{n-1},
+        # one product of two residues per nonzero tap
+        for family in FAMILIES.values():
+            for transposed in (False, True):
+                for n in range(1, 40):
+                    count = sum(sum(1 for c in poly if c) for _, poly in _polys(family, n, transposed))
+                    assert count <= _MAX_TERMS, (family, transposed, n)
+
+    def test_transposed_taps_are_the_adjoint(self):
+        # <u, A_n F + B_n G> = <A_n^T u, F> + <B_n^T u, G> on random vectors, with A_n^T u read
+        # off the folded taps (D on i u, P_n^T from t^-1 up) and B_n^T off s_n M
+        def at(v, i):
+            return int(v[i]) if 0 <= i < len(v) else 0
+
+        rng = np.random.default_rng(5)
+        size = 12
+        for family in FAMILIES.values():
+            for n in (1, 2, 7):
+                (_, d), (_, p_n), (_, m_n) = _polys(family, n)
+                _, (base, p_t), _ = _polys(family, n, transposed=True)
+                _, _, (_, m_t) = _polys(family, n - 1, transposed=True)  # s_(n-1+1) M
+                F, G = (rng.integers(-9, 10, size) for _ in range(2))
+                u = rng.integers(-9, 10, size + 4)  # A_n F and B_n G are longer than F and G
+                AF = [sum(d[k] * (j - k + 1) * at(F, j - k + 1) for k in range(len(d)))
+                      + sum(p_n[k] * at(F, j - k) for k in range(len(p_n))) for j in range(len(u))]
+                BG = [sum(m_n[k] * at(G, j - k) for k in range(len(m_n))) for j in range(len(u))]
+                ATu = [sum(d[k] * (i + k - 1) * at(u, i + k - 1) for k in range(len(d)))
+                       + sum(p_t[k] * at(u, i + k + base) for k in range(len(p_t))) for i in range(size)]
+                BTu = [sum(m_t[k] * at(u, i + k) for k in range(len(m_t))) for i in range(size)]
+                assert np.dot(u, AF) == np.dot(ATu, F) and np.dot(u, BG) == np.dot(BTu, G), (family, n)
+
+    def test_meeting_dot_is_exact_at_the_bound(self):
+        p = _P_BELOW
+        for size in (1, 7, 4096):
+            a = np.full(size, p - 1, np.int64)
+            b = np.arange(size, dtype=np.int64) % p + (p - size)
+            want = (sum((p - 1) * int(y) for y in b) + (p - 1) ** 2 * 3) % p
+            tail = np.full(3, p - 1, np.int64)
+            assert _dot_mod([(a, b), (tail, tail[:5])], p) == want
+        # lengths may differ: the shorter of each pair sets it
+        assert _dot_mod([(np.array([2, 3, 4]), np.array([5, 6]))], 7) == (10 + 18) % 7
+
+
+class TestPairedScan:
+    def test_alpha_identity(self):
+        # a_n = 2^n alpha_n: alpha steps by x's D times _ALPHA_D, x's P plus _ALPHA_TILT and x's s M
+        exponent, coefficient = _ALPHA_TILT
+        for n in range(60):
+            d_a, p_a, s_a, m_a = A_VZ.step_coeffs(n)
+            d_x, p_x, s_x, m_x = X_A.step_coeffs(n)
+            assert [Fraction(c, 2) for c in d_a] == [_ALPHA_D * c for c in d_x]
+            tilted = [Fraction(c) for c in p_x] + [0] * (exponent + 1 - len(p_x))
+            tilted[exponent] += coefficient
+            assert [Fraction(c, 2) for c in p_a] == tilted
+            assert (Fraction(s_a, 4), m_a) == (s_x, m_x)
+        # the tilt rides on x's P_n tap, one column at t^2 (``_step_mod``)
+        _, (offset, kernels), _ = _multipliers(X_A, np.arange(1, 200))
+        assert offset == exponent and all(type(k) is int for k in kernels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3) | st.integers(0, 150), st.sampled_from(_ODD_PRIMES[:40])),
+                    min_size=1, max_size=10))
+    @example([(2, 7), (0, 7), (1, 3), (120, 7), (2, 3)])
+    @example([(66, 199)])
+    def test_equals_each_path_alone(self, targets):
+        assert paired_constant_terms_mod(targets) == (
+            [constant_term_mod(A_VZ, N, p) for N, p in targets], [constant_term_mod(X_A, N, p) for N, p in targets])
+
+    def test_scan_shaped_batch_against_exact_terms(self):
+        a_terms, x_terms = _exact_constant_terms("a"), _exact_constant_terms("x")
+        targets = [(N, p) for p in _ODD_PRIMES[:60] for N in (p // 3, 120 - p % 97)]
+        assert paired_constant_terms_mod(targets) == ([_residue(a_terms[N], p) for N, p in targets],
+                                                      [_residue(x_terms[N], p) for N, p in targets])
+
+    def test_refused_before_any_step(self):
+        with pytest.raises(ValueError):
+            paired_constant_terms_mod([(5, 19), (5, 21)])
+        with pytest.raises(OverflowError):
+            paired_constant_terms_mod([(5, 19), (5, _P_ABOVE)])
+
+    def test_alpha_term_in_the_int64_bound(self):
+        # at N = 10^5 the edge of _fits falls below _P_MAX; the alpha term moves it
+        N = 10 ** 5
+        taps = _tap_sum(X_A, N - 1)
+        edge = (math.isqrt(taps * taps + 4 * _INT64_MAX) - taps) // 2 + 2  # (taps + q - 1)(q - 1) <= 2^63 - 1
+        while (taps + edge - 1) * (edge - 1) > _INT64_MAX:
+            edge -= 1
+        top = next(q for q in range(edge, 0, -1) if is_prime(q))
+        above = next(q for q in count(top + 1) if is_prime(q))
+        assert (taps + above - 1) * (above - 1) > _INT64_MAX >= taps * (above - 1)
+        assert _fits(X_A, N, top, alpha=True) and not _fits(X_A, N, above, alpha=True)
+        assert _fits(X_A, N, above)
+        assert _batches(X_A, [(N, 101), (N, top)], alpha=True) == [[0, 1]]
+        assert _batches(X_A, [(N, 101), (N, above)], alpha=True) == [[0], [1]]
+        assert _batches(X_A, [(N, 101), (N, above)]) == [[0, 1]]
