@@ -197,11 +197,10 @@ def _cache_store(path: Path, key: str, report: dict, replace: bool = False) -> N
 
 
 def _cmd_oracle(args) -> int:
-    key = _cache_key(args.family, args.p, args.tol)
     record, stale = None, False
-    cache = _cache_path(args)
     if not args.no_cache:
         lseries.sp_curve(args.p, args.tol, args.family)  # refuse what sp refuses before the cache answers
+        key, cache = _cache_key(args.family, args.p, args.tol), _cache_path(args)
         record, stale = _cache_lookup(cache, key)
     if record is None:
         try:

@@ -14,7 +14,7 @@ recurrences, so agreement between the two is a real cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -169,10 +169,11 @@ _C_MAX = math.isqrt(_INT64_MAX) + 1  # the table squares residues x <= c - 1: (c
 # A norm n has at most 2 points in each of at most 2 sqrt(4n/3) + 1 <= 4 sqrt(n) rows, each of trace
 # at most 2 sqrt(n): every bincount bin stays within 16 n <= 16 M, exact in float64 up to 2^53.
 _M_MAX = 2 ** 49
-# Every term stays resident: the lattice points, their norms and traces, the sums and the list
-# returned take at most 40 bytes a term together (tracemalloc peak: 37.3 B a term at M = 4.7e5
-# and at M = 3.8e6, Ep 10009 and 40009).  _M_RESIDENT caps that near 400 MB (Ep p up to about
-# 1.1e5, since M is about 95 p); past it the sums would have to stream, which is not done.
+# Every term stays resident: the lattice points, their norms and traces, the sums and the float64
+# copy l1_detail sums take at most 40 bytes a term together (tracemalloc peak of sp: 26.3 and
+# 26.2 B a term at M = 4.7e5 and 3.8e6, Ep 10009 and 40009).  _M_RESIDENT caps that near 400 MB
+# (Ep p up to about 1.1e5, since M is about 95 p); past it the sums would have to stream, which
+# is not done.
 _BYTES_PER_TERM = 40
 _M_RESIDENT = 400 * 10 ** 6 // _BYTES_PER_TERM
 
@@ -261,8 +262,9 @@ def ap(curve: CurveSpec, q: int) -> int:
     return int(_psi_trace(k, a, b, q, _chi((a + b * r) % c, k, c, r), _chi((a + b * r2) % c, k, c, r)))
 
 
-def an_list(curve: CurveSpec, M: int) -> list[int]:
-    """a_0..a_M (a_0 = 0): a_n = sum Tr psi(alpha) / 2 over the primary alpha of norm n.
+def an_list(curve: CurveSpec, M: int) -> np.ndarray:
+    """a_0..a_M (a_0 = 0) as an int64 array of length M + 1: a_n = sum Tr psi(alpha) / 2 over the
+    primary alpha of norm n.
 
     Primary: a + b i with a odd, b even and a + b = 1 mod 4, or a + b w = 2 mod 3.  One numpy
     pass: _chi on every residue mod c, all primary points of norm <= M row by row in b, and
@@ -301,7 +303,7 @@ def an_list(curve: CurveSpec, M: int) -> list[int]:
     sums = np.bincount(n, weights=_psi_trace(k, a, b, n, k1, k2), minlength=M + 1).astype(np.int64)
     if (sums & 1).any():
         raise ArithmeticError(f"odd trace sum at n = {int(np.argmax(sums & 1))}: psi is not a character")
-    return (sums >> 1).tolist()
+    return sums >> 1
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +334,19 @@ def _tail_bound(M: int, c: float) -> float:
     return head + rest
 
 
-def _term_count(N: int, tol: float) -> int:
+def _terms_and_bound(N: int, tol: float) -> tuple[int, float]:
+    """(M, the tail bound past M) for the first M of the doubling walk whose bound is within tol."""
     c = 2.0 * math.pi / math.sqrt(N)
     M = int(math.sqrt(N) * (math.log(1.0 / tol) / (2.0 * math.pi) + 3.0)) + 8
-    while _tail_bound(M, c / 1.2) > tol:  # 1.2 covers the split-point variation check
+    while (bound := _tail_bound(M, c / 1.2)) > tol:  # 1.2 covers the split-point variation check
         M *= 2
         if M > 10 ** 8:
             raise NonConvergenceError("term count exploded; tolerance unreachable")
-    return M
+    return M, bound
+
+
+def _term_count(N: int, tol: float) -> int:
+    return _terms_and_bound(N, tol)[0]
 
 
 def _partial_sum(a: np.ndarray, n: np.ndarray, at: np.ndarray, M: int, c: float, t: float) -> float:
@@ -367,12 +374,14 @@ def l1_detail(curve: CurveSpec, tol: float = 1e-8) -> tuple[float, int, float]:
 
     L(1) = sum_n (a_n/n) (e^{-2 pi n t / sqrt(N)} + e^{-2 pi n /(t sqrt(N))});
     independence of the split parameter t is asserted, which catches a wrong
-    conductor or sign instead of silently returning garbage.
+    conductor or sign instead of silently returning garbage.  The a_n come as
+    an_list's int64 array, converted to float64 once; exact, since _M_MAX
+    keeps every a_n below 2^53.
     """
     _check_tol(tol)
     N = conductor(curve)
-    M = _term_count(N, tol)
-    coeffs = np.fromiter(an_list(curve, M), dtype=np.float64, count=M + 1)[1:]
+    M, bound = _terms_and_bound(N, tol)
+    coeffs = an_list(curve, M)[1:].astype(np.float64)
     at = np.flatnonzero(coeffs)
     c = 2.0 * math.pi / math.sqrt(N)
     value, check = (_partial_sum(coeffs[at], at + 1.0, at, M, c, t) for t in (1.0, 1.15))
@@ -381,7 +390,6 @@ def l1_detail(curve: CurveSpec, tol: float = 1e-8) -> tuple[float, int, float]:
             f"L(1) moved from {value} to {check} under split variation; "
             f"conductor {N} or sign assumption is wrong"
         )
-    bound = _tail_bound(M, c / 1.2)
     return value, M, bound
 
 
@@ -400,7 +408,7 @@ class LValueReport:
     converged: bool
 
     def as_record(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def sp_curve(p: int, tol: float = 1e-8, family: str = "Ep") -> tuple[CurveSpec, float]:

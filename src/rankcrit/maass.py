@@ -457,8 +457,23 @@ def _constants(row: _Identity, orders: list[int]) -> list[Fraction]:
     return [table[n] for n in orders]
 
 
+@functools.cache  # like the periods: every verify row at one precision shares it
+def _root(base: int, q: int, prec: int) -> mpf:
+    with mp.workprec(prec):
+        return mp.root(base, q)
+
+
+def _power(base: int, e) -> mpf:
+    """base^e for a rational e = whole + rest/q (0 <= rest < q): base^whole by integer powering,
+    times base^(1/q) to the rest, with no exp/log."""
+    e = Fraction(e)
+    whole, rest = divmod(e.numerator, e.denominator)
+    value = mpf(base) ** whole
+    return value * _root(base, e.denominator, mp.prec) ** rest if rest else value
+
+
 def _two_three(e2, e3, k: int) -> mpf:
-    return mpf(2) ** _mpf_frac(_at(e2, k)) * mpf(3) ** _mpf_frac(_at(e3, k))
+    return _power(2, _at(e2, k)) * _power(3, _at(e3, k))
 
 
 def _closed_form(row: _Identity, k: int, c: Fraction, precision: int) -> mpf:

@@ -14,7 +14,7 @@ import pytest
 from mpmath import mpf
 
 import rankcrit
-from rankcrit import lseries, maass
+from rankcrit import cli, lseries, maass
 from rankcrit._primality import is_prime
 from rankcrit.cli import _cache_key, _within_precision, main
 
@@ -237,6 +237,33 @@ class TestOracle:
                          "--cache", str(cache), "--no-cache")
         assert code == 0
         assert not cache.exists()
+
+    def test_no_cache_computes_no_key_or_path(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("--no-cache looked at the cache")
+
+        monkeypatch.setattr(cli, "_cache_key", refuse)
+        monkeypatch.setattr(cli, "_cache_path", refuse)
+        code, out, _ = run(capsys, "oracle", "--p", "17", "--format", "json", "--no-cache")
+        assert code == 0 and json.loads(out)["s_rounded"] == 4
+
+    # The sha256 of the full JSON line of the seven benchmark oracle operations and of p = 10009.
+    @pytest.mark.parametrize("family, p, digest", [
+        ("Ep", 73, "5e63c8fdf452f069b349c0bd0dc7c601cc481a0a9c73f5e9ac5690c373dba8ba"),
+        ("Ep", 233, "0b4da734f40b53bef3922fae5f78ae9b8cce5d6266ae25e9bb13868dac520d31"),
+        ("Ep", 313, "cfe4e21246576f1501caf2bb7362b8a69c3cc64ae9fb7296efdc70162f87884a"),
+        ("Ap", 19, "ba3daf73d4bd68e403c19dc039cf9bfd575365c936f37351da15309ab812e898"),
+        ("Ap", 109, "1b626ffe8846a6f84ef479609cd224648f3f780806cd868f3a403be0b0f95fd7"),
+        ("Ap", 271, "86ee9bd2fca6212f30f99db4337adc40b3813c982dd743e6b9365c77b9b77a34"),
+        ("Ap", 379, "0180c5ca1ba314a6855670d923b0f547677f0515d28f15f7501f0d5f28c3c9ae"),
+        ("Ep", 10009, "8f0a1077c72f85b36d29441d95e2ea800ae32c98452d4a8a9a6fcb533cf91bf9"),
+        ("Ap", 10009, "85467905a1ed5e9385108cc5388c6964a67c1abc6c6616b0568d04d05b833894"),
+    ])
+    def test_oracle_output_digest(self, capsys, family, p, digest):
+        code, out, err = run(capsys, "oracle", "--p", str(p), "--family", family, "--no-cache",
+                             "--format", "json")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_env_var_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache.jsonl"

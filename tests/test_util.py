@@ -2,7 +2,8 @@
 
 import random
 
-from ._util import ONE, add, derivative, mul, rand_poly
+from rankcrit.polyring import constant_term
+from ._util import ONE, add, derivative, dot, mul, rand_poly, reduce
 
 
 class TestAdd:
@@ -53,3 +54,43 @@ class TestDerivative:
             a = rand_poly(rng)
             if len(a) >= 2:
                 assert len(derivative(a)) == len(a) - 1
+
+
+class TestRingAxioms:
+    """Randomized associativity / commutativity / distributivity / Leibniz."""
+
+    def test_axioms(self):
+        rng = random.Random(12345)
+        for _ in range(800):
+            p = rng.choice([None, None, 5, 97])
+            a, b, c = (rand_poly(rng, p) for _ in range(3))
+            assert add(add(a, b, p), c, p) == add(a, add(b, c, p), p)
+            assert add(a, b, p) == add(b, a, p)
+            assert mul(a, b, p) == mul(b, a, p)
+            assert mul(mul(a, b, p), c, p) == mul(a, mul(b, c, p), p)
+            assert mul(a, add(b, c, p), p) == add(mul(a, b, p), mul(a, c, p), p)
+
+    def test_leibniz(self):
+        rng = random.Random(999)
+        for _ in range(500):
+            p = rng.choice([None, None, 5, 97])
+            a, b = rand_poly(rng, p), rand_poly(rng, p)
+            lhs = derivative(mul(a, b, p))
+            rhs = reduce(dot(((derivative(a), b), (a, derivative(b)))), p)
+            assert reduce(lhs, p) == rhs
+
+    def test_reduction_homomorphism(self):
+        rng = random.Random(77)
+        for p in (3, 5, 17, 97):
+            for _ in range(150):
+                a, b, c = (rand_poly(rng) for _ in range(3))
+                lhs = reduce(add(mul(a, b), c), p)
+                rhs = add(mul(reduce(a, p), reduce(b, p), p), reduce(c, p), p)
+                assert lhs == rhs
+
+    def test_eval_commutes_with_reduction_at_zero(self):
+        rng = random.Random(31)
+        for p in (3, 5, 17, 97):
+            for _ in range(100):
+                a = rand_poly(rng)
+                assert constant_term(reduce(a, p)) == constant_term(a) % p
