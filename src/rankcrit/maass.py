@@ -1,36 +1,50 @@
 """Extended-precision Maass-Shimura derivatives of theta-type series at CM points.
 
 The weight-k iterated non-holomorphic derivative of a q-series
-sum a(mu) e^{2 pi i mu z} evaluates, at order h, to
+f = sum a(mu) e^{2 pi i mu z} at order h is (Zagier, Elliptic modular forms
+and their applications, 5.2)
 
-    (-1)^h h! / (4 pi y)^h * sum a(mu) L_h^{k-1}(4 pi mu y) e^{2 pi i mu z}
+    d^h f = sum_j (-1)^(h-j) C(h, j) (k+j)_(h-j) (4 pi y)^(j-h) D^j f,
 
-with generalized Laguerre polynomials L.  ``laguerre`` runs their three-term
-recurrence on Python ints in fixed point, with ``_laguerre_guard(h) =
-2 * bit_length(h) + 8`` bits past the working precision, and rounds to an
-mpf once.  The tests hold it to 2^-(prec-8) * max(1, |L|) against the
-defining sum ``laguerre_sum`` for h <= 64, alpha in {-1/2, 0, 1/2, 1} and
-0.01 <= x <= 2000 at 64, 256 and 1064 bits.
+with D^j f = sum a(mu) mu^j e^{2 pi i mu z} the holomorphic moments; term by
+term it is the Laguerre form
 
-``ms_derivative`` sums the series on Python ints as well.  The exponential
+    (-1)^h h! / (4 pi y)^h * sum a(mu) L_h^{k-1}(4 pi mu y) e^{2 pi i mu z}.
+
+``laguerre`` runs the three-term recurrence of L on Python ints in fixed
+point, with ``_laguerre_guard(h) = 2 * bit_length(h) + 8`` bits past the
+working precision, and rounds half-even to an mpf once.  The tests hold it
+to 2^-(prec-8) * max(1, |L|) against the defining sum ``laguerre_sum`` for
+h <= 64, alpha in {-1/2, 0, 1/2, 1} and 0.01 <= |x| <= 2000 (and x = 0) at
+64, 256 and 1064 bits.
+
+``ms_derivative`` sums the moments on Python ints.  The exponential
 e^{2 pi i mu z} of each term comes from the previous term's with the same
 denominator D of mu, times a ratio g^Delta of g = exp(2 pi i z / D), and the
 ratio from the previous ratio times g^(second difference): about two
 products per term for the quadratic frequencies of theta2 and the eta
-series.  Each exponential is a pair of integer mantissas of
-w = mp.prec + ``_WALK_GUARD`` (24) bits with its own binary exponent; the
-terms go onto one fixed-point accumulator at 2^-w.  The tests hold it to
-2^-precision * max(|ref|, h!/(4 pi y)^h) against the mpf sum with one
-mp.exp per term, for the six series at i, omega and 0.3 + 1.1i, h in
-{0, 1, 7, 32} at 64, 256 and 1064 bits and h = 64 at 64 and 256 bits.
+series.  Each exponential is a pair of integer mantissas of w bits with its
+own binary exponent, w = mp.prec + ``_WALK_GUARD`` (24) +
+``_moment_guard(top)`` (80 up to order 64, top + 16 past it: the moments
+cancel about h bits).  Each term multiplies its mantissas by num = mu * D
+exactly, j times, and floors each product onto the moment sum U_j at 2^-w;
+each order is then one integer Horner pass over the cached coefficients of
+the expansion.  So a term costs small-integer products only, and one
+``laguerre`` call at 64 bits for the stop bound |a| L_h^{k-1}(-4 pi mu y)
+|e^{2 pi i mu z}|.  The tests hold it to
+2^-precision * max(|ref|, h!/(4 pi y)^h) against the mpf Laguerre sum with
+one mp.exp per term, for the six series at i, omega and 0.3 + 1.1i, h in
+{0, 1, 7, 32} at 64, 256 and 1064 bits, h = 64 at 64 and 256 bits, and h in
+{96, 128} at 64 and 256 bits for theta2, eta, Theta_hex and E2.
 
-Both take one order h or a sequence of distinct orders.  For a sequence,
-one pass over the series serves every order: each term takes one walk step
-and one ``laguerre`` call, whose recurrence runs once to the largest order,
-with that order's guard bits, and is read at each requested order on the
-way.  Each order keeps its own accumulator and stop rule, so it sums the
-terms its one-order call sums; the tests hold the values equal (==) to the
-one-order calls for theta2, eta, eta(3z)^3 and Theta_hex up to h = 64.
+Both take one order h or a sequence of distinct orders.  ``laguerre`` runs
+its recurrence once, to the largest order, with that order's guard bits,
+and reads each requested order on the way.  ``ms_derivative`` walks the
+series once: the moment sums do not depend on which orders are asked for
+(up to 64), and each order keeps its own stop rule and reads the moments
+where it stops, so it sums the terms its one-order call sums; the tests
+hold the values equal (==) to the one-order calls for theta2, eta,
+eta(3z)^3 and Theta_hex up to h = 64.
 
 One table, ``_IDENTITIES``, holds the four CM identities: theta2 at z = i
 against f_N(0) and Omega_E, and eta, eta^3, eta(3z)^3 at
@@ -57,7 +71,7 @@ from itertools import islice
 from typing import Callable, Iterator
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import fzero, to_fixed
 
 from .polyring import constant_term
 from .recurrences import F_E, X_A, Y_A, Z_A, iter_family
@@ -65,7 +79,7 @@ from .recurrences import generate  # noqa: F401  (unused here; perfbench/spans.p
 
 _GUARD = 40          # guard bits on top of the requested precision
 _GAMMA_GUARD = 140   # extra bits when evaluating gamma-function periods
-_WALK_GUARD = 24     # bits past mp.prec of the integer series sum in ms_derivative
+_WALK_GUARD = 24     # bits past mp.prec of ms_derivative's walk, before _moment_guard
 MIN_PRECISION = 64   # smallest supported working precision, in bits
 
 CM_I = "i"
@@ -190,13 +204,42 @@ def _orders(h, what: str) -> tuple[int, ...]:
     return orders
 
 
+def _fixed_to_mpf(fixed: int, w: int) -> mpf:
+    """fixed * 2^-w rounded half-even to mp.prec bits, on ints.
+
+    The same value as ``mpf((fixed, -w))``, without its trip through
+    ``from_man_exp``: drop the low bits, round half to even, strip the
+    trailing zeros and hand the normalized tuple to ``mp.make_mpf``.
+    """
+    if not fixed:
+        return mp.make_mpf(fzero)
+    sign = int(fixed < 0)
+    man = -fixed if sign else fixed
+    exp = -w
+    drop = man.bit_length() - mp.prec
+    if drop > 0:
+        half = 1 << (drop - 1)
+        rest = man & ((half << 1) - 1)
+        man >>= drop
+        exp += drop
+        if rest > half or (rest == half and man & 1):
+            man += 1
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return mp.make_mpf((sign, man, exp + zeros, man.bit_length()))
+
+
 def laguerre(h, alpha, x):
-    """L_h^alpha(x) for x > 0 and rational alpha = r/s, at the working precision.
+    """L_h^alpha(x) for real x and rational alpha = r/s, at the working precision.
 
     The three-term recurrence runs on Python ints in fixed point: with
     w = mp.prec + _laguerre_guard(h) and X = x * 2^w,
     s(m+1) L_{m+1} = (s(2m+1) + r) L_m - s (X L_m >> w) - (sm + r) L_{m-1},
-    each L_m held as L_m * 2^w; the result is rounded to an mpf once.  For a
+    each L_m held as L_m * 2^w; the result is rounded half-even to an mpf
+    once.  For alpha > -1 every term of the defining sum is positive at
+    x <= 0, so |L_h^alpha(x)| <= L_h^alpha(-x) for x >= 0: ``ms_derivative``
+    reads its stop bound there, where L grows with h and the recurrence
+    follows it without loss.  For a
     sequence of orders h the recurrence runs once, to the largest order with
     that order's guard bits, and returns a tuple of L_h, one per order.
     """
@@ -212,7 +255,7 @@ def laguerre(h, alpha, x):
         step = ((2 * m + 1) * s + r) * cur - ((sx * cur) >> w) - (m * s + r) * prev
         prev, cur = cur, step // ((m + 1) * s)
         fixed.append(cur)
-    values = tuple(mpf((fixed[n], -w)) for n in orders)
+    values = tuple(_fixed_to_mpf(fixed[n], w) for n in orders)
     return values[0] if isinstance(h, int) else values
 
 
@@ -321,75 +364,154 @@ class _ExpWalk:
         return self.value
 
 
-def ms_derivative(series: Series, weight, h, z, precision: int = 256):
-    """Order-h Maass-Shimura derivative of the series at z (weight as given).
+@functools.cache  # shared by every call at this order and weight
+def _expansion(h: int, r: int, s: int) -> tuple[int, ...]:
+    """(-1)^(h-j) C(h, j) prod_{m=j}^{h-1} (r + s m) for j = 0..h.
 
-    The sum runs on Python ints.  For each denominator D of the frequencies
-    mu, an ``_ExpWalk`` steps exp(2 pi i z mu) along n = mu * D on mantissas
-    of w = mp.prec + ``_WALK_GUARD`` bits (mp.prec = precision + 40 here);
-    each term, coefficient times the exact mpf from ``laguerre`` times that
-    mantissa, is shifted onto one fixed-point accumulator at 2^-w, and the
-    sum becomes an mpc once.  A term counts as small when its integer norm
-    is below 2^-2(precision+10); the sum stops after three small terms in a
-    row once past h + 3 terms.  The tests hold the result to
-    2^-precision * max(|ref|, h!/(4 pi y)^h) of the mpf sum for the six
+    At weight k = r/s these are the coefficients of the order-h derivative
+    in the holomorphic moments, up to the powers of D/(4 pi y s) and D^-h
+    that ``_moment_sum`` supplies.
+    """
+    coeffs = [0] * (h + 1)
+    rising = 1  # prod_{m=j}^{h-1} (r + s m)
+    for j in range(h, -1, -1):
+        coeffs[j] = (-1) ** (h - j) * math.comb(h, j) * rising
+        rising *= r + s * (j - 1)
+    return tuple(coeffs)
+
+
+def _moment_guard(top: int) -> int:
+    """Bits past mp.prec + ``_WALK_GUARD`` of ``ms_derivative``'s moment sums: max(80, top + 16).
+
+    At order h the moments enter with coefficients up to about 2^h times the
+    derivative (E2 at i, where 4 pi y / D = 12.6, cancels the most), so the
+    guard grows with the top order past 64.  Up to 64 it stays fixed, so the
+    width does not depend on which orders one call asks for.
+    """
+    return max(80, top + 16)
+
+
+def _moments_to(moments: dict, h: int) -> dict:
+    """The moment sums U_0..U_h of each denominator, as they stand now."""
+    return {D: (re[:h + 1], im[:h + 1]) for D, (re, im) in moments.items()}
+
+
+def _moment_sum(h: int, weight: Fraction, moments: dict, y: mpf, w: int) -> mpc:
+    """sum over D of D^-h sum_j c_j g^(h-j) U_j, g = D/(4 pi y s), c_j from ``_expansion``.
+
+    One integer Horner pass in g per denominator D at W = mp.prec + 2h + 32
+    bits; the moments U_j are ints at 2^-w.
+    """
+    coeffs = _expansion(h, weight.numerator, weight.denominator)
+    W = mp.prec + 2 * h + 32
+    total = mpc(0)
+    for D, (ure, uim) in moments.items():
+        with mp.workprec(W + 8):
+            g = to_fixed((D / (4 * mp.pi * y * weight.denominator))._mpf_, W)
+        re, im = coeffs[0] * ure[0], coeffs[0] * uim[0]
+        for j in range(1, h + 1):
+            re = ((re * g) >> W) + coeffs[j] * ure[j]
+            im = ((im * g) >> W) + coeffs[j] * uim[j]
+        total += mpc(mpf((re, -w)), mpf((im, -w))) / D ** h
+    return total
+
+
+def ms_derivative(series: Series, weight, h, z, precision: int = 256):
+    """Order-h Maass-Shimura derivative of the series at z (weight k > 0 as given).
+
+    The derivative is summed from the holomorphic moments of the series
+    (Zagier, Elliptic modular forms and their applications, 5.2):
+
+        d^h f = sum_j (-1)^(h-j) C(h, j) (k+j)_(h-j) (4 pi y)^(j-h) D^j f,
+
+    D^j f = sum a(mu) mu^j e^{2 pi i mu z}, the same sum as
+    (-1)^h h! / (4 pi y)^h sum a L_h^{k-1}(4 pi mu y) e^{2 pi i mu z}, term
+    by term.  For each denominator D of the frequencies mu, an ``_ExpWalk``
+    steps e^{2 pi i mu z} along num = mu * D on mantissas of
+    w = mp.prec + ``_WALK_GUARD`` + ``_moment_guard(top)`` bits
+    (mp.prec = precision + 40 here), and each term adds a * num^j times that
+    mantissa, an exact product floored once, to the moment sum U_j at 2^-w
+    for every j up to the largest order.  Each order is then one integer
+    Horner pass (``_moment_sum``).
+
+    A term counts as small when its bound |a| L_h^{k-1}(-x) |e^{2 pi i mu z}|
+    (x = 4 pi mu y) is below 2^-(precision+10); it bounds the order-h term
+    of the Laguerre form since |L_h^alpha(x)| <= L_h^alpha(-x) for
+    alpha > -1.  The sum stops after three small terms in a row once past
+    h + 3 terms.  The bounds come from one ``laguerre`` call per term, at 64
+    bits, for the orders whose stop rule can act.  The tests hold the result
+    to 2^-precision * max(|ref|, h!/(4 pi y)^h) of the mpf sum for the six
     series at i, omega and 0.3 + 1.1i, h in {0, 1, 7, 32} at 64, 256 and
-    1064 bits, and h = 64 at 64 and 256 bits.
+    1064 bits, h = 64 at 64 and 256 bits, and h in {96, 128} at 64 and 256
+    bits for theta2, eta, Theta_hex and E2.
 
     For a sequence of distinct orders h the series is walked once and a
-    tuple comes back, one derivative per order: each term takes one walk
-    step and one ``laguerre`` call for all the orders, and each order keeps
-    its own accumulator and stop rule, so it sums the terms it would sum
-    alone.  The pass ends when every order has stopped.
+    tuple comes back, one derivative per order.  The moment sums do not
+    depend on the orders asked for (up to 64), and each order keeps its own
+    stop rule and reads the moments where it stops, so it sums the terms it
+    would sum alone.  The pass ends when every order has stopped.
     """
     if precision < MIN_PRECISION:
         raise PrecisionError(f"precision below {MIN_PRECISION} bits is not supported")
     orders = _orders(h, "derivative order")
     weight = Fraction(weight)
+    if weight <= 0:
+        raise ValueError(f"weight must be > 0 for the stop bound, got {weight}")
     with mp.workprec(precision + _GUARD):
         zz = _as_point(z)
         y = zz.imag
         if y <= 0:
             raise ValueError("evaluation point must lie in the upper half plane")
-        fourpiy = 4 * mp.pi * y
-        w = mp.prec + _WALK_GUARD
-        small = 1 << 2 * (w - precision - 10)  # |term|^2 < 2^-2(precision+10), in units of 2^-2w
+        top = max(orders, default=0)
+        w = mp.prec + _WALK_GUARD + _moment_guard(top)
+        small = -2 * (precision + 10)  # log2 of the squared stop threshold
+        alpha = weight - 1
         walks: dict[int, _ExpWalk] = {}
-        acc_re, acc_im = [0] * len(orders), [0] * len(orders)
+        moments: dict[int, tuple[list[int], list[int]]] = {}  # D -> (re, im) of U_0..U_top
+        read: list = [None] * len(orders)  # the moments each order stopped at
         small_streak = [0] * len(orders)
         active = list(range(len(orders)))  # positions of the orders still summing
-        for count, (mu, a) in enumerate(series()):
-            walk = walks.get(mu.denominator)
-            if walk is None:
-                walk = walks[mu.denominator] = _ExpWalk(zz, mu.denominator, w)
-            er, ei, ee = walk.step(mu.numerator)
-            values = laguerre(orders, weight - 1, fourpiy * _mpf_frac(mu))
-            stopped = []
-            for i in active:
-                sign, man, exp, _ = values[i]._mpf_
-                c = -a * man if sign else a * man
-                shift = exp + ee + w
-                if shift >= 0:
-                    tr, ti = (c * er) << shift, (c * ei) << shift
-                else:
-                    tr, ti = (c * er) >> -shift, (c * ei) >> -shift
-                acc_re[i] += tr
-                acc_im[i] += ti
-                if tr * tr + ti * ti < small:
-                    small_streak[i] += 1
-                    if small_streak[i] >= 3 and count >= orders[i] + 3:
-                        stopped.append(i)
-                else:
-                    small_streak[i] = 0
-            active = [i for i in active if i not in stopped]
-            if not active:
-                break
-            if count > 10000:
-                raise PrecisionError("series did not reach the truncation threshold")
-        derivatives = tuple(
-            mpf(-1) ** n * mp.factorial(n) / fourpiy ** n * mpc(mpf((re, -w)), mpf((im, -w)))
-            for n, re, im in zip(orders, acc_re, acc_im)
-        )
+        with mp.workprec(64):  # the stop bounds only
+            minus_4piy = -4 * mp.pi * y
+            for count, (mu, a) in enumerate(series()):
+                D, num = mu.denominator, mu.numerator
+                walk = walks.get(D)
+                if walk is None:
+                    walk = walks[D] = _ExpWalk(zz, D, w)
+                    moments[D] = ([0] * (top + 1), [0] * (top + 1))
+                er, ei, ee = walk.step(num)
+                ure, uim = moments[D]
+                tr, ti = a * er, a * ei  # a e num^j, exact ints in units of 2^ee
+                shift = ee + w
+                if shift > 0:
+                    tr, ti, shift = tr << shift, ti << shift, 0
+                shift = -shift
+                for j in range(top + 1):
+                    ure[j] += tr >> shift
+                    uim[j] += ti >> shift
+                    tr *= num
+                    ti *= num
+                due = [i for i in active if count > orders[i]]  # a streak of 3 ending past h + 3
+                bounds = laguerre(tuple(orders[i] for i in due), alpha, minus_4piy * num / D)
+                norm = a * a * (er * er + ei * ei)
+                for i, bound in zip(due, bounds):
+                    _, man, exp, _ = bound._mpf_
+                    # |a L e|^2 = norm man^2 2^(2(exp+ee)) < 2^small
+                    if not norm or (norm * man * man).bit_length() <= small - 2 * (exp + ee):
+                        small_streak[i] += 1
+                        if small_streak[i] >= 3 and count >= orders[i] + 3:
+                            read[i] = _moments_to(moments, orders[i])
+                    else:
+                        small_streak[i] = 0
+                active = [i for i in active if read[i] is None]
+                if not active:
+                    break
+                top = max(orders[i] for i in active)
+                if count > 10000:
+                    raise PrecisionError("series did not reach the truncation threshold")
+        for i in active:  # a finite series ran out before these orders stopped
+            read[i] = _moments_to(moments, orders[i])
+        derivatives = tuple(_moment_sum(n, weight, m, y, w) for n, m in zip(orders, read))
         return derivatives[0] if isinstance(h, int) else derivatives
 
 

@@ -20,9 +20,11 @@ from rankcrit.maass import (
     THETA_HEX,
     PrecisionError,
     _as_point,
+    _fixed_to_mpf,
     _hex_count,
     _laguerre_guard,
     _mpf_frac,
+    _moment_guard,
     e2star,
     hecke_value_A,
     hecke_value_A_from_theta_forms,
@@ -85,6 +87,47 @@ class TestLaguerre:
                         for a in (laguerre(h, alpha, x), one_call[alpha, x_text][i]):
                             assert abs(a - b) <= mpf(2) ** -(prec - 8) * max(1, abs(b)), (h, alpha, x)
                             assert abs(a - ref) <= mpf(2) ** -(prec - 8) * max(1, abs(ref)), (h, alpha, x)
+
+    @pytest.mark.parametrize("prec", [64, 256, 1064])
+    def test_negative_x_vs_defining_sum(self, prec):
+        # x <= 0: every term of the recurrence adds, and ms_derivative reads its stop bound here
+        orders = (0, 1, 7, 31, 48, 64)
+        with mp.workprec(prec):
+            for alpha in _ALPHAS:
+                for x_text in ("0",) + _XS:
+                    x = -mpf(x_text)
+                    one_call = laguerre(orders, alpha, x)
+                    for h, c in zip(orders, one_call):
+                        b = laguerre_sum(h, alpha, x)
+                        for a in (laguerre(h, alpha, x), c):
+                            assert abs(a - b) <= mpf(2) ** -(prec - 8) * max(1, abs(b)), (h, alpha, x)
+
+    @pytest.mark.parametrize("prec", [64, 256, 1064])
+    def test_negative_x_bounds_positive_x(self, prec):
+        # |L_h^alpha(x)| <= L_h^alpha(-x) for alpha > -1: the stop bound of ms_derivative
+        orders = (0, 1, 7, 31, 48, 64)
+        with mp.workprec(prec):
+            for alpha in _ALPHAS:
+                for x_text in _XS:
+                    x = mpf(x_text)
+                    for h, at_x, at_minus_x in zip(orders, laguerre(orders, alpha, x), laguerre(orders, alpha, -x)):
+                        assert abs(at_x) <= at_minus_x, (h, alpha, x)
+
+    def test_rounding_matches_mpf(self):
+        # the integer round-half-even of laguerre gives the mpf((fixed, -w)) it replaced, bit for bit
+        rng = random.Random(7)
+        for prec in (53, 64, 256, 1064):
+            with mp.workprec(prec):
+                for _ in range(2000):
+                    drop = rng.randint(1, 80)
+                    fixed = rng.getrandbits(prec + drop)
+                    if rng.random() < 0.5:  # an exact half way between two neighbours
+                        fixed = (fixed >> drop << drop) | (1 << (drop - 1))
+                    if rng.random() < 0.1:  # rounds up to a power of two
+                        fixed = (1 << (prec + drop)) - 1
+                    fixed = rng.choice((1, -1)) * (fixed >> rng.randint(0, prec + drop))
+                    w = rng.randint(-40, 2 * prec)
+                    assert _fixed_to_mpf(fixed, w)._mpf_ == mpf((fixed, -w))._mpf_, (prec, fixed, w)
 
     def test_recurrence_vs_defining_sum(self):
         rng = random.Random(42)
@@ -250,6 +293,48 @@ class TestMsDerivative:
                         bound = mpf(2) ** -prec * max(abs(ref), mp.factorial(h) / (4 * mp.pi * y) ** h)
                         assert abs(got - ref) <= bound, (name, z, h)
 
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_high_orders_match_mpf_sum(self, prec):
+        # past order 64 the moment guard grows with the order; E2 at i (4 pi y / D = 12.6) cancels most
+        for name, z in (("theta2", CM_I), ("eta", CM_OMEGA), ("theta_hex", CM_OMEGA), ("E2", CM_I)):
+            series, weight = _SERIES[name]
+            for h in (96, 128):
+                got = ms_derivative(series, weight, h, z, prec)
+                ref = _ms_derivative_mpf(series, weight, h, z, prec)
+                with mp.workprec(prec + _GUARD):
+                    y = _as_point(z).imag
+                    bound = mpf(2) ** -prec * max(abs(ref), mp.factorial(h) / (4 * mp.pi * y) ** h)
+                    assert abs(got - ref) <= bound, (name, z, h)
+
+    def test_moment_guard_grows_with_the_order(self, monkeypatch):
+        # 20 guard bits still serve order 32 of E2 at i, but order 128 cancels past them
+        assert [_moment_guard(top) for top in (0, 64, 65, 128)] == [80, 80, 81, 144]
+        monkeypatch.setattr(maass, "_moment_guard", lambda top: 20)
+        for h, within in ((32, True), (128, False)):
+            got = ms_derivative(E2, 2, h, CM_I, 64)
+            ref = _ms_derivative_mpf(E2, 2, h, CM_I, 64)
+            with mp.workprec(64 + _GUARD):
+                bound = mpf(2) ** -64 * max(abs(ref), mp.factorial(h) / (4 * mp.pi) ** h)
+                assert (abs(got - ref) <= bound) is within, h
+
+    def test_one_laguerre_call_per_term(self, monkeypatch):
+        # perfbench counts maass.laguerre calls as the series terms ms_derivative consumed
+        calls = []
+        real = maass.laguerre
+        monkeypatch.setattr(maass, "laguerre", lambda *args: calls.append(args) or real(*args))
+        for series, weight in _SERIES.values():
+            for h in (0, 7, (0, 1, 7, 32)):
+                consumed = []
+
+                def counted():
+                    for term in series():
+                        consumed.append(term)
+                        yield term
+
+                calls.clear()
+                ms_derivative(counted, weight, h, CM_OMEGA, 256)
+                assert len(calls) == len(consumed) > 0, (series, h)
+
     @pytest.mark.parametrize("prec", [64, 256, 1064])
     def test_one_pass_matches_mpf_sum(self, prec):
         orders = (0, 1, 7, 32)
@@ -276,6 +361,19 @@ class TestMsDerivative:
         series, weight = _SERIES[name]
         got = ms_derivative(series, weight, tuple(range(top + 1)), point, prec)
         assert list(got) == [ms_derivative(series, weight, h, point, prec) for h in range(top + 1)]
+
+    def test_finite_series_sums_every_term(self):
+        # a series that ends before the stop rule acts: every order sums all of it
+        terms = list(itertools.islice(THETA2(), 3))
+
+        def short():
+            yield from terms
+
+        got = ms_derivative(short, Fraction(1, 2), (0, 2, 9), CM_I, 128)
+        for h, value in zip((0, 2, 9), got):
+            ref = _ms_derivative_mpf(short, Fraction(1, 2), h, CM_I, 128)
+            with mp.workprec(128 + _GUARD):
+                assert abs(value - ref) <= mpf(2) ** -128 * max(abs(ref), mp.factorial(h) / (4 * mp.pi) ** h), h
 
     def test_stop_rule_is_per_order(self):
         # order 32 runs the series far past where order 0 stops; order 0 must not see those terms
@@ -327,6 +425,12 @@ class TestMsDerivative:
     def test_rejects_low_precision(self):
         with pytest.raises(PrecisionError):
             ms_derivative(THETA2, Fraction(1, 2), 0, CM_I, 32)
+
+    @pytest.mark.parametrize("weight", [0, Fraction(-1, 2)])
+    def test_rejects_nonpositive_weight(self, weight):
+        # the stop bound |L_h^{k-1}(x)| <= L_h^{k-1}(-x) needs k - 1 > -1
+        with pytest.raises(ValueError, match="weight must be > 0"):
+            ms_derivative(THETA2, weight, 0, CM_I, 64)
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from rankcrit.polyring import constant_term, render
 from rankcrit.recurrences import A_VZ, F_E, Z_A, constant_term_mod, generate
-from ._util import add, reduce
 
 
 class TestEval:
@@ -21,16 +20,6 @@ class TestEval:
 
 
 class TestReduceMod:
-    def test_coefficientwise(self):
-        assert reduce((-9, -18, -6), 5) == (1, 2, 4)
-
-    def test_large_constant(self):
-        assert reduce((80919,), 17) == (16,)
-
-    def test_zero(self):
-        assert reduce((), 7) == ()
-        assert reduce((7, 14), 7) == ()
-
     def test_rejects_even_modulus(self):
         with pytest.raises(ValueError):
             generate(F_E, 1, 2)
@@ -41,11 +30,6 @@ class TestReduceMod:
 
 
 class TestRationals:
-    def test_half(self):
-        half = generate(Z_A, 0)
-        assert half == (Fraction(1, 2),)
-        assert add(half, half) == (1,)
-
     def test_residue_half(self):
         (half,) = generate(Z_A, 0, 19)
         assert 2 * half % 19 == 1

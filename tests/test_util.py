@@ -1,8 +1,10 @@
 """Tests of the polynomial helpers in tests/_util.py, the references of the polyring tests."""
 
 import random
+from fractions import Fraction
 
 from rankcrit.polyring import constant_term
+from rankcrit.recurrences import Z_A, generate
 from ._util import ONE, add, derivative, dot, mul, rand_poly, reduce
 
 
@@ -94,3 +96,22 @@ class TestRingAxioms:
             for _ in range(100):
                 a = rand_poly(rng)
                 assert constant_term(reduce(a, p)) == constant_term(a) % p
+
+
+class TestReduceMod:
+    def test_coefficientwise(self):
+        assert reduce((-9, -18, -6), 5) == (1, 2, 4)
+
+    def test_large_constant(self):
+        assert reduce((80919,), 17) == (16,)
+
+    def test_zero(self):
+        assert reduce((), 7) == ()
+        assert reduce((7, 14), 7) == ()
+
+
+class TestRationals:
+    def test_half(self):
+        half = generate(Z_A, 0)
+        assert half == (Fraction(1, 2),)
+        assert add(half, half) == (1,)
