@@ -345,10 +345,6 @@ def _terms_and_bound(N: int, tol: float) -> tuple[int, float]:
     return M, bound
 
 
-def _term_count(N: int, tol: float) -> int:
-    return _terms_and_bound(N, tol)[0]
-
-
 def _partial_sum(a: np.ndarray, n: np.ndarray, at: np.ndarray, M: int, c: float, t: float) -> float:
     """The sum of M terms, nonzero only at the indices `at`: np.sum's pairwise order, and so its
     rounding, is that of the full array, with exp evaluated only where a_n != 0."""

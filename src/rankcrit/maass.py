@@ -18,13 +18,15 @@ to 2^-(prec-8) * max(1, |L|) against the defining sum ``laguerre_sum`` for
 h <= 64, alpha in {-1/2, 0, 1/2, 1} and 0.01 <= |x| <= 2000 (and x = 0) at
 64, 256 and 1064 bits.
 
-``ms_derivative`` sums the moments on Python ints.  The exponential
-e^{2 pi i mu z} of each term comes from the previous term's with the same
-denominator D of mu, times a ratio g^Delta of g = exp(2 pi i z / D), and the
-ratio from the previous ratio times g^(second difference): about two
-products per term for the quadratic frequencies of theta2 and the eta
-series.  Each exponential is a pair of integer mantissas of w bits with its
-own binary exponent, w = mp.prec + ``_WALK_GUARD`` (24) +
+``ms_derivative`` sums the moments on Python ints.  Every frequency mu of a
+series has one denominator D (8 for theta2 and the eta-cube series, 24 for
+eta, 1 for Theta_hex and E2), read from its first term; a later term with
+another raises ValueError.  The exponential e^{2 pi i mu z} of each term
+comes from the previous term's times a ratio g^Delta of g = exp(2 pi i z / D),
+and the ratio from the previous ratio times g^(second difference): one walk
+per series, about two products per term for the quadratic frequencies of
+theta2 and the eta series.  Each exponential is a pair of integer mantissas
+of w bits with its own binary exponent, w = mp.prec + ``_WALK_GUARD`` (24) +
 ``_moment_guard(top)`` (80 up to order 64, top + 16 past it: the moments
 cancel about h bits).  Each term multiplies its mantissas by num = mu * D
 exactly, j times, and floors each product onto the moment sum U_j at 2^-w;
@@ -71,7 +73,7 @@ from itertools import islice
 from typing import Callable, Iterator
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero, to_fixed
+from mpmath.libmp import to_fixed
 
 from .polyring import constant_term
 from .recurrences import F_E, X_A, Y_A, Z_A, iter_family
@@ -204,31 +206,6 @@ def _orders(h, what: str) -> tuple[int, ...]:
     return orders
 
 
-def _fixed_to_mpf(fixed: int, w: int) -> mpf:
-    """fixed * 2^-w rounded half-even to mp.prec bits, on ints.
-
-    The same value as ``mpf((fixed, -w))``, without its trip through
-    ``from_man_exp``: drop the low bits, round half to even, strip the
-    trailing zeros and hand the normalized tuple to ``mp.make_mpf``.
-    """
-    if not fixed:
-        return mp.make_mpf(fzero)
-    sign = int(fixed < 0)
-    man = -fixed if sign else fixed
-    exp = -w
-    drop = man.bit_length() - mp.prec
-    if drop > 0:
-        half = 1 << (drop - 1)
-        rest = man & ((half << 1) - 1)
-        man >>= drop
-        exp += drop
-        if rest > half or (rest == half and man & 1):
-            man += 1
-    zeros = (man & -man).bit_length() - 1
-    man >>= zeros
-    return mp.make_mpf((sign, man, exp + zeros, man.bit_length()))
-
-
 def laguerre(h, alpha, x):
     """L_h^alpha(x) for real x and rational alpha = r/s, at the working precision.
 
@@ -255,7 +232,7 @@ def laguerre(h, alpha, x):
         step = ((2 * m + 1) * s + r) * cur - ((sx * cur) >> w) - (m * s + r) * prev
         prev, cur = cur, step // ((m + 1) * s)
         fixed.append(cur)
-    values = tuple(_fixed_to_mpf(fixed[n], w) for n in orders)
+    values = tuple(mpf((fixed[n], -w)) for n in orders)
     return values[0] if isinstance(h, int) else values
 
 
@@ -391,29 +368,21 @@ def _moment_guard(top: int) -> int:
     return max(80, top + 16)
 
 
-def _moments_to(moments: dict, h: int) -> dict:
-    """The moment sums U_0..U_h of each denominator, as they stand now."""
-    return {D: (re[:h + 1], im[:h + 1]) for D, (re, im) in moments.items()}
+def _moment_sum(h: int, weight: Fraction, D: int, ure: list, uim: list, y: mpf, w: int) -> mpc:
+    """D^-h sum_j c_j g^(h-j) U_j, g = D/(4 pi y s), c_j from ``_expansion``.
 
-
-def _moment_sum(h: int, weight: Fraction, moments: dict, y: mpf, w: int) -> mpc:
-    """sum over D of D^-h sum_j c_j g^(h-j) U_j, g = D/(4 pi y s), c_j from ``_expansion``.
-
-    One integer Horner pass in g per denominator D at W = mp.prec + 2h + 32
-    bits; the moments U_j are ints at 2^-w.
+    One integer Horner pass in g at W = mp.prec + 2h + 32 bits; the moments
+    U_j are ints at 2^-w.
     """
     coeffs = _expansion(h, weight.numerator, weight.denominator)
     W = mp.prec + 2 * h + 32
-    total = mpc(0)
-    for D, (ure, uim) in moments.items():
-        with mp.workprec(W + 8):
-            g = to_fixed((D / (4 * mp.pi * y * weight.denominator))._mpf_, W)
-        re, im = coeffs[0] * ure[0], coeffs[0] * uim[0]
-        for j in range(1, h + 1):
-            re = ((re * g) >> W) + coeffs[j] * ure[j]
-            im = ((im * g) >> W) + coeffs[j] * uim[j]
-        total += mpc(mpf((re, -w)), mpf((im, -w))) / D ** h
-    return total
+    with mp.workprec(W + 8):
+        g = to_fixed((D / (4 * mp.pi * y * weight.denominator))._mpf_, W)
+    re, im = coeffs[0] * ure[0], coeffs[0] * uim[0]
+    for j in range(1, h + 1):
+        re = ((re * g) >> W) + coeffs[j] * ure[j]
+        im = ((im * g) >> W) + coeffs[j] * uim[j]
+    return mpc(mpf((re, -w)), mpf((im, -w))) / D ** h
 
 
 def ms_derivative(series: Series, weight, h, z, precision: int = 256):
@@ -426,9 +395,10 @@ def ms_derivative(series: Series, weight, h, z, precision: int = 256):
 
     D^j f = sum a(mu) mu^j e^{2 pi i mu z}, the same sum as
     (-1)^h h! / (4 pi y)^h sum a L_h^{k-1}(4 pi mu y) e^{2 pi i mu z}, term
-    by term.  For each denominator D of the frequencies mu, an ``_ExpWalk``
-    steps e^{2 pi i mu z} along num = mu * D on mantissas of
-    w = mp.prec + ``_WALK_GUARD`` + ``_moment_guard(top)`` bits
+    by term.  The frequencies mu share one denominator D, read from the
+    first term (a later term with another raises ValueError; an empty series
+    gives 0).  One ``_ExpWalk`` steps e^{2 pi i mu z} along num = mu * D on
+    mantissas of w = mp.prec + ``_WALK_GUARD`` + ``_moment_guard(top)`` bits
     (mp.prec = precision + 40 here), and each term adds a * num^j times that
     mantissa, an exact product floored once, to the moment sum U_j at 2^-w
     for every j up to the largest order.  Each order is then one integer
@@ -466,21 +436,21 @@ def ms_derivative(series: Series, weight, h, z, precision: int = 256):
         w = mp.prec + _WALK_GUARD + _moment_guard(top)
         small = -2 * (precision + 10)  # log2 of the squared stop threshold
         alpha = weight - 1
-        walks: dict[int, _ExpWalk] = {}
-        moments: dict[int, tuple[list[int], list[int]]] = {}  # D -> (re, im) of U_0..U_top
+        walk, D = None, 1  # D: the denominator of every mu, read from the first term
+        ure, uim = [0] * (top + 1), [0] * (top + 1)  # (re, im) of the moment sums U_0..U_top
         read: list = [None] * len(orders)  # the moments each order stopped at
         small_streak = [0] * len(orders)
         active = list(range(len(orders)))  # positions of the orders still summing
         with mp.workprec(64):  # the stop bounds only
             minus_4piy = -4 * mp.pi * y
             for count, (mu, a) in enumerate(series()):
-                D, num = mu.denominator, mu.numerator
-                walk = walks.get(D)
                 if walk is None:
-                    walk = walks[D] = _ExpWalk(zz, D, w)
-                    moments[D] = ([0] * (top + 1), [0] * (top + 1))
+                    D = mu.denominator
+                    walk = _ExpWalk(zz, D, w)
+                elif mu.denominator != D:
+                    raise ValueError(f"frequency {mu} has denominator {mu.denominator}, not the series' {D}")
+                num = mu.numerator
                 er, ei, ee = walk.step(num)
-                ure, uim = moments[D]
                 tr, ti = a * er, a * ei  # a e num^j, exact ints in units of 2^ee
                 shift = ee + w
                 if shift > 0:
@@ -500,7 +470,7 @@ def ms_derivative(series: Series, weight, h, z, precision: int = 256):
                     if not norm or (norm * man * man).bit_length() <= small - 2 * (exp + ee):
                         small_streak[i] += 1
                         if small_streak[i] >= 3 and count >= orders[i] + 3:
-                            read[i] = _moments_to(moments, orders[i])
+                            read[i] = ure[:orders[i] + 1], uim[:orders[i] + 1]
                     else:
                         small_streak[i] = 0
                 active = [i for i in active if read[i] is None]
@@ -510,8 +480,8 @@ def ms_derivative(series: Series, weight, h, z, precision: int = 256):
                 if count > 10000:
                     raise PrecisionError("series did not reach the truncation threshold")
         for i in active:  # a finite series ran out before these orders stopped
-            read[i] = _moments_to(moments, orders[i])
-        derivatives = tuple(_moment_sum(n, weight, m, y, w) for n, m in zip(orders, read))
+            read[i] = ure[:orders[i] + 1], uim[:orders[i] + 1]
+        derivatives = tuple(_moment_sum(n, weight, D, *m, y, w) for n, m in zip(orders, read))
         return derivatives[0] if isinstance(h, int) else derivatives
 
 

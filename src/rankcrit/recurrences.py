@@ -309,17 +309,15 @@ def _taps(mults: list, i: int, prev: np.ndarray, cur: np.ndarray, hi: int) -> li
 def step(family: RecurrenceFamily, n: int, prev: tuple, cur: tuple, p: int | None = None) -> tuple:
     """F_{n+1} from (F_{n-1}, F_n), reduced mod p if p is given; requires n >= 1.
 
-    The polynomials are dense: over Z this is the tap kernel at stride 1."""
+    The polynomials are dense, and this is the exact tap kernel at stride 1;
+    mod p it steps the residues of F_{n-1} and F_n and reduces the result."""
     if n < 1:
         raise ValueError("step index n must be >= 1")
     if p is not None:
         _check_fits(p)
-        mults = _multipliers(family, np.array([n]), p)
-        prev, cur = (np.array([c % p for c in poly], np.int64) for poly in (prev, cur))
-        mod = np.full(len(prev) + len(cur) + _MAX_TERMS, p)
-        weights = np.arange(len(cur) + 1) % p
-        return trim(_step_mod(mults[0], _taps(mults, 0, prev, cur, _UNCUT), cur, weights, mod, _UNCUT).tolist())
-    return _tap_step(prev, cur, *_taps_at(_tap_plan(family, 1, 0), n))
+        prev, cur = (tuple(c % p for c in poly) for poly in (prev, cur))
+    out = _tap_step(prev, cur, *_taps_at(_tap_plan(family, 1, 0), n))
+    return out if p is None else trim(c % p for c in out)
 
 
 def _quadratic(v0: int, v1: int, v2: int) -> tuple[int, int, int]:

@@ -415,6 +415,19 @@ class TestVerify:
         assert code == 0
         assert batched == single and batched.count("\n") > max_n
 
+    # The exit code and the sha256 of the JSON lines of the five benchmark verify operations.
+    @pytest.mark.parametrize("flags, want_code, digest", [
+        ("--thm 5 --max-n 32 --precision 1024", 0, "cb274ca44fa16e2b562f103c0d098f55f2c7eba415f9ff2792a9b2cd7d8eae1e"),
+        ("--thm 6 --max-n 8 --precision 512", 0, "b44cdc35711fe35ffaec7ed8be71a0b6a906fc88f584da9d332b496941228695"),
+        ("--thm 3 --max-n 32", 0, "5e3d6f45e3c5bdccb8575a12a6ac21e812a6db51e62f09fab5a3832fef1f3dba"),
+        ("--thm 4 --max-n 3", 0, "08e220b440e199fe48aaed80b3bf4ff11893b2456584cf58813cefc079d35cd1"),
+        ("--symbolic --max-n 40", 0, "3241c7f55527e4022d86210af902b229c6e75f2b05dd278d68682c73628a2515"),
+    ])
+    def test_verify_output_digest(self, capsys, flags, want_code, digest):
+        code, out, err = run(capsys, "verify", *flags.split(), "--format", "json")
+        assert code == want_code and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_speed(self, capsys):
         t0 = time.perf_counter()
         code, out, _ = run(capsys, "verify", "--thm", "5", "--max-n", "32",

@@ -470,7 +470,7 @@ class TestCMTraces:
         for family, p in (("Ep", 73), ("Ep", 233), ("Ep", 313), ("Ap", 19), ("Ap", 109), ("Ap", 271),
                           ("Ap", 379), ("Ep", 10009), ("Ap", 10009)):
             curve, _ = lseries.sp_curve(p, 1e-8, family)
-            M = lseries._term_count(conductor(curve), 1e-8)
+            M = lseries._terms_and_bound(conductor(curve), 1e-8)[0]
             assert an_list(curve, M).tolist() == _an_reference(curve, M), (family, p, M)
 
 
@@ -521,7 +521,7 @@ class TestAnListChecks:
         # primes whose term count passes it are refused before any array exists
         assert lseries._BYTES_PER_TERM * lseries._M_RESIDENT <= 400 * 10 ** 6
         for family, last, first in (("Ep", 105361, 105401), ("Ap", 162109, 162289)):
-            counts = [lseries._term_count(conductor(lseries.sp_curve(p, 1e-8, family)[0]), 1e-8)
+            counts = [lseries._terms_and_bound(conductor(lseries.sp_curve(p, 1e-8, family)[0]), 1e-8)[0]
                       for p in (last, first)]
             assert counts[0] <= lseries._M_RESIDENT < counts[1]
             t0 = time.perf_counter()
@@ -756,7 +756,7 @@ class TestTailBound:
         # y^2 = x^3 + x and y^2 = x^3 - 432 sum only 55 and 38 terms at tol 1e-8
         d = _divisor_counts(4000)
         c = 2.0 * math.pi / math.sqrt(conductor(curve)) / 1.2
-        for M in [*range(0, 61), lseries._term_count(conductor(curve), 1e-8)]:
+        for M in [*range(0, 61), lseries._terms_and_bound(conductor(curve), 1e-8)[0]]:
             n = np.arange(M + 1, M + 3000)
             # at small M the bound sums the same terms in another order: allow its rounding
             assert lseries._tail_bound(M, c) >= 2.0 * np.sum(d[n] / np.sqrt(n) * np.exp(-c * n)) * (1 - 1e-12), M

@@ -20,7 +20,6 @@ from rankcrit.maass import (
     THETA_HEX,
     PrecisionError,
     _as_point,
-    _fixed_to_mpf,
     _hex_count,
     _laguerre_guard,
     _mpf_frac,
@@ -112,22 +111,6 @@ class TestLaguerre:
                     x = mpf(x_text)
                     for h, at_x, at_minus_x in zip(orders, laguerre(orders, alpha, x), laguerre(orders, alpha, -x)):
                         assert abs(at_x) <= at_minus_x, (h, alpha, x)
-
-    def test_rounding_matches_mpf(self):
-        # the integer round-half-even of laguerre gives the mpf((fixed, -w)) it replaced, bit for bit
-        rng = random.Random(7)
-        for prec in (53, 64, 256, 1064):
-            with mp.workprec(prec):
-                for _ in range(2000):
-                    drop = rng.randint(1, 80)
-                    fixed = rng.getrandbits(prec + drop)
-                    if rng.random() < 0.5:  # an exact half way between two neighbours
-                        fixed = (fixed >> drop << drop) | (1 << (drop - 1))
-                    if rng.random() < 0.1:  # rounds up to a power of two
-                        fixed = (1 << (prec + drop)) - 1
-                    fixed = rng.choice((1, -1)) * (fixed >> rng.randint(0, prec + drop))
-                    w = rng.randint(-40, 2 * prec)
-                    assert _fixed_to_mpf(fixed, w)._mpf_ == mpf((fixed, -w))._mpf_, (prec, fixed, w)
 
     def test_recurrence_vs_defining_sum(self):
         rng = random.Random(42)
@@ -374,6 +357,24 @@ class TestMsDerivative:
             ref = _ms_derivative_mpf(short, Fraction(1, 2), h, CM_I, 128)
             with mp.workprec(128 + _GUARD):
                 assert abs(value - ref) <= mpf(2) ** -128 * max(abs(ref), mp.factorial(h) / (4 * mp.pi) ** h), h
+
+    def test_second_denominator_is_refused(self):
+        # every frequency shares the denominator of the first one: one exponential walk per series
+        def mixed():
+            yield Fraction(1, 8), 1
+            yield Fraction(1, 4), 1
+
+        for h in (0, (0, 3)):
+            with pytest.raises(ValueError, match="denominator 4, not the series' 8"):
+                ms_derivative(mixed, Fraction(1, 2), h, CM_I, 64)
+
+    def test_empty_series_is_zero(self):
+        def empty():
+            yield from ()
+
+        for h in (0, 7, (0, 1, 7, 32)):
+            got = ms_derivative(empty, Fraction(1, 2), h, CM_OMEGA, 128)
+            assert got == (0 if isinstance(h, int) else (0,) * len(h)), h
 
     def test_stop_rule_is_per_order(self):
         # order 32 runs the series far past where order 0 stops; order 0 must not see those terms

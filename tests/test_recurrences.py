@@ -102,11 +102,14 @@ class TestTapStep:
             assert cur == want
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 60), _COEFFS, _COEFFS)
-    def test_equals_dot_step_on_any_coefficients(self, key, n, prev, cur):
+    @given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 60), _COEFFS, _COEFFS,
+           st.sampled_from([3, 5, 19, 101, 1009, 65537, 999999937]))
+    def test_equals_dot_step_on_any_coefficients(self, key, n, prev, cur, p):
+        want = dot_step(FAMILIES[key], n, prev, cur)
         got = step(FAMILIES[key], n, prev, cur)
-        assert got == dot_step(FAMILIES[key], n, prev, cur)
+        assert got == want
         assert type(got) is tuple and (not got or got[-1] != 0)
+        assert step(FAMILIES[key], n, prev, cur, p) == trim(c % p for c in want)
 
 
 def _spread(c: tuple, n: int, family) -> tuple:
@@ -433,10 +436,14 @@ class TestLockstepBatch:
 
 
 def _full_walk_constant_term(family: RecurrenceFamily, N: int, p: int) -> int:
-    """F_N(0) mod p from the whole polynomial generate(family, N, p), which steps every
-    coefficient of F_n forward and shares no window code with constant_term_mod."""
-    poly = generate(family, N, p)
-    return poly[0] if poly else 0
+    """F_N(0) mod p from the whole polynomial, walked by step(..., p) from the seeds.  That
+    walk steps every coefficient of F_n forward on plain ints and shares only step_coeffs
+    and the tap plan with constant_term_mod's windows."""
+    prev, cur = (trim(c % p for c in seed) for seed in family.seeds)
+    for n in range(1, N):
+        prev, cur = cur, step(family, n, prev, cur, p)
+    stored = cur if N else prev
+    return (stored[0] if stored else 0) * pow(family.scale, -1, p) % p
 
 
 class TestUnreducedDerivative:
