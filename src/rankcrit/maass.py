@@ -59,7 +59,13 @@ reaches the A-side values independently through the hexagonal-lattice theta
 series.  They take one index or a sequence of them, and for a sequence make
 one pass per (series, point, precision) for all its orders, read the
 constants F_n(0) from one walk of the recurrence, and share the periods,
-which are computed once per precision.
+which are computed once per precision.  ``omega_E`` and ``omega_A`` compute
+the periods from the arithmetic-geometric mean (Borwein & Borwein, Pi and the
+AGM, 1987), not from the gamma function: the AGM converges quadratically, so
+the two take about 15 ms together at 8000 bits.  They work ``_PERIOD_GUARD``
+(64) bits past the precision and round to precision + ``_GUARD``; the tests
+hold them equal (==) to the gamma forms at 64 to 1024 bits and to a 400-bit
+guard at every 11th precision from 64 to 2048.
 """
 
 from __future__ import annotations
@@ -80,7 +86,8 @@ from .recurrences import F_E, X_A, Y_A, Z_A, iter_family
 from .recurrences import generate  # noqa: F401  (unused here; perfbench/spans.py wraps maass.generate)
 
 _GUARD = 40          # guard bits on top of the requested precision
-_GAMMA_GUARD = 140   # extra bits when evaluating gamma-function periods
+_PERIOD_GUARD = 64   # bits past precision of the AGM periods: the AGM loses only O(log prec)
+                     # bits, and 64 is the width the tests hold equal to a 400-bit guard
 _WALK_GUARD = 24     # bits past mp.prec of ms_derivative's walk, before _moment_guard
 MIN_PRECISION = 64   # smallest supported working precision, in bits
 
@@ -495,18 +502,30 @@ def e2star(z, precision: int = 256) -> mpc:
 
 @functools.cache  # a pure function of precision: every verify row at one precision shares it
 def omega_E(precision: int = 256) -> mpf:
-    """gamma(1/4)^2 / (2 sqrt(pi))."""
-    with mp.workprec(precision + _GAMMA_GUARD):
-        v = mp.gamma(mpf(1) / 4) ** 2 / (2 * mp.sqrt(mp.pi))
+    """gamma(1/4)^2 / (2 sqrt(pi)) = pi sqrt(2) / agm(sqrt(2), 1).
+
+    From gamma(1/4)^2 = (2 pi)^(3/2) / agm(sqrt(2), 1) (Borwein & Borwein, *Pi and
+    the AGM*, 1987); rounded to precision + _GUARD bits.
+    """
+    with mp.workprec(precision + _PERIOD_GUARD):
+        v = mp.pi * mp.sqrt(2) / mp.agm(mp.sqrt(2), 1)
     with mp.workprec(precision + _GUARD):
         return +v
 
 
 @functools.cache
 def omega_A(precision: int = 256) -> mpf:
-    """gamma(1/3)^3 / (2 pi sqrt(3))."""
-    with mp.workprec(precision + _GAMMA_GUARD):
-        v = mp.gamma(mpf(1) / 3) ** 3 / (2 * mp.pi * mp.sqrt(3))
+    """gamma(1/3)^3 / (2 pi sqrt(3)), with gamma(1/3)^3 = 2^(7/3) pi K(k3) / 3^(1/4).
+
+    K(k) = pi / (2 agm(1, sqrt(1 - k^2))) is the complete elliptic integral at the
+    singular modulus k3 = (sqrt(6) - sqrt(2)) / 4 (Borwein & Borwein, *Pi and the
+    AGM*, 1987); rounded to precision + _GUARD bits.
+    """
+    with mp.workprec(precision + _PERIOD_GUARD):
+        k3 = (mp.sqrt(6) - mp.sqrt(2)) / 4
+        K = mp.pi / (2 * mp.agm(1, mp.sqrt(1 - k3 ** 2)))
+        gamma3 = mp.cbrt(2) ** 7 * mp.pi * K / mp.root(3, 4)
+        v = gamma3 / (2 * mp.pi * mp.sqrt(3))
     with mp.workprec(precision + _GUARD):
         return +v
 

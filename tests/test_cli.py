@@ -438,6 +438,17 @@ class TestVerify:
         assert len(rows) == 33 and all(r["ok"] for r in rows)
         assert elapsed < 1.5, f"verify --thm 5 at 1024 bits took {elapsed:.2f} s"
 
+    def test_high_precision_speed(self, capsys):
+        # the periods come from the AGM: mp.gamma(1/4) alone takes seconds at 4096 bits
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--thm", "5", "--max-n", "2",
+                           "--precision", "4096", "--format", "json")
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(rows) == 3 and all(r["ok"] for r in rows)
+        assert elapsed < 5.0, f"verify --thm 5 at 4096 bits took {elapsed:.2f} s"
+
     def test_symbolic_speed(self, capsys):
         t0 = time.perf_counter()
         code, out, _ = run(capsys, "verify", "--symbolic", "--max-n", "40", "--format", "json")

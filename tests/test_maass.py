@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -582,6 +583,44 @@ class TestBatches:
         assert type(rec["numeric"]) is float and rec["numeric"] == float(r.numeric)
         assert type(rec["rel_error"]) is float and rec["rel_error"] == float(r.rel_error)
         assert isinstance(r.rel_error, mpf)
+
+
+def _gamma_omega_E(precision: int) -> mpf:
+    """The gamma form of Omega_E, as the periods were once computed: 140 guard bits."""
+    with mp.workprec(precision + 140):
+        v = mp.gamma(mpf(1) / 4) ** 2 / (2 * mp.sqrt(mp.pi))
+    with mp.workprec(precision + _GUARD):
+        return +v
+
+
+def _gamma_omega_A(precision: int) -> mpf:
+    with mp.workprec(precision + 140):
+        v = mp.gamma(mpf(1) / 3) ** 3 / (2 * mp.pi * mp.sqrt(3))
+    with mp.workprec(precision + _GUARD):
+        return +v
+
+
+class TestPeriods:
+    @pytest.mark.parametrize("precision", [64, 256, 512, 777, 1024])
+    def test_agm_equals_gamma_form(self, precision):
+        assert omega_E(precision) == _gamma_omega_E(precision)
+        assert omega_A(precision) == _gamma_omega_A(precision)
+
+    def test_guard_64_equals_guard_400(self, monkeypatch):
+        # why _PERIOD_GUARD = 64 suffices: a 400-bit guard rounds to the same mpf
+        precisions = range(64, 2049, 11)
+        narrow = [(omega_E.__wrapped__(p), omega_A.__wrapped__(p)) for p in precisions]
+        monkeypatch.setattr(maass, "_PERIOD_GUARD", 400)
+        wide = [(omega_E.__wrapped__(p), omega_A.__wrapped__(p)) for p in precisions]
+        assert narrow == wide
+
+    def test_speed_at_8000_bits(self):
+        # mp.gamma(1/4) alone takes seconds at 8000 bits; __wrapped__ leaves the cache alone
+        t0 = time.perf_counter()
+        omega_E.__wrapped__(8000)
+        omega_A.__wrapped__(8000)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0, f"both periods at 8000 bits took {elapsed:.2f} s"
 
 
 class TestLatticeThetaIdentity:
