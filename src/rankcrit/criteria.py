@@ -8,7 +8,6 @@ Divisibility predicts rank 2 under BSD, non-divisibility rank 0.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -149,6 +148,10 @@ def scan(family: str, lo: int, hi: int, jobs: int = 1) -> list[CriterionVerdict]
     jobs = min(jobs, len(primes))
     batches = [(family, primes[i::jobs]) for i in range(jobs)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        from .recurrences import np
+        np.int64  # noqa: B018  (load numpy before the fork, so that every worker inherits it)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_residues, batches))
     else:

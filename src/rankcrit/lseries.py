@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
+from ._lazy import lazy_import
 from ._primality import is_prime, primes_in
+
+np = lazy_import("numpy")  # loaded at the first kernel call: see _lazy
 
 # Real periods of y^2 = x^3 + x and of x^3 + y^3 = 1 (its y^2 = x^3 - 432 model
 # has real period OMEGA_A / 2).
@@ -178,8 +179,8 @@ _BYTES_PER_TERM = 40
 _M_RESIDENT = 400 * 10 ** 6 // _BYTES_PER_TERM
 
 # Tr psi(alpha) = TA[m] a + TB[m] b, where psi(a + b i) = (-i)^m (a + b i) and psi(a + b w) = -w^m (a + b w)
-_TRACES = {4: (np.array([2, 0, -2, 0]), np.array([0, 2, 0, -2])),
-           3: (np.array([-2, 1, 1]), np.array([1, 1, -2]))}
+_TRACES = {4: ((2, 0, -2, 0), (0, 2, 0, -2)),
+           3: ((-2, 1, 1), (1, 1, -2))}
 
 
 def _root_of_unity(k: int, q: int) -> int:
@@ -236,7 +237,7 @@ def _psi_trace(k: int, a, b, n, k1, k2):
     from k1, k2 = _chi at a + b r and a + b r': psi(alpha) = alpha / (-c/alpha)_4 = alpha / i^(k1 - k2 +
     (n-1)/2), or -alpha / (c/alpha)_3 = -alpha / w^(k1 + 2 k2); 0 where k1 or k2 is k (c divides)."""
     m = (k1 - k2 + ((n - 1) >> 1)) & 3 if k == 4 else (2 * k1 + k2) % 3
-    ta, tb = _TRACES[k]
+    ta, tb = map(np.array, _TRACES[k])  # indexed by m, an int or an array
     return (ta[m] * a + tb[m] * b) * (k1 < k) * (k2 < k)
 
 

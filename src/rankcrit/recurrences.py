@@ -66,10 +66,11 @@ from itertools import islice, repeat
 from operator import add, mul
 from typing import Callable, Iterator
 
-import numpy as np
-
+from ._lazy import lazy_import
 from ._primality import is_prime
 from .polyring import trim
+
+np = lazy_import("numpy")  # loaded at the first kernel call: see _lazy
 
 
 @dataclass(frozen=True)

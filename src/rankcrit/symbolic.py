@@ -7,9 +7,11 @@ independent route, which the tests compare against ``recurrences.generate``.
 
 The recurrence is walked at scale 24^n, on ``G_n = 24^n F_n``: there the
 derivation is the integer-weight monomial rule ``_rule`` (24 times
-``rs_derivation``) and every coefficient is an int, so no Fraction is built
-until ``vz_sequence`` returns its rows.  ``ThetaPolynomial`` keeps ``+``,
-``*`` and exact rational coefficients for everything else.
+``rs_derivation``) and every coefficient is an int.  ``G_n`` lives on the
+monomials th2^(4(n-j)+1) th4^(4j), so ``vz_sequence`` walks it as a list of
+ints indexed by j (three taps a step) and builds no Fraction until it
+returns its rows.  ``ThetaPolynomial`` keeps ``+``, ``*`` and exact rational
+coefficients for everything else.
 """
 
 from __future__ import annotations
@@ -111,24 +113,32 @@ def rs_derivation(a: ThetaPolynomial) -> ThetaPolynomial:
 def vz_sequence(N: int) -> list[ThetaPolynomial]:
     """F_0 ... F_N with F_0 = th2, F_{n+1} = rs(F_n) - n(2n-1)/288 * E4 * F_{n-1}.
 
-    F_n is homogeneous of theta-degree 4n+1 (weight 1/2 + 2n).  The walk runs
-    on the integer rows G_n = 24^n F_n:
-    G_0 = th2, G_{n+1} = _rule(G_n) - 2n(2n-1) * E4 * G_{n-1}.
+    F_n is homogeneous of theta-degree 4n+1 (weight 1/2 + 2n), and its
+    monomials are th2^(4(n-j)+1) th4^(4j) for j = 0..n.  The walk runs on the
+    integer rows G_n[j] = 24^n [th2^(4(n-j)+1) th4^(4j)] F_n, where ``_rule``
+    and the E4 term become three taps:
+    G_{n+1}[j] = (8n-12j+14) G_n[j-1] + (4n-12j+1) G_n[j]
+                 - 2n(2n-1) (G_{n-1}[j] + G_{n-1}[j-1] + G_{n-1}[j-2]).
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    rows = [dict(TH2.terms)]
+    out = [TH2]
+    prev, cur = [], [1]  # G_{-1} (never read: its tap has factor 0), G_0
     for n in range(N):
-        nxt = _rule(rows[n].items())
-        if n:
-            s = 2 * n * (2 * n - 1)
-            for (i, j), c in rows[n - 1].items():
-                for (a, b), e in E4.terms:
-                    key = (i + a, j + b)
-                    nxt[key] = nxt.get(key, 0) - s * e * c
-        rows.append(nxt)
-    return [TH2] + [ThetaPolynomial.from_dict({ij: Fraction(c, 24 ** n) for ij, c in rows[n].items()})
-                    for n in range(1, N + 1)]
+        s = 2 * n * (2 * n - 1)
+        nxt = []
+        for j in range(n + 2):
+            g = (4 * n - 12 * j + 1) * cur[j] if j <= n else 0
+            if j:
+                g += (8 * n - 12 * j + 14) * cur[j - 1]
+            if s:
+                g -= s * sum(prev[max(j - 2, 0):j + 1])
+            nxt.append(g)
+        prev, cur = cur, nxt
+        scale = 24 ** (n + 1)
+        out.append(ThetaPolynomial(tuple(((4 * (n + 1 - j) + 1, 4 * j), Fraction(c, scale))
+                                         for j, c in zip(range(n + 1, -1, -1), reversed(cur)) if c)))
+    return out
 
 
 def normalize_to_t(F_n: ThetaPolynomial, n: int) -> tuple:
@@ -147,10 +157,10 @@ def normalize_to_t(F_n: ThetaPolynomial, n: int) -> tuple:
         jj = j // 4
         if not (0 <= jj <= n) or i != 4 * (n - jj) + 1:
             raise StructureError(f"exponent pair {(i, j)} outside the expected lattice for n={n}")
-        v = c * scale
-        if v.denominator != 1:
-            raise StructureError(f"non-integer coefficient {v} after normalization")
-        cs[jj] = v.numerator
+        v, r = divmod(c.numerator * scale, c.denominator)
+        if r:
+            raise StructureError(f"non-integer coefficient {c * scale} after normalization")
+        cs[jj] = v
 
     # Horner in (1+t): acc <- acc * (1+t) + 24^n c_j for j = n, ..., 0, one C-level
     # pass per row (the degree stays <= n, so the t^(n+1) term is always 0)

@@ -94,6 +94,7 @@ class TestSequence:
         for n, (F, R) in enumerate(zip(got, want)):
             assert F == R, n
             assert str(F) == str(R), n
+            assert [type(c) for _, c in F.terms] == [type(c) for _, c in R.terms], n
 
     def test_negative_n_refused(self):
         with pytest.raises(ValueError):
