@@ -10,7 +10,14 @@ Layers:
 * :mod:`rankcrit.lseries` -- traces of Frobenius from CM, conductors, L(1), normalized S_p.
 * :mod:`rankcrit.maass` -- extended-precision CM derivatives of theta series.
 * :mod:`rankcrit.cli` -- poly / criterion / oracle / verify subcommands.
+
+The names of ``criteria``, ``lseries``, ``maass`` and ``symbolic`` load
+their layer at the first read (PEP 562), so ``import rankcrit`` compiles
+only ``polyring`` and ``recurrences``, and each subcommand of ``cli`` only
+the layers it runs.
 """
+
+import importlib
 
 from .polyring import render
 from .recurrences import (
@@ -26,38 +33,6 @@ from .recurrences import (
     generate_all,
     step,
 )
-from .criteria import (
-    CriterionVerdict,
-    CrossCheckError,
-    admissible,
-    scan,
-    sp_congruence_rhs,
-    verdict_Ap,
-    verdict_Ep,
-)
-from .lseries import (
-    CurveSpec,
-    LValueReport,
-    an_list,
-    ap,
-    conductor,
-    curve_ap,
-    curve_ep,
-    l1,
-    sp,
-)
-from .maass import (
-    MSDerivativeReport,
-    e2star,
-    hermite,
-    laguerre,
-    ms_derivative,
-    omega_A,
-    omega_E,
-    verify_eta_identity,
-    verify_theta2_identity,
-)
-from .symbolic import ThetaPolynomial, normalize_to_t, rs_derivation, vz_sequence
 
 __version__ = "0.1.0"
 
@@ -73,3 +48,27 @@ __all__ = [
     "omega_A", "omega_E", "verify_eta_identity", "verify_theta2_identity",
     "ThetaPolynomial", "normalize_to_t", "rs_derivation", "vz_sequence",
 ]
+
+# The names of the layers that load at their first read, by layer.
+_LAZY = {
+    "criteria": ("CriterionVerdict", "CrossCheckError", "admissible", "scan",
+                 "sp_congruence_rhs", "verdict_Ap", "verdict_Ep"),
+    "lseries": ("CurveSpec", "LValueReport", "an_list", "ap", "conductor",
+                "curve_ap", "curve_ep", "l1", "sp"),
+    "maass": ("MSDerivativeReport", "e2star", "hermite", "laguerre", "ms_derivative",
+              "omega_A", "omega_E", "verify_eta_identity", "verify_theta2_identity"),
+    "symbolic": ("ThetaPolynomial", "normalize_to_t", "rs_derivation", "vz_sequence"),
+}
+_HOME = {name: layer for layer, names in _LAZY.items() for name in (layer, *names)}
+
+
+def __getattr__(name: str):
+    layer = _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{layer}")
+    return module if name == layer else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

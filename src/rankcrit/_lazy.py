@@ -1,16 +1,25 @@
 """Modules imported at their first attribute read (the ``importlib.util.LazyLoader`` recipe).
 
-``recurrences`` and ``lseries`` take ``np`` from here, so ``import rankcrit``
-does not run numpy's import (about 160 ms on a 2-vCPU VM): ``poly`` on Python
-ints and ``verify`` on ints and mpmath never load it, and ``criterion`` and
-``oracle`` load it at their first kernel call.  ``python -X importtime -m
-rankcrit poly --n 1`` shows no ``numpy`` line.
+``recurrences`` and ``lseries`` take ``np`` from here and ``maass`` and
+``cli`` take ``mpmath``, so ``import rankcrit`` runs neither numpy's import
+(about 160 ms on a 2-vCPU VM) nor mpmath's (about 35 ms): ``poly`` on
+Python ints never loads either, ``criterion`` and ``oracle`` load numpy at
+their first kernel call, and ``verify`` loads mpmath at its first
+precision-bound call.  ``cli`` also takes the layers ``criteria``,
+``lseries``, ``maass`` and ``symbolic`` from here, so each subcommand
+compiles only the layers it runs (``poly`` none of them).
+``python -X importtime -m rankcrit poly --n 1`` shows no ``numpy``, no
+``mpmath`` and none of those four layers.
+
+A lazy submodule is bound on its parent package, as the import system binds
+an imported one, so ``import rankcrit.criteria; rankcrit.criteria.scan``
+works whichever of ``cli`` and that import ran first.
 
 Limit: in Python 3.11 the lazy module is not thread-safe on its first
-attribute read (3.12 added a lock), so two threads touching it at once could
-both run numpy's import.  rankcrit starts no threads, and ``criteria.scan``
-loads numpy before it forks its process pool, so every worker inherits the
-loaded module.
+attribute read (3.12 added a lock), so two threads touching numpy, mpmath or
+one of rankcrit's lazy layers at once could both run its import.  rankcrit
+starts no threads, and ``criteria.scan`` loads numpy before it forks its
+process pool, so every worker inherits the loaded module.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ def lazy_import(name: str) -> ModuleType:
     already in ``sys.modules`` (loaded, or lazy from an earlier call)."""
     if name in sys.modules:
         return sys.modules[name]
-    spec = importlib.util.find_spec(name)
+    spec = importlib.util.find_spec(name)  # imports the parent package first
     if spec is None:
         raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     loader = importlib.util.LazyLoader(spec.loader)
@@ -33,4 +42,7 @@ def lazy_import(name: str) -> ModuleType:
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
     return module

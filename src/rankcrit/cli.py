@@ -7,19 +7,23 @@ Exit codes: 0 success, 1 usage error, 2 internal cross-check failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import hashlib
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
-from mpmath import mpf
+from . import __version__, polyring, recurrences
+from ._lazy import lazy_import
 
-from . import __version__, criteria, lseries, maass, polyring, recurrences, symbolic
+# Loaded at their first use (see _lazy), so each subcommand compiles only the layers it runs,
+# and only verify loads mpmath.
+criteria = lazy_import("rankcrit.criteria")
+lseries = lazy_import("rankcrit.lseries")
+maass = lazy_import("rankcrit.maass")
+symbolic = lazy_import("rankcrit.symbolic")
+mpmath = lazy_import("mpmath")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,6 +44,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _print_header(args) -> None:
     if not args.no_timestamp:
+        from datetime import datetime, timezone
+
         print(f"# generated {datetime.now(timezone.utc).isoformat()}")
 
 
@@ -102,6 +108,8 @@ def _cmd_criterion(args) -> int:
     verdicts = criteria.scan(args.family, lo, hi, jobs=args.jobs)
     records = [v.as_record() for v in verdicts]
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_CRITERION_FIELDS)
         for rec in records:
@@ -135,10 +143,13 @@ def _cache_path(args) -> Path:
     return Path.home() / ".cache" / "rankcrit" / "oracle.jsonl"
 
 
-_REPORT_FIELDS = [f.name for f in dataclasses.fields(lseries.LValueReport)]
+def _report_fields() -> list[str]:
+    return [f.name for f in dataclasses.fields(lseries.LValueReport)]
 
 
 def _cache_key(family: str, p: int, tol: float) -> str:
+    import hashlib
+
     blob = json.dumps({"cmd": "oracle", "family": family, "p": p, "tol": repr(tol),
                        "version": __version__}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -164,7 +175,7 @@ def _cache_lookup(path: Path, key: str) -> tuple[dict | None, bool]:
         if not isinstance(entry, dict) or entry.get("key") != key or "report" not in entry:
             continue
         report = entry["report"]
-        if isinstance(report, dict) and sorted(report) == sorted(_REPORT_FIELDS):
+        if isinstance(report, dict) and sorted(report) == sorted(_report_fields()):
             return report, stale
         print(f"warning: skipping incomplete cache record in {path}", file=sys.stderr)
         stale = True
@@ -218,7 +229,7 @@ def _cmd_oracle(args) -> int:
         print(json.dumps(record, sort_keys=True))
     else:
         _print_header(args)
-        for k in _REPORT_FIELDS:
+        for k in _report_fields():
             print(f"{k}: {record[k]}")
     return EXIT_OK
 
@@ -246,7 +257,7 @@ def _within_precision(err, precision: int) -> bool:
     about 2^-1074, which would check a 2048-bit row to only about 1074 bits.
     The acceptance tests pin fixed tolerances of their own, independently.
     """
-    return err <= mpf(2) ** -precision
+    return err <= mpmath.mpf(2) ** -precision
 
 
 def _symbolic_rows(args):
@@ -386,10 +397,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except criteria.CrossCheckError as exc:
-        print(f"rankcrit: cross-check failure: {exc}", file=sys.stderr)
-        return EXIT_CROSSCHECK
-    except (ValueError, lseries.BadReductionError) as exc:
+    except ValueError as exc:  # lseries.BadReductionError among them
         print(f"rankcrit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:  # past a named limit: the int64 kernels or the resident L-sum terms
@@ -397,6 +405,9 @@ def main(argv=None) -> int:
         return EXIT_CROSSCHECK
     except ArithmeticError as exc:
         print(f"rankcrit: internal arithmetic check failed: {exc}", file=sys.stderr)
+        return EXIT_CROSSCHECK
+    except criteria.CrossCheckError as exc:  # a RuntimeError; last, as reading it loads criteria
+        print(f"rankcrit: cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
 
 

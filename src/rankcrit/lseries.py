@@ -366,17 +366,19 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tolerance below 1e-12 is not achievable in double precision")
 
 
-def l1_detail(curve: CurveSpec, tol: float = 1e-8) -> tuple[float, int, float]:
+def l1_detail(curve: CurveSpec, tol: float = 1e-8, *, N: int | None = None) -> tuple[float, int, float]:
     """(L(1), term count, tail bound); assumes functional-equation sign +1.
 
     L(1) = sum_n (a_n/n) (e^{-2 pi n t / sqrt(N)} + e^{-2 pi n /(t sqrt(N))});
     independence of the split parameter t is asserted, which catches a wrong
     conductor or sign instead of silently returning garbage.  The a_n come as
     an_list's int64 array, converted to float64 once; exact, since _M_MAX
-    keeps every a_n below 2^53.
+    keeps every a_n below 2^53.  N is the conductor of the curve, computed
+    here unless the caller has it (``sp`` reports it too, so passes it in).
     """
     _check_tol(tol)
-    N = conductor(curve)
+    if N is None:
+        N = conductor(curve)
     M, bound = _terms_and_bound(N, tol)
     coeffs = an_list(curve, M)[1:].astype(np.float64)
     at = np.flatnonzero(coeffs)
@@ -433,14 +435,15 @@ def sp_curve(p: int, tol: float = 1e-8, family: str = "Ep") -> tuple[CurveSpec, 
 def sp(p: int, tol: float = 1e-8, family: str = "Ep") -> LValueReport:
     """Normalized central value: S = 2 p^{1/4} L(1) / Omega_E (Ep) or 2 p^{1/3} L(1) / Omega_A (Ap)."""
     curve, scale = sp_curve(p, tol, family)
-    value, terms, bound = l1_detail(curve, tol)
+    N = conductor(curve)
+    value, terms, bound = l1_detail(curve, tol, N=N)
     s_real = scale * value
     s_rounded = int(round(s_real))
     residual = abs(s_real - s_rounded)
     return LValueReport(
         p=p,
         family=family,
-        conductor=conductor(curve),
+        conductor=N,
         terms=terms,
         l1=value,
         s_real=s_real,

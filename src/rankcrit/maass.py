@@ -78,12 +78,12 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import to_fixed
-
+from ._lazy import lazy_import
 from .polyring import constant_term
 from .recurrences import F_E, X_A, Y_A, Z_A, iter_family
 from .recurrences import generate  # noqa: F401  (unused here; perfbench/spans.py wraps maass.generate)
+
+mpmath = lazy_import("mpmath")  # loaded at the first precision-bound call: see _lazy
 
 _GUARD = 40          # guard bits on top of the requested precision
 _PERIOD_GUARD = 64   # bits past precision of the AGM periods: the AGM loses only O(log prec)
@@ -151,6 +151,7 @@ def E2():
         n += 1
 
 
+@functools.cache  # THETA_HEX reads each f on every walk of the series
 def _hex_count(f: int) -> int:
     """#{(n, m) in Z^2 : n^2 + nm + m^2 = f}, from 4f - 3n^2 = (2m + n)^2."""
     if f == 0:
@@ -178,16 +179,16 @@ def THETA_HEX():
 def _as_point(z):
     """CM-point tag or explicit number -> mpc at the current working precision."""
     if z == CM_I:
-        return mpc(0, 1)
+        return mpmath.mpc(0, 1)
     if z == CM_OMEGA:
-        return mpc(mpf(-1) / 2, mp.sqrt(3) / 2)
-    return mpc(z)
+        return mpmath.mpc(mpmath.mpf(-1) / 2, mpmath.sqrt(3) / 2)
+    return mpmath.mpc(z)
 
 
-def _mpf_frac(x) -> mpf:
+def _mpf_frac(x) -> mpmath.mpf:
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
 
 
 def _laguerre_guard(h: int) -> int:
@@ -231,8 +232,9 @@ def laguerre(h, alpha, x):
     a = Fraction(alpha)
     r, s = a.numerator, a.denominator
     top = max(orders, default=0)
-    w = mp.prec + _laguerre_guard(top)
-    sx = s * to_fixed(mpf(x)._mpf_, w)
+    mpf = mpmath.mpf
+    w = mpmath.mp.prec + _laguerre_guard(top)
+    sx = s * mpmath.libmp.to_fixed(mpf(x)._mpf_, w)
     prev, cur = 0, 1 << w
     fixed = [cur]
     for m in range(top):
@@ -243,7 +245,7 @@ def laguerre(h, alpha, x):
     return values[0] if isinstance(h, int) else values
 
 
-def laguerre_sum(h: int, alpha, x) -> mpf:
+def laguerre_sum(h: int, alpha, x) -> mpmath.mpf:
     """Defining sum of L_h^alpha(x); independent oracle for the recurrence.
 
     The alternating sum cancels up to ~h*log2(x) bits, so it is evaluated
@@ -251,9 +253,9 @@ def laguerre_sum(h: int, alpha, x) -> mpf:
     """
     alpha = Fraction(alpha)
     guard = int(h * (math.log2(max(float(x), 2.0)) + 2.0)) + 60
-    with mp.workprec(mp.prec + guard):
-        x = mpf(x)
-        total = mpf(0)
+    with mpmath.workprec(mpmath.mp.prec + guard):
+        x = mpmath.mpf(x)
+        total = mpmath.mpf(0)
         fact = 1
         for j in range(h + 1):
             if j > 0:
@@ -265,24 +267,24 @@ def laguerre_sum(h: int, alpha, x) -> mpf:
     return +total
 
 
-def hermite(n: int, x) -> mpf:
+def hermite(n: int, x) -> mpmath.mpf:
     """Physicists' Hermite polynomial H_n(x) via H_{m+1} = 2x H_m - 2m H_{m-1}."""
     if n < 0:
         raise ValueError(f"Hermite order must be >= 0, got {n}")
-    x = mpf(x)
+    x = mpmath.mpf(x)
     if n == 0:
-        return mpf(1)
-    prev, cur = mpf(1), 2 * x
+        return mpmath.mpf(1)
+    prev, cur = mpmath.mpf(1), 2 * x
     for m in range(1, n):
         prev, cur = cur, 2 * x * cur - 2 * m * prev
     return cur
 
 
-def _mantissas(v: mpc, w: int) -> tuple[int, int, int]:
+def _mantissas(v: mpmath.mpc, w: int) -> tuple[int, int, int]:
     """v as (re, im, e) with v ~ (re + i im) 2^e and max(|re|, |im|) of w bits."""
     parts = (v.real._mpf_, v.imag._mpf_)
     e = max(exp + bc for _, man, exp, bc in parts if man) - w
-    return to_fixed(parts[0], -e), to_fixed(parts[1], -e), e
+    return mpmath.libmp.to_fixed(parts[0], -e), mpmath.libmp.to_fixed(parts[1], -e), e
 
 
 def _cmul(a: tuple[int, int, int], b: tuple[int, int, int], w: int) -> tuple[int, int, int]:
@@ -313,9 +315,9 @@ class _ExpWalk:
     w absorb.
     """
 
-    def __init__(self, z: mpc, D: int, w: int):
-        with mp.workprec(w):
-            g = mp.exp(2j * mp.pi * z / D)
+    def __init__(self, z: mpmath.mpc, D: int, w: int):
+        with mpmath.workprec(w):
+            g = mpmath.exp(2j * mpmath.pi * z / D)
         one = (1 << (w - 1), 0, 1 - w)
         self.w = w
         self.pows = {1: _mantissas(g, w)}
@@ -375,21 +377,21 @@ def _moment_guard(top: int) -> int:
     return max(80, top + 16)
 
 
-def _moment_sum(h: int, weight: Fraction, D: int, ure: list, uim: list, y: mpf, w: int) -> mpc:
+def _moment_sum(h: int, weight: Fraction, D: int, ure: list, uim: list, y: mpmath.mpf, w: int) -> mpmath.mpc:
     """D^-h sum_j c_j g^(h-j) U_j, g = D/(4 pi y s), c_j from ``_expansion``.
 
     One integer Horner pass in g at W = mp.prec + 2h + 32 bits; the moments
     U_j are ints at 2^-w.
     """
     coeffs = _expansion(h, weight.numerator, weight.denominator)
-    W = mp.prec + 2 * h + 32
-    with mp.workprec(W + 8):
-        g = to_fixed((D / (4 * mp.pi * y * weight.denominator))._mpf_, W)
+    W = mpmath.mp.prec + 2 * h + 32
+    with mpmath.workprec(W + 8):
+        g = mpmath.libmp.to_fixed((D / (4 * mpmath.pi * y * weight.denominator))._mpf_, W)
     re, im = coeffs[0] * ure[0], coeffs[0] * uim[0]
     for j in range(1, h + 1):
         re = ((re * g) >> W) + coeffs[j] * ure[j]
         im = ((im * g) >> W) + coeffs[j] * uim[j]
-    return mpc(mpf((re, -w)), mpf((im, -w))) / D ** h
+    return mpmath.mpc(mpmath.mpf((re, -w)), mpmath.mpf((im, -w))) / D ** h
 
 
 def ms_derivative(series: Series, weight, h, z, precision: int = 256):
@@ -434,13 +436,13 @@ def ms_derivative(series: Series, weight, h, z, precision: int = 256):
     weight = Fraction(weight)
     if weight <= 0:
         raise ValueError(f"weight must be > 0 for the stop bound, got {weight}")
-    with mp.workprec(precision + _GUARD):
+    with mpmath.workprec(precision + _GUARD):
         zz = _as_point(z)
         y = zz.imag
         if y <= 0:
             raise ValueError("evaluation point must lie in the upper half plane")
         top = max(orders, default=0)
-        w = mp.prec + _WALK_GUARD + _moment_guard(top)
+        w = mpmath.mp.prec + _WALK_GUARD + _moment_guard(top)
         small = -2 * (precision + 10)  # log2 of the squared stop threshold
         alpha = weight - 1
         walk, D = None, 1  # D: the denominator of every mu, read from the first term
@@ -448,8 +450,8 @@ def ms_derivative(series: Series, weight, h, z, precision: int = 256):
         read: list = [None] * len(orders)  # the moments each order stopped at
         small_streak = [0] * len(orders)
         active = list(range(len(orders)))  # positions of the orders still summing
-        with mp.workprec(64):  # the stop bounds only
-            minus_4piy = -4 * mp.pi * y
+        with mpmath.workprec(64):  # the stop bounds only
+            minus_4piy = -4 * mpmath.pi * y
             for count, (mu, a) in enumerate(series()):
                 if walk is None:
                     D = mu.denominator
@@ -492,41 +494,41 @@ def ms_derivative(series: Series, weight, h, z, precision: int = 256):
         return derivatives[0] if isinstance(h, int) else derivatives
 
 
-def e2star(z, precision: int = 256) -> mpc:
+def e2star(z, precision: int = 256) -> mpmath.mpc:
     """E_2(z) - 3/(pi y); vanishes at the CM points i and omega."""
-    with mp.workprec(precision + _GUARD):
+    with mpmath.workprec(precision + _GUARD):
         zz = _as_point(z)
         value = ms_derivative(E2, 2, 0, zz, precision)  # order 0: plain evaluation
-        return value - 3 / (mp.pi * zz.imag)
+        return value - 3 / (mpmath.pi * zz.imag)
 
 
 @functools.cache  # a pure function of precision: every verify row at one precision shares it
-def omega_E(precision: int = 256) -> mpf:
+def omega_E(precision: int = 256) -> mpmath.mpf:
     """gamma(1/4)^2 / (2 sqrt(pi)) = pi sqrt(2) / agm(sqrt(2), 1).
 
     From gamma(1/4)^2 = (2 pi)^(3/2) / agm(sqrt(2), 1) (Borwein & Borwein, *Pi and
     the AGM*, 1987); rounded to precision + _GUARD bits.
     """
-    with mp.workprec(precision + _PERIOD_GUARD):
-        v = mp.pi * mp.sqrt(2) / mp.agm(mp.sqrt(2), 1)
-    with mp.workprec(precision + _GUARD):
+    with mpmath.workprec(precision + _PERIOD_GUARD):
+        v = mpmath.pi * mpmath.sqrt(2) / mpmath.agm(mpmath.sqrt(2), 1)
+    with mpmath.workprec(precision + _GUARD):
         return +v
 
 
 @functools.cache
-def omega_A(precision: int = 256) -> mpf:
+def omega_A(precision: int = 256) -> mpmath.mpf:
     """gamma(1/3)^3 / (2 pi sqrt(3)), with gamma(1/3)^3 = 2^(7/3) pi K(k3) / 3^(1/4).
 
     K(k) = pi / (2 agm(1, sqrt(1 - k^2))) is the complete elliptic integral at the
     singular modulus k3 = (sqrt(6) - sqrt(2)) / 4 (Borwein & Borwein, *Pi and the
     AGM*, 1987); rounded to precision + _GUARD bits.
     """
-    with mp.workprec(precision + _PERIOD_GUARD):
-        k3 = (mp.sqrt(6) - mp.sqrt(2)) / 4
-        K = mp.pi / (2 * mp.agm(1, mp.sqrt(1 - k3 ** 2)))
-        gamma3 = mp.cbrt(2) ** 7 * mp.pi * K / mp.root(3, 4)
-        v = gamma3 / (2 * mp.pi * mp.sqrt(3))
-    with mp.workprec(precision + _GUARD):
+    with mpmath.workprec(precision + _PERIOD_GUARD):
+        k3 = (mpmath.sqrt(6) - mpmath.sqrt(2)) / 4
+        K = mpmath.pi / (2 * mpmath.agm(1, mpmath.sqrt(1 - k3 ** 2)))
+        gamma3 = mpmath.cbrt(2) ** 7 * mpmath.pi * K / mpmath.root(3, 4)
+        v = gamma3 / (2 * mpmath.pi * mpmath.sqrt(3))
+    with mpmath.workprec(precision + _GUARD):
         return +v
 
 
@@ -555,7 +557,7 @@ def _at(form, x):
     return form[0] * x + form[1]
 
 
-def _squared_derivatives(row: _Identity, orders: list[int], precision: int) -> list[mpf]:
+def _squared_derivatives(row: _Identity, orders: list[int], precision: int) -> list[mpmath.mpf]:
     """|d^(order) series at point|^2 for each order, from one pass over the series."""
     derivatives = ms_derivative(row.series, row.weight, tuple(orders), row.point, precision)
     return [abs(d) ** 2 for d in derivatives]
@@ -569,27 +571,27 @@ def _constants(row: _Identity, orders: list[int]) -> list[Fraction]:
 
 
 @functools.cache  # like the periods: every verify row at one precision shares it
-def _root(base: int, q: int, prec: int) -> mpf:
-    with mp.workprec(prec):
-        return mp.root(base, q)
+def _root(base: int, q: int, prec: int) -> mpmath.mpf:
+    with mpmath.workprec(prec):
+        return mpmath.root(base, q)
 
 
-def _power(base: int, e) -> mpf:
+def _power(base: int, e) -> mpmath.mpf:
     """base^e for a rational e = whole + rest/q (0 <= rest < q): base^whole by integer powering,
     times base^(1/q) to the rest, with no exp/log."""
     e = Fraction(e)
     whole, rest = divmod(e.numerator, e.denominator)
-    value = mpf(base) ** whole
-    return value * _root(base, e.denominator, mp.prec) ** rest if rest else value
+    value = mpmath.mpf(base) ** whole
+    return value * _root(base, e.denominator, mpmath.mp.prec) ** rest if rest else value
 
 
-def _two_three(e2, e3, k: int) -> mpf:
+def _two_three(e2, e3, k: int) -> mpmath.mpf:
     return _power(2, _at(e2, k)) * _power(3, _at(e3, k))
 
 
-def _closed_form(row: _Identity, k: int, c: Fraction, precision: int) -> mpf:
+def _closed_form(row: _Identity, k: int, c: Fraction, precision: int) -> mpmath.mpf:
     om = omega_E(precision) if row.point == CM_I else omega_A(precision)
-    return (om / mp.pi) ** (2 * k - 1) * _two_three(row.e2, row.e3, k) * _mpf_frac(c) ** 2
+    return (om / mpmath.pi) ** (2 * k - 1) * _two_three(row.e2, row.e3, k) * _mpf_frac(c) ** 2
 
 
 @dataclass(frozen=True)
@@ -599,17 +601,17 @@ class MSDerivativeReport:
     k: int
     order: int             # derivative order h
     constant: str          # the recurrence constant entering the prediction
-    numeric: mpf           # |derivative|^2 at the CM point
-    predicted: mpf         # closed form from the recurrence constant and periods
-    rel_error: mpf         # |numeric - predicted| / predicted, inf when predicted == 0
-    abs_error: mpf
+    numeric: mpmath.mpf    # |derivative|^2 at the CM point
+    predicted: mpmath.mpf  # closed form from the recurrence constant and periods
+    rel_error: mpmath.mpf  # |numeric - predicted| / predicted, inf when predicted == 0
+    abs_error: mpmath.mpf
     vanishing: bool        # predicted side is exactly 0
     precision: int
 
     def as_record(self) -> dict:
         """The fields as JSON values; the mpf ones, kept at working precision, as floats."""
         record = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: float(v) if isinstance(v, mpf) else v for name, v in record.items()}
+        return {name: float(v) if isinstance(v, mpmath.mpf) else v for name, v in record.items()}
 
 
 def _verify(row: _Identity, N, precision: int):
@@ -619,12 +621,12 @@ def _verify(row: _Identity, N, precision: int):
     orders = [_at(row.order, n) for n in Ns]
     constants = _constants(row, orders)
     reports = []
-    with mp.workprec(precision + _GUARD):
+    with mpmath.workprec(precision + _GUARD):
         squares = _squared_derivatives(row, orders, precision)
         for n, k, order, c, numeric in zip(Ns, ks, orders, constants, squares):
             predicted = _closed_form(row, k, c, precision)
             if predicted == 0:
-                rel = mp.inf if numeric != 0 else mpf(0)
+                rel = mpmath.inf if numeric != 0 else mpmath.mpf(0)
             else:
                 rel = abs(numeric - predicted) / abs(predicted)
             reports.append(MSDerivativeReport(
@@ -675,21 +677,22 @@ def _hecke_value(point: str, k, precision: int, from_constants: bool):
     ks = [k] if isinstance(k, int) else list(k)
     if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
-    values = dict.fromkeys(ks, mpf(0))
+    values = dict.fromkeys(ks, mpmath.mpf(0))
     for row in (row for row in _IDENTITIES.values() if row.point == point):
         a, b = row.k
         mine = [kk for kk in ks if kk % a == b]
         if not mine:
             continue
         orders = [_at(row.order, (kk - b) // a) for kk in mine]
-        with mp.workprec(precision + _GUARD):
+        with mpmath.workprec(precision + _GUARD):
             if from_constants:
                 constants = _constants(row, orders)
                 squares = [_closed_form(row, kk, c, precision) for kk, c in zip(mine, constants)]
             else:
                 squares = _squared_derivatives(row, orders, precision)
             for kk, square in zip(mine, squares):
-                values[kk] = _two_three(row.h2, row.h3, kk) * mp.pi ** kk / mp.factorial(kk - 1) * square
+                scale = _two_three(row.h2, row.h3, kk) * mpmath.pi ** kk / mpmath.factorial(kk - 1)
+                values[kk] = scale * square
     return values[k] if isinstance(k, int) else [values[kk] for kk in ks]
 
 
@@ -718,15 +721,15 @@ def hecke_value_A(k, precision: int = 256):
     ks = [k] if isinstance(k, int) else list(k)
     if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
-    with mp.workprec(precision + _GUARD):
+    with mpmath.workprec(precision + _GUARD):
         derivatives = ms_derivative(THETA_HEX, 1, tuple(kk - 1 for kk in ks), CM_OMEGA, precision)
         values = [
             (
-                mpf(-1) ** (kk - 1)
-                * mpf(2) ** (kk - 1)
-                * mpf(3) ** (mpf(kk) / 2 - 2)
-                * mp.pi ** kk
-                / mp.factorial(kk - 1)
+                mpmath.mpf(-1) ** (kk - 1)
+                * mpmath.mpf(2) ** (kk - 1)
+                * mpmath.mpf(3) ** (mpmath.mpf(kk) / 2 - 2)
+                * mpmath.pi ** kk
+                / mpmath.factorial(kk - 1)
                 * d
             ).real  # imaginary part vanishes to working precision
             for kk, d in zip(ks, derivatives)
@@ -753,21 +756,21 @@ def lattice_theta_identity_gap(order: int, precision: int = 128, cutoff: int = 4
     """
     if order % 2 != 0:
         raise ValueError("only even orders are exercised here")
-    with mp.workprec(precision + _GUARD):
-        pi = mp.pi
-        lhs = mpf(0)
+    with mpmath.workprec(precision + _GUARD):
+        pi = mpmath.pi
+        lhs = mpmath.mpf(0)
         for n in range(-cutoff, cutoff + 1):
             for m in range(-cutoff, cutoff + 1):
                 q2 = n * n + m * m
                 sign = (-1) ** (n + n * m)
-                lhs += sign * laguerre(order, 0, pi * q2) * mp.exp(-pi * mpf(q2) / 2)
-        lhs *= mpf(-1) ** order * mp.factorial(order) / pi ** order
+                lhs += sign * laguerre(order, 0, pi * q2) * mpmath.exp(-pi * mpmath.mpf(q2) / 2)
+        lhs *= mpmath.mpf(-1) ** order * mpmath.factorial(order) / pi ** order
         # theta_(order)[1/2; 0](i) as a Hermite-weighted half-integer theta sum
-        s = mpf(0)
-        root = mp.sqrt(2 * pi)
+        s = mpmath.mpf(0)
+        root = mpmath.sqrt(2 * pi)
         for j in range(0, cutoff):
-            x = mpf(2 * j + 1) / 2
-            s += 2 * hermite(order, x * root) * mp.exp(-pi * x * x)
-        theta_p = (2 * pi) ** (-mpf(order) / 2) * s  # i^{-order} dropped: modulus only
-        rhs = mpf(-1) ** order * mp.sqrt(mpf(2)) * theta_p ** 2
+            x = mpmath.mpf(2 * j + 1) / 2
+            s += 2 * hermite(order, x * root) * mpmath.exp(-pi * x * x)
+        theta_p = (2 * pi) ** (-mpmath.mpf(order) / 2) * s  # i^{-order} dropped: modulus only
+        rhs = mpmath.mpf(-1) ** order * mpmath.sqrt(mpmath.mpf(2)) * theta_p ** 2
         return float(abs(lhs - rhs) / abs(rhs))

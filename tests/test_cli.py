@@ -105,6 +105,14 @@ class TestCriterion:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("rankcrit: error: modulus") and "overflow" in err
 
+    def test_cross_check_failure_exits_2(self, capsys, monkeypatch):
+        def disagree(*args, **kwargs):
+            raise cli.criteria.CrossCheckError("a-path and x-path disagree")
+
+        monkeypatch.setattr(cli.criteria, "scan", disagree)
+        code, out, err = run(capsys, "criterion", "--family", "Ap", "--range", "2..60", "--format", "json")
+        assert (code, out, err) == (2, "", "rankcrit: cross-check failure: a-path and x-path disagree\n")
+
     def test_csv_table(self, capsys):
         code, out, _ = run(capsys, "criterion", "--family", "Ep", "--range", "2..460", "--format", "csv")
         assert code == 0

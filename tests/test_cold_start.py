@@ -1,7 +1,10 @@
-"""What a fresh interpreter imports: numpy only at the first kernel call, the process pool only for --jobs > 1.
+"""What a fresh interpreter loads: numpy, mpmath and the criteria, lseries, maass and symbolic
+layers only for the subcommands that run them, and the process pool only for --jobs > 1.
 
-Each check runs ``cli.main`` in a new ``python`` with ``PYTHONPATH=src``, so
-that nothing the test session imported is already in ``sys.modules``.
+Each check runs in a new ``python`` with ``PYTHONPATH=src``, so that nothing the test session
+imported is already in ``sys.modules``.  A module made by ``rankcrit._lazy`` counts as loaded
+once it has executed: its type is then ``ModuleType`` (``type`` reads no attribute, so the
+check does not execute it).
 """
 
 import json
@@ -10,23 +13,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rankcrit.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs each argv list given on stdin through cli.main and prints, as JSON, the exit code and
-# stdout of each, and which of the watched modules were loaded after each.
-_SCRIPT = """
+LAYERS = ("criteria", "lseries", "maass", "symbolic")
+WATCHED = ("numpy", "mpmath", *(f"rankcrit.{layer}" for layer in LAYERS), "concurrent.futures.process")
+
+# Runs the argv list given on stdin through cli.main and prints, as JSON, the exit code, the
+# stdout and which of the watched modules have executed.
+_SCRIPT = f"""
 import contextlib, io, json, sys
+from types import ModuleType
 from rankcrit import cli
-watched = ("numpy._core", "concurrent.futures.process")
-out = []
-for argv in json.load(sys.stdin):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(argv)
-    out.append([code, buf.getvalue(), [m for m in watched if m in sys.modules]])
-print(json.dumps(out))
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = cli.main(json.load(sys.stdin))
+print(json.dumps([code, buf.getvalue(), [m for m in {WATCHED!r} if type(sys.modules.get(m)) is ModuleType]]))
 """
 
 # Checks that numpy is loaded when the process pool of a --jobs 2 scan starts.
@@ -45,31 +50,66 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, seen)
 """
 
-LIGHT = [["poly", "--family", "f", "--n", "40"],
-         ["verify", "--thm", "5", "--max-n", "2"],
-         ["verify", "--symbolic", "--max-n", "6"]]
-HEAVY = [["criterion", "--family", "Ep", "--range", "2..200", "--format", "json", "--jobs", "1"],
-         ["oracle", "--p", "73", "--no-cache", "--format", "json"]]
+# Imports the modules named on the command line, in that order, then prints, as JSON, the
+# rankcrit submodules in sys.modules that are not bound on the package (before and after a
+# star import), the names of __all__ that do not resolve, that the star import misses and
+# that dir() misses, and whether rankcrit.criteria.scan and the like resolve.
+_PACKAGE_SCRIPT = f"""
+import json, sys
+for name in sys.argv[1:]:
+    __import__(name)
+import rankcrit
+
+def unbound():
+    return sorted(n for n, m in list(sys.modules.items())
+                  if n.startswith("rankcrit.") and vars(rankcrit).get(n.split(".")[1]) is not m)
+
+before = unbound()
+star = {{}}
+exec("from rankcrit import *", star)
+print(json.dumps({{
+    "unbound": before + unbound(),
+    "unresolved": [n for n in rankcrit.__all__ if not hasattr(rankcrit, n)],
+    "star": sorted(set(rankcrit.__all__) - set(star)),
+    "dir": sorted({{*rankcrit.__all__, *{LAYERS!r}}} - set(dir(rankcrit))),
+    "layers": [rankcrit.criteria.scan is rankcrit.scan, rankcrit.lseries.sp is rankcrit.sp,
+               rankcrit.maass.laguerre is rankcrit.laguerre, rankcrit.symbolic.vz_sequence is rankcrit.vz_sequence],
+}}))
+"""
+
+# Each subcommand, its exit code and the watched modules it executes.
+RUNS = [
+    (["poly", "--family", "f", "--n", "40"], 0, []),
+    (["poly", "--n", "-1"], 1, []),
+    (["verify", "--thm", "5", "--max-n", "2", "--format", "json"], 0, ["mpmath", "rankcrit.maass"]),
+    (["verify", "--symbolic", "--max-n", "6", "--format", "json"], 0, ["rankcrit.maass", "rankcrit.symbolic"]),
+    (["criterion", "--family", "Ep", "--range", "2..200", "--format", "json", "--jobs", "1"], 0,
+     ["numpy", "rankcrit.criteria"]),
+    (["oracle", "--p", "73", "--no-cache", "--format", "json"], 0, ["numpy", "rankcrit.lseries"]),
+]
 
 
-def _fresh(script: str, stdin: str = "") -> str:
+def _fresh(script: str, stdin: str = "", args: tuple = ()) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", script], input=stdin, env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script, *args], input=stdin, env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-def test_numpy_loads_only_at_the_first_kernel_call(capsys):
-    runs = json.loads(_fresh(_SCRIPT, json.dumps(LIGHT + HEAVY)))
-    for argv, (code, _, loaded) in zip(LIGHT, runs):
-        assert code == 0, argv
-        assert loaded == [], argv
-    for argv, (code, out, loaded) in zip(HEAVY, runs[len(LIGHT):]):
-        assert "numpy._core" in loaded, argv
-        assert "concurrent.futures.process" not in loaded, argv
+def test_each_subcommand_loads_only_what_it_runs(capsys):
+    for argv, exit_code, executed in RUNS:
+        code, out, loaded = json.loads(_fresh(_SCRIPT, json.dumps(argv)))
+        assert loaded == executed, argv
         assert (code, out) == (main(argv), capsys.readouterr().out), argv
+        assert code == exit_code, argv
 
 
 def test_pool_starts_after_numpy_loads():
     assert _fresh(_POOL_SCRIPT).split() == ["0", "[True]"]
+
+
+@pytest.mark.parametrize("imports", [(), ("rankcrit.cli", "rankcrit.criteria"), ("rankcrit.criteria", "rankcrit.cli")])
+def test_package_names_resolve_in_any_import_order(imports):
+    got = json.loads(_fresh(_PACKAGE_SCRIPT, args=imports))
+    assert got == {"unbound": [], "unresolved": [], "star": [], "dir": [], "layers": [True] * 4}

@@ -719,6 +719,14 @@ class TestL1:
         assert bound < 1e-8
         assert terms >= 100
 
+    def test_sp_computes_the_conductor_once(self, monkeypatch):
+        calls = []
+        real = lseries.conductor
+        monkeypatch.setattr(lseries, "conductor", lambda curve: calls.append(curve) or real(curve))
+        report = sp(73)
+        assert calls == [curve_ep(73)]
+        assert report.conductor == real(curve_ep(73))
+
     def test_rejects_tiny_tol(self):
         with pytest.raises(ValueError):
             l1(curve_ep(17), 1e-13)

@@ -218,6 +218,13 @@ class TestHexCount:
     def test_matches_box_count(self):
         assert [_hex_count(f) for f in range(3000)] == _hex_counts_box(3000)
 
+    def test_theta_hex_counts_each_f_once(self):
+        _hex_count.cache_clear()
+        terms = list(itertools.islice(THETA_HEX(), 36))
+        counted = _hex_count.cache_info().misses
+        assert list(itertools.islice(THETA_HEX(), 36)) == terms
+        assert _hex_count.cache_info().misses == counted == terms[-1][0] + 1
+
 
 @functools.cache  # shared by the one-order and the one-pass tests
 def _ms_derivative_mpf(series, weight, h: int, z, precision: int) -> mpc:
