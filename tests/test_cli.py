@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -499,13 +500,86 @@ class TestVerify:
         assert "did not reach the truncation threshold" in err
 
 
+# The sha256 of the pretty and CSV outputs not pinned above, as the CLI printed them before its
+# output paths were merged into one.
+@pytest.mark.parametrize("argv, digest", [
+    ("criterion --family Ep --range 2..460 --no-timestamp",
+     "347f5061dc7ab730faf50b3e737d39c715959b39f7ff2dae4df8c78c9109b99d"),
+    ("criterion --family Ap --range 2..200 --no-timestamp",
+     "0f9b943883bbab306c43c9f7ebf3b152fbe5329be09260d7300e3348a0d7da4c"),
+    ("criterion --family Ep --range 2..460 --format csv",
+     "862ea0f07fce145bd01daa9f96ef159d5973a5a0ae045514a6f336abb7a88218"),
+    ("criterion --family Ap --range 2..200 --format csv",
+     "74acbb87066c1fb46548ee05a9d1b677234d4e5509db97359b859efdbb811ff4"),
+    ("oracle --p 17 --no-cache --no-timestamp", "8a4bb1adf8071acc2e819208a466e0f4baad04eeef0b8c3eecf808313c6d90df"),
+    ("verify --symbolic --max-n 8 --no-timestamp", "42d75075032d2bf03f9d0e8172652a184a3c5388fe3f6af683c54ccc697517cf"),
+    ("verify --thm 5 --max-n 3 --no-timestamp", "015ea2776f417385369d27b8a870ee0dd0631ed0b46926e4c7a053ac23edd205"),
+])
+def test_pinned_output_digest(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", ["criterion --family Ap --range 2..200", "oracle --p 17 --no-cache",
+                                  "verify --thm 5 --max-n 3"])
+def test_pretty_header_then_the_no_timestamp_output(capsys, argv):
+    _, out, _ = run(capsys, *argv.split())
+    _, bare, _ = run(capsys, *argv.split(), "--no-timestamp")
+    header, _, rest = out.partition("\n")
+    assert header.startswith("# generated 2") and header.endswith("+00:00") and rest == bare
+
+
+# Every usage error the subcommands report themselves: exit 1, nothing on stdout, one stderr line.
+@pytest.mark.parametrize("argv, message", [
+    ("poly --emit-table 4 --n 3", "poly: error: --emit-table takes neither --n nor --mod"),
+    ("poly --emit-table 2 --family x", "poly: error: --emit-table 2 prints the x table and takes no --family"),
+    ("poly --family f", "poly: error: --n is required unless --emit-table is given"),
+    ("criterion --family Ep --range 2..50 --jobs 0", "criterion: error: --jobs must be >= 1, got 0"),
+    ("verify --format json", "verify: error: give --thm {3|4|5|6} or --symbolic"),
+    ("verify --symbolic --max-n -1", "verify: error: --max-n must be >= 0, got -1"),
+    ("verify --thm 5 --precision 10", "verify: error: --precision must be >= 64, got 10"),
+])
+def test_usage_error_message(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (1, "", message + "\n")
+
+
+JOBS = os.cpu_count() or 1
+
+# Each subcommand's options: {flag: (default, choices, required)}.
+SURFACE = {
+    "poly": {"--family": (None, ["a", "f", "x", "y", "z"], False), "--n": (None, None, False),
+             "--mod": (None, None, False), "--emit-table": (None, ["1", "2", "4"], False)},
+    "criterion": {"--family": (None, ["Ep", "Ap"], True), "--range": (None, None, True),
+                  "--jobs": (JOBS, None, False), "--format": ("pretty", ["csv", "json", "pretty"], False),
+                  "--no-timestamp": (False, None, False)},
+    "oracle": {"--p": (None, None, True), "--family": ("Ep", ["Ep", "Ap"], False), "--tol": (1e-08, None, False),
+               "--jobs": (JOBS, None, False), "--format": ("pretty", ["json", "pretty"], False),
+               "--no-cache": (False, None, False), "--cache": (None, None, False),
+               "--no-timestamp": (False, None, False)},
+    "verify": {"--thm": (None, ["3", "4", "5", "6"], False), "--symbolic": (False, None, False),
+               "--max-n": (6, None, False), "--precision": (256, None, False),
+               "--format": ("pretty", ["json", "pretty"], False), "--no-timestamp": (False, None, False)},
+}
+
+
+def test_cli_surface():
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {a.option_strings[0]: (a.default, a.choices and list(a.choices), a.required)
+                  for a in parser._actions if a.option_strings != ["-h", "--help"]}
+           for name, parser in sub.choices.items()}
+    assert got == SURFACE
+
+
 class TestModuleEntry:
     def test_python_m_rankcrit_is_main(self, capsys):
         src = str(Path(rankcrit.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         for argv in (["criterion", "--family", "Ap", "--range", "2..100", "--format", "json"],
                      ["poly", "--family", "x", "--n", "6", "--mod", "19"],
-                     ["criterion", "--family", "Ep", "--range", "2..100", "--jobs", "0"]):
+                     ["criterion", "--family", "Ep", "--range", "2..100", "--jobs", "0"],
+                     ["oracle", "--p", "17", "--no-cache", "--no-timestamp"],
+                     ["verify", "--thm", "5", "--precision", "10"]):
             proc = subprocess.run([sys.executable, "-m", "rankcrit", *argv], capture_output=True, text=True,
                                   env=env, timeout=120)
             assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
