@@ -36,19 +36,6 @@ from .recurrences import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "render",
-    "A_VZ", "F_E", "FAMILIES", "X_A", "Y_A", "Z_A",
-    "constant_term_mod", "constant_terms_mod", "generate", "generate_all", "step",
-    "CriterionVerdict", "CrossCheckError", "admissible", "scan",
-    "sp_congruence_rhs", "verdict_Ap", "verdict_Ep",
-    "CurveSpec", "LValueReport", "an_list", "ap", "conductor",
-    "curve_ap", "curve_ep", "l1", "sp",
-    "MSDerivativeReport", "e2star", "hermite", "laguerre", "ms_derivative",
-    "omega_A", "omega_E", "verify_eta_identity", "verify_theta2_identity",
-    "ThetaPolynomial", "normalize_to_t", "rs_derivation", "vz_sequence",
-]
-
 # The names of the layers that load at their first read, by layer.
 _LAZY = {
     "criteria": ("CriterionVerdict", "CrossCheckError", "admissible", "scan",
@@ -59,6 +46,12 @@ _LAZY = {
               "omega_A", "omega_E", "verify_eta_identity", "verify_theta2_identity"),
     "symbolic": ("ThetaPolynomial", "normalize_to_t", "rs_derivation", "vz_sequence"),
 }
+__all__ = [
+    "render",
+    "A_VZ", "F_E", "FAMILIES", "X_A", "Y_A", "Z_A",
+    "constant_term_mod", "constant_terms_mod", "generate", "generate_all", "step",
+    *(name for names in _LAZY.values() for name in names),
+]
 _HOME = {name: layer for layer, names in _LAZY.items() for name in (layer, *names)}
 
 

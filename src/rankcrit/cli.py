@@ -42,11 +42,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _print_header(args) -> None:
+def _usage(args, message: str) -> int:
+    print(f"{args.command}: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _emit(args, records, pretty, sort_keys: bool = True) -> None:
+    """JSON lines, or the `# generated` header (unless --no-timestamp) and pretty(record) for each."""
+    if args.format == "json":
+        for rec in records:
+            print(json.dumps(rec, sort_keys=sort_keys))
+        return
     if not args.no_timestamp:
         from datetime import datetime, timezone
 
         print(f"# generated {datetime.now(timezone.utc).isoformat()}")
+    for rec in records:
+        print(pretty(rec))
 
 
 # ---------------------------------------------------------------------------
@@ -59,29 +71,21 @@ _TABLE_FAMILY = {"1": "a", "2": "x", "4": "f"}
 def _cmd_poly(args) -> int:
     if args.emit_table:
         if args.n is not None or args.mod is not None:
-            print("poly: error: --emit-table takes neither --n nor --mod", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage(args, "--emit-table takes neither --n nor --mod")
         key = _TABLE_FAMILY[args.emit_table]
         if args.family is not None:
-            print(f"poly: error: --emit-table {args.emit_table} prints the {key} table and takes no --family",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        family = recurrences.FAMILIES[key]
-        polys = recurrences.generate_all(family, 9)
-        print(f"n  {family.key}_n(t)")
-        for n, poly in enumerate(polys):
+            return _usage(args,
+                          f"--emit-table {args.emit_table} prints the {key} table and takes no --family")
+        print(f"n  {key}_n(t)")
+        for n, poly in enumerate(recurrences.generate_all(recurrences.FAMILIES[key], 9)):
             print(f"{n}  {polyring.render(poly)}")
         return EXIT_OK
     if args.n is None:
-        print("poly: error: --n is required unless --emit-table is given", file=sys.stderr)
-        return EXIT_USAGE
-    family = recurrences.FAMILIES[args.family or "f"]
+        return _usage(args, "--n is required unless --emit-table is given")
+    poly = recurrences.generate(recurrences.FAMILIES[args.family or "f"], args.n, args.mod)
+    print(polyring.render(poly))
     if args.mod is not None:
-        poly = recurrences.generate(family, args.n, args.mod)
-        print(polyring.render(poly))
         print(f"constant term mod {args.mod}: {polyring.constant_term(poly)}")
-    else:
-        print(polyring.render(recurrences.generate(family, args.n)))
     return EXIT_OK
 
 
@@ -100,33 +104,27 @@ def _parse_range(text: str) -> tuple[int, int]:
 _CRITERION_FIELDS = ["p", "family", "index", "k", "residue", "divisible", "predicted_rank_bsd", "path"]
 
 
+def _criterion_line(rec: dict) -> str:
+    return (f"p={rec['p']:<6d} index={rec['index']:<5d} k={rec['k']:<5d} "
+            f"path={rec['path']} residue={rec['residue']:<6d} "
+            f"divisible={str(rec['divisible']).lower():5s} rank_bsd={rec['predicted_rank_bsd']}")
+
+
 def _cmd_criterion(args) -> int:
     if args.jobs < 1:
-        print(f"criterion: error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(args, f"--jobs must be >= 1, got {args.jobs}")
     lo, hi = _parse_range(args.range)
-    verdicts = criteria.scan(args.family, lo, hi, jobs=args.jobs)
-    records = [v.as_record() for v in verdicts]
+    records = [v.as_record() for v in criteria.scan(args.family, lo, hi, jobs=args.jobs)]
     if args.format == "csv":
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_CRITERION_FIELDS)
         for rec in records:
-            writer.writerow(
-                [str(rec[f]).lower() if isinstance(rec[f], bool) else rec[f] for f in _CRITERION_FIELDS]
-            )
-    elif args.format == "json":
-        for rec in records:
-            print(json.dumps({f: rec[f] for f in _CRITERION_FIELDS}))
+            row = [rec[f] for f in _CRITERION_FIELDS]
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
     else:
-        _print_header(args)
-        for rec in records:
-            print(
-                f"p={rec['p']:<6d} index={rec['index']:<5d} k={rec['k']:<5d} "
-                f"path={rec['path']} residue={rec['residue']:<6d} "
-                f"divisible={str(rec['divisible']).lower():5s} rank_bsd={rec['predicted_rank_bsd']}"
-            )
+        _emit(args, records, _criterion_line, sort_keys=False)  # JSON in the record's field order
     return EXIT_OK
 
 
@@ -225,30 +223,13 @@ def _cmd_oracle(args) -> int:
         record = report.as_record()
         if not args.no_cache:
             _cache_store(cache, key, record, replace=stale)
-    if args.format == "json":
-        print(json.dumps(record, sort_keys=True))
-    else:
-        _print_header(args)
-        for k in _report_fields():
-            print(f"{k}: {record[k]}")
+    _emit(args, [record], lambda rec: "\n".join(f"{k}: {rec[k]}" for k in _report_fields()))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-def _emit_reports(args, rows: list[dict], ok_all: bool) -> int:
-    if args.format == "json":
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    else:
-        _print_header(args)
-        for row in rows:
-            bits = " ".join(f"{k}={v}" for k, v in row.items())
-            print(bits)
-    return EXIT_OK if ok_all else EXIT_CROSSCHECK
-
 
 def _within_precision(err, precision: int) -> bool:
     """`verify`'s one ok rule: an error of at most 2^-precision.
@@ -317,20 +298,13 @@ _THM_ROWS = {"3": _thm3_rows, "4": _thm4_rows, "5": _thm5_rows, "6": _thm6_rows}
 
 
 def _cmd_verify(args) -> int:
-    if args.symbolic:
-        rows_of = _symbolic_rows
-    elif args.thm is None:
-        print("verify: error: give --thm {3|4|5|6} or --symbolic", file=sys.stderr)
-        return EXIT_USAGE
-    else:
-        rows_of = _THM_ROWS[args.thm]
+    rows_of = _symbolic_rows if args.symbolic else _THM_ROWS.get(args.thm)
+    if rows_of is None:
+        return _usage(args, "give --thm {3|4|5|6} or --symbolic")
     if args.max_n < 0:
-        print(f"verify: error: --max-n must be >= 0, got {args.max_n}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.precision < maass.MIN_PRECISION:
-        print(f"verify: error: --precision must be >= {maass.MIN_PRECISION}, got {args.precision}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(args, f"--max-n must be >= 0, got {args.max_n}")
+    if args.thm and args.precision < maass.MIN_PRECISION:  # the symbolic route takes no precision
+        return _usage(args, f"--precision must be >= {maass.MIN_PRECISION}, got {args.precision}")
     rows = []
     ok_all = True
     try:
@@ -340,7 +314,8 @@ def _cmd_verify(args) -> int:
     except maass.PrecisionError as exc:
         print(f"verify: non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    return _emit_reports(args, rows, ok_all)
+    _emit(args, rows, lambda row: " ".join(f"{k}={v}" for k, v in row.items()))
+    return EXIT_OK if ok_all else EXIT_CROSSCHECK
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +329,13 @@ def _build_parser() -> _Parser:
     p_poly.add_argument("--family", choices=sorted(recurrences.FAMILIES), help="default: f")
     p_poly.add_argument("--n", type=int)
     p_poly.add_argument("--mod", type=int)
-    p_poly.add_argument("--emit-table", choices=["1", "2", "4"])
+    p_poly.add_argument("--emit-table", choices=sorted(_TABLE_FAMILY))
     p_poly.set_defaults(func=_cmd_poly)
 
     p_crit = sub.add_parser("criterion", help="scan a prime range for rank verdicts")
     p_crit.add_argument("--family", choices=["Ep", "Ap"], required=True)
     p_crit.add_argument("--range", required=True, help="LO..HI inclusive")
     p_crit.add_argument("--jobs", type=int, default=DEFAULT_JOBS)
-    p_crit.add_argument("--format", choices=["csv", "json", "pretty"], default="pretty")
-    p_crit.add_argument("--no-timestamp", action="store_true")
     p_crit.set_defaults(func=_cmd_criterion)
 
     p_oracle = sub.add_parser("oracle", help="numerical L(1) and normalized central value")
@@ -370,21 +343,23 @@ def _build_parser() -> _Parser:
     p_oracle.add_argument("--family", choices=["Ep", "Ap"], default="Ep")
     p_oracle.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_oracle.add_argument("--jobs", type=int, default=DEFAULT_JOBS, help="accepted; has no effect on oracle")
-    p_oracle.add_argument("--format", choices=["json", "pretty"], default="pretty")
     p_oracle.add_argument("--no-cache", action="store_true")
     p_oracle.add_argument("--cache", help="cache file path (else $RANKCRIT_CACHE or ~/.cache/rankcrit)")
-    p_oracle.add_argument("--no-timestamp", action="store_true")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="numeric and symbolic identity checks")
     mode = p_verify.add_mutually_exclusive_group()
-    mode.add_argument("--thm", choices=["3", "4", "5", "6"])
+    mode.add_argument("--thm", choices=sorted(_THM_ROWS))
     mode.add_argument("--symbolic", action="store_true")
     p_verify.add_argument("--max-n", type=int, default=6)
     p_verify.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p_verify.add_argument("--format", choices=["json", "pretty"], default="pretty")
-    p_verify.add_argument("--no-timestamp", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
+
+    # the output flags, the same on each subcommand that prints records (see _emit)
+    for p_out, formats in ((p_crit, ["csv", "json", "pretty"]), (p_oracle, ["json", "pretty"]),
+                           (p_verify, ["json", "pretty"])):
+        p_out.add_argument("--format", choices=formats, default="pretty")
+        p_out.add_argument("--no-timestamp", action="store_true")
 
     return parser
 

@@ -483,11 +483,17 @@ class TestVerify:
         assert code == 1 and out == ""
         assert "--max-n must be >= 0" in err
 
-    @pytest.mark.parametrize("mode", [["--symbolic"], ["--thm", "3"], ["--thm", "4"], ["--thm", "5"], ["--thm", "6"]])
+    @pytest.mark.parametrize("mode", [["--thm", "3"], ["--thm", "4"], ["--thm", "5"], ["--thm", "6"]])
     def test_low_precision_usage_error(self, capsys, mode):
         code, out, err = run(capsys, "verify", *mode, "--precision", "10", "--format", "json")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "--precision must be >= 64, got 10" in err
+
+    def test_symbolic_takes_any_precision(self, capsys):
+        argv = ("verify", "--symbolic", "--max-n", "6", "--no-timestamp")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out.count("match=True") == 7
+        assert run(capsys, *argv, "--precision", "10") == (code, out, err)
 
     def test_series_past_term_limit_is_nonconvergence(self, capsys, monkeypatch):
         def endless():
