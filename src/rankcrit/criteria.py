@@ -2,7 +2,7 @@
 
 For y^2 = x^3 + p x (family "Ep", p = 1 or 9 mod 16) the tested quantity is
 f_{3(p-1)/8}(0) mod p; for x^3 + y^3 = p (family "Ap", p = 1 mod 9) both
-a_{(p-1)/3}(0) and x_{(p-1)/3}(0) are tested and must agree on divisibility.
+a_{(p-1)/3}(0) and x_{(p-1)/3}(0) are tested and must agree, residue and all.
 Divisibility predicts rank 2 under BSD, non-divisibility rank 0.
 """
 
@@ -16,7 +16,8 @@ from .recurrences import A_VZ, F_E, X_A, constant_term_mod, constant_terms_mod, 
 
 
 class CrossCheckError(RuntimeError):
-    """The a-path and x-path divisibility verdicts disagree (implementation bug)."""
+    """The a-path and x-path verdicts disagree, on divisibility or on the residue
+    (implementation bug)."""
 
 
 class Admissibility(NamedTuple):
@@ -114,10 +115,18 @@ def verdict_Ap(p: int) -> tuple[CriterionVerdict, CriterionVerdict]:
 
 
 def _cross_check(p: int, va: CriterionVerdict, vx: CriterionVerdict) -> None:
+    """CrossCheckError unless the two paths agree on divisibility and on the residue.
+
+    The residues agree because a_n(0) = (-1)^n x_n(0) and N = (p-1)/3 is even.  That
+    identity is checked (as integers for every n <= 600, and for the residues of every
+    admissible p < 20000), not proven; a path that kept divisibility but changed its
+    residue would pass a divisibility check unseen."""
     if va.divisible != vx.divisible:
         raise CrossCheckError(
             f"p={p}: a-path residue {va.residue} and x-path residue {vx.residue} disagree on divisibility"
         )
+    if va.residue != vx.residue:
+        raise CrossCheckError(f"p={p}: a-path residue {va.residue} and x-path residue {vx.residue} differ")
 
 
 # The recurrence families behind each curve family's verdicts, in record order.

@@ -53,6 +53,14 @@ about N/2 passes instead of N (``_both_ends``).  A pass costs 15-25 us of
 numpy call overhead at p near 1000, so on a 2-vCPU VM a verdict at Ep 1201
 or Ap 1063 ran about 1.35x faster than one window stepped N times, and the
 Ap 2..500 scan about 1.8x faster than two scans one path at a time.
+
+Every pass reduces its output once; the elementwise work before that is cut
+two ways.  F_n', a derivative weight times a residue, meets the D taps
+unreduced wherever the sums still fit int64: for residue taps (a lone target,
+``generate(family, N, p)``) while p < ``_P_UNREDUCED``, about 1.01e6, and
+for a batch's exact taps while ``_fits``.  And each window is only as wide as
+``_length_bounds`` allows: floor(n/2) + 1 for x and y, whose rows are images
+of modular forms of weight 2n in Q[E4, E6], against 2n + 1 for a.
 """
 
 from __future__ import annotations
@@ -144,20 +152,25 @@ Z_A = RecurrenceFamily("z", "Z_A", ((1,), (2,)), _coeffs_z, scale=2)
 FAMILIES = {fam.key: fam for fam in (F_E, A_VZ, X_A, Y_A, Z_A)}
 
 
-# The mod-p step sums, for each output coefficient, at most _MAX_TERMS products of two
-# residues, each at most (p-1)^2, before its one `% p`; _MAX_TERMS * (p-1)^2 < 2^63 holds
-# exactly when p < _P_MAX (about 1.01e9).  The products are the nonzero taps of one region
-# reduced mod p: at most 8 for f, 4 for a, x and y and 6 for z, and on the transposed
-# chain of ``_both_ends`` at most 9, 5 and 7.
+# The mod-p step sums, for each output coefficient, at most _MAX_TERMS products of a tap
+# reduced mod p and a residue, each at most (p-1)^2, before its one `% p`;
+# _MAX_TERMS * (p-1)^2 <= _INT64_MAX holds exactly when p < _P_MAX (about 1.01e9).  The
+# products are the nonzero taps of one region: at most 8 for f, 4 for a, x and y and 6
+# for z, and on the transposed chain of ``_both_ends`` at most 9, 5 and 7.  The D taps act
+# on F_n', a derivative weight times a residue; left unreduced, it makes their products
+# up to (p-1)^3, and _MAX_TERMS * (p-1)^3 <= _INT64_MAX holds exactly when
+# p < _P_UNREDUCED (1008207), so ``_both_ends`` and ``_stored_mod`` skip the `% p` of F_n'
+# below it and keep it from there up to _P_MAX.
+_INT64_MAX = 2**63 - 1
 _MAX_TERMS = 9
-_P_MAX = math.isqrt((2**63 - 1) // _MAX_TERMS) + 2
+_P_MAX = math.isqrt(_INT64_MAX // _MAX_TERMS) + 2
+_P_UNREDUCED = int((_INT64_MAX // _MAX_TERMS) ** (1 / 3)) + 2  # cube root 1008205.52, so the float floor is exact
 
 # A lockstep batch of several primes shares its taps, so they stay exact integers: an
 # output coefficient sums at most one product |tap| * (p-1) per tap, and on an alpha
 # window one more product of two residues (``_ALPHA_TILT``), which fits in int64 while
 # (_tap_sum(N_max - 1) [+ max p - 1]) * (max p - 1) <= _INT64_MAX (``_fits``; for f to
 # about p = 1.3e6).
-_INT64_MAX = 2**63 - 1
 
 _BLOCK = 1024        # steps per batch of multipliers, so memory follows the polynomials, not N
 _HORIZON = 32        # a lockstep layout holds F_n .. F_max(3n/2, 32): laying out costs about 5 short steps
@@ -269,7 +282,7 @@ def _step_mod(d_tap: tuple, taps: list, cur: np.ndarray, weights: np.ndarray, mo
     with taps of their own.  ``tilt`` = (offset, c) adds c[j] to the one-column kernel of
     the tap on F_n that lands at that offset, element by element.  F_n' is reduced before
     its tap unless ``reduce_derivative`` is False (exact taps that ``_fits`` with
-    ``derivative``).
+    ``derivative``, or taps reduced mod p < ``_P_UNREDUCED``).
     """
     deriv = cur[1 - shift:hi + 1 - shift]
     end = len(deriv) + 1
@@ -468,6 +481,7 @@ def _stored_mod(family: RecurrenceFamily, p: int) -> Iterator[np.ndarray]:
     prev, cur = (np.array(seed, np.int64) % p for seed in family.seeds)
     weights = np.arange(2) % p  # weights[k] = k mod p, grown with F_n: F_n'[k - 1] = weights[k] * F_n[k]
     mod = np.full(len(weights) + _MAX_TERMS, p)  # longer than the next F_n
+    reduce_derivative = p >= _P_UNREDUCED
     yield prev
     yield cur
     n = 1
@@ -477,7 +491,8 @@ def _stored_mod(family: RecurrenceFamily, p: int) -> Iterator[np.ndarray]:
             if len(cur) >= len(weights):
                 weights = np.arange(2 * len(cur) + 1) % p
                 mod = np.full(len(weights) + _MAX_TERMS, p)
-            prev, cur = cur, _step_mod(mults[0], _taps(mults, i, prev, cur, _UNCUT), cur, weights, mod, _UNCUT)
+            prev, cur = cur, _step_mod(mults[0], _taps(mults, i, prev, cur, _UNCUT), cur, weights, mod, _UNCUT,
+                                       reduce_derivative=reduce_derivative)
             yield cur
         n += _BLOCK
 
@@ -501,12 +516,32 @@ def _stored_mod(family: RecurrenceFamily, p: int) -> Iterator[np.ndarray]:
 def _length_bounds(family: RecurrenceFamily, N: int) -> np.ndarray:
     """L[m] >= len(F_m) for m = 0..N, non-decreasing.
 
-    F_{n+1} is no longer than D * F_n', P_n * F_n and M * F_{n-1}, so its length
-    grows by at most g a step and 2g over two, with g = max(len(D) - 2, len(P) - 1,
-    ceil((len(M) - 1) / 2)); L[m] = max(len(F_0) + g m, len(F_1) + g (m - 1)) bounds it."""
+    For x and y, L[m] = floor(m/2) + 1.  Let phi send E4 -> 288t and E6 -> 1728, and let
+    theta be the derivation of Q[E4, E6] with theta E4 = -E6/3 and theta E6 = -E4^2/2
+    (Ramanujan's Serre derivative).  On E4^a E6^b, of weight w = 4a + 6b, theta gives
+    -a/3 E4^(a-1) E6^(b+1) - b/2 E4^(a+2) E6^(b-1), whose image is phi(E4^a E6^b) times
+    -2a/t - 24b t^2; so for every Q of weight w,
+
+        phi(theta Q) = -2(1 - 8t^3) phi(Q)' - 4w t^2 phi(Q).
+
+    Zagier's recursion P_{n+1} = theta P_n - n(n+k-1)/144 E4 P_{n-1}, with P_0 = 1 and
+    P_1 = 0 ("Elliptic modular forms and their applications", section 5), keeps P_n of
+    weight 2n, since E4 has weight 4; phi maps it onto
+    phi(P_{n+1}) = -2(1 - 8t^3) phi(P_n)' - 8n t^2 phi(P_n) - 2n(n+k-1) t phi(P_{n-1}),
+    which is x's step at k = 1/2 and y's step at k = 3/2, from the same seeds.  So x_n
+    and y_n are phi(P_n), and a monomial E4^a E6^b of weight 2n has 4a <= 2n: deg x_n,
+    deg y_n <= floor(n/2).  (The lengths are exactly n/2 + 1 for even n and (n-1)/2 for
+    odd n >= 3; the tests check that to n = 2000, nothing here proves it.)
+
+    For the other families, F_{n+1} is no longer than D * F_n', P_n * F_n and
+    M * F_{n-1}, so its length grows by at most g a step and 2g over two, with
+    g = max(len(D) - 2, len(P) - 1, ceil((len(M) - 1) / 2));
+    L[m] = max(len(F_0) + g m, len(F_1) + g (m - 1)) bounds it."""
+    m = np.arange(N + 1)
+    if family is X_A or family is Y_A:
+        return m // 2 + 1
     d_poly, cur_poly, _, prev_poly = family.step_coeffs(1)
     g = max(len(d_poly) - 2, len(cur_poly) - 1, len(prev_poly) // 2, 0)
-    m = np.arange(N + 1)
     out = np.maximum(len(family.seeds[0]) + g * m, len(family.seeds[1]) + g * (m - 1))
     out[0] = len(family.seeds[0])
     return out
@@ -583,15 +618,18 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
     lengths = _length_bounds(family, N_last)
     # F_n' skips its `% p` while a D tap times (p-1)^2 fits too (every scan batch up to p = 1.3e6)
     reduce_derivative = not _fits(family, N_last, int(ps.max()), bool(alphas), derivative=True)
-    if alphas:
-        lengths = np.maximum(lengths, _length_bounds(A_VZ, N_last))
+    if alphas:  # an alpha window holds a's rows, scaled, so it takes a's bound
+        alpha_lengths, is_alpha = _length_bounds(A_VZ, N_last), np.array([alpha for *_, alpha in windows])
 
     def relayout(n: int, first: int, polys: list) -> tuple:
         """Lay out the windows first.. for F_n .. F_end and move each (poly, starts,
         widths) of ``polys`` into it: (starts, slots, moduli, weights, tilt for
         ``_step_mod``, moved, end, or 0 when no inner window is left)."""
         inner, end = Ns[first:-1], min(max(n + n // 2, _HORIZON), N_last)
-        slots = np.append(_slots(lengths, inner, n, end) if len(inner) else [], N_last - n + 1).astype(np.int64)
+        slots = _slots(lengths, inner, n, end)
+        if alphas:
+            slots = np.where(is_alpha[first:-1], _slots(alpha_lengths, inner, n, end), slots)
+        slots = np.append(slots, N_last - n + 1).astype(np.int64)
         layout = _layout(ps[first:], slots, gap, factors[first:], None if tilts is None else tilts[first:])
         starts, moduli, weights, tilt, *_ = layout
         tilt = None if tilt is None else (_ALPHA_TILT[0], tilt)
@@ -672,6 +710,7 @@ def _both_ends(family: RecurrenceFamily, N: int, p: int) -> int:
     d_poly, cur_poly, _, prev_poly = family.step_coeffs(1)
     gap = max(len(d_poly), len(cur_poly) + 1, len(prev_poly))
     head = gap + 1                # F_n[0] of the pass that steps F_n is at head + (n - a)
+    reduce_derivative = p >= _P_UNREDUCED
     span = max(widths[a - 1:])
     # the moduli and weights of the vector that F_a and u_N start in are views from `passes` on
     mod = np.ones(passes + head + span + gap, np.int64)
@@ -695,7 +734,7 @@ def _both_ends(family: RecurrenceFamily, N: int, p: int) -> int:
             taps = [(cur[:k + 1], u_off + 1, u_cur[i]), (prev[:k], u_off2 + 2, u_prev[i]),
                     (cur[f:f + w], f + f_off + 1, f_cur[i]), (prev[f - 1:f - 1 + w], f + f_off2 + 1, f_prev[i])]
             prev, cur = cur, _step_mod(d_tap, taps, cur, weights[passes - k - 1:], mod[passes - k - 1:],
-                                       f + 1 + widths[n + 1], shift=1)
+                                       f + 1 + widths[n + 1], shift=1, reduce_derivative=reduce_derivative)
     _, _, prev_scalar, prev_poly = family.step_coeffs(m)
     s_m = np.array([prev_scalar * c % p for c in prev_poly], np.int64)
     f = head + passes

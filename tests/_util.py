@@ -1,9 +1,36 @@
+from functools import cache
+from itertools import islice
+from typing import NamedTuple
+
 from rankcrit._primality import is_prime
-from rankcrit.polyring import trim
+from rankcrit.polyring import constant_term, trim
+from rankcrit.recurrences import FAMILIES, iter_family
 
 
 def primes_leq(hi: int) -> list[int]:
     return [n for n in range(2, hi + 1) if is_prime(n)]
+
+
+# How far the shared exact walk of each family goes: x and y to the row-length gate at
+# n = 2000, a to the a/x constant-term identity at n = 600, f and z to the window-bound
+# check at n = 300.
+WALK_DEPTH = {"f": 300, "a": 600, "x": 2000, "y": 2000, "z": 300}
+
+
+class Walk(NamedTuple):
+    lengths: tuple[int, ...]   # len(F_n)
+    terms: tuple               # F_n(0)
+
+
+@cache
+def exact_walk(key: str) -> Walk:
+    """len(F_n) and F_n(0) for n = 0 .. WALK_DEPTH[key] from one exact walk of the family
+    (over Q for z), cached so that no test walks a family twice."""
+    lengths, terms = [], []
+    for poly in islice(iter_family(FAMILIES[key]), WALK_DEPTH[key] + 1):  # one row at a time
+        lengths.append(len(poly))
+        terms.append(constant_term(poly))
+    return Walk(tuple(lengths), tuple(terms))
 
 
 def dot(pairs) -> tuple:

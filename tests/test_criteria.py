@@ -132,6 +132,23 @@ class TestScan:
         with pytest.raises(CrossCheckError, match=r"^p=37: a-path residue 0 and x-path residue 1 disagree on divisibility$"):
             scan("Ap", 2, 200)
 
+    def test_cross_check_compares_residues(self, monkeypatch):
+        # both paths nonzero, so divisibility agrees: only the residues tell them apart
+        real = criteria.paired_constant_terms_mod
+        (a_109,), (x_109,) = real([(36, 109)])
+        assert a_109 == x_109 not in (0, 1)
+
+        def shifted(targets):
+            a_residues, x_residues = real(targets)
+            return a_residues, [1 if p == 109 else r for r, (_, p) in zip(x_residues, targets)]
+
+        monkeypatch.setattr(criteria, "paired_constant_terms_mod", shifted)
+        with pytest.raises(CrossCheckError, match=rf"^p=109: a-path residue {a_109} and x-path residue 1 differ$"):
+            scan("Ap", 2, 200)
+        monkeypatch.setattr(criteria, "constant_term_mod", lambda family, N, p: 1 if family.key == "a" else 2)
+        with pytest.raises(CrossCheckError, match=r"^p=109: a-path residue 1 and x-path residue 2 differ$"):
+            verdict_Ap(109)
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             scan("Ep", 1, 10)

@@ -1,7 +1,6 @@
 import math
 import time
 from fractions import Fraction
-from functools import cache
 from itertools import count
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankcrit import recurrences
 from rankcrit._primality import is_prime
 from rankcrit.polyring import constant_term, trim
 from rankcrit.recurrences import (
@@ -18,9 +18,11 @@ from rankcrit.recurrences import (
     _INT64_MAX,
     _MAX_TERMS,
     _P_MAX,
+    _P_UNREDUCED,
     _batches,
     _dot_mod,
     _fits,
+    _length_bounds,
     _multipliers,
     _polys,
     _from_v,
@@ -45,7 +47,7 @@ from rankcrit.recurrences import (
     paired_constant_terms_mod,
     step,
 )
-from ._util import dot_step, primes_leq
+from ._util import dot_step, exact_walk, primes_leq
 from .golden import A_TABLE, F_TABLE_FULL, F_TABLE_VISIBLE, X_TABLE, poly_to_map
 
 
@@ -241,6 +243,21 @@ class TestDegrees:
         degs = [len(poly) - 1 for poly in generate_all(X_A, 9)]
         assert degs == [0, -1, 1, 0, 2, 1, 3, 2, 4, 3]  # x_1 = 0 has no coefficients
 
+    @pytest.mark.parametrize("key", ["x", "y"])
+    def test_x_and_y_lengths_to_2000(self, key):
+        # n/2 + 1 for even n and (n-1)/2 for odd n (x_1 = y_1 = 0), within _length_bounds'
+        # proven floor(n/2) + 1; the mod-p windows of x and y are laid out at that bound
+        lengths = exact_walk(key).lengths[:2001]
+        assert lengths == tuple(n // 2 + 1 if n % 2 == 0 else (n - 1) // 2 for n in range(2001))
+        assert _length_bounds(FAMILIES[key], 2000).tolist() == [n // 2 + 1 for n in range(2001)]
+
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_length_bounds_cover_every_row(self, key):
+        # no window of the mod-p kernel is ever narrower than its row
+        bounds = _length_bounds(FAMILIES[key], 300).tolist()
+        assert all(bound >= length for bound, length in zip(bounds, exact_walk(key).lengths[:301], strict=True))
+        assert bounds == sorted(bounds)
+
 
 class TestModP:
     def test_f6_mod_17(self):
@@ -293,11 +310,12 @@ class TestCriterionEquivalence:
             div_x = constant_term_mod(X_A, n, p) == 0
             assert div_a == div_x, p
 
-
-@cache
-def _exact_constant_terms(key: str) -> list:
-    """F_0(0) .. F_120(0) from exact generation over Z (over Q for z)."""
-    return [constant_term(poly) for poly in generate_all(FAMILIES[key], 120)]
+    def test_a_and_x_constant_terms_agree_to_600(self):
+        # a_n(0) = (-1)^n x_n(0) as integers, checked here and not proven; at the even
+        # N = (p-1)/3 of an Ap prime it makes the a- and x-path residues equal, which
+        # criteria._cross_check compares
+        x_terms = exact_walk("x").terms[:601]
+        assert exact_walk("a").terms[:601] == tuple((-1) ** n * c for n, c in enumerate(x_terms))
 
 
 def _residue(c, p: int) -> int:
@@ -308,25 +326,28 @@ def _residue(c, p: int) -> int:
 _ODD_PRIMES = [q for q in primes_leq(4999) if q > 2]
 _P_BELOW = next(q for q in range(_P_MAX - 1, 0, -1) if is_prime(q))
 _P_ABOVE = next(q for q in range(_P_MAX, 2 * _P_MAX) if is_prime(q))
+# the primes next to the limit below which residue taps act on F_n' unreduced
+_UNREDUCED_BELOW = next(q for q in range(_P_UNREDUCED - 1, 0, -1) if is_prime(q))
+_PAST_UNREDUCED = [q for q in range(_P_UNREDUCED, _P_UNREDUCED + 100) if is_prime(q)]
 
 
 class TestWindowedKernel:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 120), st.sampled_from(_ODD_PRIMES))
     def test_matches_exact_generation(self, key, N, p):
-        assert constant_term_mod(FAMILIES[key], N, p) == _residue(_exact_constant_terms(key)[N], p)
+        assert constant_term_mod(FAMILIES[key], N, p) == _residue(exact_walk(key).terms[N], p)
 
     @pytest.mark.parametrize("key", sorted(FAMILIES))
     def test_seeds(self, key):
         for N in (0, 1):
             for p in (3, 5, 4999):
-                assert constant_term_mod(FAMILIES[key], N, p) == _residue(_exact_constant_terms(key)[N], p)
+                assert constant_term_mod(FAMILIES[key], N, p) == _residue(exact_walk(key).terms[N], p)
 
     @pytest.mark.parametrize("key", sorted(FAMILIES))
     def test_index_at_or_past_p(self, key):
         for p in (3, 5, 7, 11, 13):
             for N in (p, p + 1, 2 * p + 3, 120):
-                assert constant_term_mod(FAMILIES[key], N, p) == _residue(_exact_constant_terms(key)[N], p)
+                assert constant_term_mod(FAMILIES[key], N, p) == _residue(exact_walk(key).terms[N], p)
 
     def test_zero_seed(self):
         # x_1 = y_1 = () is the zero polynomial; x_3 = 2 and y_3 = 6 grow from it
@@ -334,7 +355,7 @@ class TestWindowedKernel:
             for p in (3, 5, 97):
                 assert constant_term_mod(family, 1, p) == 0
                 assert constant_term_mod(family, 3, p) == want % p
-                assert constant_term_mod(family, 3, p) == _residue(_exact_constant_terms(family.key)[3], p)
+                assert constant_term_mod(family, 3, p) == _residue(exact_walk(family.key).terms[3], p)
 
     def test_overflow_bound(self):
         assert _MAX_TERMS * (_P_MAX - 2) ** 2 < 2 ** 63 <= _MAX_TERMS * (_P_MAX - 1) ** 2
@@ -344,7 +365,7 @@ class TestWindowedKernel:
 
     @pytest.mark.parametrize("key", sorted(FAMILIES))
     def test_largest_prime_below_bound(self, key):
-        assert constant_term_mod(FAMILIES[key], 5, _P_BELOW) == _residue(_exact_constant_terms(key)[5], _P_BELOW)
+        assert constant_term_mod(FAMILIES[key], 5, _P_BELOW) == _residue(exact_walk(key).terms[5], _P_BELOW)
         want = tuple(_residue(c, _P_BELOW) for c in generate(FAMILIES[key], 5))
         assert generate(FAMILIES[key], 5, _P_BELOW) == trim(want)
 
@@ -394,7 +415,7 @@ class TestLockstepBatch:
 
     @pytest.mark.parametrize("key", sorted(FAMILIES))
     def test_scan_shaped_batch_against_exact_terms(self, key):
-        family, terms = FAMILIES[key], _exact_constant_terms(key)
+        family, terms = FAMILIES[key], exact_walk(key).terms
         targets = [(N, p) for p in _ODD_PRIMES[:60] for N in (p // 3, 120 - p % 97)]
         assert constant_terms_mod(family, targets) == [_residue(terms[N], p) for N, p in targets]
 
@@ -462,6 +483,32 @@ class TestUnreducedDerivative:
         for q in (below, above):
             assert constant_terms_mod(F_BIG, [(N, 101), (N - 2, q)]) == [terms[N] % 101, terms[N - 2] % q]
 
+    def test_residue_tap_limit_is_the_exact_edge(self):
+        assert _MAX_TERMS * (_P_UNREDUCED - 2) ** 3 <= _INT64_MAX < _MAX_TERMS * (_P_UNREDUCED - 1) ** 3
+        assert (_UNREDUCED_BELOW, _PAST_UNREDUCED[0]) == (1008199, 1008209)
+
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_both_sides_of_the_residue_tap_limit(self, key):
+        family = FAMILIES[key]
+        for p in (_UNREDUCED_BELOW, _PAST_UNREDUCED[0]):
+            for N in (40, 41):
+                assert constant_term_mod(family, N, p) == _full_walk_constant_term(family, N, p)
+                assert generate(family, N, p) == _residues(generate(family, N), p)
+
+    def test_the_residue_tap_limit_picks_the_path(self, monkeypatch):
+        seen, step_mod = [], recurrences._step_mod
+
+        def spy(*args, reduce_derivative=True, **kwargs):
+            seen.append(reduce_derivative)
+            return step_mod(*args, reduce_derivative=reduce_derivative, **kwargs)
+
+        monkeypatch.setattr(recurrences, "_step_mod", spy)
+        for p, reduced in ((_UNREDUCED_BELOW, False), (_PAST_UNREDUCED[0], True)):
+            seen.clear()
+            constant_term_mod(F_E, 40, p)  # _both_ends
+            generate(F_E, 5, p)            # _stored_mod
+            assert set(seen) == {reduced}, p
+
     def test_scans_take_the_unreduced_path(self):
         # an Ep or paired Ap batch up to p = 1.3e6 fits with F_n' unreduced as well
         for family, N, p in ((F_E, 3 * (1299721 - 1) // 8, 1299721), (X_A, (1299709 - 1) // 3, 1299709)):
@@ -472,13 +519,14 @@ class TestUnreducedDerivative:
 class TestBothEnds:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 5) | st.integers(6, 160),
-           st.sampled_from(_ODD_PRIMES[:200]))
+           st.sampled_from(_ODD_PRIMES[:200]) | st.sampled_from(_PAST_UNREDUCED))
     @example("a", 5, 19)    # 19 | 16n + 3 at n = 5: a's P_n tap vanishes mod 19
     @example("a", 40, 19)
     @example("f", 4, 3)     # 3 | D(0) = -24: f's first D column vanishes mod 3
     @example("z", 7, 3)     # 3 | D[2] = -9
     @example("x", 2, 5)
     @example("y", 3, 5)
+    @example("f", 160, _PAST_UNREDUCED[0])  # F_n' reduced before its taps
     def test_equals_the_full_polynomial_walk(self, key, N, p):
         family = FAMILIES[key]
         assert constant_term_mod(family, N, p) == _full_walk_constant_term(family, N, p)
@@ -553,12 +601,15 @@ class TestPairedScan:
                     min_size=1, max_size=10))
     @example([(2, 7), (0, 7), (1, 3), (120, 7), (2, 3)])
     @example([(66, 199)])
+    @example([(150, 997), (3, 5), (66, 199)])  # a wide alpha window between narrow x windows
+    @example([(40, 5), (150, 7), (90, 11), (150, 3)])  # two targets end the batch at once
+    @example([(20, 7), (45, 13), (150, 1009)])  # the largest N has the largest p
     def test_equals_each_path_alone(self, targets):
         assert paired_constant_terms_mod(targets) == (
             [constant_term_mod(A_VZ, N, p) for N, p in targets], [constant_term_mod(X_A, N, p) for N, p in targets])
 
     def test_scan_shaped_batch_against_exact_terms(self):
-        a_terms, x_terms = _exact_constant_terms("a"), _exact_constant_terms("x")
+        a_terms, x_terms = exact_walk("a").terms, exact_walk("x").terms
         targets = [(N, p) for p in _ODD_PRIMES[:60] for N in (p // 3, 120 - p % 97)]
         assert paired_constant_terms_mod(targets) == ([_residue(a_terms[N], p) for N, p in targets],
                                                       [_residue(x_terms[N], p) for N, p in targets])
