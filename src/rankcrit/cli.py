@@ -372,9 +372,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:  # lseries.BadReductionError among them
-        print(f"rankcrit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:  # lseries.BadReductionError among them: a usage error like _usage's own
+        return _usage(args, str(exc))
     except OverflowError as exc:  # past a named limit: the int64 kernels or the resident L-sum terms
         print(f"rankcrit: error: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK

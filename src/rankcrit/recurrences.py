@@ -49,18 +49,23 @@ a- and x-windows of an Ap batch in one vector (a_n = 2^n alpha_n, and alpha_n
 steps by x's taps), N_max steps for both paths.  A target alone
 (``constant_term_mod``) goes from both ends, F up from its seeds and the
 transposed chain down from F_N(0) = <e_0, F_N>, and meets in the middle:
-about N/2 passes instead of N (``_both_ends``).  A pass costs 15-25 us of
-numpy call overhead at p near 1000, so on a 2-vCPU VM a verdict at Ep 1201
-or Ap 1063 ran about 1.35x faster than one window stepped N times, and the
+about N/2 passes instead of N (``_both_ends``).  At p near 1000 a pass is
+call overhead: on a 2-vCPU VM its 17-27 numpy calls on short vectors take
+9.5-11.7 us, and the Python around them, which sizes the step and places the
+products, took another 2.2-4.5 us and takes 1.6-3.3 us since ``_step_mod`` sizes
+the step from its operand lengths before any product exists (13.6-14.0 ->
+12.7-13.3 us a pass).  So halving the passes paid: a verdict at Ep 1201 or
+Ap 1063 ran about 1.35x faster than one window stepped N times, and the
 Ap 2..500 scan about 1.8x faster than two scans one path at a time.
 
 Every pass reduces its output once; the elementwise work before that is cut
 two ways.  F_n', a derivative weight times a residue, meets the D taps
 unreduced wherever the sums still fit int64: for residue taps (a lone target,
 ``generate(family, N, p)``) while p < ``_P_UNREDUCED``, about 1.01e6, and
-for a batch's exact taps while ``_fits``.  And each window is only as wide as
-``_length_bounds`` allows: floor(n/2) + 1 for x and y, whose rows are images
-of modular forms of weight 2n in Q[E4, E6], against 2n + 1 for a.
+for a batch's exact taps while ``_fits``.  And each window, and each row of
+``generate(family, N, p)``, is only as wide as ``_length_bounds`` allows:
+floor(n/2) + 1 for x and y, whose rows are images of modular forms of weight
+2n in Q[E4, E6], against 2n + 1 for a.
 """
 
 from __future__ import annotations
@@ -175,7 +180,6 @@ _P_UNREDUCED = int((_INT64_MAX // _MAX_TERMS) ** (1 / 3)) + 2  # cube root 10082
 _BLOCK = 1024        # steps per batch of multipliers, so memory follows the polynomials, not N
 _HORIZON = 32        # a lockstep layout holds F_n .. F_max(3n/2, 32): laying out costs about 5 short steps
 _BATCH_N = 1 << 20   # sum of N over the windows of a lockstep batch, which bounds its vectors (a few MB each)
-_UNCUT = 2**62       # a width that cuts nothing
 
 # a_n = 2^n alpha_n, and alpha_n follows x's recurrence with D/4 and one extra term
 # -(3/2) t^2 alpha_n: divide a's step by 2^(n+1), with D_a = D_x / 2, P_a = 2 P_x - 3 t^2 and
@@ -225,38 +229,46 @@ def _polys(family: RecurrenceFamily, n: int, transposed: bool = False) -> list[t
     return [(0, d_poly), (-1 if transposed else 0, cur_poly), (0, tuple(prev_scalar * c for c in prev_poly))]
 
 
-def _multipliers(family: RecurrenceFamily, ns: np.ndarray, p: int | None = None,
-                 transposed: bool = False) -> list[tuple[int, list]]:
-    """The tap on F_n' as (offset, kernel), the same at every step, and the taps on F_n
-    and F_{n-1} at the step indices ns as (offset, kernels), from
-    ``_polys(family, n, transposed)``; reduced mod p if p is given, else exact.
-
-    ``kernels[i]`` is the multiplier at step ``ns[i]`` from t^offset up (columns that
-    vanish at every step are cut off): a plain int when one column is left, else an int64
-    array stored reversed for ``np.correlate``.  Every coefficient is a ``_quadratic`` in
-    n, interpolated from n = 0, 1, 2.  One D serves every region of a pass, so a D that
-    depends on n is a ValueError.
-    """
+@cache
+def _columns(family: RecurrenceFamily, transposed: bool = False) -> tuple:
+    """The multipliers of ``_polys(family, n, transposed)`` as a table built once per
+    orientation: D as (lowest exponent, coefficients), the same at every step; the
+    columns of P_n and s_n M side by side as three tuples (c0, c1, c2), column j at step n
+    being c0[j] + c1[j]*n + c2[j]*n(n-1)/2 (``_quadratic``, from n = 0, 1, 2); and per
+    multiplier its (lowest exponent, first column, width).  One D serves every region of
+    a pass, so a D that depends on n is a ValueError."""
     samples = [_polys(family, n, transposed) for n in (0, 1, 2)]
     if len({sample[0] for sample in samples}) > 1:
         raise ValueError(f"{family!r}: the multiplier of F_n' depends on n")
-    d_base, d_poly = samples[0][0]
-    d_off, (d_kernel,) = _cut(d_base, np.array([d_poly], np.int64) % p if p else np.array([d_poly], np.int64))
-    out = [(d_off, d_kernel)]
-    # the columns of P_n and s_n M as _quadratic triples, side by side
     polys = [[v for _, v in triple] for triple in list(zip(*samples))[1:]]
     widths = [max(map(len, triple)) for triple in polys]
-    c0, c1, c2 = np.array([_quadratic(*(v[j] if j < len(v) else 0 for v in triple))
-                           for triple, width in zip(polys, widths) for j in range(width)], np.int64).T
+    cols = tuple(zip(*(_quadratic(*(v[j] if j < len(v) else 0 for v in triple))
+                       for triple, width in zip(polys, widths) for j in range(width))))
+    spans = tuple((base, first, width) for (base, _), width, first in zip(samples[0][1:], widths, (0, widths[0])))
+    return samples[0][0], cols, spans  # cached, so immutable
+
+
+def _multipliers(family: RecurrenceFamily, ns: np.ndarray, p: int | None = None,
+                 transposed: bool = False) -> list[tuple[int, list]]:
+    """The tap on F_n' as (offset, kernel), the same at every step, and the taps on F_n
+    and F_{n-1} at the step indices ns as (offset, kernels), evaluated from the table of
+    ``_columns(family, transposed)``; reduced mod p if p is given, else exact.
+
+    ``kernels[i]`` is the multiplier at step ``ns[i]`` from t^offset up (columns that
+    vanish at every step are cut off): a plain int when one column is left, else an int64
+    array stored reversed for ``np.correlate``.
+    """
+    (d_base, d_poly), cols, spans = _columns(family, transposed)
+    d_row = np.array([d_poly], np.int64)
+    d_off, (d_kernel,) = _cut(d_base, d_row % p if p else d_row)
+    c0, c1, c2 = np.array(cols, np.int64)
     n = (ns if p is None else ns % p)[:, None]
     pair = n * (n - 1) // 2
     if p is None:
         rows = c0 + c1 * n + c2 * pair
     else:
         rows = (c0 % p + c1 % p * n % p + c2 % p * (pair % p) % p) % p
-    for (base, _), width, first in zip(samples[0][1:], widths, (0, widths[0])):
-        out.append(_cut(base, rows[:, first:first + width]))
-    return out
+    return [(d_off, d_kernel), *(_cut(base, rows[:, first:first + width]) for base, first, width in spans)]
 
 
 def _cut(base: int, rows: np.ndarray) -> tuple[int, list]:
@@ -269,7 +281,7 @@ def _cut(base: int, rows: np.ndarray) -> tuple[int, list]:
     return base + lo, list(np.ascontiguousarray(rows[:, lo:hi][:, ::-1]))
 
 
-def _step_mod(d_tap: tuple, taps: list, cur: np.ndarray, weights: np.ndarray, mod: np.ndarray, hi: int,
+def _step_mod(d_tap: tuple, taps: tuple, cur: np.ndarray, weights: np.ndarray, mod: np.ndarray, hi: int,
               shift: int = 0, tilt: tuple | None = None, reduce_derivative: bool = True) -> np.ndarray:
     """Stored F_{n+1} below position ``hi`` of a vector of windows, from F_n (``cur``)
     and the taps, all int64 residues.
@@ -280,44 +292,53 @@ def _step_mod(d_tap: tuple, taps: list, cur: np.ndarray, weights: np.ndarray, mo
     kernel) acts on it.  Each of ``taps``, (source, position, kernel), is a slice of F_n or
     F_{n-1} whose product lands at that position, so the regions of one vector can step
     with taps of their own.  ``tilt`` = (offset, c) adds c[j] to the one-column kernel of
-    the tap on F_n that lands at that offset, element by element.  F_n' is reduced before
-    its tap unless ``reduce_derivative`` is False (exact taps that ``_fits`` with
+    the tap of ``taps`` that lands at that offset, element by element.  F_n' is reduced
+    before its tap unless ``reduce_derivative`` is False (exact taps that ``_fits`` with
     ``derivative``, or taps reduced mod p < ``_P_UNREDUCED``).
+
+    The step is as long as its longest product, at most ``hi``, read off the operand
+    lengths; the D product is the output when it starts at 0 and covers the step, and
+    each tap's product is added in as it is computed.
     """
+    d_pos, d_kernel = d_tap
     deriv = cur[1 - shift:hi + 1 - shift]
-    end = len(deriv) + 1
-    deriv = deriv * weights[1:end]
-    if reduce_derivative:
-        deriv %= mod[1:end]
-    products, size = [], 0
-    for x, pos, kernel in ((deriv, *d_tap), *taps):
-        if len(x):
+    width = len(deriv)
+    d_end = size = 0
+    if width:
+        d_end = size = d_pos + width if type(d_kernel) is int else d_pos + width + len(d_kernel) - 1
+    for x, pos, kernel in taps:
+        end = len(x)
+        if end:
+            end += pos if type(kernel) is int else pos + len(kernel) - 1
+            if end > size:
+                size = end
+    if size > hi:
+        size = hi
+    if width:
+        deriv = deriv * weights[1:width + 1]
+        if reduce_derivative:
+            deriv %= mod[1:width + 1]
+        # np.correlate with the kernel reversed is np.convolve without its wrapper's cost
+        c = d_kernel * deriv if type(d_kernel) is int else np.correlate(deriv, d_kernel, "full")
+        if d_pos == 0 and d_end >= size:
+            out = c[:size]  # the D product covers the step
+        else:
+            out = np.zeros(size, np.int64)
+            if d_pos < size:
+                out[d_pos:d_end] += c[:size - d_pos]
+    else:
+        out = np.zeros(size, np.int64)
+    for x, pos, kernel in taps:
+        if len(x) and pos < size:
             if type(kernel) is not int:
-                # np.correlate with the kernel reversed is np.convolve without its wrapper's cost
                 c = np.correlate(x, kernel, "full")
             elif tilt is not None and pos == tilt[0]:
                 c = (tilt[1][pos:pos + len(x)] + kernel) * x
             else:
                 c = kernel * x
-            products.append((pos, c))
-            size = max(size, pos + len(c))
-    size = min(size, hi)
-    if products and products[0][0] == 0 and len(products[0][1]) >= size:
-        out = products.pop(0)[1][:size]  # the first product covers the step
-    else:
-        out = np.zeros(size, np.int64)
-    for pos, c in products:
-        if pos < size:
             out[pos:pos + len(c)] += c[:size - pos]
     out %= mod[:size]
     return out
-
-
-def _taps(mults: list, i: int, prev: np.ndarray, cur: np.ndarray, hi: int) -> list:
-    """The taps of step i of ``_multipliers`` on F_n and F_{n-1}, for a vector that does
-    not move (``_step_mod``)."""
-    (_, (cur_off, cur_kernels), (prev_off, prev_kernels)) = mults
-    return [(cur[:hi - cur_off], cur_off, cur_kernels[i]), (prev[:hi - prev_off], prev_off, prev_kernels[i])]
 
 
 def step(family: RecurrenceFamily, n: int, prev: tuple, cur: tuple, p: int | None = None) -> tuple:
@@ -476,7 +497,8 @@ def _from_v(h: tuple, N: int) -> tuple:
 
 
 def _stored_mod(family: RecurrenceFamily, p: int) -> Iterator[np.ndarray]:
-    """The stored polynomials scale * F_n mod p as int64 arrays."""
+    """The stored polynomials scale * F_n mod p as int64 arrays, F_n cut at
+    ``_length_bounds(family, n)[n]`` elements."""
     _check_modulus(p)
     prev, cur = (np.array(seed, np.int64) % p for seed in family.seeds)
     weights = np.arange(2) % p  # weights[k] = k mod p, grown with F_n: F_n'[k - 1] = weights[k] * F_n[k]
@@ -486,13 +508,15 @@ def _stored_mod(family: RecurrenceFamily, p: int) -> Iterator[np.ndarray]:
     yield cur
     n = 1
     while True:
-        mults = _multipliers(family, np.arange(n, n + _BLOCK), p)
-        for i in range(_BLOCK):
+        d_tap, (cur_off, cur_kernels), (prev_off, prev_kernels) = _multipliers(family, np.arange(n, n + _BLOCK), p)
+        # F_{n+1} is cut at L[n+1], for x and y at floor((n+1)/2) + 1
+        bounds = _length_bounds(family, n + _BLOCK)[n + 1:].tolist()
+        for cur_kernel, prev_kernel, hi in zip(cur_kernels, prev_kernels, bounds):
             if len(cur) >= len(weights):
                 weights = np.arange(2 * len(cur) + 1) % p
                 mod = np.full(len(weights) + _MAX_TERMS, p)
-            prev, cur = cur, _step_mod(mults[0], _taps(mults, i, prev, cur, _UNCUT), cur, weights, mod, _UNCUT,
-                                       reduce_derivative=reduce_derivative)
+            taps = ((cur[:hi - cur_off], cur_off, cur_kernel), (prev[:hi - prev_off], prev_off, prev_kernel))
+            prev, cur = cur, _step_mod(d_tap, taps, cur, weights, mod, hi, reduce_derivative=reduce_derivative)
             yield cur
         n += _BLOCK
 
@@ -646,11 +670,12 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
     last = int(starts[-1])
     out, first, n = [], 0, 1
     while n < N_last:
-        block = np.arange(n, min(n + _BLOCK, N_last))
-        mults = _multipliers(family, block)
-        for i in range(len(block)):
+        d_tap, (cur_off, cur_kernels), (prev_off, prev_kernels) = _multipliers(
+            family, np.arange(n, min(n + _BLOCK, N_last)))
+        for cur_kernel, prev_kernel in zip(cur_kernels, prev_kernels):
             hi = last + N_last - n
-            prev, cur = cur, _step_mod(mults[0], _taps(mults, i, prev, cur, hi), cur, weights, moduli, hi,
+            taps = ((cur[:hi - cur_off], cur_off, cur_kernel), (prev[:hi - prev_off], prev_off, prev_kernel))
+            prev, cur = cur, _step_mod(d_tap, taps, cur, weights, moduli, hi,
                                        tilt=tilt, reduce_derivative=reduce_derivative)
             n += 1
             if n == keys[first]:
@@ -728,11 +753,13 @@ def _both_ends(family: RecurrenceFamily, N: int, p: int) -> int:
         ks = np.arange(first, min(first + _BLOCK, passes))
         d_tap, (f_off, f_cur), (f_off2, f_prev) = _multipliers(family, a + ks, p)
         _, (u_off, u_cur), (u_off2, u_prev) = _multipliers(family, N - 1 - ks, p, transposed=True)
-        for i, k in enumerate(ks.tolist()):
+        u_at, u_at2, f_at, f_at2 = u_off + 1, u_off2 + 2, f_off + 1, f_off2 + 1  # where the taps land (f's from f)
+        for k, u_kernel, u_kernel2, f_kernel, f_kernel2 in zip(range(first, first + len(ks)), u_cur, u_prev,
+                                                              f_cur, f_prev):
             n = a + k             # F_(n+1) from F_n, F_(n-1); u_(N-k-1) from u_(N-k), u_(N-k+1)
             f, w = head + k, widths[n]
-            taps = [(cur[:k + 1], u_off + 1, u_cur[i]), (prev[:k], u_off2 + 2, u_prev[i]),
-                    (cur[f:f + w], f + f_off + 1, f_cur[i]), (prev[f - 1:f - 1 + w], f + f_off2 + 1, f_prev[i])]
+            taps = ((cur[:k + 1], u_at, u_kernel), (prev[:k], u_at2, u_kernel2),
+                    (cur[f:f + w], f + f_at, f_kernel), (prev[f - 1:f - 1 + w], f + f_at2, f_kernel2))
             prev, cur = cur, _step_mod(d_tap, taps, cur, weights[passes - k - 1:], mod[passes - k - 1:],
                                        f + 1 + widths[n + 1], shift=1, reduce_derivative=reduce_derivative)
     _, _, prev_scalar, prev_poly = family.step_coeffs(m)

@@ -536,7 +536,8 @@ def test_pretty_header_then_the_no_timestamp_output(capsys, argv):
     assert header.startswith("# generated 2") and header.endswith("+00:00") and rest == bare
 
 
-# Every usage error the subcommands report themselves: exit 1, nothing on stdout, one stderr line.
+# Every usage error the subcommands report themselves, and a ValueError raised inside one, which
+# main reports under the same prefix: exit 1, nothing on stdout, one stderr line.
 @pytest.mark.parametrize("argv, message", [
     ("poly --emit-table 4 --n 3", "poly: error: --emit-table takes neither --n nor --mod"),
     ("poly --emit-table 2 --family x", "poly: error: --emit-table 2 prints the x table and takes no --family"),
@@ -545,6 +546,11 @@ def test_pretty_header_then_the_no_timestamp_output(capsys, argv):
     ("verify --format json", "verify: error: give --thm {3|4|5|6} or --symbolic"),
     ("verify --symbolic --max-n -1", "verify: error: --max-n must be >= 0, got -1"),
     ("verify --thm 5 --precision 10", "verify: error: --precision must be >= 64, got 10"),
+    ("criterion --family Ep --range 17", "criterion: error: range must look like LO..HI, got '17'"),
+    ("criterion --family Ep --range 20..10", "criterion: error: range bounds must satisfy 2 <= lo <= hi"),
+    ("poly --n -1", "poly: error: index N must be >= 0"),
+    ("oracle --p 7 --no-cache", "oracle: error: p = 7 is not admissible for Ep (need a prime = 1, 9 mod 16)"),
+    ("oracle --p 73 --tol nan --no-cache", "oracle: error: tolerance nan is not a finite number"),
 ])
 def test_usage_error_message(capsys, argv, message):
     assert run(capsys, *argv.split()) == (1, "", message + "\n")

@@ -1,7 +1,7 @@
 import math
 import time
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -20,13 +20,16 @@ from rankcrit.recurrences import (
     _P_MAX,
     _P_UNREDUCED,
     _batches,
+    _columns,
     _dot_mod,
     _fits,
     _length_bounds,
     _multipliers,
     _polys,
     _from_v,
+    _step_mod,
     _stored_exact,
+    _stored_mod,
     _tap_plan,
     _tap_step,
     _tap_sum,
@@ -297,6 +300,22 @@ class TestModP:
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             constant_term_mod(F_E, 4, 15)
+
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_stored_rows_stop_at_their_length_bound(self, key):
+        # each stored row mod p is cut at _length_bounds (x and y at floor(n/2) + 1, where
+        # their taps alone would widen them by 2 a step) and equals the exact row mod p
+        family = FAMILIES[key]
+        bounds = _length_bounds(family, 300).tolist()
+        exact = list(islice(iter_family(family), 301))
+        for p in (3, 1009, _PAST_UNREDUCED[0]):
+            rows = list(islice(_stored_mod(family, p), 301))
+            if key in "xy":
+                assert [len(row) for row in rows] == [1, 0] + bounds[2:], p
+            assert all(len(row) <= bound for row, bound in zip(rows, bounds)), p
+            inverse = pow(family.scale, -1, p)
+            assert [trim(c * inverse % p for c in row.tolist()) for row in rows] == [
+                _residues(poly, p) for poly in exact], p
 
 
 class TestCriterionEquivalence:
@@ -578,6 +597,149 @@ class TestBothEnds:
             assert _dot_mod([(a, b), (tail, tail[:5])], p) == want
         # lengths may differ: the shorter of each pair sets it
         assert _dot_mod([(np.array([2, 3, 4]), np.array([5, 6]))], 7) == (10 + 18) % 7
+
+
+def _reference_step(d_tap, taps, cur, weights, mod, hi, shift=0, tilt=None, reduce_derivative=True) -> list:
+    """``_step_mod`` on Python ints, output coefficient by coefficient: each product
+    (source * kernel, the kernel stored reversed) lands at its position, the step is as
+    long as the longest nonempty product and at most ``hi``, and element j of the sum is
+    reduced mod ``mod[j]``."""
+    source = [int(c) for c in cur[1 - shift:hi + 1 - shift]]
+    deriv = [int(weights[i + 1]) * c for i, c in enumerate(source)]
+    if reduce_derivative:
+        deriv = [c % int(mod[i + 1]) for i, c in enumerate(deriv)]
+    products = []
+    for k, (x, pos, kernel) in enumerate(((deriv, *d_tap), *taps)):
+        x = [int(c) for c in x]
+        if not x:
+            continue
+        if isinstance(kernel, int):
+            tilted = k > 0 and tilt is not None and pos == tilt[0]
+            products.append((pos, [(kernel + (int(tilt[1][pos + j]) if tilted else 0)) * c for j, c in enumerate(x)]))
+        else:
+            poly = [int(c) for c in kernel[::-1]]
+            products.append((pos, [sum(x[i] * poly[j - i] for i in range(len(x)) if 0 <= j - i < len(poly))
+                                   for j in range(len(x) + len(poly) - 1)]))
+    size = min(max((pos + len(c) for pos, c in products), default=0), hi)
+    out = [0] * size
+    for pos, c in products:
+        for j, v in enumerate(c):
+            if pos + j < size:
+                out[pos + j] += v
+    return [v % int(mod[j]) for j, v in enumerate(out)]
+
+
+def _vec(*values):
+    return np.array(values, np.int64)
+
+
+class TestStepMod:
+    """Each branch of ``_step_mod`` against ``_reference_step``."""
+
+    P = 1009
+    CUR = _vec(5, 1008, 17, 400, 3, 999)
+    PREV = _vec(7, 0, 2, 1000)
+    WEIGHTS = np.arange(40) % P
+    MOD = np.full(40, P, np.int64)
+
+    def check(self, d_tap, taps, cur=CUR, hi=40, **kwargs):
+        got = _step_mod(d_tap, taps, cur, self.WEIGHTS, self.MOD, hi, **kwargs)
+        assert got.dtype == np.int64
+        assert got.tolist() == _reference_step(d_tap, taps, cur, self.WEIGHTS, self.MOD, hi, **kwargs)
+        return got
+
+    def test_d_product_covers_the_step(self):
+        # D (width 3 at 0) on F' of length 5 makes 7 elements, the taps at most 6
+        got = self.check((0, _vec(3, 1000, 8)), ((self.CUR, 0, 11), (self.PREV, 1, _vec(4, 9))))
+        assert len(got) == 7
+
+    @pytest.mark.parametrize("d_tap", [(0, _vec(2)), (2, _vec(1, 5)), (1, 4)], ids=["short", "offset", "int"])
+    def test_d_product_that_does_not_cover(self, d_tap):
+        got = self.check(d_tap, ((self.CUR, 0, _vec(6, 1, 1008)), (self.PREV, 3, 2)))
+        assert len(got) == 8
+
+    def test_d_product_past_the_cut(self):
+        assert self.check((9, _vec(1, 1)), ((self.CUR, 0, 3),), hi=8).tolist()[6:] == [0, 0]
+
+    def test_empty_sources(self):
+        self.check((0, _vec(1, 2)), ((self.CUR[:0], 0, _vec(5, 5)), (self.PREV, 1, 7)))
+        self.check((0, _vec(1, 2)), ((self.CUR[:0], 0, 5), (self.PREV[:0], 1, 7)))
+        # no F' either (F_n has one coefficient), and nothing at all
+        self.check((0, _vec(1, 2)), ((self.CUR[:1], 0, 5), (self.PREV[:3], 1, _vec(1, 1))), cur=self.CUR[:1])
+        assert len(self.check((0, _vec(1, 2)), ((self.PREV[:0], 0, 5),), cur=self.CUR[:0])) == 0
+
+    @pytest.mark.parametrize("hi", [1, 3, 5, 6])
+    def test_cut_at_hi(self, hi):
+        got = self.check((0, _vec(3, 1000, 8)), ((self.CUR[:hi], 0, _vec(1, 2)), (self.PREV[:hi], 4, 9)), hi=hi)
+        assert len(got) == hi
+
+    def test_alpha_tilt(self):
+        # the tilt rides on the one-column tap at its offset, on neither the D tap nor the others
+        tilt = (2, np.arange(40, dtype=np.int64) * 37 % self.P)
+        self.check((0, _vec(3, 1000, 8)), ((self.CUR, 2, 13), (self.PREV, 1, 6), (self.PREV, 0, _vec(1, 1, 1))),
+                   tilt=tilt)
+        self.check((2, 5), ((self.CUR, 2, 13), (self.PREV, 2, _vec(4, 4))), tilt=tilt)
+
+    def test_shift(self):
+        # a vector that moves one place right a pass: F_n'[j - 1] is weights[j] * cur[j - 1]
+        for d_tap in ((0, _vec(3, 1000, 8)), (1, _vec(2, 2)), (0, 3)):
+            self.check(d_tap, ((self.CUR[:3], 1, 5), (self.PREV, 2, _vec(1, 0, 1))), shift=1)
+            self.check(d_tap, ((self.CUR[:3], 1, 5),), hi=4, shift=1)
+
+    def test_derivative_both_sides_of_the_residue_tap_limit(self):
+        # nine D products of (p - 1)^3 meet in one sum: exact unreduced below _P_UNREDUCED,
+        # and reduced first above it
+        for p, reduce_derivative in ((_UNREDUCED_BELOW, False), (_PAST_UNREDUCED[0], True)):
+            top = np.full(30, p - 1, np.int64)
+            args = ((0, top[:_MAX_TERMS]), ((top[:12], 3, p - 1),), top[:20], top, np.full(30, p, np.int64), 30)
+            got = _step_mod(*args, reduce_derivative=reduce_derivative)
+            assert got.tolist() == _reference_step(*args, reduce_derivative=reduce_derivative)
+            assert got.tolist() == _reference_step(*args)  # reducing F_n' changes no residue
+        assert _step_mod(*args, reduce_derivative=False).tolist() != got.tolist()  # it would overflow
+
+    @pytest.mark.parametrize("run", [
+        lambda: constant_terms_mod(F_E, [(N, p) for p in (17, 41, 73, 89, 97, 113) for N in (3 * (p - 1) // 8,)]),
+        lambda: paired_constant_terms_mod([((p - 1) // 3, p) for p in (19, 37, 73, 109, 127)]),
+        lambda: [constant_term_mod(family, 41, p) for family in FAMILIES.values() for p in (3, 233)],
+        lambda: [generate(family, 30, p) for family in FAMILIES.values() for p in (3, 1009)],
+    ], ids=["lockstep", "alpha lockstep", "both ends", "stored"])
+    def test_every_call_of_each_driver(self, run, monkeypatch):
+        calls, step_mod = [], recurrences._step_mod
+
+        def checked(*args, **kwargs):
+            out = step_mod(*args, **kwargs)
+            assert out.tolist() == _reference_step(*args, **kwargs)
+            calls.append(kwargs)
+            return out
+
+        monkeypatch.setattr(recurrences, "_step_mod", checked)
+        run()
+        assert calls
+
+
+class TestColumns:
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("family", [*FAMILIES.values(), H_E], ids=repr)
+    def test_table_is_the_interpolated_multipliers(self, family, transposed):
+        # the cached table, evaluated at n, is _polys(family, n, transposed) from step_coeffs:
+        # at n = 0, 1, 2 that makes it the interpolation of those samples (a quadratic is
+        # fixed by three points), and past them it checks that every column is quadratic
+        d_tap, cols, spans = _columns(family, transposed)
+        for n in range(12):
+            polys = _polys(family, n, transposed)
+            assert d_tap == polys[0]
+            for (base, first, width), (want_base, want) in zip(spans, polys[1:], strict=True):
+                column = [c0 + c1 * n + c2 * (n * (n - 1) // 2) for c0, c1, c2 in zip(*cols)][first:first + width]
+                assert base == want_base and trim(column) == trim(want), (n, base)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_table_is_cached_and_immutable(self, transposed):
+        for family in FAMILIES.values():
+            table = _columns(family, transposed)
+            hash(table)  # tuples of ints all the way down
+            _multipliers(family, np.arange(5, 50), 1009, transposed)
+            _multipliers(family, np.arange(5, 50), None, transposed)
+            assert _columns(family, transposed) is table
 
 
 class TestPairedScan:
