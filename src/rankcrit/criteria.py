@@ -9,10 +9,11 @@ Divisibility predicts rank 2 under BSD, non-divisibility rank 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ._primality import is_prime, primes_in
-from .recurrences import A_VZ, F_E, X_A, constant_term_mod, constant_terms_mod, paired_constant_terms_mod
+from .recurrences import (A_VZ, F_E, X_A, RecurrenceFamily, constant_term_mod, constant_terms_mod,
+                          paired_constant_terms_mod)
 
 
 class CrossCheckError(RuntimeError):
@@ -49,68 +50,70 @@ class CriterionVerdict:
         }
 
 
-# The congruence class of each family's admissible primes: p % modulus in residues.
-_CLASSES = {"Ep": (16, (1, 9)), "Ap": (9, (1,))}
+class _Criterion(NamedTuple):
+    modulus: int                         # admissible primes: p % modulus in classes
+    classes: tuple[int, ...]
+    index: Callable[[int], int]          # N(p), the recurrence index tested
+    weight: Callable[[int], int]         # k(p)
+    paths: tuple[RecurrenceFamily, ...]  # the recurrence families tested, in record order
 
 
-def _congruence_class(family: str) -> tuple[int, tuple[int, ...]]:
-    if family not in _CLASSES:
+_CRITERIA = {
+    "Ep": _Criterion(16, (1, 9), lambda p: 3 * (p - 1) // 8, lambda p: (3 * p + 1) // 4, (F_E,)),
+    "Ap": _Criterion(9, (1,), lambda p: (p - 1) // 3, lambda p: (2 * p + 1) // 3, (A_VZ, X_A)),
+}
+
+
+def _criterion(family: str) -> _Criterion:
+    if family not in _CRITERIA:
         raise ValueError(f"unknown family {family!r}")
-    return _CLASSES[family]
+    return _CRITERIA[family]
 
 
 def admissible(p: int, family: str) -> Admissibility:
     """Whether p is prime and in the family's congruence class; index if so."""
-    modulus, residues = _congruence_class(family)
-    if p % modulus not in residues or not is_prime(p):
+    row = _criterion(family)
+    if p % row.modulus not in row.classes or not is_prime(p):
         return Admissibility(False, None)
-    return Admissibility(True, _index(p, family))
-
-
-def _index(p: int, family: str) -> int:
-    return 3 * (p - 1) // 8 if family == "Ep" else (p - 1) // 3
+    return Admissibility(True, row.index(p))
 
 
 def weight_for(p: int, family: str) -> int:
-    if family == "Ep":
-        return (3 * p + 1) // 4
-    if family == "Ap":
-        return (2 * p + 1) // 3
-    raise ValueError(f"unknown family {family!r}")
+    return _criterion(family).weight(p)
 
 
-def _verdict(p: int, family: str, path: str, index: int, residue: int) -> CriterionVerdict:
-    divisible = residue == 0
-    return CriterionVerdict(
-        p=p,
-        family=family,
-        path=path,
-        index=index,
-        weight_k=weight_for(p, family),
-        residue=residue,
-        divisible=divisible,
-        predicted_rank_bsd=2 if divisible else 0,
-    )
+def _verdicts(p: int, family: str, residues: list[int]) -> list[CriterionVerdict]:
+    """The verdicts of an admissible p from its residues, one per path in record
+    order; the a- and x-paths of Ap are cross-checked."""
+    row = _CRITERIA[family]
+    index, k = row.index(p), row.weight(p)
+    verdicts = [CriterionVerdict(p=p, family=family, path=path.key, index=index, weight_k=k, residue=r,
+                                 divisible=r == 0, predicted_rank_bsd=2 if r == 0 else 0)
+                for path, r in zip(row.paths, residues)]
+    if len(verdicts) == 2:
+        _cross_check(p, *verdicts)
+    return verdicts
+
+
+def _admitted_index(p: int, family: str) -> int:
+    """N(p) for an admissible p; a ValueError naming the family's congruence class otherwise."""
+    ok, index = admissible(p, family)
+    if not ok:
+        row = _CRITERIA[family]
+        needs = f"p = {', '.join(map(str, row.classes))} mod {row.modulus}"
+        raise ValueError(f"{p} is not an admissible prime for {family} (needs {needs})")
+    return index
 
 
 def verdict_Ep(p: int) -> CriterionVerdict:
-    ok, index = admissible(p, "Ep")
-    if not ok:
-        raise ValueError(f"{p} is not an admissible prime for Ep (needs p = 1, 9 mod 16)")
-    residue = constant_term_mod(F_E, index, p)
-    return _verdict(p, "Ep", "f", index, residue)
+    (v,) = _verdicts(p, "Ep", [constant_term_mod(F_E, _admitted_index(p, "Ep"), p)])
+    return v
 
 
 def verdict_Ap(p: int) -> tuple[CriterionVerdict, CriterionVerdict]:
     """(a-path, x-path) verdicts; raises CrossCheckError on disagreement."""
-    ok, index = admissible(p, "Ap")
-    if not ok:
-        raise ValueError(f"{p} is not an admissible prime for Ap (needs p = 1 mod 9)")
-    res_a = constant_term_mod(A_VZ, index, p)
-    res_x = constant_term_mod(X_A, index, p)
-    va = _verdict(p, "Ap", "a", index, res_a)
-    vx = _verdict(p, "Ap", "x", index, res_x)
-    _cross_check(p, va, vx)
+    index = _admitted_index(p, "Ap")
+    va, vx = _verdicts(p, "Ap", [constant_term_mod(A_VZ, index, p), constant_term_mod(X_A, index, p)])
     return va, vx
 
 
@@ -129,15 +132,12 @@ def _cross_check(p: int, va: CriterionVerdict, vx: CriterionVerdict) -> None:
         raise CrossCheckError(f"p={p}: a-path residue {va.residue} and x-path residue {vx.residue} differ")
 
 
-# The recurrence families behind each curve family's verdicts, in record order.
-_PATHS = {"Ep": (F_E,), "Ap": (A_VZ, X_A)}
-
-
 def _residues(args: tuple[str, list[int]]) -> list[list[int]]:
     """Per path of the family, F_index(0) mod p for every admissible p given, in one
     lockstep batch: the a- and x-paths of Ap share theirs."""
     family, primes = args
-    targets = [(_index(p, family), p) for p in primes]
+    index = _CRITERIA[family].index
+    targets = [(index(p), p) for p in primes]
     if family == "Ap":
         return list(paired_constant_terms_mod(targets))
     return [constant_terms_mod(F_E, targets)]
@@ -151,7 +151,10 @@ def scan(family: str, lo: int, hi: int, jobs: int = 1) -> list[CriterionVerdict]
     cross-checked in order of p afterwards."""
     if lo < 2 or hi < lo:
         raise ValueError("range bounds must satisfy 2 <= lo <= hi")
-    primes = primes_in(lo, hi, *_congruence_class(family))
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    row = _criterion(family)
+    primes = primes_in(lo, hi, row.modulus, row.classes)
     if len(primes) == 1:
         return [verdict_Ep(primes[0])] if family == "Ep" else list(verdict_Ap(primes[0]))
     jobs = min(jobs, len(primes))
@@ -169,14 +172,7 @@ def scan(family: str, lo: int, hi: int, jobs: int = 1) -> list[CriterionVerdict]
     for (_, batch), paths in zip(batches, results):
         for p, *per_path in zip(batch, *paths):
             residues[p] = per_path
-    out: list[CriterionVerdict] = []
-    for p in primes:
-        index = _index(p, family)
-        verdicts = [_verdict(p, family, path.key, index, r) for path, r in zip(_PATHS[family], residues[p])]
-        if family == "Ap":
-            _cross_check(p, *verdicts)
-        out.extend(verdicts)
-    return out
+    return [v for p in primes for v in _verdicts(p, family, residues[p])]
 
 
 def sp_congruence_rhs(p: int) -> int:

@@ -96,7 +96,9 @@ CM_OMEGA = "omega"
 
 
 class PrecisionError(ValueError):
-    """Requested working precision below the supported minimum."""
+    """Requested working precision below MIN_PRECISION, or an ``ms_derivative`` series
+    still above its truncation threshold after 10000 terms (which the CLI reports as
+    non-convergence, exit 3)."""
 
 
 # A series is a zero-argument generator of (mu, coeff) for sum coeff * e^{2 pi i mu z},
@@ -615,8 +617,8 @@ class MSDerivativeReport:
 
 
 def _verify(row: _Identity, N, precision: int):
-    """The report for index N, or the list of reports for a sequence of distinct N."""
-    Ns = [N] if isinstance(N, int) else list(N)
+    """The report for index N, or the list of reports for a sequence of distinct N >= 0."""
+    Ns = _orders(N, "index N")
     ks = [_at(row.k, n) for n in Ns]
     orders = [_at(row.order, n) for n in Ns]
     constants = _constants(row, orders)

@@ -29,10 +29,10 @@ from rankcrit.maass import (
     verify_eta_identity,
     verify_theta2_identity,
 )
-from rankcrit.polyring import constant_term, trim
+from rankcrit.polyring import constant_term
 from rankcrit.recurrences import A_VZ, F_E, X_A, generate_all
 from rankcrit.symbolic import cross_check
-from ._util import derivative, dot, primes_leq
+from ._util import add, derivative, dot, mul, primes_leq, rand_poly, reduce
 from .golden import (
     A_TABLE,
     EP_SCAN_TABLE,
@@ -172,23 +172,6 @@ def test_criterion_8_symbolic_rederivation():
     _report(8, "theta-ring route reproduces the f recurrence exactly for n <= 12", t0, 1.0)
 
 
-def _reduce(a, p=None):
-    """a mod p, or a itself when p is None."""
-    return trim(a if p is None else (c % p for c in a))
-
-
-def _add(a, b, p=None):
-    return _reduce(dot((((1,), a), ((1,), b))), p)
-
-
-def _mul(a, b, p=None):
-    return _reduce(dot(((a, b),)), p)
-
-
-def _rand_poly(rng, p=None, max_deg=8, bound=10 ** 6):
-    return _reduce([rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg + 1))], p)
-
-
 def test_criterion_9_property_suites():
     t0 = time.time()
     # -- ring axioms / Leibniz / homomorphism over Z and Z/p: 8 checks x 1250 iterations = 10^4 cases
@@ -196,18 +179,18 @@ def test_criterion_9_property_suites():
     moduli = [None, 3, 5, 17, 97]
     for i in range(1250):
         m = moduli[i % len(moduli)]
-        a, b, c = (_rand_poly(rng, m) for _ in range(3))
-        assert _add(_add(a, b, m), c, m) == _add(a, _add(b, c, m), m)
-        assert _add(a, b, m) == _add(b, a, m)
-        assert _mul(a, b, m) == _mul(b, a, m)
-        assert _mul(_mul(a, b, m), c, m) == _mul(a, _mul(b, c, m), m)
-        assert _mul(a, _add(b, c, m), m) == _add(_mul(a, b, m), _mul(a, c, m), m)
-        leibniz = _reduce(dot(((derivative(a), b), (a, derivative(b)))), m)
-        assert _reduce(derivative(_mul(a, b, m)), m) == leibniz
-        az, bz, cz = (_rand_poly(rng, max_deg=5, bound=10 ** 4) for _ in range(3))
+        a, b, c = (rand_poly(rng, m) for _ in range(3))
+        assert add(add(a, b, m), c, m) == add(a, add(b, c, m), m)
+        assert add(a, b, m) == add(b, a, m)
+        assert mul(a, b, m) == mul(b, a, m)
+        assert mul(mul(a, b, m), c, m) == mul(a, mul(b, c, m), m)
+        assert mul(a, add(b, c, m), m) == add(mul(a, b, m), mul(a, c, m), m)
+        leibniz = reduce(dot(((derivative(a), b), (a, derivative(b)))), m)
+        assert reduce(derivative(mul(a, b, m)), m) == leibniz
+        az, bz, cz = (rand_poly(rng, max_deg=5, bound=10 ** 4) for _ in range(3))
         p = (3, 5, 17, 97)[i % 4]
-        assert _reduce(_add(_mul(az, bz), cz), p) == _add(_mul(_reduce(az, p), _reduce(bz, p), p), _reduce(cz, p), p)
-        assert constant_term(_reduce(az, p)) == constant_term(az) % p
+        assert reduce(add(mul(az, bz), cz), p) == add(mul(reduce(az, p), reduce(bz, p), p), reduce(cz, p), p)
+        assert constant_term(reduce(az, p)) == constant_term(az) % p
 
     # -- Hasse bound and CM vanishing on every computed a_q
     curve = curve_ep(41)

@@ -13,6 +13,7 @@ from rankcrit.criteria import (
     sp_congruence_rhs,
     verdict_Ap,
     verdict_Ep,
+    weight_for,
 )
 from ._util import primes_leq
 from .golden import EP_SCAN_TABLE, SCAN_3000_SHA256
@@ -42,6 +43,18 @@ class TestAdmissible:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             admissible(17, "Zp")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: verdict_Ep(7), "7 is not an admissible prime for Ep (needs p = 1, 9 mod 16)"),
+        (lambda: verdict_Ap(17), "17 is not an admissible prime for Ap (needs p = 1 mod 9)"),
+        (lambda: admissible(17, "Zp"), "unknown family 'Zp'"),
+        (lambda: weight_for(17, "Zp"), "unknown family 'Zp'"),
+        (lambda: scan("Zp", 2, 100), "unknown family 'Zp'"),
+    ])
+    def test_refusal_messages(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestVerdictEp:
@@ -152,6 +165,12 @@ class TestScan:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             scan("Ep", 1, 10)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_jobs_below_one(self, monkeypatch, jobs):
+        monkeypatch.setattr(criteria, "primes_in", lambda *args: pytest.fail("scan listed primes"))
+        with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
+            scan("Ep", 2, 100, jobs=jobs)
 
     @pytest.mark.parametrize("family", ["Ep", "Ap"])
     def test_golden_digest_to_3000(self, family):

@@ -478,6 +478,11 @@ class TestTheta2Identity:
             assert r.rel_error < 1e-20, (N, r.rel_error)
             assert r.predicted >= 0
 
+    @pytest.mark.parametrize("N", [-1, [0, -1]])
+    def test_negative_index_refused(self, N):
+        with pytest.raises(ValueError, match=r"^index N must be >= 0, got -1$"):
+            verify_theta2_identity(N, 256)
+
 
 class TestEtaIdentities:
     def test_x_seed(self):
@@ -515,6 +520,12 @@ class TestEtaIdentities:
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             verify_eta_identity(1, "w", 256)
+
+    @pytest.mark.parametrize("case", ["x", "y", "z"])
+    @pytest.mark.parametrize("N", [-1, range(-1, 3)])
+    def test_negative_index_refused(self, case, N):
+        with pytest.raises(ValueError, match=r"^index N must be >= 0, got -1$"):
+            verify_eta_identity(N, case, 256)
 
 
 class TestHeckeValues:
