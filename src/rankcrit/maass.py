@@ -31,9 +31,10 @@ of w bits with its own binary exponent, w = mp.prec + ``_WALK_GUARD`` (24) +
 cancel about h bits).  Each term multiplies its mantissas by num = mu * D
 exactly, j times, and floors each product onto the moment sum U_j at 2^-w;
 each order is then one integer Horner pass over the cached coefficients of
-the expansion.  So a term costs small-integer products only, and one
-``laguerre`` call at 64 bits for the stop bound |a| L_h^{k-1}(-4 pi mu y)
-|e^{2 pi i mu z}|.  The tests hold it to
+the expansion, in g = D/(4 pi y s) made once per call and shifted down to
+the order's width (``_moment_point``).  So a term costs small-integer
+products only, and one ``laguerre`` call at 64 bits for the stop bound
+|a| L_h^{k-1}(-4 pi mu y) |e^{2 pi i mu z}|.  The tests hold it to
 2^-precision * max(|ref|, h!/(4 pi y)^h) against the mpf Laguerre sum with
 one mp.exp per term, for the six series at i, omega and 0.3 + 1.1i, h in
 {0, 1, 7, 32} at 64, 256 and 1064 bits, h = 64 at 64 and 256 bits, and h in
@@ -379,16 +380,36 @@ def _moment_guard(top: int) -> int:
     return max(80, top + 16)
 
 
-def _moment_sum(h: int, weight: Fraction, D: int, ure: list, uim: list, y: mpmath.mpf, w: int) -> mpmath.mpc:
-    """D^-h sum_j c_j g^(h-j) U_j, g = D/(4 pi y s), c_j from ``_expansion``.
+def _moment_width(h: int) -> int:
+    """W = mp.prec + 2h + 32, the bits of ``_moment_sum``'s Horner pass at order h."""
+    return mpmath.mp.prec + 2 * h + 32
 
-    One integer Horner pass in g at W = mp.prec + 2h + 32 bits; the moments
+
+def _moment_point(D: int, y: mpmath.mpf, s: int, top: int) -> tuple[int, int]:
+    """g = D/(4 pi y s) as (floor(g 2^W), W), W = ``_moment_width(max(64, top))``, from g
+    rounded to W + 8 bits.
+
+    Order h <= max(64, top) takes its g by a right shift to ``_moment_width(h)`` bits,
+    which is within one unit of floor(g 2^W_h).  Up to order 64 the width does not
+    depend on the orders asked for, so a one-pass call and one-order calls shift the
+    same g.
+    """
+    W = _moment_width(max(64, top))
+    with mpmath.workprec(W + 8):
+        return mpmath.libmp.to_fixed((D / (4 * mpmath.pi * y * s))._mpf_, W), W
+
+
+def _moment_sum(h: int, weight: Fraction, D: int, ure: list, uim: list, point: tuple[int, int],
+                w: int) -> mpmath.mpc:
+    """D^-h sum_j c_j g^(h-j) U_j, g = D/(4 pi y s) given as ``_moment_point``, c_j from
+    ``_expansion``.
+
+    One integer Horner pass in g at W = ``_moment_width(h)`` bits; the moments
     U_j are ints at 2^-w.
     """
     coeffs = _expansion(h, weight.numerator, weight.denominator)
-    W = mpmath.mp.prec + 2 * h + 32
-    with mpmath.workprec(W + 8):
-        g = mpmath.libmp.to_fixed((D / (4 * mpmath.pi * y * weight.denominator))._mpf_, W)
+    W = _moment_width(h)
+    g = point[0] >> (point[1] - W)
     re, im = coeffs[0] * ure[0], coeffs[0] * uim[0]
     for j in range(1, h + 1):
         re = ((re * g) >> W) + coeffs[j] * ure[j]
@@ -492,7 +513,8 @@ def ms_derivative(series: Series, weight, h, z, precision: int = 256):
                     raise PrecisionError("series did not reach the truncation threshold")
         for i in active:  # a finite series ran out before these orders stopped
             read[i] = ure[:orders[i] + 1], uim[:orders[i] + 1]
-        derivatives = tuple(_moment_sum(n, weight, D, *m, y, w) for n, m in zip(orders, read))
+        point = _moment_point(D, y, weight.denominator, max(orders, default=0))
+        derivatives = tuple(_moment_sum(n, weight, D, *m, point, w) for n, m in zip(orders, read))
         return derivatives[0] if isinstance(h, int) else derivatives
 
 

@@ -50,13 +50,16 @@ steps by x's taps), N_max steps for both paths.  A target alone
 (``constant_term_mod``) goes from both ends, F up from its seeds and the
 transposed chain down from F_N(0) = <e_0, F_N>, and meets in the middle:
 about N/2 passes instead of N (``_both_ends``).  At p near 1000 a pass is
-call overhead: on a 2-vCPU VM its 17-27 numpy calls on short vectors take
-9.5-11.7 us, and the Python around them, which sizes the step and places the
-products, took another 2.2-4.5 us and takes 1.6-3.3 us since ``_step_mod`` sizes
-the step from its operand lengths before any product exists (13.6-14.0 ->
-12.7-13.3 us a pass).  So halving the passes paid: a verdict at Ep 1201 or
-Ap 1063 ran about 1.35x faster than one window stepped N times, and the
-Ap 2..500 scan about 1.8x faster than two scans one path at a time.
+call overhead, numpy calls on short vectors and the Python that sizes the
+step and places the products.  So halving the passes paid: a verdict at
+Ep 1201 or Ap 1063 ran about 1.35x faster than one window stepped N times, and
+the Ap 2..500 scan about 1.8x faster than two scans one path at a time.  And
+each call a pass saves counts: ``_step_mod`` adds every product in place
+through a view of its output, with no ``__setitem__`` of the view onto itself,
+and calls numpy's undispatched correlate (``_correlate``).  On a 2-vCPU VM that
+took a ``_both_ends`` pass at Ep 1201 and at a and x of Ap 1063 from 11.2-13.5
+to 10.0-11.6 us, and the ``_step_mod`` call in it from 9.3-11.2 to 8.1-9.5 us
+(fastest of 3 x 60 runs).
 
 Every pass reduces its output once; the elementwise work before that is cut
 two ways.  F_n', a derivative weight times a residue, meets the D taps
@@ -298,7 +301,8 @@ def _step_mod(d_tap: tuple, taps: tuple, cur: np.ndarray, weights: np.ndarray, m
 
     The step is as long as its longest product, at most ``hi``, read off the operand
     lengths; the D product is the output when it starts at 0 and covers the step, and
-    each tap's product is added in as it is computed.
+    each tap's product is added in place, through a view of the output, as it is
+    computed (cut only when it runs past the step).
     """
     d_pos, d_kernel = d_tap
     deriv = cur[1 - shift:hi + 1 - shift]
@@ -319,26 +323,49 @@ def _step_mod(d_tap: tuple, taps: tuple, cur: np.ndarray, weights: np.ndarray, m
         if reduce_derivative:
             deriv %= mod[1:width + 1]
         # np.correlate with the kernel reversed is np.convolve without its wrapper's cost
-        c = d_kernel * deriv if type(d_kernel) is int else np.correlate(deriv, d_kernel, "full")
+        c = d_kernel * deriv if type(d_kernel) is int else _correlate(deriv, d_kernel, "full")
         if d_pos == 0 and d_end >= size:
             out = c[:size]  # the D product covers the step
         else:
             out = np.zeros(size, np.int64)
-            if d_pos < size:
-                out[d_pos:d_end] += c[:size - d_pos]
+            if d_end <= size:
+                view = out[d_pos:d_end]
+                view += c
+            elif d_pos < size:
+                view = out[d_pos:]
+                view += c[:size - d_pos]
     else:
         out = np.zeros(size, np.int64)
     for x, pos, kernel in taps:
         if len(x) and pos < size:
             if type(kernel) is not int:
-                c = np.correlate(x, kernel, "full")
+                c = _correlate(x, kernel, "full")
             elif tilt is not None and pos == tilt[0]:
                 c = (tilt[1][pos:pos + len(x)] + kernel) * x
             else:
                 c = kernel * x
-            out[pos:pos + len(c)] += c[:size - pos]
+            end = pos + len(c)
+            if end <= size:
+                view = out[pos:end]
+                view += c
+            else:
+                view = out[pos:]
+                view += c[:size - pos]
     out %= mod[:size]
     return out
+
+
+def _bind_correlate(a: np.ndarray, v: np.ndarray, mode: str) -> np.ndarray:
+    """``np.correlate(a, v, mode)``.  The first call rebinds ``_correlate`` to numpy's
+    undispatched implementation (``np.correlate._implementation``, which skips the
+    ``__array_function__`` dispatch of every call), or to ``np.correlate`` itself where
+    numpy has none; so numpy still loads at the first kernel call, not at import."""
+    global _correlate
+    _correlate = getattr(np.correlate, "_implementation", np.correlate)
+    return _correlate(a, v, mode)
+
+
+_correlate = _bind_correlate
 
 
 def step(family: RecurrenceFamily, n: int, prev: tuple, cur: tuple, p: int | None = None) -> tuple:

@@ -25,6 +25,8 @@ from rankcrit.maass import (
     _laguerre_guard,
     _mpf_frac,
     _moment_guard,
+    _moment_point,
+    _moment_width,
     e2star,
     hecke_value_A,
     hecke_value_A_from_theta_forms,
@@ -352,6 +354,39 @@ class TestMsDerivative:
         series, weight = _SERIES[name]
         got = ms_derivative(series, weight, tuple(range(top + 1)), point, prec)
         assert list(got) == [ms_derivative(series, weight, h, point, prec) for h in range(top + 1)]
+
+    @pytest.mark.parametrize("prec", [64, 256, 1064])
+    def test_shared_moment_point(self, prec):
+        # one g per pass: each order's right shift is within one unit of floor(g 2^W) at its
+        # own width W, against g with a 400-bit guard, for every series' D and weight
+        orders = (*range(65), 96, 128)
+        for name, (series, weight) in _SERIES.items():
+            D, s = next(series())[0].denominator, Fraction(weight).denominator
+            for z in (CM_I, CM_OMEGA, 0.3 + 1.1j):
+                with mp.workprec(prec + _GUARD):
+                    y = _as_point(z).imag
+                    for top in (0, 128):
+                        g, width = _moment_point(D, y, s, top)
+                        assert width == _moment_width(max(64, top))
+                        for h in (h for h in orders if h <= max(64, top)):
+                            W = _moment_width(h)
+                            with mp.workprec(W + 400):
+                                ref = int(mp.floor(D / (4 * mp.pi * y * s) * mpf(2) ** W))
+                            assert abs((g >> (width - W)) - ref) <= 1, (name, z, top, h)
+
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_one_pass_past_order_64_matches_mpf_sum(self, prec):
+        # with orders past 64 the shared g is taken wider and shifted down to every order
+        orders = (*range(0, 65, 8), 96, 128)
+        for name, z in (("theta2", CM_I), ("E2", CM_I)):
+            series, weight = _SERIES[name]
+            got = ms_derivative(series, weight, orders, z, prec)
+            for h, value in zip(orders, got):
+                ref = _ms_derivative_mpf(series, weight, h, z, prec)
+                with mp.workprec(prec + _GUARD):
+                    y = _as_point(z).imag
+                    bound = mpf(2) ** -prec * max(abs(ref), mp.factorial(h) / (4 * mp.pi * y) ** h)
+                    assert abs(value - ref) <= bound, (name, h)
 
     def test_finite_series_sums_every_term(self):
         # a series that ends before the stop rule acts: every order sums all of it

@@ -673,6 +673,45 @@ class TestStepMod:
         got = self.check((0, _vec(3, 1000, 8)), ((self.CUR[:hi], 0, _vec(1, 2)), (self.PREV[:hi], 4, 9)), hi=hi)
         assert len(got) == hi
 
+    @pytest.mark.parametrize("past", [-1, 0, 2], ids=["before the end", "at the end", "past the end"])
+    def test_tap_product_against_the_end_of_the_step(self, past):
+        # the D product (width 3 on F' of length 5) sizes the step at 7; PREV (4) times a
+        # two-column kernel makes 5 elements, placed to end `past` elements after the step
+        size = 7
+        pos = size + past - 5
+        got = self.check((0, _vec(3, 1000, 8)), ((self.CUR[:2], 0, 11), (self.PREV, pos, _vec(4, 9))), hi=size)
+        assert len(got) == size
+
+    @pytest.mark.parametrize("hi", [9, 8, 6], ids=["before the end", "at the end", "past the end"])
+    def test_offset_d_product_against_the_end_of_the_step(self, hi):
+        # the D product starts at 2 and ends at 8 (F' of length 5, two columns); a tap
+        # makes the step 9 long, and hi cuts it to 8 or 6
+        got = self.check((2, _vec(1, 5)), ((self.CUR, 0, _vec(2, 1, 3, 7)),), hi=hi)
+        assert len(got) == hi
+
+    def test_correlate_alias(self, monkeypatch):
+        # the first call binds numpy's undispatched correlate; it is np.correlate on int64
+        monkeypatch.setattr(recurrences, "_correlate", recurrences._bind_correlate)
+        x, kernel = self.CUR, _vec(4, 9, 1008)
+        want = np.correlate(x, kernel, "full")
+        for _ in range(2):  # binding, then bound
+            got = recurrences._correlate(x, kernel, "full")
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert recurrences._correlate is getattr(np.correlate, "_implementation", np.correlate)
+
+    def test_correlate_without_the_undispatched_path(self, monkeypatch):
+        # a numpy whose correlate has no _implementation: the kernel binds np.correlate itself
+        calls, dispatched = [], np.correlate
+
+        def correlate(a, v, mode="valid"):
+            calls.append(mode)
+            return dispatched(a, v, mode)
+
+        monkeypatch.setattr(np, "correlate", correlate)
+        monkeypatch.setattr(recurrences, "_correlate", recurrences._bind_correlate)
+        assert constant_term_mod(F_E, 450, 1201) == constant_term(generate(F_E, 450, 1201)) == 921
+        assert recurrences._correlate is correlate and calls
+
     def test_alpha_tilt(self):
         # the tilt rides on the one-column tap at its offset, on neither the D tap nor the others
         tilt = (2, np.arange(40, dtype=np.int64) * 37 % self.P)
