@@ -37,12 +37,12 @@ f_N(t) = H_N(2t + 3) / 2^N, by a Taylor shift of H(3x) on additions only.
 ``iter_family`` and ``generate_all`` yield every row, so they walk f in t,
 where no row needs converting.
 
-Generation mod p, which avoids the huge exact coefficients, steps int64
-numpy arrays of residues instead, for primes p below ``_P_MAX``, through one
+Generation mod p, which avoids the huge exact coefficients, steps numpy
+arrays of residues instead, for primes p below ``_P_MAX``, through one
 kernel (``_step_mod``) whose passes can step two chains.  The constant terms F_N(0) mod p
 drive the rank criteria, and only the coefficients that can reach F_N(0) are
 stepped.  ``constant_terms_mod`` steps a batch of targets (N, p) of one family
-in lockstep: their windows sit end to end in one int64 vector with a modulus
+in lockstep: their windows sit end to end in one vector with a modulus
 per element, so each numpy pass of a step serves every prime, and a scan
 makes N_max steps instead of sum N_p.  ``paired_constant_terms_mod`` puts the
 a- and x-windows of an Ap batch in one vector (a_n = 2^n alpha_n, and alpha_n
@@ -69,6 +69,15 @@ for a batch's exact taps while ``_fits``.  And each window, and each row of
 ``generate(family, N, p)``, is only as wide as ``_length_bounds`` allows:
 floor(n/2) + 1 for x and y, whose rows are images of modular forms of weight
 2n in Q[E4, E6], against 2n + 1 for a.
+
+At scan widths a pass costs per element, not per call, so a lockstep batch
+whose sums stay within ``_F64_MAX`` steps float64 residues, exact integers
+there, reduced by rint against the reciprocal moduli (the proof is at
+``_F64_MAX``).  At widths 1000 to 20000 (2-vCPU VM) float64 ``np.correlate`` with
+a four-column kernel costs 1.5-2.4 ns an element against 5.8-6.7 ns on int64,
+and the float64 reduction, four ufuncs, 1.9-4.3 ns against 4.0-4.9 ns for
+int64's `%`.  That took the Ep 2..10^4 scan from 7.4-9.1 to 3.2-4.0 s.  Lone
+targets and ``generate(family, N, p)``, whose vectors are narrow, stay on int64.
 """
 
 from __future__ import annotations
@@ -168,17 +177,39 @@ FAMILIES = {fam.key: fam for fam in (F_E, A_VZ, X_A, Y_A, Z_A)}
 # on F_n', a derivative weight times a residue; left unreduced, it makes their products
 # up to (p-1)^3, and _MAX_TERMS * (p-1)^3 <= _INT64_MAX holds exactly when
 # p < _P_UNREDUCED (1008207), so ``_both_ends`` and ``_stored_mod`` skip the `% p` of F_n'
-# below it and keep it from there up to _P_MAX.
+# below it and keep it from there up to _P_MAX.  Those two always step int64 residues
+# (0 <= r < p), so these bounds stay theirs up to _P_MAX; only a lockstep batch, with
+# exact taps, may step float64 (``_F64_MAX``).
 _INT64_MAX = 2**63 - 1
 _MAX_TERMS = 9
 _P_MAX = math.isqrt(_INT64_MAX // _MAX_TERMS) + 2
 _P_UNREDUCED = int((_INT64_MAX // _MAX_TERMS) ** (1 / 3)) + 2  # cube root 1008205.52, so the float floor is exact
 
 # A lockstep batch of several primes shares its taps, so they stay exact integers: an
-# output coefficient sums at most one product |tap| * (p-1) per tap, and on an alpha
-# window one more product of two residues (``_ALPHA_TILT``), which fits in int64 while
-# (_tap_sum(N_max - 1) [+ max p - 1]) * (max p - 1) <= _INT64_MAX (``_fits``; for f to
-# about p = 1.3e6).
+# output coefficient sums at most one product |tap| * (m-1) per tap, m the modulus of
+# its element, and on an alpha window one more product of two residues
+# (``_ALPHA_TILT``), which fits in int64 while
+# S * (max p - 1) <= _INT64_MAX with S = _tap_sum(N_max - 1) [+ max p - 1] (``_fits``;
+# for f to about p = 1.3e6); with F_n' unreduced, S adds the sum of |D| times max p - 2.
+#
+# Within _F64_MAX the same sums are exact in float64, and a batch steps float64 residues
+# (``_lockstep``: Ep batches up to p near 104580, paired Ap batches up to p near 272640),
+# each reduced by r = x - rint(x * fl(1/m)) * m instead of `% m`.  That is exact.  Every
+# element and partial sum is an integer with |x| <= S(m-1) <= 2^52 (an element of a gap,
+# m = 1, sums products of its left neighbour only), so float64 holds it; so is F_n'
+# before its own reduction, a weight times a residue: the weight is an index below
+# N_max <= S in a window of F_n, and below p in an alpha window, whose batch counts
+# the p - 1 of the alpha term in S.  With
+# u = 2^-53, fl(1/m) = (1 + d1)/m and the product rounds by 1 + d2, |d1|, |d2| <= u, so
+# |x * fl(1/m) - x/m| <= (|x|/m)(2u + u^2) <= (1 + u)/m < 1/2 for m >= 3: k = rint(...)
+# is within 1/2 + 1/2 of x/m, so |x - k m| < m.  Then k m, within |x| + m - 1 < 2^53, and
+# r = x - k m are exact, r is congruent to x, and |r| <= m - 1, the residue bound
+# ``_fits`` assumes.  For m = 1, fl(1/m) = 1 and r = 0 exactly, which clears the gaps.
+# (At a limit of 2^53 - 1, k m can pass 2^53, where float64 holds only even integers:
+# m = 103217, x = 9007199254693525 gives r = -51607, not -51608.)  Lone targets and
+# ``generate(family, N, p)`` stay on int64: on their narrow vectors the four ufuncs of
+# the reduction cost more than the cheaper float64 correlate saves.
+_F64_MAX = 2**52
 
 _BLOCK = 1024        # steps per batch of multipliers, so memory follows the polynomials, not N
 _HORIZON = 32        # a lockstep layout holds F_n .. F_max(3n/2, 32): laying out costs about 5 short steps
@@ -208,15 +239,17 @@ def _tap_sum(family: RecurrenceFamily, n: int) -> int:
     return sum(map(abs, d_poly)) + sum(map(abs, cur_poly)) + abs(prev_scalar) * sum(map(abs, prev_poly))
 
 
-def _fits(family: RecurrenceFamily, N: int, p: int, alpha: bool = False, derivative: bool = False) -> bool:
-    """Whether exact taps step F_N mod primes up to p without leaving int64; ``alpha``
-    adds the term of an alpha window, a residue times a residue, and ``derivative``
-    leaves F_n' unreduced, so that each tap on it multiplies a product of two residues.
+def _fits(family: RecurrenceFamily, N: int, p: int, alpha: bool = False, derivative: bool = False,
+          limit: int = _INT64_MAX) -> bool:
+    """Whether exact taps step F_N mod primes up to p with every sum within ``limit``
+    (int64, or ``_F64_MAX`` for float64); ``alpha`` adds the term of an alpha window, a
+    residue times a residue, and ``derivative`` leaves F_n' unreduced, so that each tap
+    on it multiplies a product of two residues.
 
     Every tap of these families grows in size with n, so step N - 1 bounds
     them all."""
     d_sum = sum(map(abs, family.step_coeffs(0)[0])) if derivative else 0
-    return N < 2 or (_tap_sum(family, N - 1) + d_sum * (p - 2) + (p - 1 if alpha else 0)) * (p - 1) <= _INT64_MAX
+    return N < 2 or (_tap_sum(family, N - 1) + d_sum * (p - 2) + (p - 1 if alpha else 0)) * (p - 1) <= limit
 
 
 def _polys(family: RecurrenceFamily, n: int, transposed: bool = False) -> list[tuple[int, tuple]]:
@@ -252,18 +285,18 @@ def _columns(family: RecurrenceFamily, transposed: bool = False) -> tuple:
 
 
 def _multipliers(family: RecurrenceFamily, ns: np.ndarray, p: int | None = None,
-                 transposed: bool = False) -> list[tuple[int, list]]:
+                 transposed: bool = False, dtype=None) -> list[tuple[int, list]]:
     """The tap on F_n' as (offset, kernel), the same at every step, and the taps on F_n
     and F_{n-1} at the step indices ns as (offset, kernels), evaluated from the table of
     ``_columns(family, transposed)``; reduced mod p if p is given, else exact.
 
     ``kernels[i]`` is the multiplier at step ``ns[i]`` from t^offset up (columns that
-    vanish at every step are cut off): a plain int when one column is left, else an int64
-    array stored reversed for ``np.correlate``.
+    vanish at every step are cut off): a plain int when one column is left, else an array
+    stored reversed for ``np.correlate``, int64 or of ``dtype`` if given.
     """
     (d_base, d_poly), cols, spans = _columns(family, transposed)
     d_row = np.array([d_poly], np.int64)
-    d_off, (d_kernel,) = _cut(d_base, d_row % p if p else d_row)
+    d_off, (d_kernel,) = _cut(d_base, d_row % p if p else d_row, dtype)
     c0, c1, c2 = np.array(cols, np.int64)
     n = (ns if p is None else ns % p)[:, None]
     pair = n * (n - 1) // 2
@@ -271,25 +304,29 @@ def _multipliers(family: RecurrenceFamily, ns: np.ndarray, p: int | None = None,
         rows = c0 + c1 * n + c2 * pair
     else:
         rows = (c0 % p + c1 % p * n % p + c2 % p * (pair % p) % p) % p
-    return [(d_off, d_kernel), *(_cut(base, rows[:, first:first + width]) for base, first, width in spans)]
+    return [(d_off, d_kernel), *(_cut(base, rows[:, first:first + width], dtype) for base, first, width in spans)]
 
 
-def _cut(base: int, rows: np.ndarray) -> tuple[int, list]:
+def _cut(base: int, rows: np.ndarray, dtype=None) -> tuple[int, list]:
     """(offset, kernels) of the multipliers ``rows`` (one row a step, from t^base up),
-    with the columns that vanish in every row cut off."""
+    with the columns that vanish in every row cut off; a kernel of several columns is
+    converted to ``dtype`` if given."""
     cols = np.flatnonzero(rows.any(axis=0))
     lo, hi = (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 1)
     if hi - lo == 1:
         return base + lo, rows[:, lo].tolist()
-    return base + lo, list(np.ascontiguousarray(rows[:, lo:hi][:, ::-1]))
+    return base + lo, list(np.ascontiguousarray(rows[:, lo:hi][:, ::-1], dtype))
 
 
 def _step_mod(d_tap: tuple, taps: tuple, cur: np.ndarray, weights: np.ndarray, mod: np.ndarray, hi: int,
-              shift: int = 0, tilt: tuple | None = None, reduce_derivative: bool = True) -> np.ndarray:
+              shift: int = 0, tilt: tuple | None = None, reduce_derivative: bool = True,
+              inv: np.ndarray | None = None) -> np.ndarray:
     """Stored F_{n+1} below position ``hi`` of a vector of windows, from F_n (``cur``)
-    and the taps, all int64 residues.
+    and the taps: int64 residues, or with ``inv`` float64 ones.
 
-    Element j of the result is reduced mod ``mod[j]``.  The vector moves ``shift``
+    Element j of the result is reduced mod ``mod[j]``: to 0 <= r < mod[j] on int64, and
+    with ``inv`` (float64 1 / ``mod``) to an integral |r| <= mod[j] - 1 by ``_reduce``,
+    exact while every sum stays within ``_F64_MAX``.  The vector moves ``shift``
     places to the right a step (0 or 1), so F_n'[j - 1] is ``weights[j] * cur[j - shift]``,
     ``weights[j]`` being the index of element j in its window, and ``d_tap`` = (offset,
     kernel) acts on it.  Each of ``taps``, (source, position, kernel), is a slice of F_n or
@@ -321,13 +358,16 @@ def _step_mod(d_tap: tuple, taps: tuple, cur: np.ndarray, weights: np.ndarray, m
     if width:
         deriv = deriv * weights[1:width + 1]
         if reduce_derivative:
-            deriv %= mod[1:width + 1]
+            if inv is None:
+                deriv %= mod[1:width + 1]
+            else:
+                _reduce(deriv, mod[1:width + 1], inv[1:width + 1])
         # np.correlate with the kernel reversed is np.convolve without its wrapper's cost
         c = d_kernel * deriv if type(d_kernel) is int else _correlate(deriv, d_kernel, "full")
         if d_pos == 0 and d_end >= size:
             out = c[:size]  # the D product covers the step
         else:
-            out = np.zeros(size, np.int64)
+            out = np.zeros(size, cur.dtype)
             if d_end <= size:
                 view = out[d_pos:d_end]
                 view += c
@@ -335,7 +375,7 @@ def _step_mod(d_tap: tuple, taps: tuple, cur: np.ndarray, weights: np.ndarray, m
                 view = out[d_pos:]
                 view += c[:size - d_pos]
     else:
-        out = np.zeros(size, np.int64)
+        out = np.zeros(size, cur.dtype)
     for x, pos, kernel in taps:
         if len(x) and pos < size:
             if type(kernel) is not int:
@@ -351,8 +391,20 @@ def _step_mod(d_tap: tuple, taps: tuple, cur: np.ndarray, weights: np.ndarray, m
             else:
                 view = out[pos:]
                 view += c[:size - pos]
-    out %= mod[:size]
+    if inv is None:
+        out %= mod[:size]
+    else:
+        _reduce(out, mod[:size], inv[:size])
     return out
+
+
+def _reduce(x: np.ndarray, mod: np.ndarray, inv: np.ndarray) -> None:
+    """x - rint(x * inv) * mod in place, for float64 x within ``_F64_MAX``, mod and
+    inv = 1 / mod: an integral residue |r| <= mod - 1, 0 where mod is 1."""
+    q = x * inv
+    np.rint(q, out=q)
+    q *= mod
+    x -= q
 
 
 def _bind_correlate(a: np.ndarray, v: np.ndarray, mode: str) -> np.ndarray:
@@ -552,7 +604,7 @@ def _stored_mod(family: RecurrenceFamily, p: int) -> Iterator[np.ndarray]:
 #
 # Coefficient j of F_{n+1} needs coefficients <= j + 1 of F_n and <= j of F_{n-1}, so
 # F_N(0) needs only the window of F_m below N - m + 1.  A lockstep batch lays the
-# windows of its targets end to end in one int64 vector, sorted by N, each followed by a
+# windows of its targets end to end in one vector, sorted by N, each followed by a
 # gap of zeros as wide as the largest tap shift.  Every element carries its own modulus
 # (1 in a gap, so each step clears the gaps) and derivative weight, and one
 # ``_step_mod`` call steps every window.  An inner window is given the room its target
@@ -635,7 +687,7 @@ def _moved(poly: np.ndarray, old_starts: np.ndarray, old_widths: np.ndarray, lay
     seg, k = seg[:size], k[:size]
     src = old_starts[seg] + k
     take = inside[:size] & (k < old_widths[seg]) & (src < len(poly))
-    out = np.zeros(size, np.int64)
+    out = np.zeros(size, poly.dtype)
     out[take] = poly[src[take]]
     return out
 
@@ -654,7 +706,8 @@ def _alpha(p: int) -> tuple[list[tuple], int, int]:
 
 def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) -> list[int]:
     """Stored F_N(0) mod p for windows (N, p, alpha) sorted by N, every N >= 2, stepped
-    together with exact taps.  An alpha window (``family`` is X_A) steps
+    together with exact taps, on float64 residues while every sum stays within
+    ``_F64_MAX``, else on int64.  An alpha window (``family`` is X_A) steps
     alpha_n = a_n / 2^n by x's taps and gives a_N(0) = 2^N alpha_N(0)."""
     keys = [N for N, _, _ in windows]
     Ns, ps = np.array(keys), np.array([p for _, p, _ in windows])
@@ -667,14 +720,18 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
     d_poly, cur_poly, _, prev_poly = family.step_coeffs(1)
     gap = max(len(d_poly) - 2, len(cur_poly) - 1, len(prev_poly) - 1)
     lengths = _length_bounds(family, N_last)
+    p_max = int(ps.max())
+    floats = _fits(family, N_last, p_max, bool(alphas), limit=_F64_MAX)
+    dtype = np.float64 if floats else np.int64
     # F_n' skips its `% p` while a D tap times (p-1)^2 fits too (every scan batch up to p = 1.3e6)
-    reduce_derivative = not _fits(family, N_last, int(ps.max()), bool(alphas), derivative=True)
+    reduce_derivative = not _fits(family, N_last, p_max, bool(alphas), derivative=True,
+                                  limit=_F64_MAX if floats else _INT64_MAX)
     if alphas:  # an alpha window holds a's rows, scaled, so it takes a's bound
         alpha_lengths, is_alpha = _length_bounds(A_VZ, N_last), np.array([alpha for *_, alpha in windows])
 
     def relayout(n: int, first: int, polys: list) -> tuple:
         """Lay out the windows first.. for F_n .. F_end and move each (poly, starts,
-        widths) of ``polys`` into it: (starts, slots, moduli, weights, tilt for
+        widths) of ``polys`` into it: (starts, slots, moduli, weights, tilt and inv for
         ``_step_mod``, moved, end, or 0 when no inner window is left)."""
         inner, end = Ns[first:-1], min(max(n + n // 2, _HORIZON), N_last)
         slots = _slots(lengths, inner, n, end)
@@ -683,27 +740,29 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
         slots = np.append(slots, N_last - n + 1).astype(np.int64)
         layout = _layout(ps[first:], slots, gap, factors[first:], None if tilts is None else tilts[first:])
         starts, moduli, weights, tilt, *_ = layout
-        tilt = None if tilt is None else (_ALPHA_TILT[0], tilt)
+        moduli, weights = moduli.astype(dtype, copy=False), weights.astype(dtype, copy=False)
+        inv = 1 / moduli if floats else None
+        tilt = None if tilt is None else (_ALPHA_TILT[0], tilt.astype(dtype, copy=False))
         moved = [_moved(poly, old, widths, layout, starts[-1] + min(max(len(poly) - old[-1], 0), slots[-1]))
                  for poly, old, widths in polys]
-        return starts, slots, moduli, weights, tilt, moved, end if len(inner) else 0
+        return starts, slots, moduli, weights, tilt, inv, moved, end if len(inner) else 0
 
     rows = []
     for j in (0, 1):
         widths = np.array([len(seed[j]) for seed in seeds])
-        flat = np.array([c for seed in seeds for c in seed[j]], np.int64)
+        flat = np.array([c for seed in seeds for c in seed[j]], dtype)
         rows.append((flat, np.cumsum(widths) - widths, widths))
-    starts, slots, moduli, weights, tilt, (prev, cur), due = relayout(1, 0, rows)
+    starts, slots, moduli, weights, tilt, inv, (prev, cur), due = relayout(1, 0, rows)
     last = int(starts[-1])
     out, first, n = [], 0, 1
     while n < N_last:
         d_tap, (cur_off, cur_kernels), (prev_off, prev_kernels) = _multipliers(
-            family, np.arange(n, min(n + _BLOCK, N_last)))
+            family, np.arange(n, min(n + _BLOCK, N_last)), dtype=dtype)
         for cur_kernel, prev_kernel in zip(cur_kernels, prev_kernels):
             hi = last + N_last - n
             taps = ((cur[:hi - cur_off], cur_off, cur_kernel), (prev[:hi - prev_off], prev_off, prev_kernel))
             prev, cur = cur, _step_mod(d_tap, taps, cur, weights, moduli, hi,
-                                       tilt=tilt, reduce_derivative=reduce_derivative)
+                                       tilt=tilt, reduce_derivative=reduce_derivative, inv=inv)
             n += 1
             if n == keys[first]:
                 done = bisect_right(keys, n, first) - first
@@ -714,12 +773,13 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
                 starts, slots = starts[done:] - cut, slots[done:]
                 prev, cur, moduli, weights = prev[cut:], cur[cut:], moduli[cut:], weights[cut:]
                 tilt = None if tilt is None else (tilt[0], tilt[1][cut:])
+                inv = None if inv is None else inv[cut:]
                 last = int(starts[-1])
             if n == due:
-                starts, slots, moduli, weights, tilt, (prev, cur), due = relayout(
+                starts, slots, moduli, weights, tilt, inv, (prev, cur), due = relayout(
                     n, first, [(prev, starts, slots), (cur, starts, slots)])
                 last = int(starts[-1])
-    return [r * pow(2, N, p) % p if alpha else r for r, (N, p, alpha) in zip(out, windows)]
+    return [r * pow(2, N, p) % p if alpha else r % p for r, (N, p, alpha) in zip(out, windows)]
 
 
 def _dot_mod(pairs, p: int) -> int:

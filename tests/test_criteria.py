@@ -176,7 +176,7 @@ class TestScan:
     def test_golden_digest_to_3000(self, family):
         # Ap also checks a-path/x-path agreement at every admissible p <= 3000
         # (scan raises CrossCheckError otherwise).  Each family takes about
-        # 0.4 s on a 2-vCPU VM, one lockstep batch per recurrence path.
+        # 0.1 s on a 2-vCPU VM, one lockstep batch per recurrence path.
         t0 = time.perf_counter()
         rows = [[v.p, v.path, v.index, v.residue] for v in scan(family, 2, 3000)]
         elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@ import math
 import time
 from fractions import Fraction
 from itertools import count, islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rankcrit.recurrences import (
     _ALPHA_D,
     _ALPHA_TILT,
     _BATCH_N,
+    _F64_MAX,
     _INT64_MAX,
     _MAX_TERMS,
     _P_MAX,
@@ -27,6 +29,7 @@ from rankcrit.recurrences import (
     _multipliers,
     _polys,
     _from_v,
+    _reduce,
     _step_mod,
     _stored_exact,
     _stored_mod,
@@ -474,6 +477,55 @@ class TestLockstepBatch:
             # a batch past the bound splits, and a target past it alone reduces its taps mod p
             assert constant_terms_mod(F_BIG, targets) == [terms[n] % p for n, p in targets]
 
+    def test_float64_bound_edge(self, monkeypatch):
+        # one batch just inside the float64 bound steps float64 residues, one just past it int64
+        N = 20
+        top = next(q for q in range(_F64_MAX // _tap_sum(F_BIG, N - 1) + 1, 0, -1) if is_prime(q))
+        above = next(q for q in count(top + 1) if is_prime(q))
+        assert _fits(F_BIG, N, top, limit=_F64_MAX) and not _fits(F_BIG, N, above, limit=_F64_MAX)
+        seen, step_mod = set(), recurrences._step_mod
+
+        def spy(*args, **kwargs):
+            out = step_mod(*args, **kwargs)
+            seen.add(out.dtype.name)
+            return out
+
+        monkeypatch.setattr(recurrences, "_step_mod", spy)
+        terms = [constant_term(poly) for poly in generate_all(F_BIG, N)]
+        for q, dtype in ((top, "float64"), (above, "int64")):
+            targets = [(N, 101), (N, q), (N - 3, 103)]
+            assert len(_batches(F_BIG, targets)) == 1
+            seen.clear()
+            assert constant_terms_mod(F_BIG, targets) == [terms[n] % p for n, p in targets]
+            assert seen == {dtype}, q
+
+    def test_float64_batch_that_reduces_its_derivative(self, monkeypatch):
+        # small N and a prime near 10^8: the taps fit float64, the unreduced F_n' does not
+        p = next(q for q in range(10 ** 8, 0, -1) if is_prime(q))
+        N = 30
+        assert _fits(F_E, N, p, limit=_F64_MAX) and not _fits(F_E, N, p, derivative=True, limit=_F64_MAX)
+        seen, step_mod = set(), recurrences._step_mod
+
+        def spy(*args, reduce_derivative=True, **kwargs):
+            out = step_mod(*args, reduce_derivative=reduce_derivative, **kwargs)
+            seen.add((out.dtype.name, reduce_derivative))
+            return out
+
+        monkeypatch.setattr(recurrences, "_step_mod", spy)
+        terms = [constant_term(poly) for poly in generate_all(F_E, N)]
+        targets = [(N, 101), (N, p), (N - 1, p)]
+        assert constant_terms_mod(F_E, targets) == [terms[n] % q for n, q in targets]
+        assert seen == {("float64", True)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from("fax"),
+           st.lists(st.tuples(st.integers(0, 150), st.sampled_from(_ODD_PRIMES[:80])), min_size=2, max_size=10))
+    def test_float64_residues_equal_int64_ones(self, key, targets):
+        family = FAMILIES[key]
+        got = constant_terms_mod(family, targets), paired_constant_terms_mod(targets)
+        with mock.patch.object(recurrences, "_F64_MAX", 0):  # no batch fits float64
+            assert got == (constant_terms_mod(family, targets), paired_constant_terms_mod(targets))
+
 
 def _full_walk_constant_term(family: RecurrenceFamily, N: int, p: int) -> int:
     """F_N(0) mod p from the whole polynomial, walked by step(..., p) from the seeds.  That
@@ -633,19 +685,50 @@ def _vec(*values):
     return np.array(values, np.int64)
 
 
+def _float_call(args: tuple, kwargs: dict) -> tuple[tuple, dict]:
+    """The arguments of an int64 ``_step_mod`` call as float64 arrays, with ``inv``;
+    kernels of one column stay ints."""
+    def floats(v):
+        return v if type(v) is int else np.asarray(v, np.float64)
+
+    (d_pos, d_kernel), taps, cur, weights, mod, hi = args
+    args = ((d_pos, floats(d_kernel)), tuple((floats(x), pos, floats(k)) for x, pos, k in taps),
+            floats(cur), floats(weights), floats(mod), hi)
+    kwargs = {**kwargs, "inv": 1 / floats(mod)}
+    if kwargs.get("tilt") is not None:
+        kwargs["tilt"] = (kwargs["tilt"][0], floats(kwargs["tilt"][1]))
+    return args, kwargs
+
+
+def _assert_float_residues(got: np.ndarray, want: list, mod: np.ndarray) -> None:
+    """``got``, a float64 step, holds an integer r with |r| <= m - 1 and r = want (mod m)
+    at each element, m its modulus: r is 0 where m is 1."""
+    assert got.dtype == np.float64 and len(got) == len(want)
+    assert np.array_equal(got, np.rint(got))
+    for r, w, m in zip(got.tolist(), want, mod.tolist()):
+        assert abs(r) <= m - 1 and (int(r) - w) % int(m) == 0
+
+
 class TestStepMod:
-    """Each branch of ``_step_mod`` against ``_reference_step``."""
+    """Each branch of ``_step_mod`` against ``_reference_step``, on int64 and on float64."""
 
     P = 1009
     CUR = _vec(5, 1008, 17, 400, 3, 999)
     PREV = _vec(7, 0, 2, 1000)
     WEIGHTS = np.arange(40) % P
     MOD = np.full(40, P, np.int64)
+    GAPPED = np.where(np.arange(40) % 5 == 4, 1, P)  # gaps of modulus 1 between the windows
 
     def check(self, d_tap, taps, cur=CUR, hi=40, **kwargs):
-        got = _step_mod(d_tap, taps, cur, self.WEIGHTS, self.MOD, hi, **kwargs)
-        assert got.dtype == np.int64
-        assert got.tolist() == _reference_step(d_tap, taps, cur, self.WEIGHTS, self.MOD, hi, **kwargs)
+        """The step with gaps of modulus 1 and with every modulus P: on int64 equal to
+        the reference, on float64 congruent to it.  Returns the int64 step mod P."""
+        for mod in (self.GAPPED, self.MOD):
+            args = (d_tap, taps, cur, self.WEIGHTS, mod, hi)
+            want = _reference_step(*args, **kwargs)
+            got = _step_mod(*args, **kwargs)
+            assert got.dtype == np.int64 and got.tolist() == want
+            float_args, float_kwargs = _float_call(args, kwargs)
+            _assert_float_residues(_step_mod(*float_args, **float_kwargs), want, mod[:len(want)])
         return got
 
     def test_d_product_covers_the_step(self):
@@ -736,24 +819,78 @@ class TestStepMod:
             assert got.tolist() == _reference_step(*args)  # reducing F_n' changes no residue
         assert _step_mod(*args, reduce_derivative=False).tolist() != got.tolist()  # it would overflow
 
-    @pytest.mark.parametrize("run", [
-        lambda: constant_terms_mod(F_E, [(N, p) for p in (17, 41, 73, 89, 97, 113) for N in (3 * (p - 1) // 8,)]),
-        lambda: paired_constant_terms_mod([((p - 1) // 3, p) for p in (19, 37, 73, 109, 127)]),
-        lambda: [constant_term_mod(family, 41, p) for family in FAMILIES.values() for p in (3, 233)],
-        lambda: [generate(family, 30, p) for family in FAMILIES.values() for p in (3, 1009)],
+    @pytest.mark.parametrize("run, dtype", [
+        (lambda: constant_terms_mod(F_E, [(N, p) for p in (17, 41, 73, 89, 97, 113) for N in (3 * (p - 1) // 8,)]),
+         np.float64),
+        (lambda: paired_constant_terms_mod([((p - 1) // 3, p) for p in (19, 37, 73, 109, 127)]), np.float64),
+        (lambda: [constant_term_mod(family, 41, p) for family in FAMILIES.values() for p in (3, 233)], np.int64),
+        (lambda: [generate(family, 30, p) for family in FAMILIES.values() for p in (3, 1009)], np.int64),
     ], ids=["lockstep", "alpha lockstep", "both ends", "stored"])
-    def test_every_call_of_each_driver(self, run, monkeypatch):
+    def test_every_call_of_each_driver(self, run, dtype, monkeypatch):
+        # an int64 step equals the reference; a float64 one (a lockstep batch, with inv)
+        # is congruent to it element by element, within |r| <= m - 1, and 0 in the gaps
         calls, step_mod = [], recurrences._step_mod
 
         def checked(*args, **kwargs):
             out = step_mod(*args, **kwargs)
-            assert out.tolist() == _reference_step(*args, **kwargs)
-            calls.append(kwargs)
+            inv = kwargs.pop("inv", None)
+            want = _reference_step(*args, **kwargs)
+            if inv is None:
+                assert out.dtype == np.int64 and out.tolist() == want
+            else:
+                mod = args[4]
+                assert np.array_equal(inv, 1 / mod)
+                _assert_float_residues(out, want, mod[:len(out)])
+            calls.append(out.dtype)
             return out
 
         monkeypatch.setattr(recurrences, "_step_mod", checked)
         run()
-        assert calls
+        assert calls and set(calls) == {np.dtype(dtype)}
+
+
+class TestFloatReduction:
+    """``_reduce``, the float64 reduction of a lockstep batch, at the edge of its lemma."""
+
+    @staticmethod
+    def reduced(xs, ms):
+        x, m = np.array(xs, np.float64), np.array(ms, np.float64)
+        _reduce(x, m, 1 / m)
+        return x
+
+    def check(self, xs, ms):
+        r = self.reduced(xs, ms)
+        assert np.array_equal(r, np.rint(r))
+        for x, m, got in zip(xs, ms, r.tolist()):
+            assert abs(got) <= m - 1 and (int(got) - x) % m == 0, (x, m)
+
+    def test_largest_sums_a_batch_admits(self):
+        # |x| <= S(m - 1) for the smallest and the largest modulus of an F_BIG batch at the
+        # float64 edge, and for moduli 1, 3, 5 and that one up to |x| = _F64_MAX itself
+        N = 20
+        S = _tap_sum(F_BIG, N - 1)
+        top = next(q for q in range(_F64_MAX // S + 1, 0, -1) if is_prime(q))
+        assert _fits(F_BIG, N, top, limit=_F64_MAX) and S * (top - 1) > _F64_MAX // 2
+        for m in (3, top):
+            xs = [sign * (S * (m - 1) - k) for k in range(64) for sign in (1, -1)]
+            self.check(xs, [m] * len(xs))
+        for m in (1, 3, 5, top):
+            xs = [sign * (_F64_MAX - k) for k in range(2000) for sign in (1, -1)]
+            self.check(xs, [m] * len(xs))
+
+    def test_random_sums_within_the_limit(self):
+        rng = np.random.default_rng(29)
+        xs = rng.integers(-_F64_MAX, _F64_MAX, 50000, endpoint=True)
+        ms = rng.choice(np.array([1, 3, 5, 7, 1009, 104579, 272621, 999983], np.int64), len(xs))
+        r = self.reduced(xs, ms).astype(np.int64)
+        assert (np.abs(r) <= ms - 1).all() and ((xs - r) % ms == 0).all()
+
+    def test_the_limit_is_2_to_the_52(self):
+        # past it, rint(x / m) * m can pass 2^53, where float64 holds only even integers,
+        # and the residue is off by one
+        m, x = 103217, 9007199254693525
+        assert _F64_MAX < x < 2**53
+        assert (int(self.reduced([x], [m])[0]) - x) % m != 0
 
 
 class TestColumns:
