@@ -100,7 +100,9 @@ def _bad_primes(c: int) -> list[int]:
     """The primes dividing the curve coefficient c = A or B (small primes, then a prime-power cofactor).
 
     For y^2 = x^3 + p x and x^3 + y^3 = p the cofactor left after trial
-    division is p or p^2 once p exceeds the trial bound.
+    division is p or p^2 once p exceeds the trial bound.  Trial division stops
+    as soon as a division leaves a prime or the square of a prime (B = -432 p^2
+    leaves p^2 after 2 and 3), which the prime-power search then takes.
     """
     d = abs(c)
     out = []
@@ -111,6 +113,9 @@ def _bad_primes(c: int) -> list[int]:
             out.append(q)
             while d % q == 0:
                 d //= q
+            root = math.isqrt(d)
+            if is_prime(d) or root * root == d and is_prime(root):
+                break
     if d > 1:
         for k in range(1, d.bit_length()):
             root = _iroot(d, k)

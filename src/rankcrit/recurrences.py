@@ -78,6 +78,17 @@ a four-column kernel costs 1.5-2.4 ns an element against 5.8-6.7 ns on int64,
 and the float64 reduction, four ufuncs, 1.9-4.3 ns against 4.0-4.9 ns for
 int64's `%`.  That took the Ep 2..10^4 scan from 7.4-9.1 to 3.2-4.0 s.  Lone
 targets and ``generate(family, N, p)``, whose vectors are narrow, stay on int64.
+
+A batch lays its windows out anew five or six times in a scan of 2..500, and at
+those widths a layout costs per numpy call, as a pass does.  So the batch plans
+every layout before its first step (``_slot_table``, ``_moves``), and a
+relayout only repeats the moduli, 1/m and tilts per window, gathers the weights
+from one static layout and moves F_{n-1} and F_n through one index map, about
+ten numpy calls.  On a 2-vCPU VM (medians of 300 in-process scans of 2..500) a
+relayout costs about 2 short steps and the plan about 25 a batch, where
+building each layout anew cost about 8; the layouts take 12.8-12.9% of the Ep
+scan and 14.1-14.4% of the Ap one, against 15.7-15.9% and 16.6-17.0% built
+anew, and the scans ran 1.067x and 1.072x faster.
 """
 
 from __future__ import annotations
@@ -212,7 +223,7 @@ _P_UNREDUCED = int((_INT64_MAX // _MAX_TERMS) ** (1 / 3)) + 2  # cube root 10082
 _F64_MAX = 2**52
 
 _BLOCK = 1024        # steps per batch of multipliers, so memory follows the polynomials, not N
-_HORIZON = 32        # a lockstep layout holds F_n .. F_max(3n/2, 32): laying out costs about 5 short steps
+_HORIZON = 32        # a lockstep layout holds F_n .. F_max(3n/2, 32): a planned relayout costs about 2 short steps
 _BATCH_N = 1 << 20   # sum of N over the windows of a lockstep batch, which bounds its vectors (a few MB each)
 
 # a_n = 2^n alpha_n, and alpha_n follows x's recurrence with D/4 and one extra term
@@ -297,13 +308,16 @@ def _multipliers(family: RecurrenceFamily, ns: np.ndarray, p: int | None = None,
     (d_base, d_poly), cols, spans = _columns(family, transposed)
     d_row = np.array([d_poly], np.int64)
     d_off, (d_kernel,) = _cut(d_base, d_row % p if p else d_row, dtype)
-    c0, c1, c2 = np.array(cols, np.int64)
+    c0, c1, c2 = np.array(cols, np.int64) if p is None else np.array(cols, np.int64) % p
     n = (ns if p is None else ns % p)[:, None]
     pair = n * (n - 1) // 2
     if p is None:
         rows = c0 + c1 * n + c2 * pair
     else:
-        rows = (c0 % p + c1 % p * n % p + c2 % p * (pair % p) % p) % p
+        # every factor is a residue below p, so each row sums at most (p-1) + 2(p-1)^2
+        # <= _MAX_TERMS (p-1)^2 <= _INT64_MAX (p < _P_MAX) before its one `% p`
+        rows = c0 + c1 * n + c2 * (pair % p)
+        rows %= p
     return [(d_off, d_kernel), *(_cut(base, rows[:, first:first + width], dtype) for base, first, width in spans)]
 
 
@@ -612,8 +626,16 @@ def _stored_mod(family: RecurrenceFamily, p: int) -> Iterator[np.ndarray]:
 # read by it, and the gap keeps them from its neighbour.  The last window follows its
 # width, as a lone one does.  A finished window leaves the vector on the left.  A
 # layout made at F_n holds the windows up to F_max(3n/2, _HORIZON) and is rebuilt
-# there, which drops the room that shrinking windows no longer need.  A target that
-# steps alone goes from both ends instead (``_both_ends``).
+# there, which drops the room that shrinking windows no longer need.
+#
+# The schedule depends only on the targets, so a batch plans every layout before its
+# first step: ``_slot_table`` gives the slot of each window in each layout from one
+# ``_slots`` call per length bound, and ``_moves`` the index map into each.  A layout's moduli, 1/m and
+# tilts, one value per window and one per gap, are a single ``np.repeat``; its weights
+# are gathered from a static layout of every window at its widest slot; and F_{n-1} and
+# F_n move into it through one shared map, each window copying what it had and reading
+# the rest of its slot from a zero of its old gap: about ten numpy calls a relayout.
+# A target that steps alone goes from both ends instead (``_both_ends``).
 
 
 def _length_bounds(family: RecurrenceFamily, N: int) -> np.ndarray:
@@ -653,7 +675,7 @@ def _length_bounds(family: RecurrenceFamily, N: int) -> np.ndarray:
 def _slots(lengths: np.ndarray, Ns, n, end):
     """Per target N, the widest window min(L[m], N - m + 1) of F_m over
     n <= m <= min(N, end): the coefficients of F_n .. F_end that the target
-    needs."""
+    needs.  With n and end columns, one row per layout."""
     # the windows grow with L[m] up to the first m with L[m] >= N - m + 1, then shrink
     cross = np.minimum(np.searchsorted(lengths + np.arange(len(lengths)), Ns + 1), Ns)
     end = np.minimum(Ns, end)
@@ -662,34 +684,75 @@ def _slots(lengths: np.ndarray, Ns, n, end):
     return np.maximum(grow, np.where(top <= end, Ns + 1 - top, 0))
 
 
-def _layout(ps: np.ndarray, slots: np.ndarray, gap: int, factors: np.ndarray, tilts: np.ndarray | None):
-    """Windows of the given widths end to end, each followed by ``gap`` zeros:
-    (starts, moduli, weights, tilt, segment of each element, index in it, in a window).
+def _slot_table(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) -> tuple[list[int], np.ndarray]:
+    """The steps n at which a lockstep batch of ``windows`` (N, p, alpha), sorted by N,
+    lays its windows out, and per layout and window the slot the window gets there.
 
-    Element j is reduced mod ``moduli[j]``, 1 in a gap, and ``weights[j]`` is its index
-    in its window times the window's factor, mod p.  ``tilt[j]`` is the coefficient of
-    its window's extra term (None without ``tilts``)."""
-    sizes = slots + gap
-    starts = np.cumsum(sizes) - sizes
-    seg = np.repeat(np.arange(len(sizes)), sizes)
-    k = np.arange(len(seg)) - starts[seg]
-    inside = k < slots[seg]
-    p = ps[seg]
-    weights = np.where(inside, k % p * factors[seg] % p, 0)
-    tilt = None if tilts is None else np.where(inside, tilts[seg], 0)
-    return starts, np.where(inside, p, 1), weights, tilt, seg, k, inside
+    A layout made at F_n holds F_n .. F_end with end = min(max(n + n//2, _HORIZON), N_last):
+    the batch lays out at F_1, then at each end while the layout before has an inner
+    window.  An inner window gets what ``_slots`` gives its target over F_n .. F_end
+    (with a's length bounds for an alpha window, which holds a's rows, scaled), a
+    finished one 0 or 1, and the last window follows its width, N_last - n + 1, as a
+    lone one does."""
+    keys = [N for N, _, _ in windows]
+    Ns, N_last = np.array(keys), keys[-1]
+    points, ends = [1], [min(_HORIZON, N_last)]
+    while ends[-1] < N_last and bisect_right(keys, points[-1]) < len(keys) - 1:
+        points.append(ends[-1])
+        ends.append(min(max(ends[-1] + ends[-1] // 2, _HORIZON), N_last))
+    ns, ends = np.array(points)[:, None], np.array(ends)[:, None]
+    table = _slots(_length_bounds(family, N_last), Ns, ns, ends)
+    if any(alpha for *_, alpha in windows):
+        is_alpha = np.array([alpha for *_, alpha in windows])
+        table = np.where(is_alpha, _slots(_length_bounds(A_VZ, N_last), Ns, ns, ends), table)
+    table[:, -1] = N_last + 1 - ns[:, 0]
+    return points, table
 
 
-def _moved(poly: np.ndarray, old_starts: np.ndarray, old_widths: np.ndarray, layout, size: int) -> np.ndarray:
-    """The windows of ``poly``, laid out at ``old_starts`` with ``old_widths``, in a
-    new layout cut at ``size``."""
-    *_, seg, k, inside = layout
-    seg, k = seg[:size], k[:size]
-    src = old_starts[seg] + k
-    take = inside[:size] & (k < old_widths[seg]) & (src < len(poly))
-    out = np.zeros(size, poly.dtype)
-    out[take] = poly[src[take]]
+def _pairs(a, b) -> np.ndarray:
+    """a[..., 0], b[..., 0], a[..., 1], b[..., 1], ... along the last axis of a, as int64;
+    b broadcasts."""
+    a = np.asarray(a)
+    out = np.empty((*a.shape[:-1], 2 * a.shape[-1]), np.int64)
+    out[..., 0::2], out[..., 1::2] = a, b
     return out
+
+
+def _moves(old_starts: np.ndarray, old_widths: np.ndarray, zeros: np.ndarray, slots: np.ndarray, gap: int,
+           first: np.ndarray) -> list[tuple]:
+    """Per row of ``slots``, a layout whose windows before ``first`` have finished, the
+    index map that lays the windows at ``old_starts``, ``old_widths`` wide, out anew in
+    those slots, each followed by ``gap``: a window reads its first min(old, new) elements
+    from its old place, and the rest of its slot and its gap from its entry of ``zeros``,
+    a position that holds 0.  Every argument but ``gap`` has a row per layout.
+
+    A map is made of runs first + step * i, per window a copy (step 1) and a zero run
+    (step 0).  ``_ramp`` builds it from the plan returned, (steps, counts, heads, jumps)
+    from the window ``first`` on: the steps repeated, and at the head of each run the
+    jump from the last index of the run before.  Every window left has a positive slot
+    and old width, and the gap is positive, so no two of those runs share a head."""
+    rows, cols = slots.shape
+    kept = np.minimum(old_widths, slots)
+    counts = _pairs(kept, slots + gap - kept)
+    lead = 2 * first
+    counts[np.arange(2 * cols) < lead[:, None]] = 0  # the finished windows
+    jumps = np.empty_like(counts)
+    jumps[:, 0::2] = old_starts  # a copy run follows the zero run of the window before,
+    at = np.arange(rows), lead
+    head = jumps[at]             # but the first one left starts afresh
+    jumps[:, 2::2] -= zeros[:, :-1]
+    jumps[:, 1::2] = zeros - old_starts - kept + 1  # a zero run follows the copy run of its window
+    jumps[at] = head
+    heads = counts.cumsum(axis=1) - counts
+    steps = _pairs(np.ones(cols, np.int64), 0)
+    return [(steps[f:], counts[i, f:], heads[i, f:], jumps[i, f:]) for i, f in enumerate(lead.tolist())]
+
+
+def _ramp(steps: np.ndarray, counts: np.ndarray, heads: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """The index map planned by ``_moves``: one repeat, one assignment and one cumsum."""
+    out = steps.repeat(counts)
+    out[heads] = jumps
+    return out.cumsum(out=out)
 
 
 def _residue(c: Fraction, p: int) -> int:
@@ -715,46 +778,74 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
     alphas = {p: _alpha(p) for _, p, alpha in windows if alpha}
     seeds = [alphas[p][0] if alpha else [tuple(c % p for c in seed) for seed in family.seeds]
              for _, p, alpha in windows]
-    factors = np.array([alphas[p][1] if alpha else 1 for _, p, alpha in windows])
-    tilts = np.array([alphas[p][2] if alpha else 0 for _, p, alpha in windows]) if alphas else None
     d_poly, cur_poly, _, prev_poly = family.step_coeffs(1)
-    gap = max(len(d_poly) - 2, len(cur_poly) - 1, len(prev_poly) - 1)
-    lengths = _length_bounds(family, N_last)
+    gap = max(len(d_poly) - 2, len(cur_poly) - 1, len(prev_poly) - 1, 1)  # at least one 0 after each window
     p_max = int(ps.max())
     floats = _fits(family, N_last, p_max, bool(alphas), limit=_F64_MAX)
     dtype = np.float64 if floats else np.int64
     # F_n' skips its `% p` while a D tap times (p-1)^2 fits too (every scan batch up to p = 1.3e6)
     reduce_derivative = not _fits(family, N_last, p_max, bool(alphas), derivative=True,
                                   limit=_F64_MAX if floats else _INT64_MAX)
-    if alphas:  # an alpha window holds a's rows, scaled, so it takes a's bound
-        alpha_lengths, is_alpha = _length_bounds(A_VZ, N_last), np.array([alpha for *_, alpha in windows])
 
-    def relayout(n: int, first: int, polys: list) -> tuple:
-        """Lay out the windows first.. for F_n .. F_end and move each (poly, starts,
-        widths) of ``polys`` into it: (starts, slots, moduli, weights, tilt and inv for
-        ``_step_mod``, moved, end, or 0 when no inner window is left)."""
-        inner, end = Ns[first:-1], min(max(n + n // 2, _HORIZON), N_last)
-        slots = _slots(lengths, inner, n, end)
-        if alphas:
-            slots = np.where(is_alpha[first:-1], _slots(alpha_lengths, inner, n, end), slots)
-        slots = np.append(slots, N_last - n + 1).astype(np.int64)
-        layout = _layout(ps[first:], slots, gap, factors[first:], None if tilts is None else tilts[first:])
-        starts, moduli, weights, tilt, *_ = layout
-        moduli, weights = moduli.astype(dtype, copy=False), weights.astype(dtype, copy=False)
-        inv = 1 / moduli if floats else None
-        tilt = None if tilt is None else (_ALPHA_TILT[0], tilt.astype(dtype, copy=False))
-        moved = [_moved(poly, old, widths, layout, starts[-1] + min(max(len(poly) - old[-1], 0), slots[-1]))
-                 for poly, old, widths in polys]
-        return starts, slots, moduli, weights, tilt, inv, moved, end if len(inner) else 0
+    points, table = _slot_table(family, windows)
 
-    rows = []
+    # The derivative weights of every window at its widest slot, then one 0 for the gaps:
+    # index k of a window times its factor, mod p.  The moduli, 1/m and tilts are constant
+    # per window and gap, so each layout repeats them.
+    wide = table.max(axis=0)
+    bases = np.cumsum(wide) - wide
+    p = np.repeat(ps, wide)
+    k = np.arange(len(p)) - np.repeat(bases, wide)
+    k %= p
+    if alphas:
+        k *= np.repeat([alphas[p][1] if alpha else 1 for _, p, alpha in windows], wide)
+        k %= p
+    static = np.zeros(len(k) + 1, dtype)
+    static[:-1] = k
+    del p, k
+    constants = [_pairs(ps, 1)]  # the modulus of each window and gap, then 1/m and the tilt
+    if floats:
+        constants.append(1 / constants[0])
+    if alphas:
+        constants.append(_pairs([alphas[p][2] if alpha else 0 for _, p, alpha in windows], 0))
+    constants = np.array(constants, dtype)
+
+    firsts = np.searchsorted(Ns, points, "right")  # the windows before have finished
+    sizes = np.where(np.arange(len(keys)) >= firsts[:, None], table + gap, 0)
+    starts = np.cumsum(sizes, axis=1) - sizes
+    layouts = [row[first:] for row, first in zip(starts, firsts.tolist())]
+    # One plan for the weights of each layout, gathered from the static layout, and for
+    # the windows of each layout after the first, moved from the one before it (cut at
+    # its first window) with the zero after each old window read for the room it gains
+    old = starts[:-1] - starts[np.arange(len(points) - 1), firsts[1:]][:, None]
+    maps = _moves(np.concatenate([np.broadcast_to(bases, table.shape), old]),
+                  np.concatenate([np.broadcast_to(wide, table.shape), table[:-1]]),
+                  np.concatenate([np.full(table.shape, len(static) - 1), old + table[:-1]]),
+                  np.concatenate([table, table[1:]]), gap, np.concatenate([firsts, firsts[1:]]))
+    weight_maps, move_maps = maps[:len(points)], [None, *maps[len(points):]]
+
+    def place(layout: int) -> tuple:
+        """moduli, weights, tilt and inv of a layout for ``_step_mod``."""
+        per_element = np.repeat(constants[:, 2 * firsts[layout]:], weight_maps[layout][1], axis=1)
+        return (per_element[0], static[_ramp(*weight_maps[layout])],
+                (_ALPHA_TILT[0], per_element[-1]) if alphas else None, per_element[1] if floats else None)
+
+    starts = layouts[0]
+    rows = []  # F_0 and F_1 of every window in the first layout
     for j in (0, 1):
-        widths = np.array([len(seed[j]) for seed in seeds])
-        flat = np.array([c for seed in seeds for c in seed[j]], dtype)
-        rows.append((flat, np.cumsum(widths) - widths, widths))
-    starts, slots, moduli, weights, tilt, inv, (prev, cur), due = relayout(1, 0, rows)
+        at, row = [], []
+        for start, slot, seed in zip(starts.tolist(), table[0].tolist(), seeds):
+            coeffs = seed[j][:slot]
+            at += range(start, start + len(coeffs))
+            row += coeffs
+        rows.append(np.zeros(int(starts[-1]) + len(coeffs), dtype))  # the last window as long as its seed
+        rows[-1][at] = row
+    prev, cur = rows
+    moduli, weights, tilt, inv = place(0)
+    first = 0
     last = int(starts[-1])
-    out, first, n = [], 0, 1
+    out, layout, n = [], 1, 1
+    due = points[1] if len(points) > 1 else 0
     while n < N_last:
         d_tap, (cur_off, cur_kernels), (prev_off, prev_kernels) = _multipliers(
             family, np.arange(n, min(n + _BLOCK, N_last)), dtype=dtype)
@@ -770,15 +861,23 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
                 if n == N_last:
                     break
                 first, cut = first + done, int(starts[done])
-                starts, slots = starts[done:] - cut, slots[done:]
+                starts = starts[done:] - cut
                 prev, cur, moduli, weights = prev[cut:], cur[cut:], moduli[cut:], weights[cut:]
                 tilt = None if tilt is None else (tilt[0], tilt[1][cut:])
                 inv = None if inv is None else inv[cut:]
                 last = int(starts[-1])
             if n == due:
-                starts, slots, moduli, weights, tilt, inv, (prev, cur), due = relayout(
-                    n, first, [(prev, starts, slots), (cur, starts, slots)])
-                last = int(starts[-1])
+                index, starts = _ramp(*move_maps[layout]), layouts[layout]
+                start, slot = int(starts[-1]), N_last + 1 - n  # of the last window, cut as long as it is
+                prev, cur = (poly[index[:start + min(max(len(poly) - last, 0), slot)]] for poly in (prev, cur))
+                del index
+                # the old values go only as the new replace them: freed first, they put
+                # each pass's arrays on fresh pages (Ep 2..3000 ran 0.78x, with about 7500
+                # minor page faults a scan against 1000)
+                moduli, weights, tilt, inv = place(layout)
+                last = start
+                layout += 1
+                due = points[layout] if layout < len(points) else 0
     return [r * pow(2, N, p) % p if alpha else r % p for r, (N, p, alpha) in zip(out, windows)]
 
 

@@ -6,12 +6,13 @@ import pytest
 
 from rankcrit import lseries
 from rankcrit._primality import is_prime
-from rankcrit.criteria import sp_congruence_rhs, verdict_Ap, verdict_Ep
+from rankcrit.criteria import admissible, sp_congruence_rhs, verdict_Ap, verdict_Ep
 from rankcrit.lseries import (
     OMEGA_A,
     OMEGA_E,
     BadReductionError,
     CurveSpec,
+    FactorizationError,
     an_list,
     ap,
     conductor,
@@ -645,6 +646,37 @@ class TestConductor:
         assert len(ps) == 203 and {19, 37, 1009} <= set(ps)
         for p in ps:
             assert conductor(curve_ap(p)) == 27 * p * p, p
+
+    @staticmethod
+    def _brute_primes(c: int) -> list[int]:
+        """The primes dividing c, by trial division to the square root of what is left."""
+        d, out, q = abs(c), [], 2
+        while q * q <= d:
+            if d % q == 0:
+                out.append(q)
+                while d % q == 0:
+                    d //= q
+            q += 1
+        return out + [d] * (d > 1)
+
+    def test_bad_primes_against_brute_force(self):
+        # trial division stops once a division leaves a prime or a prime square: for
+        # B = -432 p^2 that is p^2 after 2 and 3, at every p, above the trial bound too
+        ps = primes_leq(3000)
+        eps, aps = [p for p in ps if admissible(p, "Ep").ok], [p for p in ps if admissible(p, "Ap").ok]
+        assert {1009, 2857} <= set(eps) | set(aps) and len(eps) > 50 and len(aps) > 50
+        for c in [*eps, *(-432 * p * p for p in aps)]:
+            assert lseries._bad_primes(c) == self._brute_primes(c), c
+        # what an early stop leaves is still searched as a prime power: 7^2 after 2
+        for c in (2 * 7 ** 2, 2 * 3 * 1013, 2 ** 5 * 1013 ** 2, 16 * 9973 ** 3):
+            assert lseries._bad_primes(c) == self._brute_primes(c), c
+
+    def test_composite_cofactor_is_refused(self):
+        # left after trial division and neither a prime nor a prime power, with and
+        # without small factors divided out first
+        for c in (1009 * 1013, -432 * 1009 * 1013, 2 * 1009 ** 2 * 1013):
+            with pytest.raises(FactorizationError):
+                lseries._bad_primes(c)
 
     def test_p_exponent_exactly_two(self):
         for p in (17, 89):

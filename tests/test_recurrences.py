@@ -17,6 +17,7 @@ from rankcrit.recurrences import (
     _ALPHA_TILT,
     _BATCH_N,
     _F64_MAX,
+    _HORIZON,
     _INT64_MAX,
     _MAX_TERMS,
     _P_MAX,
@@ -26,10 +27,13 @@ from rankcrit.recurrences import (
     _dot_mod,
     _fits,
     _length_bounds,
+    _moves,
     _multipliers,
     _polys,
     _from_v,
+    _ramp,
     _reduce,
+    _slot_table,
     _step_mod,
     _stored_exact,
     _stored_mod,
@@ -527,6 +531,86 @@ class TestLockstepBatch:
             assert got == (constant_terms_mod(family, targets), paired_constant_terms_mod(targets))
 
 
+# Indices at the layouts of a batch whose last N passes 546 (1, 32, 48, 72, 108, 162, 243, 364,
+# 546), and next to them, so that windows finish at, just before and just after a layout
+_AT_LAYOUTS = sorted({n + d for n in (32, 48, 72, 108, 162, 243, 364, 546) for d in (-1, 0, 1)})
+_DEEP = st.integers(2, 600) | st.sampled_from(_AT_LAYOUTS)
+
+
+def _deep_batch(targets: list, top: int, inner: int) -> list[tuple[int, int]]:
+    """The targets with a last N of ``top`` and an inner window past 243, so that the batch
+    lays out at least 8 times (at 364 once an inner window outlives 243)."""
+    return targets + [(top, 3), (min(inner, top), 5)]
+
+
+class TestLayoutPlan:
+    """The layouts of a lockstep batch, planned once (``_slot_table``), against brute force."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["f", "x", "paired"]),
+           st.lists(st.tuples(_DEEP, st.sampled_from(_ODD_PRIMES[:40])), max_size=8),
+           st.integers(400, 600), st.integers(244, 600))
+    def test_deep_batches_equal_one_target_at_a_time(self, mode, targets, top, inner):
+        targets = _deep_batch(targets, top, inner)
+        if mode == "paired":
+            assert len(_batches(X_A, targets, alpha=True)) == 1
+            windows = sorted((N, p, alpha) for N, p in targets if N >= 2 for alpha in (True, False))
+            assert len(_slot_table(X_A, windows)[0]) >= 8
+            assert paired_constant_terms_mod(targets) == ([constant_term_mod(A_VZ, N, p) for N, p in targets],
+                                                          [constant_term_mod(X_A, N, p) for N, p in targets])
+        else:
+            family = FAMILIES[mode]
+            assert len(_batches(family, targets)) == 1
+            assert len(_slot_table(family, sorted((N, p, False) for N, p in targets if N >= 2))[0]) >= 8
+            assert constant_terms_mod(family, targets) == [constant_term_mod(family, N, p) for N, p in targets]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=6),
+                    min_size=1, max_size=4), st.integers(1, 3), st.data())
+    def test_index_maps_against_a_loop(self, rows, gap, data):
+        # each row: windows (old width, new slot) laid end to end with the gap, the
+        # first few finished; the map copies min(old, new) and reads the old gap after
+        cols = max(map(len, rows))
+        rows = [row + [(1, 1)] * (cols - len(row)) for row in rows]
+        first = np.array([data.draw(st.integers(0, cols - 1)) for _ in rows])
+        old, slots = (np.array([[pair[i] for pair in row] for row in rows]) for i in (0, 1))
+        starts = np.cumsum(old + gap, axis=1) - (old + gap)
+        starts -= starts[np.arange(len(rows)), first][:, None]
+        maps = _moves(starts, old, starts + old, slots, gap, first)
+        for i, f in enumerate(first.tolist()):
+            want = []
+            for start, width, slot in zip(starts[i, f:].tolist(), old[i, f:].tolist(), slots[i, f:].tolist()):
+                kept = min(width, slot)
+                want += list(range(start, start + kept)) + [start + width] * (slot - kept + gap)
+            assert _ramp(*maps[i]).tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(FAMILIES) + ["paired"]), st.lists(_DEEP, min_size=1, max_size=12),
+           st.integers(400, 600), st.integers(2, 600))
+    def test_every_slot_covers_its_window(self, key, Ns, top, inner):
+        # at each layout n .. end, every inner window that has not finished gets exactly
+        # the widest window min(L[m], N - m + 1) of its target over n <= m <= min(N, end),
+        # with a's bounds for an alpha window; the last one N_last - n + 1
+        family = X_A if key == "paired" else FAMILIES[key]
+        Ns += [top, inner]
+        windows = sorted((N, 7, alpha) for N in Ns for alpha in ((True, False) if key == "paired" else (False,)))
+        points, table = _slot_table(family, windows)
+        N_last = windows[-1][0]
+        lengths = {False: _length_bounds(family, N_last).tolist(), True: _length_bounds(A_VZ, N_last).tolist()}
+        assert points[0] == 1 and table.shape == (len(points), len(windows))
+        for i, n in enumerate(points):
+            end = min(max(n + n // 2, _HORIZON), N_last)
+            if i + 1 < len(points):  # a layout follows while an inner window is left
+                assert points[i + 1] == end < N_last and any(n < N for N, _, _ in windows[:-1])
+            else:
+                assert end == N_last or all(N <= n for N, _, _ in windows[:-1])
+            for (N, _, alpha), slot in zip(windows[:-1], table[i].tolist()):
+                if N > n:
+                    L = lengths[alpha]
+                    assert slot == max(min(L[m], N - m + 1) for m in range(n, min(N, end) + 1)), (n, N)
+            assert table[i, -1] == N_last - n + 1
+
+
 def _full_walk_constant_term(family: RecurrenceFamily, N: int, p: int) -> int:
     """F_N(0) mod p from the whole polynomial, walked by step(..., p) from the seeds.  That
     walk steps every coefficient of F_n forward on plain ints and shares only step_coeffs
@@ -916,6 +1000,29 @@ class TestColumns:
             _multipliers(family, np.arange(5, 50), 1009, transposed)
             _multipliers(family, np.arange(5, 50), None, transposed)
             assert _columns(family, transposed) is table
+
+    @pytest.mark.parametrize("block", [1, 2, 1024])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_residue_rows_at_the_largest_prime(self, block, transposed):
+        # every multiplier mod p, for blocks of steps below, across and far past p, is
+        # _polys reduced mod p: at the largest prime below _P_MAX each row sums
+        # products of two residues, and F_BIG's columns are 10^9 times those of f
+        p = _P_BELOW
+
+        def terms(offset, coeffs):
+            return {offset + j: int(c) % p for j, c in enumerate(coeffs) if c % p}
+
+        def kernel_terms(offset, kernel):  # a plain int, or the columns reversed for np.correlate
+            return terms(offset, [kernel] if type(kernel) is int else kernel[::-1].tolist())
+
+        for family in [*FAMILIES.values(), F_BIG]:
+            for start in (1, p - 1 - block // 2, 3 * p + 5):
+                ns = np.arange(start, start + block)
+                d_tap, *taps = _multipliers(family, ns, p, transposed)
+                for i, n in enumerate(ns.tolist()):
+                    want = [terms(*poly) for poly in _polys(family, n, transposed)]
+                    assert [kernel_terms(*d_tap)] + [kernel_terms(offset, k[i]) for offset, k in taps] == want, \
+                        (family, n)
 
 
 class TestPairedScan:
