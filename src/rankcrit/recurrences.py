@@ -51,15 +51,12 @@ steps by x's taps), N_max steps for both paths.  A target alone
 transposed chain down from F_N(0) = <e_0, F_N>, and meets in the middle:
 about N/2 passes instead of N (``_both_ends``).  At p near 1000 a pass is
 call overhead, numpy calls on short vectors and the Python that sizes the
-step and places the products.  So halving the passes paid: a verdict at
-Ep 1201 or Ap 1063 ran about 1.35x faster than one window stepped N times, and
-the Ap 2..500 scan about 1.8x faster than two scans one path at a time.  And
-each call a pass saves counts: ``_step_mod`` adds every product in place
-through a view of its output, with no ``__setitem__`` of the view onto itself,
-and calls numpy's undispatched correlate (``_correlate``).  On a 2-vCPU VM that
-took a ``_both_ends`` pass at Ep 1201 and at a and x of Ap 1063 from 11.2-13.5
-to 10.0-11.6 us, and the ``_step_mod`` call in it from 9.3-11.2 to 8.1-9.5 us
-(fastest of 3 x 60 runs).
+step and places the products, so halving the passes pays (a verdict at Ep 1201
+or Ap 1063 ran about 1.35x faster than one window stepped N times), and so does
+pairing a and x (the Ap 2..500 scan about 1.8x faster than one path at a time).
+For the same reason ``_step_mod`` adds every product in place through a view
+of its output, with no ``__setitem__`` of the view onto itself, and calls
+numpy's undispatched correlate (``_correlate``).
 
 Every pass reduces its output once; the elementwise work before that is cut
 two ways.  F_n', a derivative weight times a residue, meets the D taps
@@ -76,19 +73,15 @@ there, reduced by rint against the reciprocal moduli (the proof is at
 ``_F64_MAX``).  At widths 1000 to 20000 (2-vCPU VM) float64 ``np.correlate`` with
 a four-column kernel costs 1.5-2.4 ns an element against 5.8-6.7 ns on int64,
 and the float64 reduction, four ufuncs, 1.9-4.3 ns against 4.0-4.9 ns for
-int64's `%`.  That took the Ep 2..10^4 scan from 7.4-9.1 to 3.2-4.0 s.  Lone
-targets and ``generate(family, N, p)``, whose vectors are narrow, stay on int64.
+int64's `%`.  Lone targets and ``generate(family, N, p)``, whose vectors are
+narrow, stay on int64.
 
-A batch lays its windows out anew five or six times in a scan of 2..500, and at
-those widths a layout costs per numpy call, as a pass does.  So the batch plans
-every layout before its first step (``_slot_table``, ``_moves``), and a
-relayout only repeats the moduli, 1/m and tilts per window, gathers the weights
-from one static layout and moves F_{n-1} and F_n through one index map, about
-ten numpy calls.  On a 2-vCPU VM (medians of 300 in-process scans of 2..500) a
-relayout costs about 2 short steps and the plan about 25 a batch, where
-building each layout anew cost about 8; the layouts take 12.8-12.9% of the Ep
-scan and 14.1-14.4% of the Ap one, against 15.7-15.9% and 16.6-17.0% built
-anew, and the scans ran 1.067x and 1.072x faster.
+A batch lays its windows out anew five or six times in a scan of 2..500, as
+they shrink.  Its schedule depends only on the targets (``_slot_table``), and
+each layout is built when it is due, in about thirty numpy calls: the moduli,
+1/m and tilts repeat one value per window and gap, the derivative weights are
+each element's index in its window mod p, and F_{n-1} and F_n move into it by
+one gather (``_moved``).
 """
 
 from __future__ import annotations
@@ -208,9 +201,9 @@ _P_UNREDUCED = int((_INT64_MAX // _MAX_TERMS) ** (1 / 3)) + 2  # cube root 10082
 # each reduced by r = x - rint(x * fl(1/m)) * m instead of `% m`.  That is exact.  Every
 # element and partial sum is an integer with |x| <= S(m-1) <= 2^52 (an element of a gap,
 # m = 1, sums products of its left neighbour only), so float64 holds it; so is F_n'
-# before its own reduction, a weight times a residue: the weight is an index below
-# N_max <= S in a window of F_n, and below p in an alpha window, whose batch counts
-# the p - 1 of the alpha term in S.  With
+# before its own reduction, a weight times a residue: the weight is the index k < N_max
+# <= S of its element in a window of F_n, reduced as a residue (so |w| <= k), and below p
+# in an alpha window, whose batch counts the p - 1 of the alpha term in S.  With
 # u = 2^-53, fl(1/m) = (1 + d1)/m and the product rounds by 1 + d2, |d1|, |d2| <= u, so
 # |x * fl(1/m) - x/m| <= (|x|/m)(2u + u^2) <= (1 + u)/m < 1/2 for m >= 3: k = rint(...)
 # is within 1/2 + 1/2 of x/m, so |x - k m| < m.  Then k m, within |x| + m - 1 < 2^53, and
@@ -223,7 +216,7 @@ _P_UNREDUCED = int((_INT64_MAX // _MAX_TERMS) ** (1 / 3)) + 2  # cube root 10082
 _F64_MAX = 2**52
 
 _BLOCK = 1024        # steps per batch of multipliers, so memory follows the polynomials, not N
-_HORIZON = 32        # a lockstep layout holds F_n .. F_max(3n/2, 32): a planned relayout costs about 2 short steps
+_HORIZON = 32        # a lockstep layout holds F_n .. F_max(3n/2, 32)
 _BATCH_N = 1 << 20   # sum of N over the windows of a lockstep batch, which bounds its vectors (a few MB each)
 
 # a_n = 2^n alpha_n, and alpha_n follows x's recurrence with D/4 and one extra term
@@ -342,10 +335,10 @@ def _step_mod(d_tap: tuple, taps: tuple, cur: np.ndarray, weights: np.ndarray, m
     with ``inv`` (float64 1 / ``mod``) to an integral |r| <= mod[j] - 1 by ``_reduce``,
     exact while every sum stays within ``_F64_MAX``.  The vector moves ``shift``
     places to the right a step (0 or 1), so F_n'[j - 1] is ``weights[j] * cur[j - shift]``,
-    ``weights[j]`` being the index of element j in its window, and ``d_tap`` = (offset,
-    kernel) acts on it.  Each of ``taps``, (source, position, kernel), is a slice of F_n or
-    F_{n-1} whose product lands at that position, so the regions of one vector can step
-    with taps of their own.  ``tilt`` = (offset, c) adds c[j] to the one-column kernel of
+    ``weights[j]`` being congruent to the index of element j in its window, and ``d_tap`` =
+    (offset, kernel) acts on it.  Each of ``taps``, (source, position, kernel), is a slice of
+    F_n or F_{n-1} whose product lands at that position, so the regions of one vector can
+    step with taps of their own.  ``tilt`` = (offset, c) adds c[j] to the one-column kernel of
     the tap of ``taps`` that lands at that offset, element by element.  F_n' is reduced
     before its tap unless ``reduce_derivative`` is False (exact taps that ``_fits`` with
     ``derivative``, or taps reduced mod p < ``_P_UNREDUCED``).
@@ -628,13 +621,14 @@ def _stored_mod(family: RecurrenceFamily, p: int) -> Iterator[np.ndarray]:
 # layout made at F_n holds the windows up to F_max(3n/2, _HORIZON) and is rebuilt
 # there, which drops the room that shrinking windows no longer need.
 #
-# The schedule depends only on the targets, so a batch plans every layout before its
-# first step: ``_slot_table`` gives the slot of each window in each layout from one
-# ``_slots`` call per length bound, and ``_moves`` the index map into each.  A layout's moduli, 1/m and
-# tilts, one value per window and one per gap, are a single ``np.repeat``; its weights
-# are gathered from a static layout of every window at its widest slot; and F_{n-1} and
-# F_n move into it through one shared map, each window copying what it had and reading
-# the rest of its slot from a zero of its old gap: about ten numpy calls a relayout.
+# The schedule depends only on the targets: ``_slot_table`` gives the slot of each window
+# in each layout from one ``_slots`` call per length bound.  Each layout is built when it
+# is due.  Its moduli, 1/m and tilts, one value per window and one per gap, are a single
+# ``np.repeat``; its weights are each element's index in its window (times the factor of
+# an alpha window) mod its modulus, 0 in a gap; and F_{n-1} and F_n move into it through
+# one gather (``_moved``), each window copying what it had and reading the rest of its
+# slot and its gap from the zero after its old slot.
+#
 # A target that steps alone goes from both ends instead (``_both_ends``).
 
 
@@ -718,41 +712,19 @@ def _pairs(a, b) -> np.ndarray:
     return out
 
 
-def _moves(old_starts: np.ndarray, old_widths: np.ndarray, zeros: np.ndarray, slots: np.ndarray, gap: int,
-           first: np.ndarray) -> list[tuple]:
-    """Per row of ``slots``, a layout whose windows before ``first`` have finished, the
-    index map that lays the windows at ``old_starts``, ``old_widths`` wide, out anew in
-    those slots, each followed by ``gap``: a window reads its first min(old, new) elements
-    from its old place, and the rest of its slot and its gap from its entry of ``zeros``,
-    a position that holds 0.  Every argument but ``gap`` has a row per layout.
+def _moved(polys: list, old_starts: np.ndarray, old_widths: np.ndarray, slots: np.ndarray, sizes: np.ndarray,
+           offset: np.ndarray) -> list:
+    """Each of ``polys``, its windows at ``old_starts`` and ``old_widths`` wide, moved by one
+    gather into a layout of ``slots``, each followed by its gap (``sizes`` long in all),
+    where ``offset`` is the index of each element in its window.
 
-    A map is made of runs first + step * i, per window a copy (step 1) and a zero run
-    (step 0).  ``_ramp`` builds it from the plan returned, (steps, counts, heads, jumps)
-    from the window ``first`` on: the steps repeated, and at the head of each run the
-    jump from the last index of the run before.  Every window left has a positive slot
-    and old width, and the gap is positive, so no two of those runs share a head."""
-    rows, cols = slots.shape
-    kept = np.minimum(old_widths, slots)
-    counts = _pairs(kept, slots + gap - kept)
-    lead = 2 * first
-    counts[np.arange(2 * cols) < lead[:, None]] = 0  # the finished windows
-    jumps = np.empty_like(counts)
-    jumps[:, 0::2] = old_starts  # a copy run follows the zero run of the window before,
-    at = np.arange(rows), lead
-    head = jumps[at]             # but the first one left starts afresh
-    jumps[:, 2::2] -= zeros[:, :-1]
-    jumps[:, 1::2] = zeros - old_starts - kept + 1  # a zero run follows the copy run of its window
-    jumps[at] = head
-    heads = counts.cumsum(axis=1) - counts
-    steps = _pairs(np.ones(cols, np.int64), 0)
-    return [(steps[f:], counts[i, f:], heads[i, f:], jumps[i, f:]) for i, f in enumerate(lead.tolist())]
-
-
-def _ramp(steps: np.ndarray, counts: np.ndarray, heads: np.ndarray, jumps: np.ndarray) -> np.ndarray:
-    """The index map planned by ``_moves``: one repeat, one assignment and one cumsum."""
-    out = steps.repeat(counts)
-    out[heads] = jumps
-    return out.cumsum(out=out)
+    A window keeps its first min(old, new) values, and the rest of its slot and its gap
+    read the element after its old window, which must hold 0 for every window but the
+    last.  The last window stays as long as it is in each poly, cut at its slot."""
+    index = np.where(offset < np.minimum(old_widths, slots).repeat(sizes), offset, old_widths.repeat(sizes))
+    index += old_starts.repeat(sizes)
+    start, slot, last = len(offset) - int(sizes[-1]), int(slots[-1]), int(old_starts[-1])
+    return [poly[index[:start + min(max(len(poly) - last, 0), slot)]] for poly in polys]
 
 
 def _residue(c: Fraction, p: int) -> int:
@@ -773,7 +745,7 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
     ``_F64_MAX``, else on int64.  An alpha window (``family`` is X_A) steps
     alpha_n = a_n / 2^n by x's taps and gives a_N(0) = 2^N alpha_N(0)."""
     keys = [N for N, _, _ in windows]
-    Ns, ps = np.array(keys), np.array([p for _, p, _ in windows])
+    ps = np.array([p for _, p, _ in windows])
     N_last = keys[-1]
     alphas = {p: _alpha(p) for _, p, alpha in windows if alpha}
     seeds = [alphas[p][0] if alpha else [tuple(c % p for c in seed) for seed in family.seeds]
@@ -788,63 +760,47 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
                                   limit=_F64_MAX if floats else _INT64_MAX)
 
     points, table = _slot_table(family, windows)
-
-    # The derivative weights of every window at its widest slot, then one 0 for the gaps:
-    # index k of a window times its factor, mod p.  The moduli, 1/m and tilts are constant
-    # per window and gap, so each layout repeats them.
-    wide = table.max(axis=0)
-    bases = np.cumsum(wide) - wide
-    p = np.repeat(ps, wide)
-    k = np.arange(len(p)) - np.repeat(bases, wide)
-    k %= p
-    if alphas:
-        k *= np.repeat([alphas[p][1] if alpha else 1 for _, p, alpha in windows], wide)
-        k %= p
-    static = np.zeros(len(k) + 1, dtype)
-    static[:-1] = k
-    del p, k
-    constants = [_pairs(ps, 1)]  # the modulus of each window and gap, then 1/m and the tilt
+    # The modulus of each window and gap, then 1/m and the tilt: constant per window and
+    # gap, so a layout repeats them
+    constants = [_pairs(ps, 1)]
     if floats:
         constants.append(1 / constants[0])
     if alphas:
         constants.append(_pairs([alphas[p][2] if alpha else 0 for _, p, alpha in windows], 0))
+        factors = np.array([alphas[p][1] if alpha else 1 for _, p, alpha in windows])
     constants = np.array(constants, dtype)
 
-    firsts = np.searchsorted(Ns, points, "right")  # the windows before have finished
-    sizes = np.where(np.arange(len(keys)) >= firsts[:, None], table + gap, 0)
-    starts = np.cumsum(sizes, axis=1) - sizes
-    layouts = [row[first:] for row, first in zip(starts, firsts.tolist())]
-    # One plan for the weights of each layout, gathered from the static layout, and for
-    # the windows of each layout after the first, moved from the one before it (cut at
-    # its first window) with the zero after each old window read for the room it gains
-    old = starts[:-1] - starts[np.arange(len(points) - 1), firsts[1:]][:, None]
-    maps = _moves(np.concatenate([np.broadcast_to(bases, table.shape), old]),
-                  np.concatenate([np.broadcast_to(wide, table.shape), table[:-1]]),
-                  np.concatenate([np.full(table.shape, len(static) - 1), old + table[:-1]]),
-                  np.concatenate([table, table[1:]]), gap, np.concatenate([firsts, firsts[1:]]))
-    weight_maps, move_maps = maps[:len(points)], [None, *maps[len(points):]]
+    def lay_out(layout: int, first: int, moves: list) -> tuple:
+        """Layout ``layout`` of the windows first.., and the polys of each of ``moves``,
+        (polys, old starts, old widths), moved into it (``_moved``): the starts, the polys,
+        and the moduli, weights, tilt and inv of ``_step_mod``.  An element's weight is its
+        index k in its window times the window's factor, reduced mod p as each pass reduces
+        its output: 0 in a gap, whose modulus is 1.  k * factor <= N_last * (p - 1) is
+        within the sums that ``_fits`` admits."""
+        slots = table[layout, first:]
+        sizes = slots + gap
+        starts = sizes.cumsum() - sizes
+        weights = np.arange(starts[-1] + sizes[-1])
+        weights -= starts.repeat(sizes)  # k, the offset of each element in its window
+        moved = [poly for move in moves for poly in _moved(*move, slots, sizes, weights)]
+        per_element = constants[:, 2 * first:].repeat(_pairs(slots, gap), axis=1)
+        moduli, inv = per_element[0], per_element[1] if floats else None
+        weights = weights.astype(dtype, copy=False)  # and k goes: a relayout's temporaries set a scan's peak
+        if alphas:
+            weights *= factors[first:].repeat(sizes)
+        if floats:
+            _reduce(weights, moduli, inv)
+        else:
+            weights %= moduli
+        return starts, moved, moduli, weights, (_ALPHA_TILT[0], per_element[-1]) if alphas else None, inv
 
-    def place(layout: int) -> tuple:
-        """moduli, weights, tilt and inv of a layout for ``_step_mod``."""
-        per_element = np.repeat(constants[:, 2 * firsts[layout]:], weight_maps[layout][1], axis=1)
-        return (per_element[0], static[_ramp(*weight_maps[layout])],
-                (_ALPHA_TILT[0], per_element[-1]) if alphas else None, per_element[1] if floats else None)
-
-    starts = layouts[0]
-    rows = []  # F_0 and F_1 of every window in the first layout
-    for j in (0, 1):
-        at, row = [], []
-        for start, slot, seed in zip(starts.tolist(), table[0].tolist(), seeds):
-            coeffs = seed[j][:slot]
-            at += range(start, start + len(coeffs))
-            row += coeffs
-        rows.append(np.zeros(int(starts[-1]) + len(coeffs), dtype))  # the last window as long as its seed
-        rows[-1][at] = row
-    prev, cur = rows
-    moduli, weights, tilt, inv = place(0)
-    first = 0
+    # F_0 and F_1 of every window, end to end and each followed by one 0
+    rows = [np.array([c for seed in seeds for c in (*seed[j], 0)][:-1], dtype) for j in (0, 1)]
+    widths = np.array([[len(seed[j]) for seed in seeds] for j in (0, 1)])
+    starts, (prev, cur), moduli, weights, tilt, inv = lay_out(
+        0, 0, [([row], np.cumsum(w + 1) - w - 1, w) for row, w in zip(rows, widths)])
     last = int(starts[-1])
-    out, layout, n = [], 1, 1
+    out, first, layout, n = [], 0, 1, 1
     due = points[1] if len(points) > 1 else 0
     while n < N_last:
         d_tap, (cur_off, cur_kernels), (prev_off, prev_kernels) = _multipliers(
@@ -867,15 +823,12 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
                 inv = None if inv is None else inv[cut:]
                 last = int(starts[-1])
             if n == due:
-                index, starts = _ramp(*move_maps[layout]), layouts[layout]
-                start, slot = int(starts[-1]), N_last + 1 - n  # of the last window, cut as long as it is
-                prev, cur = (poly[index[:start + min(max(len(poly) - last, 0), slot)]] for poly in (prev, cur))
-                del index
                 # the old values go only as the new replace them: freed first, they put
                 # each pass's arrays on fresh pages (Ep 2..3000 ran 0.78x, with about 7500
                 # minor page faults a scan against 1000)
-                moduli, weights, tilt, inv = place(layout)
-                last = start
+                starts, (prev, cur), moduli, weights, tilt, inv = lay_out(
+                    layout, first, [([prev, cur], starts, table[layout - 1, first:])])
+                last = int(starts[-1])
                 layout += 1
                 due = points[layout] if layout < len(points) else 0
     return [r * pow(2, N, p) % p if alpha else r % p for r, (N, p, alpha) in zip(out, windows)]
@@ -1030,9 +983,22 @@ def _checked(targets) -> list[tuple[int, int]]:
     return targets
 
 
-def _seed_terms(family: RecurrenceFamily, targets: list[tuple[int, int]]) -> list[int]:
-    """Stored F_N(0) mod p for the targets with N < 2, 0 for the others."""
-    return [family.seeds[N][0] % p if N < 2 and family.seeds[N] else 0 for N, p in targets]
+def _terms_mod(family: RecurrenceFamily, targets, paired: bool = False) -> list[list[int]]:
+    """F_N(0) mod p of ``family`` for every target (N, p), in the order given; if ``paired``,
+    of A_VZ and of X_A (``family``), each batch stepping the a-windows as alpha windows."""
+    targets = _checked(targets)
+    families = (A_VZ, X_A) if paired else (family,)
+    # stored F_N(0) mod p of the seeds, N < 2; the batches fill in the others
+    outs = [[f.seeds[N][0] % p if N < 2 and f.seeds[N] else 0 for N, p in targets] for f in families]
+    for batch in _batches(family, targets, alpha=paired):
+        # the a-window of a pair, and only it, is an alpha window
+        windows = [(*targets[i], f is not family) for i in batch for f in families]
+        residues = iter(_lockstep(family, windows) if len(batch) > 1 else
+                        [_both_ends(f, N, p) for f, (N, p, _) in zip(families, windows)])
+        for i in batch:
+            for out in outs:
+                out[i] = next(residues)
+    return [[r * pow(f.scale, -1, p) % p for r, (_, p) in zip(out, targets)] for out, f in zip(outs, families)]
 
 
 def constant_terms_mod(family: RecurrenceFamily, targets) -> list[int]:
@@ -1044,15 +1010,7 @@ def constant_terms_mod(family: RecurrenceFamily, targets) -> list[int]:
     ValueError for N < 0 or a modulus that is not an odd prime, OverflowError
     for p >= ``_P_MAX``, both before any array exists.
     """
-    targets = _checked(targets)
-    out = _seed_terms(family, targets)
-    for batch in _batches(family, targets):
-        if len(batch) == 1:
-            out[batch[0]] = _both_ends(family, *targets[batch[0]])
-            continue
-        for i, residue in zip(batch, _lockstep(family, [(*targets[i], False) for i in batch])):
-            out[i] = residue
-    return [r * pow(family.scale, -1, p) % p for r, (_, p) in zip(out, targets)]
+    return _terms_mod(family, targets)[0]
 
 
 def paired_constant_terms_mod(targets) -> tuple[list[int], list[int]]:
@@ -1063,17 +1021,7 @@ def paired_constant_terms_mod(targets) -> tuple[list[int], list[int]]:
     makes N_max steps for both paths; a target that steps alone goes from both
     ends once per path.  Errors as for ``constant_terms_mod``.
     """
-    targets = _checked(targets)
-    a_out, x_out = _seed_terms(A_VZ, targets), _seed_terms(X_A, targets)
-    for batch in _batches(X_A, targets, alpha=True):
-        if len(batch) == 1:
-            i = batch[0]
-            a_out[i], x_out[i] = _both_ends(A_VZ, *targets[i]), _both_ends(X_A, *targets[i])
-            continue
-        residues = _lockstep(X_A, [(*targets[i], alpha) for i in batch for alpha in (True, False)])
-        for j, i in enumerate(batch):
-            a_out[i], x_out[i] = residues[2 * j:2 * j + 2]
-    return a_out, x_out
+    return tuple(_terms_mod(X_A, targets, paired=True))
 
 
 def constant_term_mod(family: RecurrenceFamily, N: int, p: int) -> int:

@@ -27,11 +27,10 @@ from rankcrit.recurrences import (
     _dot_mod,
     _fits,
     _length_bounds,
-    _moves,
+    _moved,
     _multipliers,
     _polys,
     _from_v,
-    _ramp,
     _reduce,
     _slot_table,
     _step_mod,
@@ -565,24 +564,34 @@ class TestLayoutPlan:
             assert constant_terms_mod(family, targets) == [constant_term_mod(family, N, p) for N, p in targets]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=6),
-                    min_size=1, max_size=4), st.integers(1, 3), st.data())
-    def test_index_maps_against_a_loop(self, rows, gap, data):
-        # each row: windows (old width, new slot) laid end to end with the gap, the
-        # first few finished; the map copies min(old, new) and reads the old gap after
-        cols = max(map(len, rows))
-        rows = [row + [(1, 1)] * (cols - len(row)) for row in rows]
-        first = np.array([data.draw(st.integers(0, cols - 1)) for _ in rows])
-        old, slots = (np.array([[pair[i] for pair in row] for row in rows]) for i in (0, 1))
-        starts = np.cumsum(old + gap, axis=1) - (old + gap)
-        starts -= starts[np.arange(len(rows)), first][:, None]
-        maps = _moves(starts, old, starts + old, slots, gap, first)
-        for i, f in enumerate(first.tolist()):
+    @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=6),
+           st.integers(1, 3), st.sampled_from([np.int64, np.float64]), st.data())
+    def test_moves_against_a_loop(self, windows, gap, dtype, data):
+        # windows (old width, new slot) laid out end to end with the gap; the first few
+        # finish and are cut off as a batch cuts them, and each poly keeps its last window
+        # as long as it is, which may fall short of its old width
+        old, slots = (np.array([pair[i] for pair in windows]) for i in (0, 1))
+        starts = np.cumsum(old + gap) - (old + gap)
+        polys = []
+        for _ in range(2):
+            poly = np.zeros(int(starts[-1]) + data.draw(st.integers(0, int(old[-1]))), dtype)
+            for start, width in zip(starts.tolist(), old.tolist()):
+                values = data.draw(st.lists(st.integers(1, 99), min_size=width, max_size=width))
+                poly[start:start + width] = values[:len(poly) - start]
+            polys.append(poly)
+        first = data.draw(st.integers(0, len(windows) - 1))  # the windows before it have finished
+        cut = int(starts[first])
+        polys, starts, old, slots = [poly[cut:] for poly in polys], starts[first:] - cut, old[first:], slots[first:]
+        sizes = slots + gap
+        new_starts = np.cumsum(sizes) - sizes
+        offset = np.arange(int(sizes.sum())) - np.repeat(new_starts, sizes)
+        for poly, got in zip(polys, _moved(polys, starts, old, slots, sizes, offset)):
             want = []
-            for start, width, slot in zip(starts[i, f:].tolist(), old[i, f:].tolist(), slots[i, f:].tolist()):
+            for start, width, slot in zip(starts.tolist()[:-1], old.tolist(), slots.tolist()):
                 kept = min(width, slot)
-                want += list(range(start, start + kept)) + [start + width] * (slot - kept + gap)
-            assert _ramp(*maps[i]).tolist() == want
+                want += poly[start:start + kept].tolist() + [0] * (slot - kept + gap)
+            want += poly[int(starts[-1]):].tolist()[:slots[-1]]
+            assert got.dtype == dtype and got.tolist() == want
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(FAMILIES) + ["paired"]), st.lists(_DEEP, min_size=1, max_size=12),
@@ -912,10 +921,13 @@ class TestStepMod:
     ], ids=["lockstep", "alpha lockstep", "both ends", "stored"])
     def test_every_call_of_each_driver(self, run, dtype, monkeypatch):
         # an int64 step equals the reference; a float64 one (a lockstep batch, with inv)
-        # is congruent to it element by element, within |r| <= m - 1, and 0 in the gaps
+        # is congruent to it element by element, within |r| <= m - 1, and 0 in the gaps;
+        # every derivative weight is a residue too, as the bounds of ``_fits`` assume
         calls, step_mod = [], recurrences._step_mod
 
         def checked(*args, **kwargs):
+            weights = args[3]
+            assert np.all(np.abs(weights) <= args[4][:len(weights)] - 1)
             out = step_mod(*args, **kwargs)
             inv = kwargs.pop("inv", None)
             want = _reference_step(*args, **kwargs)
