@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 # Witnesses proving primality for all n < 3.3 * 10^24 (covers 64-bit inputs).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Witnesses that suffice below _SMALL_BOUND, the least strong pseudoprime to all three.
@@ -40,4 +42,5 @@ def is_prime(n: int) -> bool:
 def primes_in(lo: int, hi: int, modulus: int = 1, residues: tuple[int, ...] = (0,)) -> list[int]:
     """All primes p with lo <= p <= hi and p % modulus in residues."""
     lo = max(lo, 2)
-    return [n for n in range(lo, hi + 1) if n % modulus in residues and is_prime(n)]
+    classes = [range(lo + (res - lo) % modulus, hi + 1, modulus) for res in set(residues) if 0 <= res < modulus]
+    return [n for n in sorted(chain.from_iterable(classes)) if is_prime(n)]

@@ -47,11 +47,15 @@ def _usage(args, message: str) -> int:
     return EXIT_USAGE
 
 
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)  # what json.dumps(rec, sort_keys=True) builds per call
+
+
 def _emit(args, records, pretty, sort_keys: bool = True) -> None:
     """JSON lines, or the `# generated` header (unless --no-timestamp) and pretty(record) for each."""
     if args.format == "json":
+        encode = _SORTED_JSON.encode if sort_keys else json.dumps
         for rec in records:
-            print(json.dumps(rec, sort_keys=sort_keys))
+            print(encode(rec))
         return
     if not args.no_timestamp:
         from datetime import datetime, timezone
@@ -238,7 +242,12 @@ def _within_precision(err, precision: int) -> bool:
     about 2^-1074, which would check a 2048-bit row to only about 1074 bits.
     The acceptance tests pin fixed tolerances of their own, independently.
     """
-    return err <= mpmath.mpf(2) ** -precision
+    return err <= _tolerance(precision)
+
+
+@functools.cache  # one per precision, not one per row
+def _tolerance(precision: int) -> mpmath.mpf:
+    return mpmath.mpf(2) ** -precision  # exact at any working precision
 
 
 def _symbolic_rows(args):

@@ -302,8 +302,11 @@ def an_list(curve: CurveSpec, M: int) -> np.ndarray:
     a0 = lo + (first - lo) % k
     count = np.maximum((hi - a0) // k + 1, 0)
     a = k * np.arange(count.sum()) + np.repeat(a0 - k * (np.cumsum(count) - count), count)
-    k1 = table[(a + np.repeat(b * r % c, count)) % c]
-    k2 = table[(a + np.repeat(b * r2 % c, count)) % c]
+    # |a| <= bmax (a^2 - ab + b^2 >= 3a^2/4), so a + (b r mod c) indexes the table
+    # extended by bmax + 1 on each side with no reduction per point
+    wide = table[np.arange(-bmax - 1, c + bmax + 1) % c]
+    k1 = wide[a + np.repeat(b * r % c + (bmax + 1), count)]
+    k2 = wide[a + np.repeat(b * r2 % c + (bmax + 1), count)]
     b = np.repeat(b, count)
     n = a * a + b * b - a * b if k == 3 else a * a + b * b
     sums = np.bincount(n, weights=_psi_trace(k, a, b, n, k1, k2), minlength=M + 1).astype(np.int64)
@@ -355,7 +358,11 @@ def _partial_sum(a: np.ndarray, n: np.ndarray, at: np.ndarray, M: int, c: float,
     """The sum of M terms, nonzero only at the indices `at`: np.sum's pairwise order, and so its
     rounding, is that of the full array, with exp evaluated only where a_n != 0."""
     terms = np.zeros(M)
-    terms[at] = a / n * (np.exp(-c * t * n) + np.exp(-c * n / t))
+    if t == 1.0:  # -c t n and -c n / t are then the same floats
+        e = np.exp(-c * n)
+        terms[at] = a / n * (e + e)
+    else:
+        terms[at] = a / n * (np.exp(-c * t * n) + np.exp(-c * n / t))
     return float(np.sum(terms))
 
 

@@ -13,7 +13,10 @@ term it is the Laguerre form
 
 ``laguerre`` runs the three-term recurrence of L on Python ints in fixed
 point, with ``_laguerre_guard(h) = 2 * bit_length(h) + 8`` bits past the
-working precision, and rounds half-even to an mpf once.  The tests hold it
+working precision, and rounds half-even to an mpf once.  It builds each mpf
+from the libmp tuple that ``mpf((fixed, -w))`` makes, at the precision and
+rounding ``mpf()`` reads from the context, so the values are the
+constructor's bit for bit without its dispatch.  The tests hold it
 to 2^-(prec-8) * max(1, |L|) against the defining sum ``laguerre_sum`` for
 h <= 64, alpha in {-1/2, 0, 1/2, 1} and 0.01 <= |x| <= 2000 (and x = 0) at
 64, 256 and 1064 bits.
@@ -59,7 +62,9 @@ that turns it into a central Hecke value; the ``verify_*`` and
 reaches the A-side values independently through the hexagonal-lattice theta
 series.  They take one index or a sequence of them, and for a sequence make
 one pass per (series, point, precision) for all its orders, read the
-constants F_n(0) from one walk of the recurrence, and share the periods,
+constants F_n(0) from one walk of the recurrence (for f the walk in
+v = 2t + 3, whose rows have the parity of n: f_n(0) = H_n(3) / 2^n), form
+Omega/pi once per call, and share the periods,
 which are computed once per precision.  ``omega_E`` and ``omega_A`` compute
 the periods from the arithmetic-geometric mean (Borwein & Borwein, Pi and the
 AGM, 1987), not from the gamma function: the AGM converges quadratically, so
@@ -77,6 +82,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import islice
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from ._lazy import lazy_import
@@ -232,19 +238,23 @@ def laguerre(h, alpha, x):
     that order's guard bits, and returns a tuple of L_h, one per order.
     """
     orders = _orders(h, "Laguerre order")
-    a = Fraction(alpha)
+    a = alpha if type(alpha) is Fraction else Fraction(alpha)
     r, s = a.numerator, a.denominator
     top = max(orders, default=0)
-    mpf = mpmath.mpf
-    w = mpmath.mp.prec + _laguerre_guard(top)
-    sx = s * mpmath.libmp.to_fixed(mpf(x)._mpf_, w)
+    libmp, mp = mpmath.libmp, mpmath.mp
+    prec, rounding = mp._prec_rounding
+    w = prec + _laguerre_guard(top)
+    # mpf(x) would round x to prec bits: an mpf that already fits is read as it is
+    v = x._mpf_ if type(x) is mpmath.mpf and x._mpf_[3] <= prec else mpmath.mpf(x)._mpf_
+    sx = s * libmp.to_fixed(v, w)
     prev, cur = 0, 1 << w
     fixed = [cur]
     for m in range(top):
         step = ((2 * m + 1) * s + r) * cur - ((sx * cur) >> w) - (m * s + r) * prev
         prev, cur = cur, step // ((m + 1) * s)
         fixed.append(cur)
-    values = tuple(mpf((fixed[n], -w)) for n in orders)
+    # what mpf((fixed, -w)) runs, without the constructor's dispatch
+    values = tuple(mp.make_mpf(libmp.from_man_exp(fixed[n], -w, prec, rounding)) for n in orders)
     return values[0] if isinstance(h, int) else values
 
 
@@ -474,11 +484,15 @@ def ms_derivative(series: Series, weight, h, z, precision: int = 256):
         small_streak = [0] * len(orders)
         active = list(range(len(orders)))  # positions of the orders still summing
         with mpmath.workprec(64):  # the stop bounds only
-            minus_4piy = -4 * mpmath.pi * y
+            libmp, make_mpf = mpmath.libmp, mpmath.mp.make_mpf
+            mul_int, div = libmp.mpf_mul_int, libmp.mpf_div
+            rounding = mpmath.mp._prec_rounding[1]
+            minus_4piy = (-4 * mpmath.pi * y)._mpf_
             for count, (mu, a) in enumerate(series()):
                 if walk is None:
                     D = mu.denominator
                     walk = _ExpWalk(zz, D, w)
+                    D_mpf = libmp.from_int(D)
                 elif mu.denominator != D:
                     raise ValueError(f"frequency {mu} has denominator {mu.denominator}, not the series' {D}")
                 num = mu.numerator
@@ -494,7 +508,9 @@ def ms_derivative(series: Series, weight, h, z, precision: int = 256):
                     tr *= num
                     ti *= num
                 due = [i for i in active if count > orders[i]]  # a streak of 3 ending past h + 3
-                bounds = laguerre(tuple(orders[i] for i in due), alpha, minus_4piy * num / D)
+                # -4 pi y num / D at 64 bits, by the calls mpf * int and mpf / int make
+                x = make_mpf(div(mul_int(minus_4piy, num, 64, rounding), D_mpf, 64, rounding))
+                bounds = laguerre(tuple(orders[i] for i in due), alpha, x)
                 norm = a * a * (er * er + ei * ei)
                 for i, bound in zip(due, bounds):
                     _, man, exp, _ = bound._mpf_
@@ -588,9 +604,21 @@ def _squared_derivatives(row: _Identity, orders: list[int], precision: int) -> l
 
 
 def _constants(row: _Identity, orders: list[int]) -> list[Fraction]:
-    """F_n(0) of the row's family at each order n, from one walk of the recurrence."""
-    walk = islice(iter_family(row.family), max(orders, default=-1) + 1)
-    table = [Fraction(constant_term(poly)) for poly in walk]
+    """F_n(0) of the row's family at each order n, from one walk of the recurrence.
+
+    For f the walk is the one in v = 2t + 3 (``in_v``), whose rows have the
+    parity of n and so half the coefficients: f_n(0) = H_n(3) / 2^n.
+    """
+    count = max(orders, default=-1) + 1
+    if row.family.in_v:
+        table = []
+        for n, poly in enumerate(islice(iter_family(row.family.in_v), count)):
+            value = 0
+            for c in reversed(poly):
+                value = 3 * value + c
+            table.append(Fraction(value, 1 << n))
+    else:
+        table = [Fraction(constant_term(poly)) for poly in islice(iter_family(row.family), count)]
     return [table[n] for n in orders]
 
 
@@ -602,20 +630,34 @@ def _root(base: int, q: int, prec: int) -> mpmath.mpf:
 
 def _power(base: int, e) -> mpmath.mpf:
     """base^e for a rational e = whole + rest/q (0 <= rest < q): base^whole by integer powering,
-    times base^(1/q) to the rest, with no exp/log."""
-    e = Fraction(e)
-    whole, rest = divmod(e.numerator, e.denominator)
-    value = mpmath.mpf(base) ** whole
-    return value * _root(base, e.denominator, mpmath.mp.prec) ** rest if rest else value
+    times base^(1/q) to the rest, with no exp/log.
+
+    The libmp calls are those of mpf(base) ** whole * _root(base, q) ** rest, at the
+    working precision and rounding.
+    """
+    libmp = mpmath.libmp
+    prec, rounding = mpmath.mp._prec_rounding
+    if type(e) is int:
+        whole, rest = e, 0
+    else:
+        e = Fraction(e)
+        whole, rest = divmod(e.numerator, e.denominator)
+    value = libmp.mpf_pow_int(libmp.from_int(base), whole, prec, rounding)
+    if rest:
+        root = libmp.mpf_pow_int(_root(base, e.denominator, prec)._mpf_, rest, prec, rounding)
+        value = libmp.mpf_mul(value, root, prec, rounding)
+    return mpmath.mp.make_mpf(value)
 
 
 def _two_three(e2, e3, k: int) -> mpmath.mpf:
     return _power(2, _at(e2, k)) * _power(3, _at(e3, k))
 
 
-def _closed_form(row: _Identity, k: int, c: Fraction, precision: int) -> mpmath.mpf:
+def _closed_forms(row: _Identity, ks: list[int], cs: list[Fraction], precision: int) -> list[mpmath.mpf]:
+    """(Omega/pi)^(2k-1) 2^e2 3^e3 c^2 for each weight k and constant c of the row."""
     om = omega_E(precision) if row.point == CM_I else omega_A(precision)
-    return (om / mpmath.pi) ** (2 * k - 1) * _two_three(row.e2, row.e3, k) * _mpf_frac(c) ** 2
+    ratio = om / mpmath.pi
+    return [ratio ** (2 * k - 1) * _two_three(row.e2, row.e3, k) * _mpf_frac(c) ** 2 for k, c in zip(ks, cs)]
 
 
 @dataclass(frozen=True)
@@ -634,8 +676,12 @@ class MSDerivativeReport:
 
     def as_record(self) -> dict:
         """The fields as JSON values; the mpf ones, kept at working precision, as floats."""
-        record = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: float(v) if isinstance(v, mpmath.mpf) else v for name, v in record.items()}
+        mpf = mpmath.mpf
+        return {name: float(v) if isinstance(v, mpf) else v for name, v in zip(_REPORT_FIELDS, _report_values(self))}
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(MSDerivativeReport))
+_report_values = attrgetter(*_REPORT_FIELDS)
 
 
 def _verify(row: _Identity, N, precision: int):
@@ -647,8 +693,8 @@ def _verify(row: _Identity, N, precision: int):
     reports = []
     with mpmath.workprec(precision + _GUARD):
         squares = _squared_derivatives(row, orders, precision)
-        for n, k, order, c, numeric in zip(Ns, ks, orders, constants, squares):
-            predicted = _closed_form(row, k, c, precision)
+        closed = _closed_forms(row, ks, constants, precision)
+        for n, k, order, c, numeric, predicted in zip(Ns, ks, orders, constants, squares, closed):
             if predicted == 0:
                 rel = mpmath.inf if numeric != 0 else mpmath.mpf(0)
             else:
@@ -711,7 +757,7 @@ def _hecke_value(point: str, k, precision: int, from_constants: bool):
         with mpmath.workprec(precision + _GUARD):
             if from_constants:
                 constants = _constants(row, orders)
-                squares = [_closed_form(row, kk, c, precision) for kk, c in zip(mine, constants)]
+                squares = _closed_forms(row, mine, constants, precision)
             else:
                 squares = _squared_derivatives(row, orders, precision)
             for kk, square in zip(mine, squares):

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from rankcrit import maass
 from rankcrit.maass import (
@@ -42,6 +42,8 @@ from rankcrit.maass import (
     verify_eta_identity,
     verify_theta2_identity,
 )
+from rankcrit.polyring import constant_term
+from rankcrit.recurrences import F_E, generate
 
 
 def _laguerre_mpf(h: int, alpha, x) -> mpf:
@@ -636,6 +638,109 @@ class TestBatches:
         assert type(rec["numeric"]) is float and rec["numeric"] == float(r.numeric)
         assert type(rec["rel_error"]) is float and rec["rel_error"] == float(r.rel_error)
         assert isinstance(r.rel_error, mpf)
+
+
+def _laguerre_by_constructor(orders: tuple, alpha, x) -> tuple:
+    """``laguerre``'s fixed-point recurrence with x read and each result rounded by the mpf
+    constructor, as mpf(x) and mpf((fixed, -w)): the reference for its libmp tuples."""
+    a = Fraction(alpha)
+    r, s = a.numerator, a.denominator
+    w = mp.prec + _laguerre_guard(max(orders))
+    sx = s * libmp.to_fixed(mpf(x)._mpf_, w)
+    prev, cur = 0, 1 << w
+    fixed = [cur]
+    for m in range(max(orders)):
+        step = ((2 * m + 1) * s + r) * cur - ((sx * cur) >> w) - (m * s + r) * prev
+        prev, cur = cur, step // ((m + 1) * s)
+        fixed.append(cur)
+    return tuple(mpf((fixed[n], -w)) for n in orders)
+
+
+def _power_by_operators(base: int, e) -> mpf:
+    """base^e through the mpf operators: the reference for ``_power``'s libmp calls."""
+    e = Fraction(e)
+    whole, rest = divmod(e.numerator, e.denominator)
+    value = mpf(base) ** whole
+    return value * maass._root(base, e.denominator, mp.prec) ** rest if rest else value
+
+
+class TestLibmpTuples:
+    """The paths that build mpf values from libmp tuples give the tuples, bit for bit, of
+    the mpf operators and constructors they stand in for."""
+
+    @pytest.mark.parametrize("prec", [64, 256, 1064])
+    def test_laguerre_equals_the_constructor(self, prec):
+        with mp.workprec(prec):
+            with mp.workprec(2 * prec):
+                wide = mp.sqrt(2) * 7  # more bits than prec: laguerre must round it as mpf(x) does
+            xs = [mpf("0.01"), mpf("9.5"), mpf(-2000), mpf(0), -4 * mp.pi * mpf("1.1") * 3 / 8, wide, 7, 0.3,
+                  mp.pi]
+            for alpha in (*_ALPHAS, Fraction(3, 2), 2, "1/2"):
+                for x in xs:
+                    for h in range(65):
+                        got = laguerre(h, alpha, x)
+                        assert got._mpf_ == _laguerre_by_constructor((h,), alpha, x)[0]._mpf_, (h, alpha, x)
+                    orders = (64, 0, 31, 7)
+                    want = _laguerre_by_constructor(orders, alpha, x)
+                    assert [v._mpf_ for v in laguerre(orders, alpha, x)] == [v._mpf_ for v in want]
+
+    def test_stop_bound_argument_equals_the_operators(self, monkeypatch):
+        seen = []
+        real = maass.laguerre
+        monkeypatch.setattr(maass, "laguerre", lambda h, alpha, x: seen.append(x) or real(h, alpha, x))
+        for series, weight in _SERIES.values():
+            for point in (CM_I, CM_OMEGA):
+                terms = []
+
+                def counted():
+                    for term in series():
+                        terms.append(term)
+                        yield term
+
+                seen.clear()
+                ms_derivative(counted, weight, (0, 7), point, 256)
+                with mp.workprec(256 + _GUARD):
+                    y = _as_point(point).imag
+                    with mp.workprec(64):
+                        minus_4piy = -4 * mp.pi * y
+                        want = [minus_4piy * mu.numerator / mu.denominator for mu, _ in terms]
+                assert all(type(x) is mpf for x in seen)
+                assert [x._mpf_ for x in seen] == [x._mpf_ for x in want], (series, point)
+
+    @pytest.mark.parametrize("prec", [104, 296, 1064])
+    def test_power_equals_the_operators(self, prec):
+        with mp.workprec(prec):
+            for row in maass._IDENTITIES.values():
+                slope, intercept = row.k
+                for N in range(33):
+                    k = slope * N + intercept
+                    for base, form in ((2, row.e2), (3, row.e3), (2, row.h2), (3, row.h3)):
+                        e = maass._at(form, k)
+                        assert maass._power(base, e)._mpf_ == _power_by_operators(base, e)._mpf_, (row.name, k, e)
+            for e in (0, 1, -1, 37, -37, Fraction(-9, 4), Fraction(6, 3)):
+                for base in (2, 3):
+                    assert maass._power(base, e)._mpf_ == _power_by_operators(base, e)._mpf_, (base, e)
+
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    def test_closed_forms_equal_one_row_at_a_time(self, precision):
+        with mp.workprec(precision + _GUARD):
+            for row in maass._IDENTITIES.values():
+                om = omega_E(precision) if row.point == CM_I else omega_A(precision)
+                ks = [maass._at(row.k, N) for N in range(9)]
+                cs = [Fraction(N * N - 5, 3) for N in range(9)]
+                want = [(om / mp.pi) ** (2 * k - 1) * maass._two_three(row.e2, row.e3, k) * _mpf_frac(c) ** 2
+                        for k, c in zip(ks, cs)]
+                assert [v._mpf_ for v in maass._closed_forms(row, ks, cs, precision)] == [v._mpf_ for v in want]
+
+    def test_constants_of_f_from_the_v_walk(self):
+        row = maass._IDENTITIES["f"]
+        assert row.family is F_E and row.family.in_v is not None
+        ns = list(range(101))
+        got = maass._constants(row, ns)
+        assert got == [Fraction(constant_term(generate(F_E, n))) for n in ns]
+        assert all(type(c) is Fraction and c.denominator == 1 for c in got)
+        assert maass._constants(row, [7, 0, 3]) == [got[7], got[0], got[3]]
+        assert maass._constants(row, []) == []
 
 
 def _gamma_omega_E(precision: int) -> mpf:

@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rankcrit._primality import is_prime, primes_in
 
 
@@ -33,3 +36,14 @@ def test_mersenne_61_is_prime():
 def test_primes_in_congruence_class():
     assert primes_in(2, 100, 16, (1, 9)) == [17, 41, 73, 89, 97]
     assert primes_in(2, 30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.integers(-5, 3000), span=st.integers(-3, 600), modulus=st.integers(1, 40),
+       residues=st.lists(st.integers(-3, 45), max_size=5).map(tuple))
+def test_primes_in_equals_the_filter_over_every_integer(lo, span, modulus, residues):
+    # the reference tests n % modulus for every n in the range
+    hi = lo + span
+    want = [n for n in range(max(lo, 2), hi + 1) if n % modulus in residues and is_prime(n)]
+    assert primes_in(lo, hi, modulus, residues) == want
+    assert primes_in(lo, hi) == [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
