@@ -148,7 +148,8 @@ def scan(family: str, lo: int, hi: int, jobs: int = 1) -> list[CriterionVerdict]
 
     A lone prime goes through ``verdict_Ep``/``verdict_Ap``.  More are stepped
     in lockstep batches, ``jobs`` of them in parallel, and the Ap paths are
-    cross-checked in order of p afterwards."""
+    cross-checked in order of p afterwards.  A prime past the bound of a batch
+    (Ep p > 104561, Ap p > 272539) steps alone, as a lone verdict does."""
     if lo < 2 or hi < lo:
         raise ValueError("range bounds must satisfy 2 <= lo <= hi")
     if jobs < 1:

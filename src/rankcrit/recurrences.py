@@ -60,21 +60,21 @@ numpy's undispatched correlate (``_correlate``).
 
 Every pass reduces its output once; the elementwise work before that is cut
 two ways.  F_n', a derivative weight times a residue, meets the D taps
-unreduced wherever the sums still fit int64: for residue taps (a lone target,
-``generate(family, N, p)``) while p < ``_P_UNREDUCED``, about 1.01e6, and
-for a batch's exact taps while ``_fits``.  And each window, and each row of
-``generate(family, N, p)``, is only as wide as ``_length_bounds`` allows:
-floor(n/2) + 1 for x and y, whose rows are images of modular forms of weight
-2n in Q[E4, E6], against 2n + 1 for a.
+unreduced: always in a lockstep batch, whose bound ``_fits`` counts it, and for
+residue taps (a lone target, ``generate(family, N, p)``) while p < ``_P_UNREDUCED``,
+about 1.01e6.  And each window, and each row of ``generate(family, N, p)``, is
+only as wide as ``_length_bounds`` allows: floor(n/2) + 1 for x and y, whose rows
+are images of modular forms of weight 2n in Q[E4, E6], against 2n + 1 for a.
 
 At scan widths a pass costs per element, not per call, so a lockstep batch
-whose sums stay within ``_F64_MAX`` steps float64 residues, exact integers
-there, reduced by rint against the reciprocal moduli (the proof is at
-``_F64_MAX``).  At widths 1000 to 20000 (2-vCPU VM) float64 ``np.correlate`` with
-a four-column kernel costs 1.5-2.4 ns an element against 5.8-6.7 ns on int64,
-and the float64 reduction, four ufuncs, 1.9-4.3 ns against 4.0-4.9 ns for
-int64's `%`.  Lone targets and ``generate(family, N, p)``, whose vectors are
-narrow, stay on int64.
+steps float64 residues, reduced by rint against the reciprocal moduli.  They are
+exact integers while every sum stays within ``_F64_MAX`` (the proof is there), so
+a target joins a batch only while that holds (``_fits``), and a scan prime past
+the bound, Ep p > 104561 or paired Ap p > 272539, steps alone.  At widths 1000
+to 20000 (2-vCPU VM) float64 ``np.correlate`` with a four-column kernel costs
+1.5-2.4 ns an element against 5.8-6.7 ns on int64, and the float64 reduction,
+four ufuncs, 1.9-4.3 ns against 4.0-4.9 ns for int64's `%`.  Lone targets and
+``generate(family, N, p)``, whose vectors are narrow, stay on int64.
 
 A batch lays its windows out anew five or six times in a scan of 2..500, as
 they shrink.  Its schedule depends only on the targets (``_slot_table``), and
@@ -183,27 +183,27 @@ FAMILIES = {fam.key: fam for fam in (F_E, A_VZ, X_A, Y_A, Z_A)}
 # p < _P_UNREDUCED (1008207), so ``_both_ends`` and ``_stored_mod`` skip the `% p` of F_n'
 # below it and keep it from there up to _P_MAX.  Those two always step int64 residues
 # (0 <= r < p), so these bounds stay theirs up to _P_MAX; only a lockstep batch, with
-# exact taps, may step float64 (``_F64_MAX``).
+# exact taps, steps float64 (``_F64_MAX``).
 _INT64_MAX = 2**63 - 1
 _MAX_TERMS = 9
 _P_MAX = math.isqrt(_INT64_MAX // _MAX_TERMS) + 2
 _P_UNREDUCED = int((_INT64_MAX // _MAX_TERMS) ** (1 / 3)) + 2  # cube root 1008205.52, so the float floor is exact
 
-# A lockstep batch of several primes shares its taps, so they stay exact integers: an
-# output coefficient sums at most one product |tap| * (m-1) per tap, m the modulus of
-# its element, and on an alpha window one more product of two residues
-# (``_ALPHA_TILT``), which fits in int64 while
-# S * (max p - 1) <= _INT64_MAX with S = _tap_sum(N_max - 1) [+ max p - 1] (``_fits``;
-# for f to about p = 1.3e6); with F_n' unreduced, S adds the sum of |D| times max p - 2.
+# A lockstep batch of several primes shares its taps, so they stay exact integers, and it
+# steps float64 residues, F_n' unreduced.  An output coefficient sums at most one product
+# |tap| * (m-1) per tap, m the modulus of its element; each D tap multiplies F_n', a weight
+# times a residue, up to (m-1)^2; and an alpha window adds one product of two residues
+# (``_ALPHA_TILT``).  So |x| <= S(m-1) with S = _tap_sum(N_max - 1) + sum|D| (max p - 2)
+# [+ max p - 1], and a target joins a batch only while S (max p - 1) <= _F64_MAX (``_fits``:
+# Ep batches up to p = 104561, paired Ap batches up to p = 272539; the F_n' term moves
+# neither).  A target past that steps alone (``_both_ends``, on int64).
 #
-# Within _F64_MAX the same sums are exact in float64, and a batch steps float64 residues
-# (``_lockstep``: Ep batches up to p near 104580, paired Ap batches up to p near 272640),
-# each reduced by r = x - rint(x * fl(1/m)) * m instead of `% m`.  That is exact.  Every
-# element and partial sum is an integer with |x| <= S(m-1) <= 2^52 (an element of a gap,
-# m = 1, sums products of its left neighbour only), so float64 holds it; so is F_n'
-# before its own reduction, a weight times a residue: the weight is the index k < N_max
-# <= S of its element in a window of F_n, reduced as a residue (so |w| <= k), and below p
-# in an alpha window, whose batch counts the p - 1 of the alpha term in S.  With
+# Within _F64_MAX these sums are exact in float64, and each is reduced by
+# r = x - rint(x * fl(1/m)) * m instead of `% m`.  That is exact.  Every element and
+# partial sum is an integer with |x| <= S(m-1) <= 2^52 (an element of a gap, m = 1, sums
+# products of its left neighbour only), so float64 holds it; so is F_n', a weight times a
+# residue, each |.| <= m - 1: the weight is the index k < N_max <= S of its element in a
+# window of F_n, times the factor of an alpha window, reduced as a residue.  With
 # u = 2^-53, fl(1/m) = (1 + d1)/m and the product rounds by 1 + d2, |d1|, |d2| <= u, so
 # |x * fl(1/m) - x/m| <= (|x|/m)(2u + u^2) <= (1 + u)/m < 1/2 for m >= 3: k = rint(...)
 # is within 1/2 + 1/2 of x/m, so |x - k m| < m.  Then k m, within |x| + m - 1 < 2^53, and
@@ -243,17 +243,16 @@ def _tap_sum(family: RecurrenceFamily, n: int) -> int:
     return sum(map(abs, d_poly)) + sum(map(abs, cur_poly)) + abs(prev_scalar) * sum(map(abs, prev_poly))
 
 
-def _fits(family: RecurrenceFamily, N: int, p: int, alpha: bool = False, derivative: bool = False,
-          limit: int = _INT64_MAX) -> bool:
-    """Whether exact taps step F_N mod primes up to p with every sum within ``limit``
-    (int64, or ``_F64_MAX`` for float64); ``alpha`` adds the term of an alpha window, a
-    residue times a residue, and ``derivative`` leaves F_n' unreduced, so that each tap
-    on it multiplies a product of two residues.
+def _fits(family: RecurrenceFamily, N: int, p: int, alpha: bool = False) -> bool:
+    """Whether a lockstep batch steps F_N mod primes up to p, exact taps on float64
+    residues, with every sum within ``_F64_MAX``: each tap on the unreduced F_n'
+    multiplies a product of two residues, and ``alpha`` adds the term of an alpha window,
+    a residue times a residue.
 
     Every tap of these families grows in size with n, so step N - 1 bounds
     them all."""
-    d_sum = sum(map(abs, family.step_coeffs(0)[0])) if derivative else 0
-    return N < 2 or (_tap_sum(family, N - 1) + d_sum * (p - 2) + (p - 1 if alpha else 0)) * (p - 1) <= limit
+    d_sum = sum(map(abs, family.step_coeffs(0)[0]))
+    return N < 2 or (_tap_sum(family, N - 1) + d_sum * (p - 2) + (p - 1 if alpha else 0)) * (p - 1) <= _F64_MAX
 
 
 def _polys(family: RecurrenceFamily, n: int, transposed: bool = False) -> list[tuple[int, tuple]]:
@@ -289,40 +288,43 @@ def _columns(family: RecurrenceFamily, transposed: bool = False) -> tuple:
 
 
 def _multipliers(family: RecurrenceFamily, ns: np.ndarray, p: int | None = None,
-                 transposed: bool = False, dtype=None) -> list[tuple[int, list]]:
+                 transposed: bool = False) -> list[tuple[int, list]]:
     """The tap on F_n' as (offset, kernel), the same at every step, and the taps on F_n
     and F_{n-1} at the step indices ns as (offset, kernels), evaluated from the table of
     ``_columns(family, transposed)``; reduced mod p if p is given, else exact.
 
     ``kernels[i]`` is the multiplier at step ``ns[i]`` from t^offset up (columns that
     vanish at every step are cut off): a plain int when one column is left, else an array
-    stored reversed for ``np.correlate``, int64 or of ``dtype`` if given.
+    stored reversed for ``np.correlate``, int64 for residue taps and float64 for exact
+    ones, which only a lockstep batch steps.
     """
     (d_base, d_poly), cols, spans = _columns(family, transposed)
     d_row = np.array([d_poly], np.int64)
-    d_off, (d_kernel,) = _cut(d_base, d_row % p if p else d_row, dtype)
     c0, c1, c2 = np.array(cols, np.int64) if p is None else np.array(cols, np.int64) % p
     n = (ns if p is None else ns % p)[:, None]
     pair = n * (n - 1) // 2
     if p is None:
-        rows = c0 + c1 * n + c2 * pair
+        # exact while ``_fits``, whose bound counts every tap
+        d_row, rows = d_row.astype(np.float64), (c0 + c1 * n + c2 * pair).astype(np.float64)
     else:
         # every factor is a residue below p, so each row sums at most (p-1) + 2(p-1)^2
         # <= _MAX_TERMS (p-1)^2 <= _INT64_MAX (p < _P_MAX) before its one `% p`
+        d_row %= p
         rows = c0 + c1 * n + c2 * (pair % p)
         rows %= p
-    return [(d_off, d_kernel), *(_cut(base, rows[:, first:first + width], dtype) for base, first, width in spans)]
+    d_off, (d_kernel,) = _cut(d_base, d_row)
+    return [(d_off, d_kernel), *(_cut(base, rows[:, first:first + width]) for base, first, width in spans)]
 
 
-def _cut(base: int, rows: np.ndarray, dtype=None) -> tuple[int, list]:
+def _cut(base: int, rows: np.ndarray) -> tuple[int, list]:
     """(offset, kernels) of the multipliers ``rows`` (one row a step, from t^base up),
-    with the columns that vanish in every row cut off; a kernel of several columns is
-    converted to ``dtype`` if given."""
+    with the columns that vanish in every row cut off: a kernel of one column as an int,
+    of several as an array of the dtype of ``rows``."""
     cols = np.flatnonzero(rows.any(axis=0))
     lo, hi = (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 1)
     if hi - lo == 1:
-        return base + lo, rows[:, lo].tolist()
-    return base + lo, list(np.ascontiguousarray(rows[:, lo:hi][:, ::-1], dtype))
+        return base + lo, rows[:, lo].astype(np.int64, copy=False).tolist()
+    return base + lo, list(np.ascontiguousarray(rows[:, lo:hi][:, ::-1]))
 
 
 def _step_mod(d_tap: tuple, taps: tuple, cur: np.ndarray, weights: np.ndarray, mod: np.ndarray, hi: int,
@@ -339,9 +341,10 @@ def _step_mod(d_tap: tuple, taps: tuple, cur: np.ndarray, weights: np.ndarray, m
     (offset, kernel) acts on it.  Each of ``taps``, (source, position, kernel), is a slice of
     F_n or F_{n-1} whose product lands at that position, so the regions of one vector can
     step with taps of their own.  ``tilt`` = (offset, c) adds c[j] to the one-column kernel of
-    the tap of ``taps`` that lands at that offset, element by element.  F_n' is reduced
-    before its tap unless ``reduce_derivative`` is False (exact taps that ``_fits`` with
-    ``derivative``, or taps reduced mod p < ``_P_UNREDUCED``).
+    the tap of ``taps`` that lands at that offset, element by element.  On int64 (``_both_ends``,
+    ``_stored_mod``), F_n' is reduced before its tap unless ``reduce_derivative`` is False,
+    for taps reduced mod p < ``_P_UNREDUCED``; a float64 step (a lockstep batch) passes
+    False, its bound ``_fits`` counting the unreduced F_n'.
 
     The step is as long as its longest product, at most ``hi``, read off the operand
     lengths; the D product is the output when it starts at 0 and covers the step, and
@@ -365,10 +368,7 @@ def _step_mod(d_tap: tuple, taps: tuple, cur: np.ndarray, weights: np.ndarray, m
     if width:
         deriv = deriv * weights[1:width + 1]
         if reduce_derivative:
-            if inv is None:
-                deriv %= mod[1:width + 1]
-            else:
-                _reduce(deriv, mod[1:width + 1], inv[1:width + 1])
+            deriv %= mod[1:width + 1]
         # np.correlate with the kernel reversed is np.convolve without its wrapper's cost
         c = d_kernel * deriv if type(d_kernel) is int else _correlate(deriv, d_kernel, "full")
         if d_pos == 0 and d_end >= size:
@@ -740,10 +740,10 @@ def _alpha(p: int) -> tuple[list[tuple], int, int]:
 
 
 def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) -> list[int]:
-    """Stored F_N(0) mod p for windows (N, p, alpha) sorted by N, every N >= 2, stepped
-    together with exact taps, on float64 residues while every sum stays within
-    ``_F64_MAX``, else on int64.  An alpha window (``family`` is X_A) steps
-    alpha_n = a_n / 2^n by x's taps and gives a_N(0) = 2^N alpha_N(0)."""
+    """Stored F_N(0) mod p for windows (N, p, alpha) sorted by N, every N >= 2, that
+    ``_fits`` admits, stepped together with exact taps on float64 residues, F_n'
+    unreduced.  An alpha window (``family`` is X_A) steps alpha_n = a_n / 2^n by x's taps
+    and gives a_N(0) = 2^N alpha_N(0)."""
     keys = [N for N, _, _ in windows]
     ps = np.array([p for _, p, _ in windows])
     N_last = keys[-1]
@@ -752,23 +752,16 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
              for _, p, alpha in windows]
     d_poly, cur_poly, _, prev_poly = family.step_coeffs(1)
     gap = max(len(d_poly) - 2, len(cur_poly) - 1, len(prev_poly) - 1, 1)  # at least one 0 after each window
-    p_max = int(ps.max())
-    floats = _fits(family, N_last, p_max, bool(alphas), limit=_F64_MAX)
-    dtype = np.float64 if floats else np.int64
-    # F_n' skips its `% p` while a D tap times (p-1)^2 fits too (every scan batch up to p = 1.3e6)
-    reduce_derivative = not _fits(family, N_last, p_max, bool(alphas), derivative=True,
-                                  limit=_F64_MAX if floats else _INT64_MAX)
 
     points, table = _slot_table(family, windows)
     # The modulus of each window and gap, then 1/m and the tilt: constant per window and
     # gap, so a layout repeats them
     constants = [_pairs(ps, 1)]
-    if floats:
-        constants.append(1 / constants[0])
+    constants.append(1 / constants[0])
     if alphas:
         constants.append(_pairs([alphas[p][2] if alpha else 0 for _, p, alpha in windows], 0))
         factors = np.array([alphas[p][1] if alpha else 1 for _, p, alpha in windows])
-    constants = np.array(constants, dtype)
+    constants = np.array(constants, np.float64)
 
     def lay_out(layout: int, first: int, moves: list) -> tuple:
         """Layout ``layout`` of the windows first.., and the polys of each of ``moves``,
@@ -784,18 +777,15 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
         weights -= starts.repeat(sizes)  # k, the offset of each element in its window
         moved = [poly for move in moves for poly in _moved(*move, slots, sizes, weights)]
         per_element = constants[:, 2 * first:].repeat(_pairs(slots, gap), axis=1)
-        moduli, inv = per_element[0], per_element[1] if floats else None
-        weights = weights.astype(dtype, copy=False)  # and k goes: a relayout's temporaries set a scan's peak
+        moduli, inv = per_element[0], per_element[1]
+        weights = weights.astype(np.float64)  # and k goes: a relayout's temporaries set a scan's peak
         if alphas:
             weights *= factors[first:].repeat(sizes)
-        if floats:
-            _reduce(weights, moduli, inv)
-        else:
-            weights %= moduli
-        return starts, moved, moduli, weights, (_ALPHA_TILT[0], per_element[-1]) if alphas else None, inv
+        _reduce(weights, moduli, inv)
+        return starts, moved, moduli, weights, (_ALPHA_TILT[0], per_element[2]) if alphas else None, inv
 
     # F_0 and F_1 of every window, end to end and each followed by one 0
-    rows = [np.array([c for seed in seeds for c in (*seed[j], 0)][:-1], dtype) for j in (0, 1)]
+    rows = [np.array([c for seed in seeds for c in (*seed[j], 0)][:-1], np.float64) for j in (0, 1)]
     widths = np.array([[len(seed[j]) for seed in seeds] for j in (0, 1)])
     starts, (prev, cur), moduli, weights, tilt, inv = lay_out(
         0, 0, [([row], np.cumsum(w + 1) - w - 1, w) for row, w in zip(rows, widths)])
@@ -804,12 +794,12 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
     due = points[1] if len(points) > 1 else 0
     while n < N_last:
         d_tap, (cur_off, cur_kernels), (prev_off, prev_kernels) = _multipliers(
-            family, np.arange(n, min(n + _BLOCK, N_last)), dtype=dtype)
+            family, np.arange(n, min(n + _BLOCK, N_last)))
         for cur_kernel, prev_kernel in zip(cur_kernels, prev_kernels):
             hi = last + N_last - n
             taps = ((cur[:hi - cur_off], cur_off, cur_kernel), (prev[:hi - prev_off], prev_off, prev_kernel))
             prev, cur = cur, _step_mod(d_tap, taps, cur, weights, moduli, hi,
-                                       tilt=tilt, reduce_derivative=reduce_derivative, inv=inv)
+                                       tilt=tilt, reduce_derivative=False, inv=inv)
             n += 1
             if n == keys[first]:
                 done = bisect_right(keys, n, first) - first
@@ -818,9 +808,8 @@ def _lockstep(family: RecurrenceFamily, windows: list[tuple[int, int, bool]]) ->
                     break
                 first, cut = first + done, int(starts[done])
                 starts = starts[done:] - cut
-                prev, cur, moduli, weights = prev[cut:], cur[cut:], moduli[cut:], weights[cut:]
+                prev, cur, moduli, weights, inv = prev[cut:], cur[cut:], moduli[cut:], weights[cut:], inv[cut:]
                 tilt = None if tilt is None else (tilt[0], tilt[1][cut:])
-                inv = None if inv is None else inv[cut:]
                 last = int(starts[-1])
             if n == due:
                 # the old values go only as the new replace them: freed first, they put
@@ -954,9 +943,10 @@ def generate_all(family: RecurrenceFamily, N: int, p: int | None = None) -> list
 def _batches(family: RecurrenceFamily, targets: list[tuple[int, int]], alpha: bool = False) -> list[list[int]]:
     """The indices of the targets with N >= 2 in lockstep batches, each sorted by N.
 
-    Taken in order of p, a batch grows while its exact taps fit int64 (``_fits``, with
-    the alpha term if ``alpha``) and the sum of N over its windows, two a target if
-    ``alpha``, stays within ``_BATCH_N``; a target that fits with no other steps alone."""
+    Taken in order of p, a batch grows while its sums stay within ``_F64_MAX`` (``_fits``,
+    with the alpha term if ``alpha``) and the sum of N over its windows, two a target if
+    ``alpha``, stays within ``_BATCH_N``; a target that fits with no other steps alone,
+    as does every target past that bound."""
     batches, top, total = [], 0, 0
     per_target = 2 if alpha else 1
     for i in sorted(range(len(targets)), key=lambda i: targets[i][1]):
@@ -1006,7 +996,8 @@ def constant_terms_mod(family: RecurrenceFamily, targets) -> list[int]:
 
     The targets are stepped in lockstep batches: one window kernel steps a
     whole batch, so a scan makes N_max steps instead of one per prime and
-    step, and a target that steps alone goes from both ends in about N/2 steps.
+    step.  A target that steps alone, as does every target past the bound of a
+    batch (``_fits``: Ep p > 104561), goes from both ends in about N/2 steps.
     ValueError for N < 0 or a modulus that is not an odd prime, OverflowError
     for p >= ``_P_MAX``, both before any array exists.
     """
@@ -1018,8 +1009,10 @@ def paired_constant_terms_mod(targets) -> tuple[list[int], list[int]]:
 
     A batch steps the a- and the x-window of each target in one lockstep vector,
     a as alpha_n = a_n / 2^n on x's taps (``_ALPHA_D``, ``_ALPHA_TILT``), so a scan
-    makes N_max steps for both paths; a target that steps alone goes from both
-    ends once per path.  Errors as for ``constant_terms_mod``.
+    makes N_max steps for both paths.  A target that steps alone, as does every
+    target past the bound of a paired batch (``_fits``: Ap p > 272539), goes from
+    both ends once per path, each on its own taps.  Errors as for
+    ``constant_terms_mod``.
     """
     return tuple(_terms_mod(X_A, targets, paired=True))
 

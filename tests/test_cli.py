@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -193,6 +194,14 @@ class TestOracle:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
         assert len(cache.read_text().splitlines()) == 1  # second run hit the cache
+
+    def test_cache_key_version_is_the_project_version(self):
+        # the cache key holds __version__: if it drifted from the version pyproject.toml
+        # releases, a release could be served the records of another (read with a regex,
+        # since Python 3.10 has no tomllib)
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+        assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == rankcrit.__version__
 
     def test_corrupt_cache_is_skipped(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -1,4 +1,3 @@
-import math
 import time
 from fractions import Fraction
 from itertools import count, islice
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from rankcrit import recurrences
 from rankcrit._primality import is_prime
+from rankcrit.criteria import admissible, scan
 from rankcrit.polyring import constant_term, trim
 from rankcrit.recurrences import (
     _ALPHA_D,
@@ -423,8 +423,43 @@ def _coeffs_f_scaled(n):
     return tuple(10 ** 9 * c for c in d_poly), tuple(10 ** 9 * c for c in cur_poly), 10 ** 9 * prev_scalar, prev_poly
 
 
-# f with its taps times 10^9: exact taps leave int64 near p = 10^6 already at N = 20
+# f with its taps times 10^9: a lockstep batch at N = 20 admits primes only up to about 190
 F_BIG = RecurrenceFamily("f", "F_BIG", F_E.seeds, _coeffs_f_scaled)
+
+
+def _bound_primes(family: RecurrenceFamily, N: int, alpha: bool = False) -> tuple[int, int]:
+    """The largest prime q with (S + sum|D| (q - 2) [+ q - 1]) (q - 1) <= _F64_MAX, where
+    S = _tap_sum(family, N - 1): the bound of a lockstep batch written out, with the alpha
+    term if ``alpha``; and the prime after it."""
+    taps, d_sum = _tap_sum(family, N - 1), sum(map(abs, family.step_coeffs(0)[0]))
+    lo, hi = 2, 2 ** 27  # bisect for the last q within the bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (taps + d_sum * (mid - 2) + (mid - 1 if alpha else 0)) * (mid - 1) <= _F64_MAX:
+            lo = mid
+        else:
+            hi = mid
+    return next(q for q in range(lo, 0, -1) if is_prime(q)), next(q for q in count(lo + 1) if is_prime(q))
+
+
+def _spied(monkeypatch) -> tuple[set, list]:
+    """Spies on ``_step_mod`` and ``_both_ends``: the (dtype, reduce_derivative) of every
+    step, as a set, and the (family, N, p) of every target that steps alone, in order."""
+    steps, alone = set(), []
+    step_mod, both_ends = recurrences._step_mod, recurrences._both_ends
+
+    def spy_step(*args, reduce_derivative=True, **kwargs):
+        out = step_mod(*args, reduce_derivative=reduce_derivative, **kwargs)
+        steps.add((out.dtype.name, reduce_derivative))
+        return out
+
+    def spy_alone(family, N, p):
+        alone.append((family, N, p))
+        return both_ends(family, N, p)
+
+    monkeypatch.setattr(recurrences, "_step_mod", spy_step)
+    monkeypatch.setattr(recurrences, "_both_ends", spy_alone)
+    return steps, alone
 
 
 class TestLockstepBatch:
@@ -462,71 +497,58 @@ class TestLockstepBatch:
 
     def test_batch_size_is_bounded(self):
         half = _BATCH_N // 2
-        assert _batches(F_E, [(half, 1013), (half, 1009), (1, 3)]) == [[1, 0]]
-        assert _batches(F_E, [(half, 1013), (half + 1, 1009)]) == [[1], [0]]
+        assert _fits(F_E, half + 1, 5) and not _fits(F_E, half, 1013)
+        assert _batches(F_E, [(half, 5), (half, 3), (1, 7)]) == [[1, 0]]
+        assert _batches(F_E, [(half, 5), (half + 1, 3)]) == [[1], [0]]
 
-    def test_int64_bound_edge(self):
+    def test_float64_bound_edge(self, monkeypatch):
+        # the last prime a batch admits at N = 20 and the next one: a batch across the bound
+        # splits, and the targets within it step in lockstep, float64 with F_n' unreduced
         N = 20
-        assert _INT64_MAX == np.iinfo(np.int64).max
-        top = next(q for q in range(_INT64_MAX // _tap_sum(F_BIG, N - 1) + 1, 0, -1) if is_prime(q))
-        above = next(q for q in count(top + 1) if is_prime(q))
+        top, above = _bound_primes(F_BIG, N)
         assert _fits(F_BIG, N, top) and not _fits(F_BIG, N, above)
         assert _batches(F_BIG, [(N, 101), (N, top)]) == [[0, 1]]
         assert _batches(F_BIG, [(N, 101), (N, above)]) == [[0], [1]]
-        far = next(q for q in count(10 ** 8) if is_prime(q))
         terms = [constant_term(poly) for poly in generate_all(F_BIG, N)]
-        for targets in ([(N, 101), (N, top)], [(N, 101), (N, above)], [(N, top), (N - 1, above), (N, 101)],
-                        [(N, 101), (N, far), (N - 3, 103)]):
-            # a batch past the bound splits, and a target past it alone reduces its taps mod p
-            assert constant_terms_mod(F_BIG, targets) == [terms[n] % p for n, p in targets]
+        steps, alone = _spied(monkeypatch)
+        targets = [(N, 101), (N, top), (N - 3, 103)]
+        assert constant_terms_mod(F_BIG, targets) == [terms[n] % p for n, p in targets]
+        assert not alone and steps == {("float64", False)}
 
-    def test_float64_bound_edge(self, monkeypatch):
-        # one batch just inside the float64 bound steps float64 residues, one just past it int64
+    def test_int64_bound_edge(self, monkeypatch):
+        # a target just past the bound of a batch steps alone from both ends, on int64
+        # with F_n' unreduced (p < _P_UNREDUCED), while the rest of its batch stays float64
         N = 20
-        top = next(q for q in range(_F64_MAX // _tap_sum(F_BIG, N - 1) + 1, 0, -1) if is_prime(q))
-        above = next(q for q in count(top + 1) if is_prime(q))
-        assert _fits(F_BIG, N, top, limit=_F64_MAX) and not _fits(F_BIG, N, above, limit=_F64_MAX)
-        seen, step_mod = set(), recurrences._step_mod
-
-        def spy(*args, **kwargs):
-            out = step_mod(*args, **kwargs)
-            seen.add(out.dtype.name)
-            return out
-
-        monkeypatch.setattr(recurrences, "_step_mod", spy)
+        top, above = _bound_primes(F_BIG, N)
+        assert above < _P_UNREDUCED
         terms = [constant_term(poly) for poly in generate_all(F_BIG, N)]
-        for q, dtype in ((top, "float64"), (above, "int64")):
-            targets = [(N, 101), (N, q), (N - 3, 103)]
-            assert len(_batches(F_BIG, targets)) == 1
-            seen.clear()
-            assert constant_terms_mod(F_BIG, targets) == [terms[n] % p for n, p in targets]
-            assert seen == {dtype}, q
+        steps, alone = _spied(monkeypatch)
+        targets = [(N, top), (N - 1, above), (N, 101)]
+        assert constant_terms_mod(F_BIG, targets) == [terms[n] % p for n, p in targets]
+        assert alone == [(F_BIG, N - 1, above)] and steps == {("float64", False), ("int64", False)}
 
     def test_float64_batch_that_reduces_its_derivative(self, monkeypatch):
-        # small N and a prime near 10^8: the taps fit float64, the unreduced F_n' does not
+        # small N and a prime near 10^8, where a float64 batch once had to reduce F_n': no
+        # such batch is formed any more, so those targets step alone, on int64 reducing
+        # F_n' (p > _P_UNREDUCED), and the small primes beside them stay one float64 batch
         p = next(q for q in range(10 ** 8, 0, -1) if is_prime(q))
         N = 30
-        assert _fits(F_E, N, p, limit=_F64_MAX) and not _fits(F_E, N, p, derivative=True, limit=_F64_MAX)
-        seen, step_mod = set(), recurrences._step_mod
-
-        def spy(*args, reduce_derivative=True, **kwargs):
-            out = step_mod(*args, reduce_derivative=reduce_derivative, **kwargs)
-            seen.add((out.dtype.name, reduce_derivative))
-            return out
-
-        monkeypatch.setattr(recurrences, "_step_mod", spy)
+        assert p > _P_UNREDUCED and not _fits(F_E, N, p)
+        targets = [(N, 101), (N, p), (N - 3, 103), (N - 1, p)]
+        assert _batches(F_E, targets) == [[2, 0], [1], [3]]
         terms = [constant_term(poly) for poly in generate_all(F_E, N)]
-        targets = [(N, 101), (N, p), (N - 1, p)]
+        steps, alone = _spied(monkeypatch)
         assert constant_terms_mod(F_E, targets) == [terms[n] % q for n, q in targets]
-        assert seen == {("float64", True)}
+        assert alone == [(F_E, N, p), (F_E, N - 1, p)] and steps == {("float64", False), ("int64", True)}
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from("fax"),
            st.lists(st.tuples(st.integers(0, 150), st.sampled_from(_ODD_PRIMES[:80])), min_size=2, max_size=10))
-    def test_float64_residues_equal_int64_ones(self, key, targets):
+    def test_batches_equal_every_target_alone(self, key, targets):
         family = FAMILIES[key]
         got = constant_terms_mod(family, targets), paired_constant_terms_mod(targets)
-        with mock.patch.object(recurrences, "_F64_MAX", 0):  # no batch fits float64
+        with mock.patch.object(recurrences, "_F64_MAX", 0):  # no target fits a batch: each steps alone
+            assert all(len(batch) == 1 for batch in _batches(family, targets) + _batches(X_A, targets, alpha=True))
             assert got == (constant_terms_mod(family, targets), paired_constant_terms_mod(targets))
 
 
@@ -633,19 +655,16 @@ def _full_walk_constant_term(family: RecurrenceFamily, N: int, p: int) -> int:
 
 class TestUnreducedDerivative:
     def test_edge(self):
-        # a batch leaves F_n' unreduced only while every product of its D taps fits as well
+        # F_BIG's D taps are so large that the unreduced F_n' moves the edge of a batch at
+        # N = 20: the other taps alone would admit the prime past it
         N = 20
-        d_sum = sum(map(abs, F_BIG.step_coeffs(0)[0]))
-        taps = _tap_sum(F_BIG, N - 1)
-        edge = next(q for q in range(math.isqrt(_INT64_MAX // d_sum) + 2, 0, -1)
-                    if (taps + d_sum * (q - 2)) * (q - 1) <= _INT64_MAX)
-        below = next(q for q in range(edge, 0, -1) if is_prime(q))
-        above = next(q for q in count(edge + 1) if is_prime(q))
-        assert _fits(F_BIG, N, below, derivative=True) and not _fits(F_BIG, N, above, derivative=True)
-        assert _fits(F_BIG, N, above)  # still one batch, which reduces F_n' before its taps
+        top, above = _bound_primes(F_BIG, N)
+        assert _fits(F_BIG, N, top) and not _fits(F_BIG, N, above)
+        assert _tap_sum(F_BIG, N - 1) * (above - 1) <= _F64_MAX
         terms = [constant_term(poly) for poly in generate_all(F_BIG, N)]
-        for q in (below, above):
-            assert constant_terms_mod(F_BIG, [(N, 101), (N - 2, q)]) == [terms[N] % 101, terms[N - 2] % q]
+        targets = [(N, 101), (N - 2, top), (N - 1, above)]
+        assert _batches(F_BIG, targets) == [[1, 0], [2]]
+        assert constant_terms_mod(F_BIG, targets) == [terms[n] % p for n, p in targets]
 
     def test_residue_tap_limit_is_the_exact_edge(self):
         assert _MAX_TERMS * (_P_UNREDUCED - 2) ** 3 <= _INT64_MAX < _MAX_TERMS * (_P_UNREDUCED - 1) ** 3
@@ -673,11 +692,19 @@ class TestUnreducedDerivative:
             generate(F_E, 5, p)            # _stored_mod
             assert set(seen) == {reduced}, p
 
-    def test_scans_take_the_unreduced_path(self):
-        # an Ep or paired Ap batch up to p = 1.3e6 fits with F_n' unreduced as well
-        for family, N, p in ((F_E, 3 * (1299721 - 1) // 8, 1299721), (X_A, (1299709 - 1) // 3, 1299709)):
-            alpha = family is X_A
-            assert _fits(family, N, p, alpha) and _fits(family, N, p, alpha, derivative=True)
+    def test_scans_take_the_unreduced_path(self, monkeypatch):
+        # every batch steps float64 with F_n' unreduced; Ep batches reach p = 104561 and
+        # paired Ap batches p = 272539, and the next admissible prime fails the bound even
+        # without the F_n' term, which so moves neither edge
+        steps, alone = _spied(monkeypatch)
+        scan("Ep", 2, 600)
+        scan("Ap", 2, 600)
+        assert steps == {("float64", False)} and not alone
+        for key, family, alpha, last, after in (("Ep", F_E, False, 104561, 104593), ("Ap", X_A, True, 272539, 272683)):
+            assert [q for q in range(last, after + 1) if admissible(q, key).ok] == [last, after]
+            N_last, N_after = (admissible(q, key).index for q in (last, after))
+            assert _fits(family, N_last, last, alpha) and not _fits(family, N_after, after, alpha)
+            assert (_tap_sum(family, N_after - 1) + (after - 1 if alpha else 0)) * (after - 1) > _F64_MAX
 
 
 class TestBothEnds:
@@ -779,15 +806,15 @@ def _vec(*values):
 
 
 def _float_call(args: tuple, kwargs: dict) -> tuple[tuple, dict]:
-    """The arguments of an int64 ``_step_mod`` call as float64 arrays, with ``inv``;
-    kernels of one column stay ints."""
+    """The arguments of an int64 ``_step_mod`` call as float64 arrays, with ``inv`` and
+    F_n' unreduced, as a lockstep batch steps; kernels of one column stay ints."""
     def floats(v):
         return v if type(v) is int else np.asarray(v, np.float64)
 
     (d_pos, d_kernel), taps, cur, weights, mod, hi = args
     args = ((d_pos, floats(d_kernel)), tuple((floats(x), pos, floats(k)) for x, pos, k in taps),
             floats(cur), floats(weights), floats(mod), hi)
-    kwargs = {**kwargs, "inv": 1 / floats(mod)}
+    kwargs = {**kwargs, "inv": 1 / floats(mod), "reduce_derivative": False}
     if kwargs.get("tilt") is not None:
         kwargs["tilt"] = (kwargs["tilt"][0], floats(kwargs["tilt"][1]))
     return args, kwargs
@@ -813,10 +840,11 @@ class TestStepMod:
     GAPPED = np.where(np.arange(40) % 5 == 4, 1, P)  # gaps of modulus 1 between the windows
 
     def check(self, d_tap, taps, cur=CUR, hi=40, **kwargs):
-        """The step with gaps of modulus 1 and with every modulus P: on int64 equal to
-        the reference, on float64 congruent to it.  Returns the int64 step mod P."""
+        """The step with gaps of modulus 1 and with every modulus P, each weight a residue
+        of its element's modulus as the drivers lay them out: on int64 equal to the
+        reference, on float64 congruent to it.  Returns the int64 step mod P."""
         for mod in (self.GAPPED, self.MOD):
-            args = (d_tap, taps, cur, self.WEIGHTS, mod, hi)
+            args = (d_tap, taps, cur, self.WEIGHTS % mod, mod, hi)
             want = _reference_step(*args, **kwargs)
             got = _step_mod(*args, **kwargs)
             assert got.dtype == np.int64 and got.tolist() == want
@@ -920,9 +948,10 @@ class TestStepMod:
         (lambda: [generate(family, 30, p) for family in FAMILIES.values() for p in (3, 1009)], np.int64),
     ], ids=["lockstep", "alpha lockstep", "both ends", "stored"])
     def test_every_call_of_each_driver(self, run, dtype, monkeypatch):
-        # an int64 step equals the reference; a float64 one (a lockstep batch, with inv)
-        # is congruent to it element by element, within |r| <= m - 1, and 0 in the gaps;
-        # every derivative weight is a residue too, as the bounds of ``_fits`` assume
+        # an int64 step equals the reference; a float64 one (a lockstep batch, with inv
+        # and F_n' unreduced) is congruent to it element by element, within |r| <= m - 1,
+        # and 0 in the gaps; every derivative weight is a residue too, as the bounds of
+        # ``_fits`` assume
         calls, step_mod = [], recurrences._step_mod
 
         def checked(*args, **kwargs):
@@ -935,7 +964,7 @@ class TestStepMod:
                 assert out.dtype == np.int64 and out.tolist() == want
             else:
                 mod = args[4]
-                assert np.array_equal(inv, 1 / mod)
+                assert np.array_equal(inv, 1 / mod) and kwargs["reduce_derivative"] is False
                 _assert_float_residues(out, want, mod[:len(out)])
             calls.append(out.dtype)
             return out
@@ -964,9 +993,9 @@ class TestFloatReduction:
         # |x| <= S(m - 1) for the smallest and the largest modulus of an F_BIG batch at the
         # float64 edge, and for moduli 1, 3, 5 and that one up to |x| = _F64_MAX itself
         N = 20
-        S = _tap_sum(F_BIG, N - 1)
-        top = next(q for q in range(_F64_MAX // S + 1, 0, -1) if is_prime(q))
-        assert _fits(F_BIG, N, top, limit=_F64_MAX) and S * (top - 1) > _F64_MAX // 2
+        top, _ = _bound_primes(F_BIG, N)
+        S = _tap_sum(F_BIG, N - 1) + sum(map(abs, F_BIG.step_coeffs(0)[0])) * (top - 2)
+        assert _fits(F_BIG, N, top) and S * (top - 1) > _F64_MAX // 2
         for m in (3, top):
             xs = [sign * (S * (m - 1) - k) for k in range(64) for sign in (1, -1)]
             self.check(xs, [m] * len(xs))
@@ -1077,18 +1106,23 @@ class TestPairedScan:
         with pytest.raises(OverflowError):
             paired_constant_terms_mod([(5, 19), (5, _P_ABOVE)])
 
-    def test_alpha_term_in_the_int64_bound(self):
-        # at N = 10^5 the edge of _fits falls below _P_MAX; the alpha term moves it
-        N = 10 ** 5
-        taps = _tap_sum(X_A, N - 1)
-        edge = (math.isqrt(taps * taps + 4 * _INT64_MAX) - taps) // 2 + 2  # (taps + q - 1)(q - 1) <= 2^63 - 1
-        while (taps + edge - 1) * (edge - 1) > _INT64_MAX:
-            edge -= 1
-        top = next(q for q in range(edge, 0, -1) if is_prime(q))
-        above = next(q for q in count(top + 1) if is_prime(q))
-        assert (taps + above - 1) * (above - 1) > _INT64_MAX >= taps * (above - 1)
-        assert _fits(X_A, N, top, alpha=True) and not _fits(X_A, N, above, alpha=True)
-        assert _fits(X_A, N, above)
+    def test_alpha_term_in_the_bound(self):
+        # at N = 100005 the alpha term of a paired batch moves the edge across a prime
+        N = 100005
+        top, above = _bound_primes(X_A, N, alpha=True)
+        assert _fits(X_A, N, top, alpha=True) and not _fits(X_A, N, above, alpha=True) and _fits(X_A, N, above)
         assert _batches(X_A, [(N, 101), (N, top)], alpha=True) == [[0, 1]]
         assert _batches(X_A, [(N, 101), (N, above)], alpha=True) == [[0], [1]]
         assert _batches(X_A, [(N, 101), (N, above)]) == [[0, 1]]
+
+    def test_paths_past_the_bound_step_apart(self, monkeypatch):
+        # past the paired bound a target's a- and x-path each step alone, on their own taps
+        N = 20
+        top, above = _bound_primes(X_A, N, alpha=True)
+        targets = [(N, 101), (N - 1, above), (N, top)]
+        a_terms, x_terms = exact_walk("a").terms, exact_walk("x").terms
+        steps, alone = _spied(monkeypatch)
+        assert paired_constant_terms_mod(targets) == ([_residue(a_terms[n], p) for n, p in targets],
+                                                      [_residue(x_terms[n], p) for n, p in targets])
+        assert alone == [(A_VZ, N - 1, above), (X_A, N - 1, above)]
+        assert steps == {("float64", False), ("int64", True)}  # above is past _P_UNREDUCED
