@@ -285,7 +285,7 @@ def _thm3_rows(args):
         else:
             rel = abs(a - b) / abs(b)
             ok = _within_precision(rel, args.precision)
-            yield {"k": k, "value": float(a), "rel_error": float(rel), "ok": ok}, ok
+            yield {"k": k, "value": maass.json_number(a), "rel_error": maass.json_number(rel), "ok": ok}, ok
 
 
 def _thm4_rows(args):
@@ -296,11 +296,11 @@ def _thm4_rows(args):
         if forms == 0:
             ok = _within_precision(abs(lattice), args.precision)
             yield {"k": k, "value": 0.0, "zero_by_construction": True,
-                   "lattice_abs": abs(float(lattice)), "ok": ok}, ok
+                   "lattice_abs": maass.json_number(abs(lattice)), "ok": ok}, ok
         else:
             rel = abs(forms - lattice) / abs(lattice)
             ok = _within_precision(rel, args.precision)
-            yield {"k": k, "value": float(lattice), "rel_error": float(rel), "ok": ok}, ok
+            yield {"k": k, "value": maass.json_number(lattice), "rel_error": maass.json_number(rel), "ok": ok}, ok
 
 
 _THM_ROWS = {"3": _thm3_rows, "4": _thm4_rows, "5": _thm5_rows, "6": _thm6_rows}

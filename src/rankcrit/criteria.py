@@ -143,13 +143,23 @@ def _residues(args: tuple[str, list[int]]) -> list[list[int]]:
     return [constant_terms_mod(F_E, targets)]
 
 
+# Recurrence steps (N summed over a scan's primes and paths) that each worker of a process
+# pool must get for the pool to pay for its start: on two cores, whole `criterion` calls with
+# --jobs 2 and --jobs 1 took the same time near 70000 steps (Ep and Ap 2..3000-3500), the pool
+# losing about 40 ms below that and winning from there on (0.29 against 0.42 s at Ep 2..5000).
+_STEPS_PER_WORKER = 35_000
+
+
 def scan(family: str, lo: int, hi: int, jobs: int = 1) -> list[CriterionVerdict]:
     """Verdicts for every admissible prime in [lo, hi], ordered by p (then path).
 
     A lone prime goes through ``verdict_Ep``/``verdict_Ap``.  More are stepped
-    in lockstep batches, ``jobs`` of them in parallel, and the Ap paths are
-    cross-checked in order of p afterwards.  A prime past the bound of a batch
-    (Ep p > 104561, Ap p > 272539) steps alone, as a lone verdict does."""
+    in lockstep batches, at most ``jobs`` of them in parallel, and the Ap paths
+    are cross-checked in order of p afterwards.  A process pool starts only
+    when each of its workers gets ``_STEPS_PER_WORKER`` recurrence steps or
+    more; a smaller scan runs in this process as one batch.  A prime past the
+    bound of a batch (Ep p > 104561, Ap p > 272539) steps alone, as a lone
+    verdict does."""
     if lo < 2 or hi < lo:
         raise ValueError("range bounds must satisfy 2 <= lo <= hi")
     if jobs < 1:
@@ -158,7 +168,8 @@ def scan(family: str, lo: int, hi: int, jobs: int = 1) -> list[CriterionVerdict]
     primes = primes_in(lo, hi, row.modulus, row.classes)
     if len(primes) == 1:
         return [verdict_Ep(primes[0])] if family == "Ep" else list(verdict_Ap(primes[0]))
-    jobs = min(jobs, len(primes))
+    steps = sum(map(row.index, primes)) * len(row.paths)
+    jobs = max(1, min(jobs, len(primes), steps // _STEPS_PER_WORKER))
     batches = [(family, primes[i::jobs]) for i in range(jobs)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -72,6 +72,14 @@ the two take about 15 ms together at 8000 bits.  They work ``_PERIOD_GUARD``
 (64) bits past the precision and round to precision + ``_GUARD``; the tests
 hold them equal (==) to the gamma forms at 64 to 1024 bits and to a 400-bit
 guard at every 11th precision from 64 to 2048.
+
+Every value computed after the series sums (each order's derivative from its
+moment sum, |d|^2, the closed forms, the Hecke scales, the lattice-route
+scales and the report errors) is built from ``_mpf_``/``_mpc_`` tuples by the
+libmp calls that the mpf operators of mpmath 1.3 make for the same expression,
+at the working precision and rounding, so the values are the operators' bit
+for bit without their dispatch.  The tests compare each with its operator
+form at 64, 256, 512 and 1024 bits (plus ``_GUARD``).
 """
 
 from __future__ import annotations
@@ -424,7 +432,11 @@ def _moment_sum(h: int, weight: Fraction, D: int, ure: list, uim: list, point: t
     for j in range(1, h + 1):
         re = ((re * g) >> W) + coeffs[j] * ure[j]
         im = ((im * g) >> W) + coeffs[j] * uim[j]
-    return mpmath.mpc(mpmath.mpf((re, -w)), mpmath.mpf((im, -w))) / D ** h
+    # what mpc(mpf((re, -w)), mpf((im, -w))) / D ** h runs, without the operators' dispatch
+    libmp = mpmath.libmp
+    prec, rounding = mpmath.mp._prec_rounding
+    z = libmp.from_man_exp(re, -w, prec, rounding), libmp.from_man_exp(im, -w, prec, rounding)
+    return mpmath.mp.make_mpc(libmp.mpc_div_mpf(z, libmp.from_int(D ** h), prec, rounding))
 
 
 def ms_derivative(series: Series, weight, h, z, precision: int = 256):
@@ -597,10 +609,13 @@ def _at(form, x):
     return form[0] * x + form[1]
 
 
-def _squared_derivatives(row: _Identity, orders: list[int], precision: int) -> list[mpmath.mpf]:
-    """|d^(order) series at point|^2 for each order, from one pass over the series."""
+def _squared_derivatives(row: _Identity, orders: list[int], precision: int) -> list[tuple]:
+    """|d^(order) series at point|^2 for each order as an mpf tuple, from one pass over the series."""
     derivatives = ms_derivative(row.series, row.weight, tuple(orders), row.point, precision)
-    return [abs(d) ** 2 for d in derivatives]
+    libmp = mpmath.libmp
+    prec, rounding = mpmath.mp._prec_rounding
+    # abs(d) ** 2
+    return [libmp.mpf_pow_int(libmp.mpc_abs(d._mpc_, prec, rounding), 2, prec, rounding) for d in derivatives]
 
 
 def _constants(row: _Identity, orders: list[int]) -> list[Fraction]:
@@ -628,9 +643,9 @@ def _root(base: int, q: int, prec: int) -> mpmath.mpf:
         return mpmath.root(base, q)
 
 
-def _power(base: int, e) -> mpmath.mpf:
-    """base^e for a rational e = whole + rest/q (0 <= rest < q): base^whole by integer powering,
-    times base^(1/q) to the rest, with no exp/log.
+def _power(base: int, e) -> tuple:
+    """base^e as an mpf tuple, for a rational e = whole + rest/q (0 <= rest < q): base^whole by
+    integer powering, times base^(1/q) to the rest, with no exp/log.
 
     The libmp calls are those of mpf(base) ** whole * _root(base, q) ** rest, at the
     working precision and rounding.
@@ -646,18 +661,32 @@ def _power(base: int, e) -> mpmath.mpf:
     if rest:
         root = libmp.mpf_pow_int(_root(base, e.denominator, prec)._mpf_, rest, prec, rounding)
         value = libmp.mpf_mul(value, root, prec, rounding)
-    return mpmath.mp.make_mpf(value)
+    return value
 
 
-def _two_three(e2, e3, k: int) -> mpmath.mpf:
-    return _power(2, _at(e2, k)) * _power(3, _at(e3, k))
+def _two_three(e2, e3, k: int) -> tuple:
+    """2^e2 3^e3 at weight k as an mpf tuple: the call of _power(2, ..) * _power(3, ..)."""
+    prec, rounding = mpmath.mp._prec_rounding
+    return mpmath.libmp.mpf_mul(_power(2, _at(e2, k)), _power(3, _at(e3, k)), prec, rounding)
 
 
-def _closed_forms(row: _Identity, ks: list[int], cs: list[Fraction], precision: int) -> list[mpmath.mpf]:
-    """(Omega/pi)^(2k-1) 2^e2 3^e3 c^2 for each weight k and constant c of the row."""
+def _closed_forms(row: _Identity, ks: list[int], cs: list[Fraction], precision: int) -> list[tuple]:
+    """(Omega/pi)^(2k-1) 2^e2 3^e3 c^2 for each weight k and constant c of the row, as mpf tuples.
+
+    The libmp calls are those of ratio ** (2k-1) * _two_three(..) * _mpf_frac(c) ** 2 with
+    ratio = Omega / mpmath.pi, at the working precision and rounding.
+    """
+    libmp = mpmath.libmp
+    mul, pow_int, from_int = libmp.mpf_mul, libmp.mpf_pow_int, libmp.from_int
+    prec, rounding = mpmath.mp._prec_rounding
     om = omega_E(precision) if row.point == CM_I else omega_A(precision)
-    ratio = om / mpmath.pi
-    return [ratio ** (2 * k - 1) * _two_three(row.e2, row.e3, k) * _mpf_frac(c) ** 2 for k, c in zip(ks, cs)]
+    ratio = libmp.mpf_div(om._mpf_, libmp.mpf_pi(prec, rounding), prec, rounding)
+    values = []
+    for k, c in zip(ks, cs):
+        c_mpf = libmp.mpf_div(from_int(c.numerator, prec, rounding), from_int(c.denominator), prec, rounding)
+        value = mul(pow_int(ratio, 2 * k - 1, prec, rounding), _two_three(row.e2, row.e3, k), prec, rounding)
+        values.append(mul(value, pow_int(c_mpf, 2, prec, rounding), prec, rounding))
+    return values
 
 
 @dataclass(frozen=True)
@@ -675,13 +704,21 @@ class MSDerivativeReport:
     precision: int
 
     def as_record(self) -> dict:
-        """The fields as JSON values; the mpf ones, kept at working precision, as floats."""
+        """The fields as JSON values; the mpf ones, kept at working precision, by ``json_number``."""
         mpf = mpmath.mpf
-        return {name: float(v) if isinstance(v, mpf) else v for name, v in zip(_REPORT_FIELDS, _report_values(self))}
+        return {name: json_number(v) if isinstance(v, mpf) else v
+                for name, v in zip(_REPORT_FIELDS, _report_values(self))}
 
 
 _REPORT_FIELDS = tuple(f.name for f in fields(MSDerivativeReport))
 _report_values = attrgetter(*_REPORT_FIELDS)
+
+
+def json_number(x: mpmath.mpf) -> float | str:
+    """x as a JSON value: float(x), or past the float range (about 1.8e308) a decimal string of
+    17 significant digits, since json writes an infinite float as Infinity, which is not JSON."""
+    value = float(x)
+    return value if math.isfinite(value) else mpmath.libmp.to_str(x._mpf_, 17, strip_zeros=False)
 
 
 def _verify(row: _Identity, N, precision: int):
@@ -692,24 +729,28 @@ def _verify(row: _Identity, N, precision: int):
     constants = _constants(row, orders)
     reports = []
     with mpmath.workprec(precision + _GUARD):
+        libmp, make_mpf = mpmath.libmp, mpmath.mp.make_mpf
+        prec, rounding = mpmath.mp._prec_rounding
         squares = _squared_derivatives(row, orders, precision)
         closed = _closed_forms(row, ks, constants, precision)
         for n, k, order, c, numeric, predicted in zip(Ns, ks, orders, constants, squares, closed):
-            if predicted == 0:
-                rel = mpmath.inf if numeric != 0 else mpmath.mpf(0)
-            else:
-                rel = abs(numeric - predicted) / abs(predicted)
+            error = libmp.mpf_abs(libmp.mpf_sub(numeric, predicted, prec, rounding), prec, rounding)
+            vanishing = predicted == libmp.fzero
+            if vanishing:
+                rel = mpmath.inf if numeric != libmp.fzero else mpmath.mpf(0)
+            else:  # abs(numeric - predicted) / abs(predicted)
+                rel = make_mpf(libmp.mpf_div(error, libmp.mpf_abs(predicted, prec, rounding), prec, rounding))
             reports.append(MSDerivativeReport(
                 case=f"{row.name}@{row.point}",
                 N=n,
                 k=k,
                 order=order,
                 constant=f"{row.family.key}_{order}(0)={c}",
-                numeric=numeric,
-                predicted=predicted,
+                numeric=make_mpf(numeric),
+                predicted=make_mpf(predicted),
                 rel_error=rel,
-                abs_error=abs(numeric - predicted),
-                vanishing=predicted == 0,
+                abs_error=make_mpf(error),
+                vanishing=vanishing,
                 precision=precision,
             ))
     return reports[0] if isinstance(N, int) else reports
@@ -748,21 +789,27 @@ def _hecke_value(point: str, k, precision: int, from_constants: bool):
     if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
     values = dict.fromkeys(ks, mpmath.mpf(0))
-    for row in (row for row in _IDENTITIES.values() if row.point == point):
-        a, b = row.k
-        mine = [kk for kk in ks if kk % a == b]
-        if not mine:
-            continue
-        orders = [_at(row.order, (kk - b) // a) for kk in mine]
-        with mpmath.workprec(precision + _GUARD):
+    with mpmath.workprec(precision + _GUARD):
+        libmp, make_mpf, mul = mpmath.libmp, mpmath.mp.make_mpf, mpmath.libmp.mpf_mul
+        prec, rounding = mpmath.mp._prec_rounding
+        pi = libmp.mpf_pi(prec, rounding)
+        for row in (row for row in _IDENTITIES.values() if row.point == point):
+            a, b = row.k
+            mine = [kk for kk in ks if kk % a == b]
+            if not mine:
+                continue
+            orders = [_at(row.order, (kk - b) // a) for kk in mine]
             if from_constants:
                 constants = _constants(row, orders)
                 squares = _closed_forms(row, mine, constants, precision)
             else:
                 squares = _squared_derivatives(row, orders, precision)
             for kk, square in zip(mine, squares):
-                scale = _two_three(row.h2, row.h3, kk) * mpmath.pi ** kk / mpmath.factorial(kk - 1)
-                values[kk] = scale * square
+                # _two_three(..) * mpmath.pi ** kk / mpmath.factorial(kk - 1), times the square
+                scale = mul(_two_three(row.h2, row.h3, kk), libmp.mpf_pow_int(pi, kk, prec, rounding), prec, rounding)
+                scale = libmp.mpf_div(scale, libmp.mpf_factorial(libmp.from_int(kk - 1), prec, rounding),
+                                      prec, rounding)
+                values[kk] = make_mpf(mul(scale, square, prec, rounding))
     return values[k] if isinstance(k, int) else [values[kk] for kk in ks]
 
 
@@ -793,17 +840,25 @@ def hecke_value_A(k, precision: int = 256):
         raise ValueError("k must be >= 1")
     with mpmath.workprec(precision + _GUARD):
         derivatives = ms_derivative(THETA_HEX, 1, tuple(kk - 1 for kk in ks), CM_OMEGA, precision)
-        values = [
-            (
-                mpmath.mpf(-1) ** (kk - 1)
-                * mpmath.mpf(2) ** (kk - 1)
-                * mpmath.mpf(3) ** (mpmath.mpf(kk) / 2 - 2)
-                * mpmath.pi ** kk
-                / mpmath.factorial(kk - 1)
-                * d
-            ).real  # imaginary part vanishes to working precision
-            for kk, d in zip(ks, derivatives)
-        ]
+        libmp = mpmath.libmp
+        mul, pow_int = libmp.mpf_mul, libmp.mpf_pow_int
+        prec, rounding = mpmath.mp._prec_rounding
+        pi, two, three = libmp.mpf_pi(prec, rounding), libmp.from_int(2), libmp.from_int(3)
+        values = []
+        for kk, d in zip(ks, derivatives):
+            # the libmp calls of (mpf(-1) ** (kk - 1) * mpf(2) ** (kk - 1) * mpf(3) ** (mpf(kk) / 2 - 2)
+            # * mpmath.pi ** kk / mpmath.factorial(kk - 1) * d).real, left to right
+            scale = mul(pow_int(libmp.fnone, kk - 1, prec, rounding), pow_int(two, kk - 1, prec, rounding),
+                        prec, rounding)
+            half = libmp.mpf_div(libmp.from_int(kk, prec, rounding), two, prec, rounding)
+            half = libmp.mpf_sub(half, two, prec, rounding)
+            scale = mul(scale, libmp.mpf_pow(three, half, prec, rounding), prec, rounding)
+            scale = mul(scale, pow_int(pi, kk, prec, rounding), prec, rounding)
+            scale = libmp.mpf_div(scale, libmp.mpf_factorial(libmp.from_int(kk - 1), prec, rounding),
+                                  prec, rounding)
+            # mpf * mpc is mpc_mul_mpf, one mpf_mul per part; the imaginary part vanishes to
+            # working precision and is dropped
+            values.append(mpmath.mp.make_mpf(mul(d._mpc_[0], scale, prec, rounding)))
     return values[0] if isinstance(k, int) else values
 
 

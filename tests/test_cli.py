@@ -13,10 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 import rankcrit
-from rankcrit import cli, lseries, maass
+from rankcrit import cli, criteria, lseries, maass
 from rankcrit._primality import is_prime
 from rankcrit.cli import _cache_key, _within_precision, main
 
@@ -143,14 +143,16 @@ class TestCriterion:
                 else:
                     assert c[key] == str(val)
 
-    def test_jobs_determinism(self, capsys):
+    def test_jobs_determinism(self, capsys, monkeypatch):
+        monkeypatch.setattr(criteria, "_STEPS_PER_WORKER", 1)  # a pool of 4 even for this small scan
         code, out1, _ = run(capsys, "criterion", "--family", "Ep", "--range", "2..150",
                             "--format", "csv", "--jobs", "1")
         code, out4, _ = run(capsys, "criterion", "--family", "Ep", "--range", "2..150",
                             "--format", "csv", "--jobs", "4")
         assert out1 == out4
 
-    def test_jobs_determinism_ap(self, capsys):
+    def test_jobs_determinism_ap(self, capsys, monkeypatch):
+        monkeypatch.setattr(criteria, "_STEPS_PER_WORKER", 1)
         args = ["criterion", "--family", "Ap", "--range", "2..300", "--format", "json"]
         _, out1, _ = run(capsys, *args, "--jobs", "1")
         _, out4, _ = run(capsys, *args, "--jobs", "4")
@@ -416,6 +418,30 @@ class TestVerify:
         assert _within_precision(mpf(2) ** -2100, 2048)
         assert _within_precision(mpf(2) ** -2048, 2048)
         assert not _within_precision(mpf(2) ** -2047, 2048)
+
+    def test_json_past_the_float_range(self, capsys):
+        # |d^(200) theta2 at i|^2 is about 1.5e309: a float reads inf, which json writes as Infinity
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, _ = run(capsys, "verify", "--thm", "5", "--max-n", "200", "--format", "json")
+        assert code == 0
+        rows = [json.loads(line, parse_constant=refuse) for line in out.splitlines()]
+        reports = maass.verify_theta2_identity(range(201), 256)
+        strings = 0
+        for row, report in zip(rows, reports, strict=True):
+            for name in ("numeric", "predicted", "rel_error", "abs_error"):
+                value, want = row[name], getattr(report, name)
+                if isinstance(value, str):
+                    strings += 1
+                    assert re.fullmatch(r"\d\.\d{16}e\+\d+", value), value
+                    with mp.workprec(512):
+                        assert abs(mpf(value) - want) <= abs(want) * mpf("1e-16"), (name, value)
+                else:
+                    assert value == float(want)
+        assert strings == 2  # numeric and predicted of N = 200
+        _, pretty, _ = run(capsys, "verify", "--thm", "5", "--max-n", "200", "--no-timestamp")
+        assert "inf" not in pretty and f"numeric={rows[200]['numeric']} " in pretty
 
     @pytest.mark.parametrize("thm, max_n", [("3", 4), ("4", 2), ("5", 4), ("6", 3)])
     def test_batched_rows_equal_one_index_at_a_time(self, capsys, monkeypatch, thm, max_n):

@@ -34,7 +34,8 @@ with contextlib.redirect_stdout(buf):
 print(json.dumps([code, buf.getvalue(), [m for m in {WATCHED!r} if type(sys.modules.get(m)) is ModuleType]]))
 """
 
-# Checks that numpy is loaded when the process pool of a --jobs 2 scan starts.
+# Checks that numpy is loaded when the process pool of a --jobs 2 scan starts (a pool that
+# small a scan would not start at the measured _STEPS_PER_WORKER, which the script lowers).
 _POOL_SCRIPT = """
 import contextlib, io, sys
 from concurrent.futures import process
@@ -45,6 +46,7 @@ def spy(self, *args, **kwargs):
     init(self, *args, **kwargs)
 process.ProcessPoolExecutor.__init__ = spy
 from rankcrit import cli
+cli.criteria._STEPS_PER_WORKER = 1
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["criterion", "--family", "Ep", "--range", "2..200", "--jobs", "2"])
 print(code, seen)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import time
@@ -118,13 +119,32 @@ class TestScan:
         assert sorted({v.p for v in rows}) == [19, 37]
         assert len(rows) == 4  # both paths per prime
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(criteria, "_STEPS_PER_WORKER", 1)  # a pool of 4 even for this small scan
         serial = scan("Ep", 2, 120, jobs=1)
         parallel = scan("Ep", 2, 120, jobs=4)
         assert serial == parallel
 
-    def test_parallel_matches_serial_ap(self):
+    def test_parallel_matches_serial_ap(self, monkeypatch):
+        monkeypatch.setattr(criteria, "_STEPS_PER_WORKER", 1)
         assert scan("Ap", 2, 400, jobs=4) == scan("Ap", 2, 400, jobs=1)
+
+    def test_pool_starts_only_when_the_scan_pays_for_it(self, monkeypatch):
+        started = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        for family in ("Ep", "Ap"):
+            assert scan(family, 2, 500, jobs=2) == scan(family, 2, 500, jobs=1)
+        assert started == []
+        # Ep 2..4000: 90651 steps, two workers' worth; jobs stays the upper bound
+        serial = scan("Ep", 2, 4000, jobs=1)
+        assert scan("Ep", 2, 4000, jobs=8) == serial
+        assert started == [2]
 
     def test_lone_prime_goes_through_the_verdict(self, monkeypatch):
         calls = []

@@ -664,6 +664,64 @@ def _power_by_operators(base: int, e) -> mpf:
     return value * maass._root(base, e.denominator, mp.prec) ** rest if rest else value
 
 
+# The mpf operator forms of the CM route after the series sums: the references for the libmp
+# calls that stand in for them in maass.
+
+_PRECISIONS = (64, 256, 512, 1024)  # each run at precision + _GUARD bits, as the CM route runs
+
+
+def _benchmark_weights(row) -> list[int]:
+    """The weights of a row for N = 0..32 (thm 5 and thm 3 to --max-n 32 for f), or N = 0..8
+    (thm 6 to --max-n 8 for x, y, z)."""
+    return [maass._at(row.k, N) for N in range(33 if row.point == CM_I else 9)]
+
+
+def _two_three_by_operators(e2, e3, k: int) -> mpf:
+    return _power_by_operators(2, maass._at(e2, k)) * _power_by_operators(3, maass._at(e3, k))
+
+
+def _closed_forms_by_operators(row, ks, cs, precision: int) -> list[mpf]:
+    om = omega_E(precision) if row.point == CM_I else omega_A(precision)
+    ratio = om / mp.pi
+    return [ratio ** (2 * k - 1) * _two_three_by_operators(row.e2, row.e3, k) * _mpf_frac(c) ** 2
+            for k, c in zip(ks, cs)]
+
+
+def _moment_sum_by_operators(h, weight, D, ure, uim, point, w) -> mpc:
+    coeffs = maass._expansion(h, weight.numerator, weight.denominator)
+    W = _moment_width(h)
+    g = point[0] >> (point[1] - W)
+    re, im = coeffs[0] * ure[0], coeffs[0] * uim[0]
+    for j in range(1, h + 1):
+        re = ((re * g) >> W) + coeffs[j] * ure[j]
+        im = ((im * g) >> W) + coeffs[j] * uim[j]
+    return mpc(mpf((re, -w)), mpf((im, -w))) / D ** h
+
+
+def _hecke_value_by_operators(point: str, ks, precision: int, from_constants: bool) -> list[mpf]:
+    values = dict.fromkeys(ks, mpf(0))
+    with mp.workprec(precision + _GUARD):
+        for row in (row for row in maass._IDENTITIES.values() if row.point == point):
+            a, b = row.k
+            mine = [k for k in ks if k % a == b]
+            orders = [maass._at(row.order, (k - b) // a) for k in mine]
+            if from_constants:
+                squares = _closed_forms_by_operators(row, mine, maass._constants(row, orders), precision)
+            else:
+                squares = [abs(d) ** 2 for d in ms_derivative(row.series, row.weight, orders, row.point, precision)]
+            for k, square in zip(mine, squares):
+                scale = _two_three_by_operators(row.h2, row.h3, k) * mp.pi ** k / mp.factorial(k - 1)
+                values[k] = scale * square
+    return [values[k] for k in ks]
+
+
+def _hecke_value_A_by_operators(ks, precision: int) -> list[mpf]:
+    with mp.workprec(precision + _GUARD):
+        derivatives = ms_derivative(THETA_HEX, 1, tuple(k - 1 for k in ks), CM_OMEGA, precision)
+        return [(mpf(-1) ** (k - 1) * mpf(2) ** (k - 1) * mpf(3) ** (mpf(k) / 2 - 2) * mp.pi ** k
+                 / mp.factorial(k - 1) * d).real for k, d in zip(ks, derivatives)]
+
+
 class TestLibmpTuples:
     """The paths that build mpf values from libmp tuples give the tuples, bit for bit, of
     the mpf operators and constructors they stand in for."""
@@ -716,21 +774,106 @@ class TestLibmpTuples:
                     k = slope * N + intercept
                     for base, form in ((2, row.e2), (3, row.e3), (2, row.h2), (3, row.h3)):
                         e = maass._at(form, k)
-                        assert maass._power(base, e)._mpf_ == _power_by_operators(base, e)._mpf_, (row.name, k, e)
+                        assert maass._power(base, e) == _power_by_operators(base, e)._mpf_, (row.name, k, e)
             for e in (0, 1, -1, 37, -37, Fraction(-9, 4), Fraction(6, 3)):
                 for base in (2, 3):
-                    assert maass._power(base, e)._mpf_ == _power_by_operators(base, e)._mpf_, (base, e)
+                    assert maass._power(base, e) == _power_by_operators(base, e)._mpf_, (base, e)
 
-    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    @pytest.mark.parametrize("precision", _PRECISIONS)
+    def test_two_three_equals_the_operators(self, precision):
+        with mp.workprec(precision + _GUARD):
+            for row in maass._IDENTITIES.values():
+                for k in _benchmark_weights(row):
+                    for e2, e3 in ((row.e2, row.e3), (row.h2, row.h3)):
+                        assert maass._two_three(e2, e3, k) == _two_three_by_operators(e2, e3, k)._mpf_, (row.name, k)
+
+    @pytest.mark.parametrize("precision", _PRECISIONS)
     def test_closed_forms_equal_one_row_at_a_time(self, precision):
         with mp.workprec(precision + _GUARD):
             for row in maass._IDENTITIES.values():
-                om = omega_E(precision) if row.point == CM_I else omega_A(precision)
-                ks = [maass._at(row.k, N) for N in range(9)]
-                cs = [Fraction(N * N - 5, 3) for N in range(9)]
-                want = [(om / mp.pi) ** (2 * k - 1) * maass._two_three(row.e2, row.e3, k) * _mpf_frac(c) ** 2
-                        for k, c in zip(ks, cs)]
-                assert [v._mpf_ for v in maass._closed_forms(row, ks, cs, precision)] == [v._mpf_ for v in want]
+                ks = _benchmark_weights(row)
+                orders = [maass._at(row.order, N) for N in range(len(ks))]
+                for cs in (maass._constants(row, orders), [Fraction(N * N - 5, 3) for N in range(len(ks))]):
+                    want = _closed_forms_by_operators(row, ks, cs, precision)
+                    assert maass._closed_forms(row, ks, cs, precision) == [v._mpf_ for v in want], row.name
+
+    def test_closed_forms_equal_the_operators_at_every_eighth_precision(self):
+        # pi rounded to one more bit gives the same Omega/pi at all four _PRECISIONS: a sweep
+        # of working precisions reaches the ones where it does not
+        for precision in range(64, 1025, 8):
+            with mp.workprec(precision + _GUARD):
+                for row in maass._IDENTITIES.values():
+                    ks = _benchmark_weights(row)[:4]
+                    cs = maass._constants(row, [maass._at(row.order, N) for N in range(4)])
+                    want = _closed_forms_by_operators(row, ks, cs, precision)
+                    assert maass._closed_forms(row, ks, cs, precision) == [v._mpf_ for v in want], (row.name, precision)
+            ks = range(1, 10)
+            want = _hecke_value_by_operators(CM_I, ks, precision, from_constants=True)
+            assert [v._mpf_ for v in hecke_value_E_from_constants(ks, precision)] == [v._mpf_ for v in want], precision
+
+    @pytest.mark.parametrize("precision", _PRECISIONS)
+    def test_moment_sum_equals_the_operators(self, monkeypatch, precision):
+        real = maass._moment_sum
+        seen = []
+
+        def checked(h, weight, D, ure, uim, point, w):
+            got = real(h, weight, D, ure, uim, point, w)
+            want = _moment_sum_by_operators(h, weight, D, ure, uim, point, w)
+            seen.append((D, h, got._mpc_ == want._mpc_))
+            return got
+
+        monkeypatch.setattr(maass, "_moment_sum", checked)
+        for row in maass._IDENTITIES.values():
+            ms_derivative(row.series, row.weight, range(33), row.point, precision)
+        ms_derivative(THETA_HEX, 1, range(24), CM_OMEGA, precision)
+        ms_derivative(lambda: iter([(Fraction(1, 8), 0), (Fraction(9, 8), 0)]), Fraction(1, 2), range(4), CM_I,
+                      precision)  # every moment 0
+        assert {D for D, _, _ in seen} == {1, 8, 24} and len(seen) == 4 * 33 + 24 + 4
+        assert [(D, h) for D, h, same in seen if not same] == []
+
+    @pytest.mark.parametrize("precision", _PRECISIONS)
+    def test_squared_derivatives_equal_the_operators(self, precision):
+        with mp.workprec(precision + _GUARD):
+            for row in maass._IDENTITIES.values():
+                orders = [maass._at(row.order, N) for N in range(len(_benchmark_weights(row)))]
+                want = [abs(d) ** 2 for d in ms_derivative(row.series, row.weight, orders, row.point, precision)]
+                assert maass._squared_derivatives(row, orders, precision) == [v._mpf_ for v in want], row.name
+
+    @pytest.mark.parametrize("precision", _PRECISIONS)
+    def test_hecke_values_equal_the_operators(self, precision):
+        E_ks, A_ks = range(1, 66), range(1, 25)  # thm 3 to --max-n 32, thm 4 to --max-n 3
+        for fn, point, ks, from_constants in ((hecke_value_E, CM_I, E_ks, False),
+                                              (hecke_value_E_from_constants, CM_I, E_ks, True),
+                                              (hecke_value_A_from_theta_forms, CM_OMEGA, A_ks, False)):
+            want = _hecke_value_by_operators(point, ks, precision, from_constants)
+            assert [v._mpf_ for v in fn(ks, precision)] == [v._mpf_ for v in want], fn.__name__
+        # odd and even k: 3^(k/2 - 2) is a half-integer power for odd k
+        want = _hecke_value_A_by_operators(A_ks, precision)
+        assert [v._mpf_ for v in hecke_value_A(A_ks, precision)] == [v._mpf_ for v in want]
+
+    @pytest.mark.parametrize("precision", _PRECISIONS)
+    def test_report_errors_equal_the_operators(self, monkeypatch, precision):
+        # every third constant and every fourth derivative 0, so that some rows vanish (with and
+        # without a numeric 0) and some compare a numeric 0; every other third constant tripled,
+        # so that the difference of the two sides is not exact
+        real_constants, real_derivative = maass._constants, maass.ms_derivative
+        monkeypatch.setattr(maass, "_constants", lambda row, orders: [
+            c * (0, 3, 1)[i % 3] for i, c in enumerate(real_constants(row, orders))])
+        monkeypatch.setattr(maass, "ms_derivative", lambda *args: tuple(
+            d if i % 4 else mpc(0) for i, d in enumerate(real_derivative(*args))))
+        reports = verify_theta2_identity(range(33), precision)
+        reports += [r for case in "xyz" for r in verify_eta_identity(range(9), case, precision)]
+        kinds = set()
+        with mp.workprec(precision + _GUARD):
+            for r in reports:
+                error = abs(r.numeric - r.predicted)
+                assert r.abs_error._mpf_ == error._mpf_, (r.case, r.N)
+                if r.vanishing:
+                    assert r.predicted == 0 and r.rel_error == (mp.inf if r.numeric != 0 else 0), (r.case, r.N)
+                else:
+                    assert r.rel_error._mpf_ == (error / abs(r.predicted))._mpf_, (r.case, r.N)
+                kinds.add((r.vanishing, r.numeric == 0))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_constants_of_f_from_the_v_walk(self):
         row = maass._IDENTITIES["f"]
