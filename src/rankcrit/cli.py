@@ -133,16 +133,17 @@ def _cmd_criterion(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# oracle (with a JSON-lines cache)
+# oracle (with a cache of one JSON file per query)
 # ---------------------------------------------------------------------------
 
 def _cache_path(args) -> Path:
+    """The cache directory: --cache, else $RANKCRIT_CACHE, else ~/.cache/rankcrit/oracle."""
     if args.cache:
         return Path(args.cache)
     env = os.environ.get("RANKCRIT_CACHE")
     if env:
         return Path(env)
-    return Path.home() / ".cache" / "rankcrit" / "oracle.jsonl"
+    return Path.home() / ".cache" / "rankcrit" / "oracle"
 
 
 def _report_fields() -> list[str]:
@@ -157,64 +158,45 @@ def _cache_key(family: str, p: int, tol: float) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_lookup(path: Path, key: str) -> tuple[dict | None, bool]:
-    """(the cached report for key or None, whether an incomplete record under key was skipped)."""
-    if not path.exists():
-        return None, False
+def _cache_lookup(path: Path) -> dict | None:
+    """The report in the record file path, or None: a file that cannot be read is a plain miss."""
     try:
-        lines = path.read_text().splitlines()
+        report = json.loads(path.read_bytes())
     except OSError:
-        return None, False
-    stale = False
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            print(f"warning: skipping corrupt cache line in {path}", file=sys.stderr)
-            continue
-        if not isinstance(entry, dict) or entry.get("key") != key or "report" not in entry:
-            continue
-        report = entry["report"]
-        if isinstance(report, dict) and sorted(report) == sorted(_report_fields()):
-            return report, stale
-        print(f"warning: skipping incomplete cache record in {path}", file=sys.stderr)
-        stale = True
-    return None, stale
-
-
-def _line_key(line: str):
-    try:
-        entry = json.loads(line)
-    except json.JSONDecodeError:
         return None
-    return entry.get("key") if isinstance(entry, dict) else None
+    except ValueError:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not text
+        print(f"warning: skipping corrupt cache record {path}", file=sys.stderr)
+        return None
+    if isinstance(report, dict) and sorted(report) == sorted(_report_fields()):
+        return report
+    print(f"warning: skipping incomplete cache record {path}", file=sys.stderr)
+    return None
 
 
-def _cache_store(path: Path, key: str, report: dict, replace: bool = False) -> None:
-    """Append the record; with replace, first drop every older line under key (atomic rewrite)."""
-    line = json.dumps({"key": key, "report": report}, sort_keys=True) + "\n"
+def _cache_store(path: Path, report: dict) -> None:
+    """Write the record whole: a temp file of a unique name beside it, moved into place by one os.replace."""
+    import tempfile
+
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        if replace:
-            kept = [old + "\n" for old in path.read_text().splitlines() if _line_key(old) != key]
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_text("".join(kept) + line)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(report, fh, sort_keys=True)
             os.replace(tmp, path)
-        else:
-            with path.open("a") as fh:
-                fh.write(line)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         print(f"warning: could not write cache {path}: {exc}", file=sys.stderr)
 
 
 def _cmd_oracle(args) -> int:
-    record, stale = None, False
+    record = None
     if not args.no_cache:
         lseries.sp_curve(args.p, args.tol, args.family)  # refuse what sp refuses before the cache answers
-        key, cache = _cache_key(args.family, args.p, args.tol), _cache_path(args)
-        record, stale = _cache_lookup(cache, key)
+        path = _cache_path(args) / f"{_cache_key(args.family, args.p, args.tol)}.json"
+        record = _cache_lookup(path)
     if record is None:
         try:
             report = lseries.sp(args.p, args.tol, family=args.family)
@@ -226,7 +208,7 @@ def _cmd_oracle(args) -> int:
             return EXIT_CROSSCHECK
         record = report.as_record()
         if not args.no_cache:
-            _cache_store(cache, key, record, replace=stale)
+            _cache_store(path, record)  # over a corrupt or incomplete record too, so it warns once
     _emit(args, [record], lambda rec: "\n".join(f"{k}: {rec[k]}" for k in _report_fields()))
     return EXIT_OK
 
@@ -353,7 +335,8 @@ def _build_parser() -> _Parser:
     p_oracle.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_oracle.add_argument("--jobs", type=int, default=DEFAULT_JOBS, help="accepted; has no effect on oracle")
     p_oracle.add_argument("--no-cache", action="store_true")
-    p_oracle.add_argument("--cache", help="cache file path (else $RANKCRIT_CACHE or ~/.cache/rankcrit)")
+    p_oracle.add_argument("--cache", help="cache directory, one file per query "
+                          "(else $RANKCRIT_CACHE or ~/.cache/rankcrit/oracle)")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="numeric and symbolic identity checks")

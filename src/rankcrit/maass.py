@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -715,10 +716,14 @@ _report_values = attrgetter(*_REPORT_FIELDS)
 
 
 def json_number(x: mpmath.mpf) -> float | str:
-    """x as a JSON value: float(x), or past the float range (about 1.8e308) a decimal string of
-    17 significant digits, since json writes an infinite float as Infinity, which is not JSON."""
+    """x as a JSON value: float(x) within the normal float range or for an exact zero, else a
+    decimal string of 17 significant digits. Past the range (about 1.8e308) json writes an
+    infinite float as Infinity, which is not JSON; below it (about 2.2e-308) a float keeps fewer
+    digits, and from about 5e-324 down it reads 0.0."""
     value = float(x)
-    return value if math.isfinite(value) else mpmath.libmp.to_str(x._mpf_, 17, strip_zeros=False)
+    if math.isfinite(value) and (abs(value) >= sys.float_info.min or not x):
+        return value
+    return mpmath.libmp.to_str(x._mpf_, 17, strip_zeros=False)
 
 
 def _verify(row: _Identity, N, precision: int):

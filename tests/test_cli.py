@@ -27,6 +27,15 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def _record(cache: Path, family: str, p: int, tol: float = 1e-8) -> Path:
+    """The file in the oracle cache directory that holds the report of one query."""
+    return cache / f"{_cache_key(family, p, tol)}.json"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called where the cache should have answered")
+
+
 class TestPoly:
     def test_f2(self, capsys):
         code, out, _ = run(capsys, "poly", "--family", "f", "--n", "2")
@@ -183,19 +192,22 @@ class TestCriterion:
 class TestOracle:
     def test_json_report(self, capsys, tmp_path):
         code, out, _ = run(capsys, "oracle", "--p", "17", "--format", "json",
-                           "--cache", str(tmp_path / "c.jsonl"))
+                           "--cache", str(tmp_path / "c"))
         assert code == 0
         rec = json.loads(out)
         assert rec["p"] == 17 and rec["s_rounded"] == 4 and rec["converged"]
 
-    def test_cache_round_trip(self, capsys, tmp_path):
-        cache = tmp_path / "cache.jsonl"
+    def test_cache_round_trip(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
         args = ["oracle", "--p", "17", "--format", "json", "--cache", str(cache)]
-        _, out1, _ = run(capsys, *args)
-        assert cache.exists()
-        _, out2, _ = run(capsys, *args)
-        assert out1 == out2
-        assert len(cache.read_text().splitlines()) == 1  # second run hit the cache
+        code, out1, err = run(capsys, *args)
+        assert code == 0 and err == ""
+        assert os.listdir(cache) == [_record(cache, "Ep", 17).name]
+        stored = _record(cache, "Ep", 17).read_bytes()
+        monkeypatch.setattr(lseries, "sp", _refuse)  # the second run must hit the cache
+        assert run(capsys, *args) == (0, out1, "")
+        assert os.listdir(cache) == [_record(cache, "Ep", 17).name]
+        assert _record(cache, "Ep", 17).read_bytes() == stored
 
     def test_cache_key_version_is_the_project_version(self):
         # the cache key holds __version__: if it drifted from the version pyproject.toml
@@ -206,45 +218,91 @@ class TestOracle:
         assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == rankcrit.__version__
 
     def test_corrupt_cache_is_skipped(self, capsys, tmp_path):
-        cache = tmp_path / "cache.jsonl"
-        cache.write_text("this is not json\n")
-        code, out, err = run(capsys, "oracle", "--p", "17", "--format", "json",
-                             "--cache", str(cache))
-        assert code == 0
-        assert "corrupt cache" in err
-        assert json.loads(out)["s_rounded"] == 4
+        # skipped with a warning, recomputed, and overwritten by the store, so it warns once
+        for i, planted in enumerate([b"this is not json\n", b"garbage \xff"]):
+            cache = tmp_path / f"cache{i}"
+            cache.mkdir()
+            _record(cache, "Ep", 17).write_bytes(planted)
+            outs, warnings = set(), 0
+            for _ in range(3):
+                code, out, err = run(capsys, "oracle", "--p", "17", "--format", "json", "--cache", str(cache))
+                assert code == 0 and json.loads(out)["s_rounded"] == 4
+                outs.add(out)
+                warnings += err.count("skipping corrupt cache record")
+            assert warnings == 1 and len(outs) == 1
+            assert json.loads(_record(cache, "Ep", 17).read_text()) == json.loads(outs.pop())
+            assert os.listdir(cache) == [_record(cache, "Ep", 17).name]
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_incomplete_cache_record_is_recomputed(self, capsys, tmp_path, fmt):
-        cache = tmp_path / "cache.jsonl"
-        planted = {"key": _cache_key("Ep", 17, 1e-8), "report": {"p": 17, "s_rounded": 5}}
-        cache.write_text(json.dumps(planted) + "\n")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        _record(cache, "Ep", 17).write_text(json.dumps({"p": 17, "s_rounded": 5}))
         code, out, err = run(capsys, "oracle", "--p", "17", "--format", fmt,
                              "--no-timestamp", "--cache", str(cache))
         assert code == 0
-        assert "incomplete cache record" in err
+        assert "skipping incomplete cache record" in err
         if fmt == "json":
             assert json.loads(out)["s_rounded"] == 4
         else:
             assert "s_rounded: 4" in out.splitlines()
-        lines = cache.read_text().splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["report"]["s_rounded"] == 4
+        assert json.loads(_record(cache, "Ep", 17).read_text()) == lseries.sp(17, 1e-8).as_record()
 
     def test_incomplete_cache_record_warns_once(self, capsys, tmp_path):
-        cache = tmp_path / "cache.jsonl"
-        other = {"key": "unrelated", "report": {"p": 41}}
-        planted = {"key": _cache_key("Ep", 17, 1e-8), "report": {"p": 17, "s_rounded": 5}}
-        cache.write_text(json.dumps(other) + "\n" + json.dumps(planted) + "\n")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "unrelated.json").write_text(json.dumps({"p": 41}))
+        _record(cache, "Ep", 17).write_text(json.dumps({"p": 17, "s_rounded": 5}))
         warnings = 0
         for _ in range(3):
             code, out, err = run(capsys, "oracle", "--p", "17", "--format", "json", "--cache", str(cache))
             assert code == 0 and json.loads(out)["s_rounded"] == 4
             warnings += err.count("incomplete cache record")
         assert warnings == 1
-        lines = [json.loads(line) for line in cache.read_text().splitlines()]
-        assert [e["key"] for e in lines] == ["unrelated", planted["key"]]
-        assert lines[1]["report"]["s_rounded"] == 4
-        assert not (tmp_path / "cache.jsonl.tmp").exists()
+        assert sorted(os.listdir(cache)) == sorted(["unrelated.json", _record(cache, "Ep", 17).name])
+        assert json.loads((cache / "unrelated.json").read_text()) == {"p": 41}
+        assert json.loads(_record(cache, "Ep", 17).read_text())["s_rounded"] == 4
+
+    def test_lookup_reads_only_its_own_file(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for i in range(2000):
+            (cache / f"{i:064x}.json").write_text(json.dumps({"p": i}))
+        record = lseries.sp(17, 1e-8).as_record()
+        _record(cache, "Ep", 17).write_text(json.dumps(record))
+        opened = []
+
+        def spy(real):
+            def open_(file, *args, **kwargs):
+                opened.append(Path(file))
+                return real(file, *args, **kwargs)
+            return open_
+
+        monkeypatch.setattr(io, "open", spy(io.open))
+        monkeypatch.setattr("builtins.open", spy(open))
+        for name in ("listdir", "scandir"):
+            monkeypatch.setattr(os, name, _refuse)
+        monkeypatch.setattr(lseries, "sp", _refuse)
+        code, out, err = run(capsys, "oracle", "--p", "17", "--format", "json", "--cache", str(cache))
+        assert code == 0 and err == "" and json.loads(out) == record
+        assert [f for f in opened if f.parent == cache] == [_record(cache, "Ep", 17)]
+
+    def test_failed_store_keeps_the_old_record(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        planted = json.dumps({"p": 17, "s_rounded": 5})
+        _record(cache, "Ep", 17).write_text(planted)
+
+        def refuse_replace(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse_replace)
+        code, out, err = run(capsys, "oracle", "--p", "17", "--format", "json", "--cache", str(cache))
+        assert code == 0 and json.loads(out)["s_rounded"] == 4
+        assert "incomplete cache record" in err
+        assert "warning: could not write cache" in err and "replace refused" in err
+        assert os.listdir(cache) == [_record(cache, "Ep", 17).name]  # no temp file left
+        assert _record(cache, "Ep", 17).read_text() == planted
 
     def test_jobs_do_not_change_result(self, capsys):
         outs = [run(capsys, "oracle", "--p", "41", "--no-cache", "--format", "json", "--jobs", jobs)
@@ -252,7 +310,7 @@ class TestOracle:
         assert outs[0] == outs[1] and outs[0][0] == 0
 
     def test_no_cache_bypasses(self, capsys, tmp_path):
-        cache = tmp_path / "cache.jsonl"
+        cache = tmp_path / "cache"
         code, _, _ = run(capsys, "oracle", "--p", "17", "--format", "json",
                          "--cache", str(cache), "--no-cache")
         assert code == 0
@@ -286,11 +344,11 @@ class TestOracle:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_env_var_cache(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "envcache.jsonl"
+        cache = tmp_path / "envcache"
         monkeypatch.setenv("RANKCRIT_CACHE", str(cache))
         code, _, _ = run(capsys, "oracle", "--p", "17", "--format", "json")
         assert code == 0
-        assert cache.exists()
+        assert os.listdir(cache) == [_record(cache, "Ep", 17).name]
 
     def test_prime_above_trial_division_bound(self, capsys):
         code, out, _ = run(capsys, "oracle", "--p", "1009", "--family", "Ap", "--no-cache",
@@ -324,9 +382,9 @@ class TestOracle:
     @pytest.mark.parametrize("p, tol, message", [(73, 5.0, "tolerance 5.0 is too large"),
                                                   (71, 1e-8, "p = 71 is not admissible")])
     def test_refused_query_is_not_served_from_cache(self, capsys, tmp_path, p, tol, message):
-        cache = tmp_path / "cache.jsonl"
-        planted = {"key": _cache_key("Ep", p, tol), "report": lseries.sp(73, 1e-8).as_record()}
-        cache.write_text(json.dumps(planted) + "\n")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        _record(cache, "Ep", p, tol).write_text(json.dumps(lseries.sp(73, 1e-8).as_record()))
         code, out, err = run(capsys, "oracle", "--p", str(p), "--tol", repr(tol), "--format", "json",
                              "--cache", str(cache))
         assert code == 1 and out == ""
@@ -443,6 +501,27 @@ class TestVerify:
         _, pretty, _ = run(capsys, "verify", "--thm", "5", "--max-n", "200", "--no-timestamp")
         assert "inf" not in pretty and f"numeric={rows[200]['numeric']} " in pretty
 
+    def test_json_below_the_float_range(self, capsys):
+        # at 2048 bits the errors are about 1e-628, which a float reads as 0.0
+        code, out, _ = run(capsys, "verify", "--thm", "5", "--max-n", "3", "--precision", "2048",
+                           "--format", "json")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        reports = maass.verify_theta2_identity(range(4), 2048)
+        strings = 0
+        for row, report in zip(rows, reports, strict=True):
+            assert row["ok"] is _within_precision(report.rel_error, 2048) is True
+            for name in ("numeric", "predicted", "rel_error", "abs_error"):
+                value, want = row[name], getattr(report, name)
+                if isinstance(value, str):
+                    strings += 1
+                    assert re.fullmatch(r"\d\.\d{16}e-\d+", value), value
+                    with mp.workprec(2048):
+                        assert abs(mpf(value) - want) <= abs(want) * mpf("1e-16"), (name, value)
+                else:
+                    assert value == float(want) and (value != 0.0 or want == 0), (name, value)
+        assert strings == 6  # rel_error and abs_error of N = 1..3
+
     @pytest.mark.parametrize("thm, max_n", [("3", 4), ("4", 2), ("5", 4), ("6", 3)])
     def test_batched_rows_equal_one_index_at_a_time(self, capsys, monkeypatch, thm, max_n):
         argv = ("verify", "--thm", thm, "--max-n", str(max_n), "--format", "json")
@@ -461,7 +540,7 @@ class TestVerify:
 
     # The exit code and the sha256 of the JSON lines of the five benchmark verify operations.
     @pytest.mark.parametrize("flags, want_code, digest", [
-        ("--thm 5 --max-n 32 --precision 1024", 0, "cb274ca44fa16e2b562f103c0d098f55f2c7eba415f9ff2792a9b2cd7d8eae1e"),
+        ("--thm 5 --max-n 32 --precision 1024", 0, "2b31d083da21c8f122d8f67a4af99b5edf027a58fdb92220162700c9892b19b5"),
         ("--thm 6 --max-n 8 --precision 512", 0, "b44cdc35711fe35ffaec7ed8be71a0b6a906fc88f584da9d332b496941228695"),
         ("--thm 3 --max-n 32", 0, "5e3d6f45e3c5bdccb8575a12a6ac21e812a6db51e62f09fab5a3832fef1f3dba"),
         ("--thm 4 --max-n 3", 0, "08e220b440e199fe48aaed80b3bf4ff11893b2456584cf58813cefc079d35cd1"),

@@ -854,10 +854,18 @@ class TestSp:
         assert time.perf_counter() - t0 < 1.0
 
 
+def _smallest_root(p: int, *residues: int) -> int:
+    """The smallest m >= 0 with m^2 = one of the residues mod p."""
+    return next(m for m in range(p) if any((m * m - r) % p == 0 for r in residues))
+
+
 class TestConcordance:
     def test_every_admissible_p_up_to_1000(self):
         # S_p is zero exactly where the criterion says divisible, and for E_p
-        # S_p = +-sp_congruence_rhs(p) mod p
+        # S_p = +-sp_congruence_rhs(p) mod p.  The residue also gives S_p itself:
+        # for E_p S_p = 4m^2, and for A_p S_p = -2 * 3^(N-1) * (N!)^2 * x_N(0)^2 mod p
+        # and S_p = 18m^2, with m a smallest square root as below.  These three were
+        # found by search over p <= 10^4 and are observations, not theorems.
         t0 = time.time()
         ep = [p for p in primes_leq(1000) if p % 16 in (1, 9)]
         ap_primes = [p for p in primes_leq(1000) if p % 9 == 1]
@@ -868,10 +876,20 @@ class TestConcordance:
             assert (rep.s_rounded == 0) == verdict_Ep(p).divisible, p
             rhs = sp_congruence_rhs(p)
             assert rep.s_rounded % p in (rhs, -rhs % p), (p, rep.s_rounded, rhs)
+            quarter = rhs * pow(4, -1, p)
+            assert rep.s_rounded == 4 * _smallest_root(p, quarter, -quarter) ** 2, (p, rep.s_rounded)
+        nonzero = 0
         for p in ap_primes:
             rep = sp(p, 1e-8, family="Ap")
             assert rep.converged, p
-            assert (rep.s_rounded == 0) == verdict_Ap(p)[0].divisible, p
+            va, vx = verdict_Ap(p)
+            assert (rep.s_rounded == 0) == va.divisible, p
+            N = (p - 1) // 3
+            rhs = -2 * pow(3, N - 1, p) * math.factorial(N) ** 2 * vx.residue ** 2 % p
+            assert rep.s_rounded % p == rhs, (p, rep.s_rounded, rhs)
+            assert rep.s_rounded == 18 * _smallest_root(p, rhs * pow(18, -1, p)) ** 2, (p, rep.s_rounded)
+            nonzero += rep.s_rounded != 0
+        assert nonzero == 13
         assert time.time() - t0 < 60.0, "concordance exceeded its 60 s budget"
 
 
