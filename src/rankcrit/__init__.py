@@ -4,17 +4,18 @@ and x^3 + y^3 = p, with independent numerical cross-checks.
 Layers:
 
 * :mod:`rankcrit.polyring` -- polynomials as integer coefficient tuples, and their printing.
-* :mod:`rankcrit.recurrences` -- the five polynomial families f, a, x, y, z, exact or mod p.
+* :mod:`rankcrit.recurrences` -- the five polynomial families f, a, x, y, z and their exact walks.
+* :mod:`rankcrit._modp` -- the mod-p kernel: generation mod p and F_N(0) mod p.
 * :mod:`rankcrit.criteria` -- divisibility of constant terms -> rank verdicts.
 * :mod:`rankcrit.symbolic` -- theta-constant ring re-derivation of the f family.
 * :mod:`rankcrit.lseries` -- traces of Frobenius from CM, conductors, L(1), normalized S_p.
 * :mod:`rankcrit.maass` -- extended-precision CM derivatives of theta series.
 * :mod:`rankcrit.cli` -- poly / criterion / oracle / verify subcommands.
 
-The names of ``criteria``, ``lseries``, ``maass`` and ``symbolic`` load
-their layer at the first read (PEP 562), so ``import rankcrit`` compiles
-only ``polyring`` and ``recurrences``, and each subcommand of ``cli`` only
-the layers it runs.
+The names of ``_modp``, ``criteria``, ``lseries``, ``maass`` and ``symbolic``
+load their layer at the first read (PEP 562), so ``import rankcrit`` compiles
+only ``polyring`` and the exact layer of ``recurrences`` and imports no
+``dataclasses``, and each subcommand of ``cli`` only the layers it runs.
 """
 
 import importlib
@@ -27,8 +28,6 @@ from .recurrences import (
     X_A,
     Y_A,
     Z_A,
-    constant_term_mod,
-    constant_terms_mod,
     generate,
     generate_all,
     step,
@@ -38,6 +37,7 @@ __version__ = "0.1.0"
 
 # The names of the layers that load at their first read, by layer.
 _LAZY = {
+    "_modp": ("constant_term_mod", "constant_terms_mod"),
     "criteria": ("CriterionVerdict", "CrossCheckError", "admissible", "scan",
                  "sp_congruence_rhs", "verdict_Ap", "verdict_Ep"),
     "lseries": ("CurveSpec", "LValueReport", "an_list", "ap", "conductor",
@@ -49,7 +49,7 @@ _LAZY = {
 __all__ = [
     "render",
     "A_VZ", "F_E", "FAMILIES", "X_A", "Y_A", "Z_A",
-    "constant_term_mod", "constant_terms_mod", "generate", "generate_all", "step",
+    "generate", "generate_all", "step",
     *(name for names in _LAZY.values() for name in names),
 ]
 _HOME = {name: layer for layer, names in _LAZY.items() for name in (layer, *names)}

@@ -1,15 +1,16 @@
 """Modules imported at their first attribute read (the ``importlib.util.LazyLoader`` recipe).
 
-``recurrences`` and ``lseries`` take ``np`` from here and ``maass`` and
+``_modp`` and ``lseries`` take ``np`` from here and ``maass`` and
 ``cli`` take ``mpmath``, so ``import rankcrit`` runs neither numpy's import
 (about 160 ms on a 2-vCPU VM) nor mpmath's (about 35 ms): ``poly`` on
 Python ints never loads either, ``criterion`` and ``oracle`` load numpy at
 their first kernel call, and ``verify`` loads mpmath at its first
-precision-bound call.  ``cli`` also takes the layers ``criteria``,
-``lseries``, ``maass`` and ``symbolic`` from here, so each subcommand
+precision-bound call.  ``recurrences`` takes its mod-p kernel ``_modp``
+from here, so only a mod-p call compiles it, and ``cli`` takes the layers
+``criteria``, ``lseries``, ``maass`` and ``symbolic``, so each subcommand
 compiles only the layers it runs (``poly`` none of them).
 ``python -X importtime -m rankcrit poly --n 1`` shows no ``numpy``, no
-``mpmath`` and none of those four layers.
+``mpmath``, no ``rankcrit._modp`` and none of those four layers.
 
 A lazy submodule is bound on its parent package, as the import system binds
 an imported one, so ``import rankcrit.criteria; rankcrit.criteria.scan``

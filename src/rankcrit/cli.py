@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 internal cross-check failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -147,6 +146,8 @@ def _cache_path(args) -> Path:
 
 
 def _report_fields() -> list[str]:
+    import dataclasses
+
     return [f.name for f in dataclasses.fields(lseries.LValueReport)]
 
 

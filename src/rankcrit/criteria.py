@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
+from ._modp import constant_term_mod, constant_terms_mod, paired_constant_terms_mod
 from ._primality import is_prime, primes_in
-from .recurrences import (A_VZ, F_E, X_A, RecurrenceFamily, constant_term_mod, constant_terms_mod,
-                          paired_constant_terms_mod)
+from .recurrences import _P_MAX, A_VZ, F_E, X_A, RecurrenceFamily, _check_fits
 
 
 class CrossCheckError(RuntimeError):
@@ -159,12 +159,17 @@ def scan(family: str, lo: int, hi: int, jobs: int = 1) -> list[CriterionVerdict]
     when each of its workers gets ``_STEPS_PER_WORKER`` recurrence steps or
     more; a smaller scan runs in this process as one batch.  A prime past the
     bound of a batch (Ep p > 104561, Ap p > 272539) steps alone, as a lone
-    verdict does."""
+    verdict does.  A range with an admissible prime at or past ``_P_MAX`` is
+    refused with the kernel's OverflowError for the first such prime, before
+    any prime below the bound is listed."""
     if lo < 2 or hi < lo:
         raise ValueError("range bounds must satisfy 2 <= lo <= hi")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     row = _criterion(family)
+    past = next((q for q in range(max(lo, _P_MAX), hi + 1) if q % row.modulus in row.classes and is_prime(q)), None)
+    if past is not None:
+        _check_fits(past)
     primes = primes_in(lo, hi, row.modulus, row.classes)
     if len(primes) == 1:
         return [verdict_Ep(primes[0])] if family == "Ep" else list(verdict_Ap(primes[0]))
@@ -174,7 +179,7 @@ def scan(family: str, lo: int, hi: int, jobs: int = 1) -> list[CriterionVerdict]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        from .recurrences import np
+        from ._modp import np
         np.int64  # noqa: B018  (load numpy before the fork, so that every worker inherits it)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_residues, batches))

@@ -116,6 +116,15 @@ class TestCriterion:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("rankcrit: error: modulus") and "overflow" in err
 
+    def test_range_reaching_kernel_bound_exits_2_before_listing(self, capsys, monkeypatch):
+        from rankcrit.recurrences import _P_MAX
+
+        monkeypatch.setattr(criteria, "primes_in", lambda *args: pytest.fail("scan listed primes"))
+        p = next(q for q in range(_P_MAX, 2 * _P_MAX) if q % 16 in (1, 9) and is_prime(q))
+        code, out, err = run(capsys, "criterion", "--family", "Ep", "--range", "2..2000000000", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == f"rankcrit: error: modulus {p} is not below {_P_MAX}: int64 residues would overflow\n"
+
     def test_cross_check_failure_exits_2(self, capsys, monkeypatch):
         def disagree(*args, **kwargs):
             raise cli.criteria.CrossCheckError("a-path and x-path disagree")

@@ -1,5 +1,7 @@
-"""What a fresh interpreter loads: numpy, mpmath and the criteria, lseries, maass and symbolic
-layers only for the subcommands that run them, and the process pool only for --jobs > 1.
+"""What a fresh interpreter loads: numpy, mpmath, the mod-p kernel (``rankcrit._modp``),
+``dataclasses``, ``inspect`` (which numpy and ``dataclasses`` import) and the criteria,
+lseries, maass and symbolic layers only for the subcommands that run them, and the process
+pool only for --jobs > 1.
 
 Each check runs in a new ``python`` with ``PYTHONPATH=src``, so that nothing the test session
 imported is already in ``sys.modules``.  A module made by ``rankcrit._lazy`` counts as loaded
@@ -20,7 +22,8 @@ from rankcrit.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 LAYERS = ("criteria", "lseries", "maass", "symbolic")
-WATCHED = ("numpy", "mpmath", *(f"rankcrit.{layer}" for layer in LAYERS), "concurrent.futures.process")
+WATCHED = ("numpy", "mpmath", *(f"rankcrit.{layer}" for layer in LAYERS), "rankcrit._modp", "dataclasses",
+           "inspect", "concurrent.futures.process")
 
 # Runs the argv list given on stdin through cli.main and prints, as JSON, the exit code, the
 # stdout and which of the watched modules have executed.
@@ -83,11 +86,14 @@ print(json.dumps({{
 RUNS = [
     (["poly", "--family", "f", "--n", "40"], 0, []),
     (["poly", "--n", "-1"], 1, []),
-    (["verify", "--thm", "5", "--max-n", "2", "--format", "json"], 0, ["mpmath", "rankcrit.maass"]),
-    (["verify", "--symbolic", "--max-n", "6", "--format", "json"], 0, ["rankcrit.symbolic"]),
+    (["poly", "--family", "x", "--n", "12", "--mod", "7"], 0, ["numpy", "rankcrit._modp", "inspect"]),
+    (["verify", "--thm", "5", "--max-n", "2", "--format", "json"], 0,
+     ["mpmath", "rankcrit.maass", "dataclasses", "inspect"]),
+    (["verify", "--symbolic", "--max-n", "6", "--format", "json"], 0, ["rankcrit.symbolic", "dataclasses", "inspect"]),
     (["criterion", "--family", "Ep", "--range", "2..200", "--format", "json", "--jobs", "1"], 0,
-     ["numpy", "rankcrit.criteria"]),
-    (["oracle", "--p", "73", "--no-cache", "--format", "json"], 0, ["numpy", "rankcrit.lseries"]),
+     ["numpy", "rankcrit.criteria", "rankcrit._modp", "dataclasses", "inspect"]),
+    (["oracle", "--p", "73", "--no-cache", "--format", "json"], 0,
+     ["numpy", "rankcrit.lseries", "dataclasses", "inspect"]),
 ]
 
 

@@ -16,6 +16,7 @@ from rankcrit.criteria import (
     verdict_Ep,
     weight_for,
 )
+from rankcrit.recurrences import _P_MAX
 from ._util import primes_leq
 from .golden import EP_SCAN_TABLE, SCAN_3000_SHA256
 
@@ -191,6 +192,19 @@ class TestScan:
         monkeypatch.setattr(criteria, "primes_in", lambda *args: pytest.fail("scan listed primes"))
         with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
             scan("Ep", 2, 100, jobs=jobs)
+
+    @pytest.mark.parametrize("family, lo", [("Ep", 1012000000), ("Ap", 2)])
+    def test_range_past_the_kernel_bound_is_refused_before_listing(self, monkeypatch, family, lo):
+        # the first admissible prime at or past _P_MAX is named at once: no candidate below
+        # the bound is listed or tested for primality
+        first = next(q for q in range(_P_MAX, 2 * _P_MAX) if admissible(q, family).ok)
+        tested = []
+        monkeypatch.setattr(criteria, "primes_in", lambda *args: pytest.fail("scan listed primes"))
+        monkeypatch.setattr(criteria, "is_prime", lambda q: tested.append(q) or is_prime(q))
+        refusal = rf"^modulus {first} is not below {_P_MAX}: int64 residues would overflow$"
+        with pytest.raises(OverflowError, match=refusal):
+            scan(family, lo, 2_000_000_000, jobs=1)
+        assert tested and min(tested) >= _P_MAX and max(tested) == first
 
     @pytest.mark.parametrize("family", ["Ep", "Ap"])
     def test_golden_digest_to_3000(self, family):

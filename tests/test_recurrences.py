@@ -8,19 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankcrit import recurrences
-from rankcrit._primality import is_prime
-from rankcrit.criteria import admissible, scan
-from rankcrit.polyring import constant_term, trim
-from rankcrit.recurrences import (
+from rankcrit import _modp
+from rankcrit._modp import (
     _ALPHA_D,
     _ALPHA_TILT,
     _BATCH_N,
     _F64_MAX,
     _HORIZON,
-    _INT64_MAX,
-    _MAX_TERMS,
-    _P_MAX,
     _P_UNREDUCED,
     _batches,
     _columns,
@@ -30,15 +24,23 @@ from rankcrit.recurrences import (
     _moved,
     _multipliers,
     _polys,
-    _from_v,
     _reduce,
     _slot_table,
     _step_mod,
-    _stored_exact,
     _stored_mod,
+    _tap_sum,
+)
+from rankcrit._primality import is_prime
+from rankcrit.criteria import admissible, scan
+from rankcrit.polyring import constant_term, trim
+from rankcrit.recurrences import (
+    _INT64_MAX,
+    _MAX_TERMS,
+    _P_MAX,
+    _from_v,
+    _stored_exact,
     _tap_plan,
     _tap_step,
-    _tap_sum,
     _taps_at,
     A_VZ,
     F_E,
@@ -92,6 +94,16 @@ class TestStep:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             step(F_E, 0, (1,), (3, 2))
+
+
+class TestFamilyRecord:
+    def test_equality_hash_repr_and_defaults(self):
+        # built by keyword with the defaults left out, a family equals the table's and hashes
+        # as the tuple of its fields (the cached tap plans key on it); repr names its tag
+        twin = RecurrenceFamily(key="f", tag="F_E", seeds=((1,), (3, 2)), step_coeffs=F_E.step_coeffs, in_v=H_E)
+        fields = ("f", "F_E", ((1,), (3, 2)), F_E.step_coeffs, 1, 1, 0, H_E)
+        assert ((twin == F_E, twin != H_E, hash(twin), repr(twin), (twin.scale, twin.stride, twin.drift))
+                == (True, True, hash(fields), "RecurrenceFamily(F_E)", (1, 1, 0)))
 
 
 _COEFFS = st.lists(st.one_of(st.just(0), st.integers(-10 ** 40, 10 ** 40)), max_size=12).map(tuple)
@@ -446,7 +458,7 @@ def _spied(monkeypatch) -> tuple[set, list]:
     """Spies on ``_step_mod`` and ``_both_ends``: the (dtype, reduce_derivative) of every
     step, as a set, and the (family, N, p) of every target that steps alone, in order."""
     steps, alone = set(), []
-    step_mod, both_ends = recurrences._step_mod, recurrences._both_ends
+    step_mod, both_ends = _modp._step_mod, _modp._both_ends
 
     def spy_step(*args, reduce_derivative=True, **kwargs):
         out = step_mod(*args, reduce_derivative=reduce_derivative, **kwargs)
@@ -457,8 +469,8 @@ def _spied(monkeypatch) -> tuple[set, list]:
         alone.append((family, N, p))
         return both_ends(family, N, p)
 
-    monkeypatch.setattr(recurrences, "_step_mod", spy_step)
-    monkeypatch.setattr(recurrences, "_both_ends", spy_alone)
+    monkeypatch.setattr(_modp, "_step_mod", spy_step)
+    monkeypatch.setattr(_modp, "_both_ends", spy_alone)
     return steps, alone
 
 
@@ -547,7 +559,7 @@ class TestLockstepBatch:
     def test_batches_equal_every_target_alone(self, key, targets):
         family = FAMILIES[key]
         got = constant_terms_mod(family, targets), paired_constant_terms_mod(targets)
-        with mock.patch.object(recurrences, "_F64_MAX", 0):  # no target fits a batch: each steps alone
+        with mock.patch.object(_modp, "_F64_MAX", 0):  # no target fits a batch: each steps alone
             assert all(len(batch) == 1 for batch in _batches(family, targets) + _batches(X_A, targets, alpha=True))
             assert got == (constant_terms_mod(family, targets), paired_constant_terms_mod(targets))
 
@@ -679,13 +691,13 @@ class TestUnreducedDerivative:
                 assert generate(family, N, p) == _residues(generate(family, N), p)
 
     def test_the_residue_tap_limit_picks_the_path(self, monkeypatch):
-        seen, step_mod = [], recurrences._step_mod
+        seen, step_mod = [], _modp._step_mod
 
         def spy(*args, reduce_derivative=True, **kwargs):
             seen.append(reduce_derivative)
             return step_mod(*args, reduce_derivative=reduce_derivative, **kwargs)
 
-        monkeypatch.setattr(recurrences, "_step_mod", spy)
+        monkeypatch.setattr(_modp, "_step_mod", spy)
         for p, reduced in ((_UNREDUCED_BELOW, False), (_PAST_UNREDUCED[0], True)):
             seen.clear()
             constant_term_mod(F_E, 40, p)  # _both_ends
@@ -895,13 +907,13 @@ class TestStepMod:
 
     def test_correlate_alias(self, monkeypatch):
         # the first call binds numpy's undispatched correlate; it is np.correlate on int64
-        monkeypatch.setattr(recurrences, "_correlate", recurrences._bind_correlate)
+        monkeypatch.setattr(_modp, "_correlate", _modp._bind_correlate)
         x, kernel = self.CUR, _vec(4, 9, 1008)
         want = np.correlate(x, kernel, "full")
         for _ in range(2):  # binding, then bound
-            got = recurrences._correlate(x, kernel, "full")
+            got = _modp._correlate(x, kernel, "full")
             assert got.dtype == np.int64 and got.tolist() == want.tolist()
-        assert recurrences._correlate is getattr(np.correlate, "_implementation", np.correlate)
+        assert _modp._correlate is getattr(np.correlate, "_implementation", np.correlate)
 
     def test_correlate_without_the_undispatched_path(self, monkeypatch):
         # a numpy whose correlate has no _implementation: the kernel binds np.correlate itself
@@ -912,9 +924,9 @@ class TestStepMod:
             return dispatched(a, v, mode)
 
         monkeypatch.setattr(np, "correlate", correlate)
-        monkeypatch.setattr(recurrences, "_correlate", recurrences._bind_correlate)
+        monkeypatch.setattr(_modp, "_correlate", _modp._bind_correlate)
         assert constant_term_mod(F_E, 450, 1201) == constant_term(generate(F_E, 450, 1201)) == 921
-        assert recurrences._correlate is correlate and calls
+        assert _modp._correlate is correlate and calls
 
     def test_alpha_tilt(self):
         # the tilt rides on the one-column tap at its offset, on neither the D tap nor the others
@@ -952,7 +964,7 @@ class TestStepMod:
         # and F_n' unreduced) is congruent to it element by element, within |r| <= m - 1,
         # and 0 in the gaps; every derivative weight is a residue too, as the bounds of
         # ``_fits`` assume
-        calls, step_mod = [], recurrences._step_mod
+        calls, step_mod = [], _modp._step_mod
 
         def checked(*args, **kwargs):
             weights = args[3]
@@ -969,7 +981,7 @@ class TestStepMod:
             calls.append(out.dtype)
             return out
 
-        monkeypatch.setattr(recurrences, "_step_mod", checked)
+        monkeypatch.setattr(_modp, "_step_mod", checked)
         run()
         assert calls and set(calls) == {np.dtype(dtype)}
 

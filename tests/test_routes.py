@@ -2,8 +2,9 @@
 
 The L-value route (lseries) and the CM and theta-ring routes (maass, symbolic) check
 the criterion's verdicts, so they must not share its mod-p code: lseries reaches only
-the prime listing and the lazy loader, and maass and symbolic reach the recurrences only
-for the exact walk, called with no modulus.
+the prime listing and the lazy loader, maass and symbolic reach the recurrences only
+for the exact walk, called with no modulus, and none of them imports the mod-p kernel
+(``_modp``) by name.
 """
 
 import ast
@@ -68,6 +69,10 @@ class TestImportGraph:
     @pytest.mark.parametrize("module", ["polyring", "_primality", "_lazy"])
     def test_leaf_modules_import_nothing_from_the_package(self, module):
         assert _package_imports(_tree(module)) == {}
+
+    @pytest.mark.parametrize("module", ["maass", "symbolic"])
+    def test_theta_routes_import_only_the_exact_layer(self, module):
+        assert set(_package_imports(_tree(module))) <= {"recurrences", "polyring", "_lazy"}
 
     @pytest.mark.parametrize("module", ["maass", "symbolic"])
     def test_theta_routes_reach_only_the_exact_walk(self, module):
