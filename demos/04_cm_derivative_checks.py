@@ -28,10 +28,3 @@ for N in range(5):
             f"  N={N} case={case} k={r.k:>2} order={r.order:>2}  "
             f"{r.constant:<22} rel_err={float(r.rel_error):.2e}"
         )
-
-print()
-print("E2*(z) = E2(z) - 3/(pi y) vanishes at both CM points:")
-from rankcrit import e2star
-
-print(f"  |E2*(i)|     = {float(abs(e2star('i', 256))):.3e}")
-print(f"  |E2*(omega)| = {float(abs(e2star('omega', 256))):.3e}")

@@ -12,6 +12,11 @@ Layers:
 * :mod:`rankcrit.maass` -- extended-precision CM derivatives of theta series.
 * :mod:`rankcrit.cli` -- poly / criterion / oracle / verify subcommands.
 
+Every function here is one that a subcommand runs, but for a short allow-list in
+``tests/test_reachable.py``.  The references that only the tests use (the
+defining Laguerre sum, Hermite, E2*, the theta-ring derivation ``rs_derivation``
+and the dense ``step``) are in ``tests/_oracles.py``.
+
 The names of ``_modp``, ``criteria``, ``lseries``, ``maass`` and ``symbolic``
 load their layer at the first read (PEP 562), so ``import rankcrit`` compiles
 only ``polyring`` and the exact layer of ``recurrences`` and imports no
@@ -30,7 +35,6 @@ from .recurrences import (
     Z_A,
     generate,
     generate_all,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -41,15 +45,15 @@ _LAZY = {
     "criteria": ("CriterionVerdict", "CrossCheckError", "admissible", "scan",
                  "sp_congruence_rhs", "verdict_Ap", "verdict_Ep"),
     "lseries": ("CurveSpec", "LValueReport", "an_list", "ap", "conductor",
-                "curve_ap", "curve_ep", "l1", "sp"),
-    "maass": ("MSDerivativeReport", "e2star", "hermite", "laguerre", "ms_derivative",
-              "omega_A", "omega_E", "verify_eta_identity", "verify_theta2_identity"),
-    "symbolic": ("ThetaPolynomial", "normalize_to_t", "rs_derivation", "vz_sequence"),
+                "curve_ap", "curve_ep", "sp"),
+    "maass": ("MSDerivativeReport", "laguerre", "ms_derivative", "omega_A", "omega_E",
+              "verify_eta_identity", "verify_theta2_identity"),
+    "symbolic": ("ThetaPolynomial", "normalize_to_t", "vz_sequence"),
 }
 __all__ = [
     "render",
     "A_VZ", "F_E", "FAMILIES", "X_A", "Y_A", "Z_A",
-    "generate", "generate_all", "step",
+    "generate", "generate_all",
     *(name for names in _LAZY.values() for name in names),
 ]
 _HOME = {name: layer for layer, names in _LAZY.items() for name in (layer, *names)}

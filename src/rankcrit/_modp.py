@@ -3,8 +3,8 @@ terms F_N(0) mod p that the rank criteria test, on one numpy kernel.
 
 It is loaded at its first mod-p call (``recurrences`` takes it from ``_lazy``), so
 ``import rankcrit``, ``poly`` on Z and the verification routes compile none of it.
-The families, their exact walks and the bound ``_P_MAX`` that ``step`` checks too
-live in :mod:`rankcrit.recurrences`.
+The families, their exact walks and the bound ``_P_MAX``, which ``criteria.scan``
+checks too, live in :mod:`rankcrit.recurrences`.
 
 Generation mod p, which avoids the huge exact coefficients, steps numpy
 arrays of residues instead, for primes p below ``_P_MAX``, through one

@@ -324,7 +324,11 @@ def _build_parser() -> _Parser:
     p_poly.add_argument("--emit-table", choices=sorted(_TABLE_FAMILY))
     p_poly.set_defaults(func=_cmd_poly)
 
-    p_crit = sub.add_parser("criterion", help="scan a prime range for rank verdicts")
+    p_crit = sub.add_parser("criterion", help="scan a prime range for rank verdicts", epilog=(
+        "Practical reach, measured on a 2-vCPU VM: a lone prime takes about 0.1 s at p = 10^4, "
+        "1.4 s at 4*10^4 and 18 s at 1.6*10^5, growing like p^1.65 to p^1.9, so p near 10^6 takes "
+        "minutes; a scan of 2..10^4 takes 3-4 s with --jobs 1 and 1.8 s with --jobs 2. The int64 "
+        f"kernel bound refuses p >= {recurrences._P_MAX} (_P_MAX), far past what runs in practice."))
     p_crit.add_argument("--family", choices=["Ep", "Ap"], required=True)
     p_crit.add_argument("--range", required=True, help="LO..HI inclusive")
     p_crit.add_argument("--jobs", type=int, default=DEFAULT_JOBS)

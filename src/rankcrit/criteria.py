@@ -8,7 +8,6 @@ Divisibility predicts rank 2 under BSD, non-divisibility rank 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from ._modp import constant_term_mod, constant_terms_mod, paired_constant_terms_mod
@@ -26,8 +25,7 @@ class Admissibility(NamedTuple):
     index: Optional[int]
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
     p: int
     family: str              # "Ep" | "Ap"
     path: str                # recurrence family key used: "f", "a" or "x"
@@ -76,10 +74,6 @@ def admissible(p: int, family: str) -> Admissibility:
     if p % row.modulus not in row.classes or not is_prime(p):
         return Admissibility(False, None)
     return Admissibility(True, row.index(p))
-
-
-def weight_for(p: int, family: str) -> int:
-    return _criterion(family).weight(p)
 
 
 def _verdicts(p: int, family: str, residues: list[int]) -> list[CriterionVerdict]:
@@ -201,7 +195,7 @@ def sp_congruence_rhs(p: int) -> int:
     ok, index = admissible(p, "Ep")
     if not ok:
         raise ValueError(f"{p} is not admissible for Ep")
-    k = weight_for(p, "Ep")
+    k = _CRITERIA["Ep"].weight(p)
     fact = 1
     for i in range(2, (p - 1) // 4 + 1):
         fact = fact * i % p

@@ -366,11 +366,6 @@ def _partial_sum(a: np.ndarray, n: np.ndarray, at: np.ndarray, M: int, c: float,
     return float(np.sum(terms))
 
 
-def l1(curve: CurveSpec, tol: float = 1e-8) -> float:
-    value, _, _ = l1_detail(curve, tol)
-    return value
-
-
 def _check_tol(tol: float) -> None:
     if not math.isfinite(tol):
         raise ValueError(f"tolerance {tol} is not a finite number")

@@ -17,13 +17,13 @@ working precision, and rounds half-even to an mpf once.  It builds each mpf
 from the libmp tuple that ``mpf((fixed, -w))`` makes, at the precision and
 rounding ``mpf()`` reads from the context, so the values are the
 constructor's bit for bit without its dispatch.  The tests hold it
-to 2^-(prec-8) * max(1, |L|) against the defining sum ``laguerre_sum`` for
-h <= 64, alpha in {-1/2, 0, 1/2, 1} and 0.01 <= |x| <= 2000 (and x = 0) at
-64, 256 and 1064 bits.
+to 2^-(prec-8) * max(1, |L|) against the defining sum (``laguerre_sum`` in
+``tests/_oracles.py``) for h <= 64, alpha in {-1/2, 0, 1/2, 1} and
+0.01 <= |x| <= 2000 (and x = 0) at 64, 256 and 1064 bits.
 
 ``ms_derivative`` sums the moments on Python ints.  Every frequency mu of a
 series has one denominator D (8 for theta2 and the eta-cube series, 24 for
-eta, 1 for Theta_hex and E2), read from its first term; a later term with
+eta, 1 for Theta_hex and the tests' E2), read from its first term; a later term with
 another raises ValueError.  The exponential e^{2 pi i mu z} of each term
 comes from the previous term's times a ratio g^Delta of g = exp(2 pi i z / D),
 and the ratio from the previous ratio times g^(second difference): one walk
@@ -41,7 +41,8 @@ products only, and one ``laguerre`` call at 64 bits for the stop bound
 2^-precision * max(|ref|, h!/(4 pi y)^h) against the mpf Laguerre sum with
 one mp.exp per term, for the six series at i, omega and 0.3 + 1.1i, h in
 {0, 1, 7, 32} at 64, 256 and 1064 bits, h = 64 at 64 and 256 bits, and h in
-{96, 128} at 64 and 256 bits for theta2, eta, Theta_hex and E2.
+{96, 128} at 64 and 256 bits for theta2, eta, Theta_hex and E2 (which, with
+the Hermite and lattice-sum oracles, is in ``tests/_oracles.py``).
 
 Both take one order h or a sequence of distinct orders.  ``laguerre`` runs
 its recurrence once, to the largest order, with that order's guard bits,
@@ -153,22 +154,6 @@ def ETA3Z_CUBED():
         m += 1
 
 
-def _sigma1(n: int) -> int:
-    s = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            s += d
-    return s
-
-
-def E2():
-    yield Fraction(0), 1
-    n = 1
-    while True:
-        yield Fraction(n), -24 * _sigma1(n)
-        n += 1
-
-
 @functools.cache  # THETA_HEX reads each f on every walk of the series
 def _hex_count(f: int) -> int:
     """#{(n, m) in Z^2 : n^2 + nm + m^2 = f}, from 4f - 3n^2 = (2m + n)^2."""
@@ -201,12 +186,6 @@ def _as_point(z):
     if z == CM_OMEGA:
         return mpmath.mpc(mpmath.mpf(-1) / 2, mpmath.sqrt(3) / 2)
     return mpmath.mpc(z)
-
-
-def _mpf_frac(x) -> mpmath.mpf:
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
 
 
 def _laguerre_guard(h: int) -> int:
@@ -265,41 +244,6 @@ def laguerre(h, alpha, x):
     # what mpf((fixed, -w)) runs, without the constructor's dispatch
     values = tuple(mp.make_mpf(libmp.from_man_exp(fixed[n], -w, prec, rounding)) for n in orders)
     return values[0] if isinstance(h, int) else values
-
-
-def laguerre_sum(h: int, alpha, x) -> mpmath.mpf:
-    """Defining sum of L_h^alpha(x); independent oracle for the recurrence.
-
-    The alternating sum cancels up to ~h*log2(x) bits, so it is evaluated
-    with that many guard bits to stay trustworthy at the caller's precision.
-    """
-    alpha = Fraction(alpha)
-    guard = int(h * (math.log2(max(float(x), 2.0)) + 2.0)) + 60
-    with mpmath.workprec(mpmath.mp.prec + guard):
-        x = mpmath.mpf(x)
-        total = mpmath.mpf(0)
-        fact = 1
-        for j in range(h + 1):
-            if j > 0:
-                fact *= j
-            binom = Fraction(1)
-            for i in range(1, h - j + 1):
-                binom *= (alpha + j + i) / i
-            total += _mpf_frac(binom) * (-x) ** j / fact
-    return +total
-
-
-def hermite(n: int, x) -> mpmath.mpf:
-    """Physicists' Hermite polynomial H_n(x) via H_{m+1} = 2x H_m - 2m H_{m-1}."""
-    if n < 0:
-        raise ValueError(f"Hermite order must be >= 0, got {n}")
-    x = mpmath.mpf(x)
-    if n == 0:
-        return mpmath.mpf(1)
-    prev, cur = mpmath.mpf(1), 2 * x
-    for m in range(1, n):
-        prev, cur = cur, 2 * x * cur - 2 * m * prev
-    return cur
 
 
 def _mantissas(v: mpmath.mpc, w: int) -> tuple[int, int, int]:
@@ -547,14 +491,6 @@ def ms_derivative(series: Series, weight, h, z, precision: int = 256):
         return derivatives[0] if isinstance(h, int) else derivatives
 
 
-def e2star(z, precision: int = 256) -> mpmath.mpc:
-    """E_2(z) - 3/(pi y); vanishes at the CM points i and omega."""
-    with mpmath.workprec(precision + _GUARD):
-        zz = _as_point(z)
-        value = ms_derivative(E2, 2, 0, zz, precision)  # order 0: plain evaluation
-        return value - 3 / (mpmath.pi * zz.imag)
-
-
 @functools.cache  # a pure function of precision: every verify row at one precision shares it
 def omega_E(precision: int = 256) -> mpmath.mpf:
     """gamma(1/4)^2 / (2 sqrt(pi)) = pi sqrt(2) / agm(sqrt(2), 1).
@@ -674,7 +610,8 @@ def _two_three(e2, e3, k: int) -> tuple:
 def _closed_forms(row: _Identity, ks: list[int], cs: list[Fraction], precision: int) -> list[tuple]:
     """(Omega/pi)^(2k-1) 2^e2 3^e3 c^2 for each weight k and constant c of the row, as mpf tuples.
 
-    The libmp calls are those of ratio ** (2k-1) * _two_three(..) * _mpf_frac(c) ** 2 with
+    The libmp calls are those of
+    ratio ** (2k-1) * _two_three(..) * (mpf(c.numerator) / c.denominator) ** 2 with
     ratio = Omega / mpmath.pi, at the working precision and rounding.
     """
     libmp = mpmath.libmp
@@ -875,32 +812,3 @@ def hecke_value_A_from_theta_forms(k, precision: int = 256):
     otherwise.  A sequence of weights gives a list, one pass per row.
     """
     return _hecke_value(CM_OMEGA, k, precision, from_constants=False)
-
-
-def lattice_theta_identity_gap(order: int, precision: int = 128, cutoff: int = 40) -> float:
-    """Relative gap in the lattice-sum / theta-product identity at z = i.
-
-    Compares, for even derivative order, the two-dimensional Laguerre-weighted
-    lattice sum with sqrt(2) * |theta_(order)[1/2; 0](i)|^2; returns
-    |lhs - rhs| / |rhs|.
-    """
-    if order % 2 != 0:
-        raise ValueError("only even orders are exercised here")
-    with mpmath.workprec(precision + _GUARD):
-        pi = mpmath.pi
-        lhs = mpmath.mpf(0)
-        for n in range(-cutoff, cutoff + 1):
-            for m in range(-cutoff, cutoff + 1):
-                q2 = n * n + m * m
-                sign = (-1) ** (n + n * m)
-                lhs += sign * laguerre(order, 0, pi * q2) * mpmath.exp(-pi * mpmath.mpf(q2) / 2)
-        lhs *= mpmath.mpf(-1) ** order * mpmath.factorial(order) / pi ** order
-        # theta_(order)[1/2; 0](i) as a Hermite-weighted half-integer theta sum
-        s = mpmath.mpf(0)
-        root = mpmath.sqrt(2 * pi)
-        for j in range(0, cutoff):
-            x = mpmath.mpf(2 * j + 1) / 2
-            s += 2 * hermite(order, x * root) * mpmath.exp(-pi * x * x)
-        theta_p = (2 * pi) ** (-mpmath.mpf(order) / 2) * s  # i^{-order} dropped: modulus only
-        rhs = mpmath.mpf(-1) ** order * mpmath.sqrt(mpmath.mpf(2)) * theta_p ** 2
-        return float(abs(lhs - rhs) / abs(rhs))

@@ -42,7 +42,7 @@ criteria are the numpy kernel of :mod:`rankcrit._modp`, which loads at the first
 mod-p call (see ``_lazy``), so ``import rankcrit`` compiles only the exact walks.
 ``constant_term_mod``, ``constant_terms_mod`` and ``paired_constant_terms_mod``
 are read from there on their first use here (PEP 562).  The bound ``_P_MAX``
-stays here, since ``step(..., p)`` checks it too.
+and its check ``_check_fits`` are here, where ``criteria`` and ``_modp`` both read them.
 """
 
 from __future__ import annotations
@@ -143,20 +143,6 @@ _P_MAX = math.isqrt(_INT64_MAX // _MAX_TERMS) + 2
 def _check_fits(p: int) -> None:
     if p >= _P_MAX:
         raise OverflowError(f"modulus {p} is not below {_P_MAX}: int64 residues would overflow")
-
-
-def step(family: RecurrenceFamily, n: int, prev: tuple, cur: tuple, p: int | None = None) -> tuple:
-    """F_{n+1} from (F_{n-1}, F_n), reduced mod p if p is given; requires n >= 1.
-
-    The polynomials are dense, and this is the exact tap kernel at stride 1;
-    mod p it steps the residues of F_{n-1} and F_n and reduces the result."""
-    if n < 1:
-        raise ValueError("step index n must be >= 1")
-    if p is not None:
-        _check_fits(p)
-        prev, cur = (tuple(c % p for c in poly) for poly in (prev, cur))
-    out = _tap_step(prev, cur, *_taps_at(_tap_plan(family, 1, 0), n))
-    return out if p is None else trim(c % p for c in out)
 
 
 def _quadratic(v0: int, v1: int, v2: int) -> tuple[int, int, int]:

@@ -1,17 +1,18 @@
-"""Bivariate polynomials in the theta constants th2, th4 with their weight-raising derivation.
+"""Bivariate polynomials in the theta constants th2, th4, and the f family re-derived in them.
 
-The derivation sends th2 to th2*th4^4/12 + th2^5/24 and th4 to
+The weight-raising derivation sends th2 to th2*th4^4/12 + th2^5/24 and th4 to
 -(th2^4*th4/12 + th4^5/24).  Iterating it through a two-term recurrence and
 normalizing by th2-powers re-derives the univariate f-family from an
 independent route, which the tests compare against ``recurrences.generate``.
 
 The recurrence is walked at scale 24^n, on ``G_n = 24^n F_n``: there the
-derivation is the integer-weight monomial rule ``_rule`` (24 times
-``rs_derivation``) and every coefficient is an int.  ``G_n`` lives on the
-monomials th2^(4(n-j)+1) th4^(4j), so ``vz_sequence`` walks it as a list of
-ints indexed by j (three taps a step) and builds no Fraction until it
-returns its rows.  ``ThetaPolynomial`` keeps ``+``, ``*`` and exact rational
-coefficients for everything else.
+derivation is an integer-weight monomial rule and every coefficient is an
+int.  ``G_n`` lives on the monomials th2^(4(n-j)+1) th4^(4j), so
+``vz_sequence`` walks it as a list of ints indexed by j (three taps a step)
+and builds no Fraction until it returns its rows, ``ThetaPolynomial``s with
+exact rational coefficients.  The derivation as written, its monomial rule
+and the ring's ``+`` and ``*`` are the tests' reference for those taps, in
+``tests/_oracles.py``.
 """
 
 from __future__ import annotations
@@ -38,76 +39,8 @@ class ThetaPolynomial:
     def from_dict(d: dict[tuple[int, int], Fraction | int]) -> "ThetaPolynomial":
         return ThetaPolynomial(tuple(sorted((ij, c) for ij, c in d.items() if c != 0)))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int | None:
-        """Common i+j of a homogeneous element (weight = degree/2), None for 0."""
-        degs = {i + j for (i, j), _ in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise StructureError("element is not homogeneous")
-        return degs.pop()
-
-    def __add__(self, other: "ThetaPolynomial") -> "ThetaPolynomial":
-        out = dict(self.terms)
-        for ij, c in other.terms:
-            out[ij] = out.get(ij, 0) + c
-        return ThetaPolynomial.from_dict(out)
-
-    def __mul__(self, other: "ThetaPolynomial") -> "ThetaPolynomial":
-        out: dict[tuple[int, int], Fraction | int] = {}
-        for (i1, j1), c1 in self.terms:
-            for (i2, j2), c2 in other.terms:
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return ThetaPolynomial.from_dict(out)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (i, j), c in sorted(self.terms, key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])):
-            mono = "*".join(
-                part
-                for part in (
-                    f"th2^{i}" if i > 1 else ("th2" if i == 1 else ""),
-                    f"th4^{j}" if j > 1 else ("th4" if j == 1 else ""),
-                )
-                if part
-            )
-            bits.append(f"({c})*{mono}" if mono else f"({c})")
-        return " + ".join(bits)
-
 
 TH2 = ThetaPolynomial.from_dict({(1, 0): 1})
-TH4 = ThetaPolynomial.from_dict({(0, 1): 1})
-
-# E4 = th2^8 + th2^4*th4^4 + th4^8
-E4 = ThetaPolynomial.from_dict({(8, 0): 1, (4, 4): 1, (0, 8): 1})
-
-
-def _rule(terms) -> dict[tuple[int, int], Fraction | int]:
-    """24 times the derivation, monomial by monomial:
-    th2^i th4^j -> (2i - j) th2^i th4^(j+4) + (i - 2j) th2^(i+4) th4^j.
-    """
-    out: dict[tuple[int, int], Fraction | int] = {}
-    for (i, j), c in terms:
-        for key, w in (((i, j + 4), 2 * i - j), ((i + 4, j), i - 2 * j)):
-            out[key] = out.get(key, 0) + w * c
-    return out
-
-
-def rs_derivation(a: ThetaPolynomial) -> ThetaPolynomial:
-    """Weight-raising derivation D2 * d/dth2 + D4 * d/dth4 (raises i+j by 4).
-
-    With D2 = th2*th4^4/12 + th2^5/24 and D4 = -(th2^4*th4/12 + th4^5/24) it
-    sends one monomial to two:
-    th2^i th4^j -> ((2i - j) th2^i th4^(j+4) + (i - 2j) th2^(i+4) th4^j) / 24.
-    """
-    return ThetaPolynomial.from_dict({ij: Fraction(c, 24) for ij, c in _rule(a.terms).items()})
 
 
 def vz_sequence(N: int) -> list[ThetaPolynomial]:
@@ -115,8 +48,9 @@ def vz_sequence(N: int) -> list[ThetaPolynomial]:
 
     F_n is homogeneous of theta-degree 4n+1 (weight 1/2 + 2n), and its
     monomials are th2^(4(n-j)+1) th4^(4j) for j = 0..n.  The walk runs on the
-    integer rows G_n[j] = 24^n [th2^(4(n-j)+1) th4^(4j)] F_n, where ``_rule``
-    and the E4 term become three taps:
+    integer rows G_n[j] = 24^n [th2^(4(n-j)+1) th4^(4j)] F_n, where 24 times
+    the derivation, th2^i th4^j -> (2i - j) th2^i th4^(j+4) + (i - 2j) th2^(i+4) th4^j,
+    and the term in E4 = th2^8 + th2^4 th4^4 + th4^8 become three taps:
     G_{n+1}[j] = (8n-12j+14) G_n[j-1] + (4n-12j+1) G_n[j]
                  - 2n(2n-1) (G_{n-1}[j] + G_{n-1}[j-1] + G_{n-1}[j-2]).
     """

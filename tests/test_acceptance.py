@@ -21,17 +21,14 @@ from rankcrit.lseries import an_list, curve_ep, sp
 from rankcrit.maass import (
     CM_I,
     CM_OMEGA,
-    e2star,
-    hermite,
     laguerre,
-    laguerre_sum,
-    lattice_theta_identity_gap,
     verify_eta_identity,
     verify_theta2_identity,
 )
 from rankcrit.polyring import constant_term
 from rankcrit.recurrences import A_VZ, F_E, X_A, generate_all
 from rankcrit.symbolic import cross_check
+from ._oracles import e2star, hermite, laguerre_sum, lattice_theta_identity_gap
 from ._util import add, derivative, dot, mul, primes_leq, rand_poly, reduce
 from .golden import (
     A_TABLE,

@@ -14,7 +14,6 @@ from rankcrit.criteria import (
     sp_congruence_rhs,
     verdict_Ap,
     verdict_Ep,
-    weight_for,
 )
 from rankcrit.recurrences import _P_MAX
 from ._util import primes_leq
@@ -50,7 +49,6 @@ class TestAdmissible:
         (lambda: verdict_Ep(7), "7 is not an admissible prime for Ep (needs p = 1, 9 mod 16)"),
         (lambda: verdict_Ap(17), "17 is not an admissible prime for Ap (needs p = 1 mod 9)"),
         (lambda: admissible(17, "Zp"), "unknown family 'Zp'"),
-        (lambda: weight_for(17, "Zp"), "unknown family 'Zp'"),
         (lambda: scan("Zp", 2, 100), "unknown family 'Zp'"),
     ])
     def test_refusal_messages(self, call, message):

@@ -12,18 +12,18 @@ below the Python runtime, so agreement here validates both stacks at once.
 
 import math
 
-from rankcrit.lseries import OMEGA_A, OMEGA_E, CurveSpec, l1
+from rankcrit.lseries import OMEGA_A, OMEGA_E, CurveSpec, l1_detail
 from rankcrit.maass import hecke_value_A, hecke_value_E, omega_A, omega_E
 
 
 def test_square_family_central_value_two_routes():
-    via_series = l1(CurveSpec(A=1, B=0), 1e-9)  # y^2 = x^3 + x
+    via_series = l1_detail(CurveSpec(A=1, B=0), 1e-9)[0]  # y^2 = x^3 + x
     via_theta = float(hecke_value_E(1, 128))
     assert abs(via_series - via_theta) < 1e-9
 
 
 def test_cube_family_central_value_two_routes():
-    via_series = l1(CurveSpec(A=0, B=-432), 1e-9)  # x^3 + y^3 = 1 model
+    via_series = l1_detail(CurveSpec(A=0, B=-432), 1e-9)[0]  # x^3 + y^3 = 1 model
     via_theta = float(hecke_value_A(1, 128))
     assert abs(via_series - via_theta) < 1e-9
 

@@ -18,7 +18,6 @@ from rankcrit.lseries import (
     conductor,
     curve_ap,
     curve_ep,
-    l1,
     l1_detail,
     sp,
 )
@@ -729,14 +728,14 @@ class TestConductor:
 
 class TestL1:
     def test_l1_near_zero_for_rank_two(self):
-        assert abs(l1(curve_ep(73), 1e-8)) < 1e-4
+        assert abs(l1_detail(curve_ep(73), 1e-8)[0]) < 1e-4
 
     def test_l1_away_from_zero_for_rank_zero(self):
-        assert abs(l1(curve_ep(97), 1e-8)) > 1e-2
+        assert abs(l1_detail(curve_ep(97), 1e-8)[0]) > 1e-2
 
     def test_e1_value(self):
         # y^2 = x^3 + x: L(1) = Omega_E / 4
-        got = l1(CurveSpec(A=1, B=0), 1e-9)
+        got = l1_detail(CurveSpec(A=1, B=0), 1e-9)[0]
         assert abs(got - OMEGA_E / 4) < 1e-8
 
     def test_model_non_minimal_at_5(self):
@@ -744,7 +743,7 @@ class TestL1:
         got = an_list(CurveSpec(625, 0), 30)
         assert got.tolist() == an_list(CurveSpec(1, 0), 30).tolist()
         assert got[5] == 2
-        assert l1(CurveSpec(625, 0), 1e-9) == pytest.approx(OMEGA_E / 4, abs=1e-8)
+        assert l1_detail(CurveSpec(625, 0), 1e-9)[0] == pytest.approx(OMEGA_E / 4, abs=1e-8)
 
     def test_tail_bound_enforced(self):
         _, terms, bound = l1_detail(curve_ep(17), 1e-8)
@@ -761,7 +760,7 @@ class TestL1:
 
     def test_rejects_tiny_tol(self):
         with pytest.raises(ValueError):
-            l1(curve_ep(17), 1e-13)
+            l1_detail(curve_ep(17), 1e-13)
 
 
 def _divisor_counts(limit: int) -> np.ndarray:

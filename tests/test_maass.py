@@ -13,7 +13,6 @@ from rankcrit.maass import (
     _GUARD,
     CM_I,
     CM_OMEGA,
-    E2,
     ETA,
     ETA3Z_CUBED,
     ETA_CUBED,
@@ -23,19 +22,14 @@ from rankcrit.maass import (
     _as_point,
     _hex_count,
     _laguerre_guard,
-    _mpf_frac,
     _moment_guard,
     _moment_point,
     _moment_width,
-    e2star,
     hecke_value_A,
     hecke_value_A_from_theta_forms,
     hecke_value_E,
     hecke_value_E_from_constants,
-    hermite,
     laguerre,
-    laguerre_sum,
-    lattice_theta_identity_gap,
     ms_derivative,
     omega_A,
     omega_E,
@@ -44,12 +38,13 @@ from rankcrit.maass import (
 )
 from rankcrit.polyring import constant_term
 from rankcrit.recurrences import F_E, generate
+from ._oracles import E2, e2star, hermite, laguerre_sum, lattice_theta_identity_gap, mpf_frac
 
 
 def _laguerre_mpf(h: int, alpha, x) -> mpf:
     """L_h^alpha(x) by the three-term recurrence in mpf arithmetic, stable for x > 0;
     the reference for the fixed-point ``laguerre``."""
-    a = _mpf_frac(alpha)
+    a = mpf_frac(alpha)
     x = mpf(x)
     if h == 0:
         return mpf(1)
@@ -243,7 +238,7 @@ def _ms_derivative_mpf(series, weight, h: int, z, precision: int) -> mpc:
         total = mpc(0)
         small_streak = 0
         for count, (mu, a) in enumerate(series()):
-            m = _mpf_frac(mu)
+            m = mpf_frac(mu)
             term = a * laguerre(h, weight - 1, fourpiy * m) * mp.exp(two_pi_i_z * m)
             total += term
             if abs(term) < threshold:
@@ -683,7 +678,7 @@ def _two_three_by_operators(e2, e3, k: int) -> mpf:
 def _closed_forms_by_operators(row, ks, cs, precision: int) -> list[mpf]:
     om = omega_E(precision) if row.point == CM_I else omega_A(precision)
     ratio = om / mp.pi
-    return [ratio ** (2 * k - 1) * _two_three_by_operators(row.e2, row.e3, k) * _mpf_frac(c) ** 2
+    return [ratio ** (2 * k - 1) * _two_three_by_operators(row.e2, row.e3, k) * mpf_frac(c) ** 2
             for k, c in zip(ks, cs)]
 
 

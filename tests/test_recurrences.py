@@ -56,8 +56,8 @@ from rankcrit.recurrences import (
     generate_all,
     iter_family,
     paired_constant_terms_mod,
-    step,
 )
+from ._oracles import step
 from ._util import dot_step, exact_walk, primes_leq
 from .golden import A_TABLE, F_TABLE_FULL, F_TABLE_VISIBLE, X_TABLE, poly_to_map
 

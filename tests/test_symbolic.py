@@ -5,17 +5,8 @@ from fractions import Fraction
 import pytest
 
 from rankcrit.recurrences import F_E, generate
-from rankcrit.symbolic import (
-    E4,
-    TH2,
-    TH4,
-    StructureError,
-    ThetaPolynomial,
-    cross_check,
-    normalize_to_t,
-    rs_derivation,
-    vz_sequence,
-)
+from rankcrit.symbolic import TH2, StructureError, ThetaPolynomial, cross_check, normalize_to_t, vz_sequence
+from ._oracles import E4, TH4, is_zero, rs_derivation, theta_add, theta_mul, total_degree
 
 
 def fraction_walk(N):
@@ -31,7 +22,7 @@ def fraction_walk(N):
     for n in range(1, N):
         s = Fraction(-n * (2 * n - 1), 288)
         scaled_e4 = ThetaPolynomial.from_dict({ij: s * c for ij, c in E4.terms})
-        seq.append(rs_derivation(seq[n]) + scaled_e4 * seq[n - 1])
+        seq.append(theta_add(rs_derivation(seq[n]), theta_mul(scaled_e4, seq[n - 1])))
     return seq
 
 
@@ -56,15 +47,15 @@ class TestDerivation:
 
     def test_kills_constants(self):
         one = ThetaPolynomial.from_dict({(0, 0): 1})
-        assert rs_derivation(one).is_zero
+        assert is_zero(rs_derivation(one))
 
     def test_leibniz(self):
         rng = random.Random(5)
         for _ in range(60):
             a = rand_homogeneous(rng, rng.randint(1, 6))
             b = rand_homogeneous(rng, rng.randint(1, 6))
-            lhs = rs_derivation(a * b)
-            rhs = rs_derivation(a) * b + a * rs_derivation(b)
+            lhs = rs_derivation(theta_mul(a, b))
+            rhs = theta_add(theta_mul(rs_derivation(a), b), theta_mul(a, rs_derivation(b)))
             assert lhs == rhs
 
     def test_raises_degree_by_four(self):
@@ -72,8 +63,8 @@ class TestDerivation:
         for _ in range(20):
             a = rand_homogeneous(rng, rng.randint(1, 6))
             out = rs_derivation(a)
-            if not out.is_zero:
-                assert out.total_degree() == a.total_degree() + 4
+            if not is_zero(out):
+                assert total_degree(out) == total_degree(a) + 4
 
 
 class TestSequence:
@@ -86,14 +77,13 @@ class TestSequence:
     def test_homogeneous_degrees(self):
         seq = vz_sequence(8)
         for n, F in enumerate(seq):
-            assert F.total_degree() == 4 * n + 1
+            assert total_degree(F) == 4 * n + 1
 
     def test_equals_fraction_walk(self):
         got, want = vz_sequence(40), fraction_walk(40)
         assert len(got) == len(want) == 41
         for n, (F, R) in enumerate(zip(got, want)):
             assert F == R, n
-            assert str(F) == str(R), n
             assert [type(c) for _, c in F.terms] == [type(c) for _, c in R.terms], n
 
     def test_negative_n_refused(self):
@@ -145,4 +135,4 @@ class TestEndToEnd:
         assert normalize_to_t(vz_sequence(7)[7], 7) == generate(F_E, 7)
 
     def test_e4_is_homogeneous_weight_4(self):
-        assert E4.total_degree() == 8
+        assert total_degree(E4) == 8
