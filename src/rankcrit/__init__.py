@@ -19,8 +19,10 @@ and the dense ``step``) are in ``tests/_oracles.py``.
 
 The names of ``_modp``, ``criteria``, ``lseries``, ``maass`` and ``symbolic``
 load their layer at the first read (PEP 562), so ``import rankcrit`` compiles
-only ``polyring`` and the exact layer of ``recurrences`` and imports no
-``dataclasses``, and each subcommand of ``cli`` only the layers it runs.
+only ``polyring`` and the exact layer of ``recurrences``, and each subcommand of
+``cli`` only the layers it runs.  Every record (``RecurrenceFamily``, the
+verdicts and reports, ``CurveSpec``, ``ThetaPolynomial``) is a ``NamedTuple``,
+so a subcommand imports ``inspect`` only through numpy.
 """
 
 import importlib

@@ -31,7 +31,8 @@ EXIT_NONCONVERGENCE = 3
 
 DEFAULT_PRECISION = 256
 DEFAULT_TOL = 1e-8
-DEFAULT_JOBS = os.cpu_count() or 1
+# the CPUs this process may run on: an affinity mask can leave fewer than os.cpu_count()
+DEFAULT_JOBS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,12 +146,6 @@ def _cache_path(args) -> Path:
     return Path.home() / ".cache" / "rankcrit" / "oracle"
 
 
-def _report_fields() -> list[str]:
-    import dataclasses
-
-    return [f.name for f in dataclasses.fields(lseries.LValueReport)]
-
-
 def _cache_key(family: str, p: int, tol: float) -> str:
     import hashlib
 
@@ -168,7 +163,7 @@ def _cache_lookup(path: Path) -> dict | None:
     except ValueError:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not text
         print(f"warning: skipping corrupt cache record {path}", file=sys.stderr)
         return None
-    if isinstance(report, dict) and sorted(report) == sorted(_report_fields()):
+    if isinstance(report, dict) and sorted(report) == sorted(lseries.LValueReport._fields):
         return report
     print(f"warning: skipping incomplete cache record {path}", file=sys.stderr)
     return None
@@ -210,7 +205,7 @@ def _cmd_oracle(args) -> int:
         record = report.as_record()
         if not args.no_cache:
             _cache_store(path, record)  # over a corrupt or incomplete record too, so it warns once
-    _emit(args, [record], lambda rec: "\n".join(f"{k}: {rec[k]}" for k in _report_fields()))
+    _emit(args, [record], lambda rec: "\n".join(f"{k}: {rec[k]}" for k in lseries.LValueReport._fields))
     return EXIT_OK
 
 

@@ -14,7 +14,8 @@ recurrences, so agreement between the two is a real cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from typing import NamedTuple
 
 from ._lazy import lazy_import
 from ._primality import is_prime, primes_in
@@ -43,8 +44,7 @@ class FunctionalEquationError(RuntimeError):
     """Varying the incomplete-sum split point moved L(1): conductor or sign is wrong."""
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(namedtuple("CurveSpec", "A B")):
     """y^2 = x^3 + A x (j = 1728) or y^2 = x^3 + B (j = 0), in minimal CM shape.
 
     A is stored modulo 4th powers and B modulo 6th powers (y^2 = x^3 + u^4 A x
@@ -52,22 +52,20 @@ class CurveSpec:
     discriminant exactly when the reduction at q is bad.
     """
 
-    A: int
-    B: int
+    __slots__ = ()
+
+    def __new__(cls, A: int, B: int):
+        if (A == 0) == (B == 0):
+            raise ValueError(f"need exactly one of A, B nonzero, got A = {A}, B = {B}")
+        c, k = (A, 4) if B == 0 else (B, 6)
+        for q in primes_in(2, _iroot(abs(c), k)):
+            while c % q ** k == 0:
+                c //= q ** k
+        return super().__new__(cls, c, 0) if B == 0 else super().__new__(cls, 0, c)
 
     @property
     def discriminant(self) -> int:
         return -16 * (4 * self.A ** 3 + 27 * self.B ** 2)
-
-    def __post_init__(self):
-        if (self.A == 0) == (self.B == 0):
-            raise ValueError(f"need exactly one of A, B nonzero, got A = {self.A}, B = {self.B}")
-        name, k = ("A", 4) if self.B == 0 else ("B", 6)
-        c = getattr(self, name)
-        for q in primes_in(2, _iroot(abs(c), k)):
-            while c % q ** k == 0:
-                c //= q ** k
-        object.__setattr__(self, name, c)
 
 
 def curve_ep(p: int) -> CurveSpec:
@@ -399,8 +397,7 @@ def l1_detail(curve: CurveSpec, tol: float = 1e-8, *, N: int | None = None) -> t
     return value, M, bound
 
 
-@dataclass(frozen=True)
-class LValueReport:
+class LValueReport(NamedTuple):
     p: int
     family: str
     conductor: int
@@ -414,7 +411,7 @@ class LValueReport:
     converged: bool
 
     def as_record(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def sp_curve(p: int, tol: float = 1e-8, family: str = "Ep") -> tuple[CurveSpec, float]:

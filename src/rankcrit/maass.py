@@ -89,11 +89,9 @@ import functools
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import islice
-from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from ._lazy import lazy_import
 from .polyring import constant_term
@@ -627,8 +625,7 @@ def _closed_forms(row: _Identity, ks: list[int], cs: list[Fraction], precision: 
     return values
 
 
-@dataclass(frozen=True)
-class MSDerivativeReport:
+class MSDerivativeReport(NamedTuple):
     case: str              # which identity: theta2@i, eta@omega, eta^3@omega, eta(3z)^3@omega
     N: int
     k: int
@@ -645,11 +642,7 @@ class MSDerivativeReport:
         """The fields as JSON values; the mpf ones, kept at working precision, by ``json_number``."""
         mpf = mpmath.mpf
         return {name: json_number(v) if isinstance(v, mpf) else v
-                for name, v in zip(_REPORT_FIELDS, _report_values(self))}
-
-
-_REPORT_FIELDS = tuple(f.name for f in fields(MSDerivativeReport))
-_report_values = attrgetter(*_REPORT_FIELDS)
+                for name, v in zip(self._fields, self)}
 
 
 def json_number(x: mpmath.mpf) -> float | str:

@@ -17,9 +17,9 @@ and the ring's ``+`` and ``*`` are the tests' reference for those taps, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .polyring import trim
 from .recurrences import F_E, generate_all
@@ -29,8 +29,7 @@ class StructureError(ValueError):
     """A monomial fell outside the exponent lattice expected by the normalizer."""
 
 
-@dataclass(frozen=True)
-class ThetaPolynomial:
+class ThetaPolynomial(NamedTuple):
     """Map (i, j) -> exact rational c_ij for sum c_ij * th2^i * th4^j, zero entries dropped."""
 
     terms: tuple[tuple[tuple[int, int], Fraction | int], ...]

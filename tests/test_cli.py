@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -468,7 +467,7 @@ class TestVerify:
         # for all indices at once, so every report of the batch gets the error
         real = maass.verify_theta2_identity
         monkeypatch.setattr(maass, "verify_theta2_identity",
-                            lambda Ns, precision: [dataclasses.replace(r, rel_error=1e-20)
+                            lambda Ns, precision: [r._replace(rel_error=1e-20)
                                                    for r in real(Ns, precision)])
         code, out, _ = run(capsys, "verify", "--thm", "5", "--max-n", "0",
                            "--precision", "256", "--format", "json")
@@ -679,7 +678,7 @@ def test_usage_error_message(capsys, argv, message):
     assert run(capsys, *argv.split()) == (1, "", message + "\n")
 
 
-JOBS = os.cpu_count() or 1
+JOBS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Each subcommand's options: {flag: (default, choices, required)}.
 SURFACE = {
@@ -704,6 +703,17 @@ def test_cli_surface():
                   for a in parser._actions if a.option_strings != ["-h", "--help"]}
            for name, parser in sub.choices.items()}
     assert got == SURFACE
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_default_jobs_counts_the_cpus_this_process_may_use():
+    # a pool of cpu_count() workers on a process pinned to one CPU would start workers that only wait
+    script = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+              "from rankcrit import cli; print(cli.DEFAULT_JOBS)")
+    src = str(Path(rankcrit.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
 class TestModuleEntry:

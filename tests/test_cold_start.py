@@ -1,8 +1,7 @@
 """What a fresh interpreter loads: numpy, mpmath, the mod-p kernel (``rankcrit._modp``),
-``dataclasses``, ``inspect`` (which numpy and ``dataclasses`` import) and the criteria,
-lseries, maass and symbolic layers only for the subcommands that run them, and the process
-pool only for --jobs > 1.  ``criterion`` builds no dataclass (``CriterionVerdict`` is a
-``NamedTuple``), so it imports ``dataclasses`` not at all.
+``inspect`` (which numpy imports) and the criteria, lseries, maass and symbolic layers only
+for the subcommands that run them, and the process pool only for --jobs > 1.  Every record
+of the package is a ``NamedTuple``, so no subcommand imports ``dataclasses``.
 
 Each check runs in a new ``python`` with ``PYTHONPATH=src``, so that nothing the test session
 imported is already in ``sys.modules``.  A module made by ``rankcrit._lazy`` counts as loaded
@@ -89,12 +88,12 @@ RUNS = [
     (["poly", "--n", "-1"], 1, []),
     (["poly", "--family", "x", "--n", "12", "--mod", "7"], 0, ["numpy", "rankcrit._modp", "inspect"]),
     (["verify", "--thm", "5", "--max-n", "2", "--format", "json"], 0,
-     ["mpmath", "rankcrit.maass", "dataclasses", "inspect"]),
-    (["verify", "--symbolic", "--max-n", "6", "--format", "json"], 0, ["rankcrit.symbolic", "dataclasses", "inspect"]),
+     ["mpmath", "rankcrit.maass"]),
+    (["verify", "--symbolic", "--max-n", "6", "--format", "json"], 0, ["rankcrit.symbolic"]),
     (["criterion", "--family", "Ep", "--range", "2..200", "--format", "json", "--jobs", "1"], 0,
      ["numpy", "rankcrit.criteria", "rankcrit._modp", "inspect"]),
     (["oracle", "--p", "73", "--no-cache", "--format", "json"], 0,
-     ["numpy", "rankcrit.lseries", "dataclasses", "inspect"]),
+     ["numpy", "rankcrit.lseries", "inspect"]),
 ]
 
 

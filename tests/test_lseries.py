@@ -704,8 +704,21 @@ class TestConductor:
 
     def test_curve_shape_refused(self):
         for A, B in ((-1, 1), (0, 0)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"need exactly one of A, B nonzero, got A = {A}, B = {B}"):
                 CurveSpec(A, B)
+
+    def test_spec_is_a_frozen_record(self):
+        spec = CurveSpec(625, 0)
+        assert repr(spec) == "CurveSpec(A=1, B=0)"
+        # the text _cm_shape's refusal prints, after the normalization
+        with pytest.raises(ValueError, match=r"not for CurveSpec\(A=-1, B=0\)$"):
+            ap(CurveSpec(-16, 0), 5)
+        assert hash(spec) == hash(CurveSpec(1, 0)) and len({spec, CurveSpec(1, 0)}) == 1
+        with pytest.raises(AttributeError):
+            spec.A = 5
+        with pytest.raises(AttributeError):
+            spec.C = 5
+        assert spec.A == 1
 
     def test_exponent_invariant_under_coordinate_changes(self):
         # f_q cannot depend on the chosen integral model; random unimodular
@@ -827,6 +840,10 @@ class TestSp:
         assert rep.tol == 1e-8
         rec = rep.as_record()
         assert rec["p"] == 41 and rec["s_rounded"] == rep.s_rounded
+        # the pretty output prints one line per field, in this order
+        assert list(rec) == list(lseries.LValueReport._fields) == [
+            "p", "family", "conductor", "terms", "l1", "s_real", "s_rounded", "residual", "tail_bound", "tol",
+            "converged"]
 
     def test_ap_family(self):
         rep = sp(19, 1e-8, family="Ap")

@@ -633,6 +633,11 @@ class TestBatches:
         assert type(rec["numeric"]) is float and rec["numeric"] == float(r.numeric)
         assert type(rec["rel_error"]) is float and rec["rel_error"] == float(r.rel_error)
         assert isinstance(r.rel_error, mpf)
+        assert list(rec) == list(r._fields) == ["case", "N", "k", "order", "constant", "numeric", "predicted",
+                                                "rel_error", "abs_error", "vanishing", "precision"]
+        # each mpf field goes through json_number: below the float range a float would read 0.0
+        tiny = r._replace(abs_error=mpf(2) ** -2000).as_record()
+        assert tiny["abs_error"] == maass.json_number(mpf(2) ** -2000) and type(tiny["abs_error"]) is str
 
 
 def _laguerre_by_constructor(orders: tuple, alpha, x) -> tuple:
